@@ -10,10 +10,10 @@
 //! codecs — a robustness dimension the paper leaves implicit.
 
 use crate::csvout;
+use crate::schemes::{codec_factory, CodecFactory};
 use aegis_baselines::{HammingCodec, PartitionSearch, RdisCodec, SaferCodec};
 use aegis_core::{AegisCodec, Rectangle};
 use bitblock::BitBlock;
-use pcm_sim::codec::StuckAtCodec;
 use pcm_sim::PcmBlock;
 use sim_rng::SmallRng;
 use sim_rng::{Rng, SeedableRng};
@@ -37,25 +37,27 @@ pub struct BiasPoint {
 /// inside the soft region where data patterns decide.
 pub const FAULTS: usize = 14;
 
-fn codecs() -> Vec<Box<dyn StuckAtCodec>> {
+fn codecs() -> Vec<CodecFactory> {
     vec![
-        Box::new(HammingCodec::new(512)),
-        Box::new(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
-        Box::new(RdisCodec::rdis3(512)),
-        Box::new(AegisCodec::new(Rectangle::new(9, 61, 512).expect("valid"))),
+        codec_factory(HammingCodec::new(512)),
+        codec_factory(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
+        codec_factory(RdisCodec::rdis3(512)),
+        codec_factory(AegisCodec::new(Rectangle::new(9, 61, 512).expect("valid"))),
     ]
 }
 
 /// The skew grid swept on each axis.
 pub const SKEWS: [f64; 3] = [0.1, 0.5, 0.9];
 
-/// Runs the sweep with `trials` fresh blocks per grid point.
+/// Runs the sweep with `trials` fresh blocks per grid point. Each codec
+/// is built once per call and every trial writes through a fresh clone.
 #[must_use]
 pub fn run(trials: usize, seed: u64) -> Vec<BiasPoint> {
+    let codecs = codecs();
     let mut out = Vec::new();
     for &data_ones in &SKEWS {
         for &stuck_ones in &SKEWS {
-            for codec_idx in 0..codecs().len() {
+            for make in &codecs {
                 let mut succeeded = 0usize;
                 for trial in 0..trials {
                     let mut rng = SmallRng::seed_from_u64(
@@ -63,7 +65,7 @@ pub fn run(trials: usize, seed: u64) -> Vec<BiasPoint> {
                             ^ ((data_ones * 10.0) as u64) << 4
                             ^ ((stuck_ones * 10.0) as u64),
                     );
-                    let mut codec = codecs().swap_remove(codec_idx);
+                    let mut codec = make();
                     let mut block = PcmBlock::pristine(512);
                     let mut placed = 0;
                     while placed < FAULTS {
@@ -80,7 +82,7 @@ pub fn run(trials: usize, seed: u64) -> Vec<BiasPoint> {
                     }
                 }
                 out.push(BiasPoint {
-                    scheme: codecs()[codec_idx].name(),
+                    scheme: make().name(),
                     data_ones,
                     stuck_ones,
                     success_rate: succeeded as f64 / trials as f64,
@@ -98,10 +100,14 @@ pub fn report(points: &[BiasPoint]) -> String {
         "Skew sensitivity (extension): P(write succeeds) with {FAULTS} faults \
          per 512-bit block\nrows: P(data bit = 1); columns: P(stuck value = 1)\n",
     );
-    let mut schemes: Vec<String> = points.iter().map(|p| p.scheme.clone()).collect();
-    schemes.dedup();
-    schemes.truncate(codecs().len());
-    for scheme in &schemes {
+    // The scheme varies fastest, so the first grid point's points name
+    // every scheme in order.
+    let schemes: Vec<&str> = points
+        .iter()
+        .take_while(|p| (p.data_ones, p.stuck_ones) == (points[0].data_ones, points[0].stuck_ones))
+        .map(|p| p.scheme.as_str())
+        .collect();
+    for scheme in schemes {
         out.push_str(&format!("\n{scheme}:\n{:<8}", "data\\st"));
         for &s in &SKEWS {
             out.push_str(&format!("{s:>8.1}"));
@@ -112,7 +118,7 @@ pub fn report(points: &[BiasPoint]) -> String {
             for &s in &SKEWS {
                 let p = points
                     .iter()
-                    .find(|p| &p.scheme == scheme && p.data_ones == d && p.stuck_ones == s)
+                    .find(|p| p.scheme == scheme && p.data_ones == d && p.stuck_ones == s)
                     .expect("full grid");
                 out.push_str(&format!("{:>8.2}", p.success_rate));
             }
@@ -154,6 +160,80 @@ pub fn write_csv(points: &[BiasPoint], out_dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_sim::codec::StuckAtCodec;
+
+    /// Constructors for the codecs of [`codecs`], for the reference sweep.
+    fn fresh_codecs() -> Vec<fn() -> Box<dyn StuckAtCodec>> {
+        vec![
+            || Box::new(HammingCodec::new(512)),
+            || Box::new(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
+            || Box::new(RdisCodec::rdis3(512)),
+            || Box::new(AegisCodec::new(Rectangle::new(9, 61, 512).expect("valid"))),
+        ]
+    }
+
+    /// [`run`] as it ran before codecs were built once: every trial
+    /// constructs its codec, ROM tables included, from scratch.
+    fn reference_run(trials: usize, seed: u64) -> Vec<BiasPoint> {
+        let mut out = Vec::new();
+        for &data_ones in &SKEWS {
+            for &stuck_ones in &SKEWS {
+                for build in fresh_codecs() {
+                    let mut succeeded = 0usize;
+                    for trial in 0..trials {
+                        let mut rng = SmallRng::seed_from_u64(
+                            seed ^ (trial as u64) << 24
+                                ^ ((data_ones * 10.0) as u64) << 4
+                                ^ ((stuck_ones * 10.0) as u64),
+                        );
+                        let mut codec = build();
+                        let mut block = PcmBlock::pristine(512);
+                        let mut placed = 0;
+                        while placed < FAULTS {
+                            let offset = rng.random_range(0..512);
+                            if !block.cell(offset).is_stuck() {
+                                block.force_stuck(offset, rng.random_bool(stuck_ones));
+                                placed += 1;
+                            }
+                        }
+                        let data = BitBlock::random_with_density(&mut rng, 512, data_ones);
+                        if codec.write(&mut block, &data).is_ok() {
+                            debug_assert_eq!(codec.read(&block), data);
+                            succeeded += 1;
+                        }
+                    }
+                    out.push(BiasPoint {
+                        scheme: build().name(),
+                        data_ones,
+                        stuck_ones,
+                        success_rate: succeeded as f64 / trials as f64,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(points: &[BiasPoint]) -> Vec<(String, [u64; 3])> {
+        points
+            .iter()
+            .map(|p| {
+                let values = [p.data_ones, p.stuck_ones, p.success_rate];
+                (p.scheme.clone(), values.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prototype_clones_replay_the_construct_per_trial_sweep() {
+        for seed in [3, 42] {
+            assert_eq!(
+                bits(&run(4, seed)),
+                bits(&reference_run(4, seed)),
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn aligned_skew_turns_faults_into_r_faults() {

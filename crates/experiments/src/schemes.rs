@@ -5,10 +5,25 @@ use aegis_baselines::{
     EcpPolicy, MaskingPolicy, PlbcPolicy, RdisPolicy, SaferPolicy, UnprotectedPolicy,
 };
 use aegis_core::{AegisPolicy, AegisRwPPolicy, AegisRwPolicy, Rectangle};
+use pcm_sim::codec::StuckAtCodec;
 use pcm_sim::policy::RecoveryPolicy;
 
 /// A boxed policy, as the harness passes them around.
 pub type Policy = Box<dyn RecoveryPolicy>;
+
+/// Hands out fresh copies of one functional codec, as the codec sweeps
+/// give one to every trial.
+pub(crate) type CodecFactory = Box<dyn Fn() -> Box<dyn StuckAtCodec>>;
+
+/// A [`CodecFactory`] that clones `prototype`.
+///
+/// The prototype is built once, so its ROM tables (paper Figs 3–4) are
+/// built once per run, like the fixed logic they model. It is never
+/// written, so each clone starts with a fresh codec's per-block state:
+/// slope counter 0, no inversions, no pointers.
+pub(crate) fn codec_factory<C: StuckAtCodec + Clone + 'static>(prototype: C) -> CodecFactory {
+    Box::new(move || Box::new(prototype.clone()))
+}
 
 /// Base Aegis on an `A×B` formation.
 ///

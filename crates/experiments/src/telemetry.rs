@@ -28,8 +28,10 @@ pub fn default_run_id(command: &str, seed: u64) -> String {
     format!("{command}-s{seed}")
 }
 
-/// Trials/writes used by the codec probe; small enough to be invisible in
-/// wall-clock but large enough that every scheme's counters are non-zero.
+/// Trials/writes used by the codec probe: enough that every scheme's
+/// counters are non-zero. The probe's 588 writes take a few tens of
+/// milliseconds; that holds only because [`crate::writecost`] builds each
+/// codec's ROM tables once per run and clones the codec for each trial.
 pub const PROBE_TRIALS: usize = 3;
 /// Writes per probe trial.
 pub const PROBE_WRITES: usize = 4;

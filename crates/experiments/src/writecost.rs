@@ -10,6 +10,7 @@
 //! write.
 
 use crate::csvout::{self, fmt_f64};
+use crate::schemes::{codec_factory, CodecFactory};
 use aegis_baselines::{EcpCodec, HammingCodec, PartitionSearch, RdisCodec, SaferCodec};
 use aegis_core::{AegisCodec, AegisRwCodec, AegisRwPCodec, Rectangle};
 use bitblock::BitBlock;
@@ -38,16 +39,16 @@ pub struct WriteCostPoint {
     pub inversions_per_write: f64,
 }
 
-fn codecs() -> Vec<Box<dyn StuckAtCodec>> {
+fn codecs() -> Vec<CodecFactory> {
     let r = |a, b| Rectangle::new(a, b, 512).expect("valid formation");
     vec![
-        Box::new(HammingCodec::new(512)),
-        Box::new(EcpCodec::new(6, 512)),
-        Box::new(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
-        Box::new(RdisCodec::rdis3(512)),
-        Box::new(AegisCodec::new(r(9, 61))),
-        Box::new(AegisRwCodec::new(r(9, 61))),
-        Box::new(AegisRwPCodec::new(r(9, 61), 9)),
+        codec_factory(HammingCodec::new(512)),
+        codec_factory(EcpCodec::new(6, 512)),
+        codec_factory(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
+        codec_factory(RdisCodec::rdis3(512)),
+        codec_factory(AegisCodec::new(r(9, 61))),
+        codec_factory(AegisRwCodec::new(r(9, 61))),
+        codec_factory(AegisRwPCodec::new(r(9, 61), 9)),
     ]
 }
 
@@ -62,6 +63,9 @@ pub fn run(trials: usize, writes_per_trial: usize, seed: u64) -> Vec<WriteCostPo
 /// (run-level telemetry). Each (scheme, fault count) cell accumulates
 /// into its own local [`Registry`] through the shared `WriteTelemetry`
 /// codec path; the returned averages are snapshots of those counters.
+///
+/// Each codec is built once per call and every trial writes through a
+/// fresh clone of it.
 #[must_use]
 pub fn run_with(
     trials: usize,
@@ -69,16 +73,17 @@ pub fn run_with(
     seed: u64,
     shared: Option<&Registry>,
 ) -> Vec<WriteCostPoint> {
+    let codecs = codecs();
     let mut out = Vec::new();
     for fault_count in (0..=24).step_by(4) {
-        for make in 0..codecs().len() {
+        for make in &codecs {
             let local = Registry::new();
-            let scheme = codecs()[make].name();
+            let scheme = make().name();
             for trial in 0..trials {
                 let mut rng = SmallRng::seed_from_u64(
                     seed ^ (trial as u64) << 32 ^ (fault_count as u64) << 8,
                 );
-                let mut codec = Instrumented::new(codecs().swap_remove(make), &local);
+                let mut codec = Instrumented::new(make(), &local);
                 let mut block = PcmBlock::pristine(512);
                 let mut placed = 0;
                 while placed < fault_count {
@@ -127,12 +132,13 @@ pub fn report(points: &[WriteCostPoint]) -> String {
         "Per-write cost (extension): verification reads per successful write \
          as faults accumulate (512-bit blocks; '-' = scheme already dead)\n\n",
     );
-    let schemes: Vec<String> = {
-        let mut names: Vec<String> = points.iter().map(|p| p.scheme.clone()).collect();
-        names.dedup();
-        names.truncate(codecs().len());
-        names
-    };
+    // The scheme varies fastest, so the first fault count's points name
+    // every column in order.
+    let schemes: Vec<&str> = points
+        .iter()
+        .take_while(|p| p.faults == points[0].faults)
+        .map(|p| p.scheme.as_str())
+        .collect();
     out.push_str(&format!("{:<8}", "faults"));
     for s in &schemes {
         out.push_str(&format!("{s:>21}"));
@@ -143,7 +149,7 @@ pub fn report(points: &[WriteCostPoint]) -> String {
         for s in &schemes {
             let p = points
                 .iter()
-                .find(|p| p.faults == fault_count && &p.scheme == s)
+                .find(|p| p.faults == fault_count && p.scheme == *s)
                 .expect("full grid");
             if p.success_rate < 0.05 {
                 out.push_str(&format!("{:>21}", "-"));
@@ -199,6 +205,123 @@ pub fn write_csv(points: &[WriteCostPoint], out_dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Constructors for the codecs of [`codecs`], for the reference sweep.
+    fn fresh_codecs() -> Vec<fn() -> Box<dyn StuckAtCodec>> {
+        fn r(a: usize, b: usize) -> Rectangle {
+            Rectangle::new(a, b, 512).expect("valid formation")
+        }
+        vec![
+            || Box::new(HammingCodec::new(512)),
+            || Box::new(EcpCodec::new(6, 512)),
+            || Box::new(SaferCodec::new(6, 512, PartitionSearch::Incremental)),
+            || Box::new(RdisCodec::rdis3(512)),
+            || Box::new(AegisCodec::new(r(9, 61))),
+            || Box::new(AegisRwCodec::new(r(9, 61))),
+            || Box::new(AegisRwPCodec::new(r(9, 61), 9)),
+        ]
+    }
+
+    /// [`run_with`] as it ran before codecs were built once: every trial
+    /// constructs its codec, ROM tables included, from scratch.
+    fn reference_run_with(
+        trials: usize,
+        writes_per_trial: usize,
+        seed: u64,
+        shared: Option<&Registry>,
+    ) -> Vec<WriteCostPoint> {
+        let mut out = Vec::new();
+        for fault_count in (0..=24).step_by(4) {
+            for build in fresh_codecs() {
+                let local = Registry::new();
+                let scheme = build().name();
+                for trial in 0..trials {
+                    let mut rng = SmallRng::seed_from_u64(
+                        seed ^ (trial as u64) << 32 ^ (fault_count as u64) << 8,
+                    );
+                    let mut codec = Instrumented::new(build(), &local);
+                    let mut block = PcmBlock::pristine(512);
+                    let mut placed = 0;
+                    while placed < fault_count {
+                        let offset = rng.random_range(0..512);
+                        if !block.cell(offset).is_stuck() {
+                            block.force_stuck(offset, rng.random());
+                            placed += 1;
+                        }
+                    }
+                    for _ in 0..writes_per_trial {
+                        let data = BitBlock::random(&mut rng, 512);
+                        let _ = codec.write(&mut block, &data);
+                    }
+                }
+                let counter = |metric: &str| {
+                    local
+                        .counter(&sim_telemetry::metric_name("codec", &scheme, metric))
+                        .get()
+                };
+                let attempted = counter("writes");
+                let succeeded = attempted - counter("write_errors");
+                let denom = succeeded.max(1) as f64;
+                let pulses = counter("cell_pulses");
+                let verifies = counter("verify_reads");
+                let inversions = counter("inversion_writes");
+                out.push(WriteCostPoint {
+                    scheme,
+                    faults: fault_count,
+                    success_rate: succeeded as f64 / attempted.max(1) as f64,
+                    pulses_per_write: pulses as f64 / denom,
+                    verifies_per_write: verifies as f64 / denom,
+                    inversions_per_write: inversions as f64 / denom,
+                });
+                if let Some(shared) = shared {
+                    shared.absorb(&local);
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(points: &[WriteCostPoint]) -> Vec<(String, usize, [u64; 4])> {
+        points
+            .iter()
+            .map(|p| {
+                let values = [
+                    p.success_rate,
+                    p.pulses_per_write,
+                    p.verifies_per_write,
+                    p.inversions_per_write,
+                ];
+                (p.scheme.clone(), p.faults, values.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// Trials share one prototype per codec, so any per-block state that
+    /// leaks between its clones (a slope counter, an inversion vector, ECP
+    /// entries) changes the costs of every later trial and fault count.
+    #[test]
+    fn prototype_clones_replay_the_construct_per_trial_sweep() {
+        for seed in [3, 42] {
+            let (shared, reference_shared) = (Registry::new(), Registry::new());
+            let points = run_with(2, 3, seed, Some(&shared));
+            let reference = reference_run_with(2, 3, seed, Some(&reference_shared));
+            assert_eq!(bits(&points), bits(&reference), "seed {seed}");
+            assert_eq!(
+                shared.counters(),
+                reference_shared.counters(),
+                "seed {seed}"
+            );
+            let histograms = shared.histograms();
+            assert_eq!(histograms, reference_shared.histograms(), "seed {seed}");
+            for scheme in ["Aegis 9x61", "Aegis-rw 9x61", "Aegis-rw-p 9x61 p=9"] {
+                let name = format!("codec.{scheme}.slope_trials");
+                assert!(
+                    histograms.iter().any(|(n, h)| *n == name && h.count > 0),
+                    "seed {seed}: no {name} samples"
+                );
+            }
+        }
+    }
 
     #[test]
     fn rw_removes_inversion_retries_and_cost_grows_with_faults() {

@@ -136,6 +136,20 @@ cmp "$fig8_out/ref/fig8.csv" "$fig8_out/sh/fig8.csv" \
     || { echo "merged fig8.csv differs from the unsharded run" >&2; exit 1; }
 rm -rf "$fig8_out"
 
+# Committed-artifact freshness: the functional-codec extension CSVs in
+# results/ must equal what `experiments <cmd>` writes at the default
+# seed, so a change to a codec or to its sweep cannot leave them stale.
+codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
+rm -rf "$codec_out"
+echo "==> results/{writecost,biasstudy,cachestudy}.csv match a default-seed run"
+for cmd in writecost biasstudy cachestudy; do
+    cargo run --release --offline -p aegis-experiments -- \
+        "$cmd" --quiet --out "$codec_out" >/dev/null
+    cmp "results/$cmd.csv" "$codec_out/$cmd.csv" \
+        || { echo "results/$cmd.csv is stale: rerun experiments $cmd --out results" >&2; exit 1; }
+done
+rm -rf "$codec_out"
+
 # Observability smoke: runs recorded with --series --status must leave a
 # series sidecar and a status heartbeat; `monitor --once --json` must
 # report the finished campaign all_done; `telemetry-diff` must find a
