@@ -8,6 +8,7 @@
 //! are evaluated *against* timelines, so every scheme sees exactly the same
 //! random world (common random numbers).
 
+use crate::lifetime;
 use crate::{Fault, LifetimeModel, WearModel};
 use sim_rng::SmallRng;
 use sim_rng::{Rng, SeedableRng};
@@ -206,16 +207,82 @@ impl TimelineSampler {
     }
 
     /// Samples the fault timeline of one data block.
+    ///
+    /// Draws every cell's lifetime in offset order and keeps the
+    /// `max_events` earliest failures, ordered by `(time, offset)`; then
+    /// draws each kept event's stuck value, kind and split seed in that
+    /// order. The kernel selects rather than sorts, and skips the
+    /// transcendentals of cells that provably fail no earlier than the
+    /// mean (the `SelectScratch` notes say why that is exact).
     pub fn sample_block<R: Rng + ?Sized>(&self, rng: &mut R) -> BlockTimeline {
-        let mut cells: Vec<(f64, usize)> = (0..self.block_bits)
-            .map(|offset| (self.wear.fault_time(self.lifetime.sample(rng)), offset))
-            .collect();
-        // Only the earliest `max_events` failures can matter.
-        cells.sort_by(|a, b| a.0.total_cmp(&b.0));
-        cells.truncate(self.max_events);
-        let events = cells
-            .into_iter()
-            .map(|(time, offset)| {
+        self.sample_block_with(rng, &mut SelectScratch::new(self.block_bits))
+    }
+
+    /// Samples the fault timeline of a page of `blocks_per_page` data
+    /// blocks: the same stream as `blocks_per_page` successive
+    /// [`sample_block`](Self::sample_block) calls.
+    pub fn sample_page<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        blocks_per_page: usize,
+    ) -> PageTimeline {
+        let mut scratch = SelectScratch::new(self.block_bits);
+        PageTimeline {
+            blocks: (0..blocks_per_page)
+                .map(|_| self.sample_block_with(rng, &mut scratch))
+                .collect(),
+        }
+    }
+
+    fn sample_block_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut SelectScratch,
+    ) -> BlockTimeline {
+        let SelectScratch {
+            evaluated,
+            deferred,
+        } = scratch;
+        evaluated.clear();
+        deferred.clear();
+        let k = self.max_events;
+        let floor = self.wear.fault_time(self.lifetime.mean());
+        let mut below_floor = 0usize;
+        for offset in 0..self.block_bits {
+            let (u1, u2) = lifetime::uniform_pair(rng);
+            if lifetime::variate_is_non_negative(u2) {
+                deferred.push((u1, u2, offset));
+                continue;
+            }
+            let draw = self.lifetime.draw(u1, u2);
+            // A non-positive draw is resampled from fresh uniforms, exactly
+            // as `LifetimeModel::sample` would have.
+            let life = if draw > 0.0 {
+                draw
+            } else {
+                self.lifetime.sample(rng)
+            };
+            let time = self.wear.fault_time(life);
+            below_floor += usize::from(time < floor);
+            evaluated.push((time, offset));
+        }
+        if below_floor < k {
+            evaluated.extend(deferred.iter().map(|&(u1, u2, offset)| {
+                (self.wear.fault_time(self.lifetime.draw(u1, u2)), offset)
+            }));
+        }
+        // Offsets are unique, so this is the order a stable sort by time
+        // of the offset-ordered cells would give.
+        let by_time_then_offset =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if evaluated.len() > k {
+            evaluated.select_nth_unstable_by(k - 1, by_time_then_offset);
+            evaluated.truncate(k);
+        }
+        evaluated.sort_unstable_by(by_time_then_offset);
+        let events = evaluated
+            .iter()
+            .map(|&(time, offset)| {
                 // A cell sticks at whatever it held when it died; under
                 // random write data that is a fair coin (bias configurable
                 // via `with_stuck_bias`).
@@ -239,20 +306,6 @@ impl TimelineSampler {
         BlockTimeline { events }
     }
 
-    /// Samples the fault timeline of a page of `blocks_per_page` data
-    /// blocks.
-    pub fn sample_page<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        blocks_per_page: usize,
-    ) -> PageTimeline {
-        PageTimeline {
-            blocks: (0..blocks_per_page)
-                .map(|_| self.sample_block(rng))
-                .collect(),
-        }
-    }
-
     /// Deterministic per-page RNG: every policy evaluated on page `index`
     /// of a run seeded with `master_seed` sees the identical timeline.
     ///
@@ -267,6 +320,36 @@ impl TimelineSampler {
     }
 }
 
+/// Candidate buffers of the select-k block kernel, reused across the
+/// blocks of a page.
+///
+/// Every cell's uniforms are drawn in offset order, as
+/// [`LifetimeModel::sample`] would draw them. A cell whose Box–Muller
+/// cosine is provably positive has a lifetime `≥ mean`, hence a fault time
+/// `≥ floor = WearModel::fault_time(mean)`, and consumes no resample; it is
+/// parked in `deferred` unevaluated. Every other cell is evaluated into
+/// `evaluated`. If at least `max_events` evaluated cells fail *strictly*
+/// before `floor`, every deferred cell sorts after all of them under
+/// `(time, offset)` and cannot be kept, so it is never evaluated.
+/// Otherwise — zero spread, tiny blocks, or `max_events` near the width —
+/// the deferred cells are evaluated too. Either way the RNG stream and the
+/// kept events are bit-identical to sorting every cell.
+struct SelectScratch {
+    /// Evaluated cells: `(fault time, offset)`.
+    evaluated: Vec<(f64, usize)>,
+    /// Deferred cells: `(u1, u2, offset)`, all failing at or after `floor`.
+    deferred: Vec<(f64, f64, usize)>,
+}
+
+impl SelectScratch {
+    fn new(block_bits: usize) -> Self {
+        Self {
+            evaluated: Vec::with_capacity(block_bits),
+            deferred: Vec::with_capacity(block_bits),
+        }
+    }
+}
+
 /// Default cap on distinct pages a [`TimelineCache`] retains.
 pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 
@@ -275,10 +358,12 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 /// Timelines are the engine's common random numbers: every scheme evaluated
 /// under one `(master_seed, page, blocks_per_page, sampler)` tuple sees the
 /// *identical* timeline by construction, yet historically each scheme
-/// re-sampled it from the per-page RNG. Sampling dominates chip-sweep wall
-/// clock (it is ~86% of `fig5 --full`), so a sweep over S schemes pays the
-/// cost S times for bit-identical data. The cache samples each page once
-/// and hands out `Arc` clones to every subsequent run.
+/// re-sampled it from the per-page RNG. Even with each page sampled once,
+/// sampling is about 18% of worker busy time in a traced `fig5 --pages
+/// 256` run (2-core Xeon), so re-sampling per scheme would multiply that
+/// layer by the S schemes of a sweep for bit-identical data. The cache
+/// samples each page once and hands out `Arc` clones to every subsequent
+/// run.
 ///
 /// # Determinism
 ///
@@ -293,7 +378,6 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 ///
 /// The capacity is a page-count cap, not an eviction policy: once full, new
 /// keys are sampled and returned *uncached* (correct, just not shared).
-/// `SIM_TIMELINE_CACHE_PAGES` overrides the default cap at construction.
 pub struct TimelineCache {
     map: Mutex<HashMap<CacheKey, Arc<PageTimeline>>>,
     max_pages: usize,
@@ -320,15 +404,11 @@ impl Default for TimelineCache {
 }
 
 impl TimelineCache {
-    /// An empty cache with the default capacity, overridable via the
-    /// `SIM_TIMELINE_CACHE_PAGES` environment variable.
+    /// An empty cache retaining at most [`DEFAULT_TIMELINE_CACHE_PAGES`]
+    /// distinct pages.
     #[must_use]
     pub fn new() -> Self {
-        let max_pages = std::env::var("SIM_TIMELINE_CACHE_PAGES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TIMELINE_CACHE_PAGES);
-        Self::with_capacity(max_pages)
+        Self::with_capacity(DEFAULT_TIMELINE_CACHE_PAGES)
     }
 
     /// An empty cache retaining at most `max_pages` distinct pages
@@ -452,6 +532,25 @@ mod tests {
         let b = slow.sample_block(&mut rng).events[0].time;
         assert_eq!(a, 1000.0);
         assert_eq!(b, 2000.0);
+    }
+
+    #[test]
+    fn equal_fault_times_order_by_offset() {
+        // With zero spread every cell fails at the same instant, so no
+        // evaluated cell beats the deferral floor: the kernel must fall
+        // back to evaluating every cell and break the tie by offset.
+        for (bits, k) in [(8, 3), (64, 64), (512, 96)] {
+            let sampler = TimelineSampler::new(
+                bits,
+                LifetimeModel::new(1000.0, 0.0),
+                WearModel::paper_default(),
+                k,
+            );
+            let tl = sampler.sample_block(&mut SmallRng::seed_from_u64(14));
+            let offsets: Vec<usize> = tl.events.iter().map(|e| e.fault.offset).collect();
+            assert_eq!(offsets, (0..k).collect::<Vec<_>>(), "bits {bits}, k {k}");
+            assert!(tl.events.iter().all(|e| e.time == 2000.0));
+        }
     }
 
     #[test]

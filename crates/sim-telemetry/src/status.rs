@@ -304,6 +304,10 @@ struct StatusCore {
     started: Instant,
     min_interval: Duration,
     state: Mutex<StatusState>,
+    /// Held from building a record until its file is renamed into place,
+    /// so concurrent heartbeats land in order and the last file written
+    /// carries the newest state.
+    file: Mutex<()>,
 }
 
 /// Heartbeat writer for one run; cheap to clone and safe to call from
@@ -353,6 +357,7 @@ impl StatusWriter {
                 heartbeats: 0,
                 last_write: None,
             }),
+            file: Mutex::new(()),
         })));
         writer.write_now()?;
         Ok(writer)
@@ -534,6 +539,7 @@ impl StatusWriter {
     /// Rewrites the file unconditionally (temp file + rename).
     fn write_now(&self) -> io::Result<()> {
         let Some(core) = &self.0 else { return Ok(()) };
+        let _file = core.file.lock().expect("status file lock poisoned");
         let record = {
             let mut state = core.state.lock().expect("status poisoned");
             state.heartbeats += 1;

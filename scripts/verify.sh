@@ -139,14 +139,19 @@ rm -rf "$fig8_out"
 # Committed-artifact freshness: the functional-codec extension CSVs in
 # results/ must equal what `experiments <cmd>` writes at the default
 # seed, so a change to a codec or to its sweep cannot leave them stale.
+# failcdf --full pins the timeline sampler's stream the same way: every
+# scheme re-samples every block, so any drift in the sampled lifetimes,
+# their order or the per-event draws changes this CSV.
 codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
 rm -rf "$codec_out"
-echo "==> results/{writecost,biasstudy,cachestudy}.csv match a default-seed run"
-for cmd in writecost biasstudy cachestudy; do
+echo "==> results/{writecost,biasstudy,cachestudy,failcdf}.csv match a default-seed run"
+for cmd in writecost biasstudy cachestudy "failcdf --full"; do
+    name="${cmd%% *}"
+    # shellcheck disable=SC2086 # $cmd carries the command's flags
     cargo run --release --offline -p aegis-experiments -- \
-        "$cmd" --quiet --out "$codec_out" >/dev/null
-    cmp "results/$cmd.csv" "$codec_out/$cmd.csv" \
-        || { echo "results/$cmd.csv is stale: rerun experiments $cmd --out results" >&2; exit 1; }
+        $cmd --quiet --out "$codec_out" >/dev/null
+    cmp "results/$name.csv" "$codec_out/$name.csv" \
+        || { echo "results/$name.csv is stale: rerun experiments $cmd --out results" >&2; exit 1; }
 done
 rm -rf "$codec_out"
 
@@ -287,6 +292,11 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test dominance
 # policy families, lane widths and criteria (see
 # tests/batched_kernels.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernels
+
+# Timeline-sampler suite at CI depth: 10^4 random sampler configurations,
+# the select-k kernel vs the retained sort-everything reference, equal
+# events and equal RNG state afterwards (see tests/timeline_sampler.rs).
+SIM_PROP_CASES=10000 run cargo test -q --offline --release --test timeline_sampler
 
 # Estimate suite at CI depth: Wilson coverage on 10^4 Bernoulli streams
 # per proportion and 10^4 shrinking merge-exactness cases (see
