@@ -27,6 +27,7 @@ use pcm_sim::policy::{
     cache_key, guaranteed_splits_with, CachedPair, PairCache, PolicyScratch, RecoveryPolicy,
 };
 use pcm_sim::Fault;
+use std::sync::Arc;
 
 /// Precomputed lookup tables shared by the kernel-mode predicates: the
 /// pairwise collision-slope ROM and the (offset, slope) → group ROM.
@@ -486,11 +487,13 @@ impl RecoveryPolicy for AegisRwPolicy {
 }
 
 /// Monte Carlo predicate for Aegis-rw-p (§2.4, `p` group pointers).
+///
+/// Clones share the lookup ROMs, which depend only on the rectangle.
 #[derive(Debug, Clone)]
 pub struct AegisRwPPolicy {
     rect: Rectangle,
     pointers: usize,
-    roms: Option<PolicyRoms>,
+    roms: Option<Arc<PolicyRoms>>,
     key: u64,
 }
 
@@ -504,13 +507,28 @@ impl AegisRwPPolicy {
     #[must_use]
     pub fn new(rect: Rectangle, pointers: usize) -> Self {
         assert!(pointers > 0, "need at least one group pointer");
-        let roms = Some(PolicyRoms::new(&rect));
+        let roms = Some(Arc::new(PolicyRoms::new(&rect)));
         let key = aegis_cache_key(&rect);
         Self {
             rect,
             pointers,
             roms,
             key,
+        }
+    }
+
+    /// The same policy with a `pointers` budget, sharing this one's ROMs:
+    /// a pointer sweep then holds one set of tables per rectangle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pointers == 0`.
+    #[must_use]
+    pub fn with_pointers(&self, pointers: usize) -> Self {
+        assert!(pointers > 0, "need at least one group pointer");
+        Self {
+            pointers,
+            ..self.clone()
         }
     }
 

@@ -14,7 +14,7 @@ use aegis_bench::{bench_options, faulty_block, random_data};
 use aegis_core::{AegisRwCodec, Rectangle};
 use aegis_experiments::schemes;
 use pcm_sim::failcache::{DirectMappedFailCache, FaultOracle, IdealFailCache};
-use pcm_sim::montecarlo::{block_outcomes, FailureCriterion};
+use pcm_sim::montecarlo::{block_outcomes, block_trials, FailureCriterion};
 use sim_rng::bench::Bench;
 use sim_rng::{bench_group, bench_main};
 use std::hint::black_box;
@@ -69,16 +69,22 @@ fn bench_safer_search(c: &mut Bench) {
     let opts = bench_options();
     let incremental = schemes::safer(6, 512, false);
     let exhaustive = schemes::safer_exhaustive(6, 512, false);
-    // Directional check: the idealized search tolerates strictly more.
-    let mean = |policy: &schemes::Policy| {
-        let outcomes = block_outcomes(policy.as_ref(), FailureCriterion::default(), 300, 5);
-        outcomes
-            .iter()
-            .map(|o| o.events_survived as f64)
-            .sum::<f64>()
-            / 300.0
-    };
-    let (incr, exh) = (mean(&incremental), mean(&exhaustive));
+    // Directional check on shared blocks: the idealized search tolerates
+    // strictly more.
+    let mut survived = [0usize; 2];
+    block_trials(
+        &[incremental.as_ref(), exhaustive.as_ref()],
+        FailureCriterion::default(),
+        300,
+        5,
+        None,
+        |trial| {
+            for (total, outcome) in survived.iter_mut().zip(trial) {
+                *total += outcome.events_survived;
+            }
+        },
+    );
+    let [incr, exh] = survived.map(|total| total as f64 / 300.0);
     assert!(
         exh > 1.2 * incr,
         "exhaustive SAFER should clearly beat incremental ({exh} vs {incr})"

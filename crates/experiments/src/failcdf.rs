@@ -4,7 +4,8 @@
 use crate::csvout;
 use crate::runner::RunOptions;
 use crate::schemes;
-use pcm_sim::montecarlo::block_failure_cdf_with_threads;
+use pcm_sim::montecarlo::block_failure_cdfs;
+use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -17,22 +18,24 @@ pub struct SchemeCdf {
     pub cdf: Vec<f64>,
 }
 
-/// Runs the block-failure-CDF simulation: many independent 512-bit blocks per
-/// scheme, identical fault timelines across schemes.
+/// Runs the block-failure-CDF simulation: many independent 512-bit blocks,
+/// each sampled once and evaluated under every scheme.
 #[must_use]
 pub fn run(opts: &RunOptions) -> Vec<SchemeCdf> {
-    schemes::failcdf_schemes()
-        .iter()
-        .map(|policy| SchemeCdf {
+    let set = schemes::failcdf_schemes();
+    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
+    let cdfs = block_failure_cdfs(
+        &policies,
+        opts.criterion,
+        opts.trials,
+        opts.seed,
+        opts.threads,
+    );
+    set.iter()
+        .zip(cdfs)
+        .map(|(policy, cdf)| SchemeCdf {
             name: policy.name(),
-            cdf: block_failure_cdf_with_threads(
-                policy.as_ref(),
-                opts.criterion,
-                opts.trials,
-                opts.seed,
-                opts.threads,
-            )
-            .cdf(),
+            cdf: cdf.cdf(),
         })
         .collect()
 }

@@ -3,8 +3,8 @@
 use crate::csvout;
 use crate::runner::RunOptions;
 use crate::schemes;
-use pcm_sim::montecarlo::block_outcomes_with_threads;
-use pcm_sim::stats;
+use pcm_sim::montecarlo::block_trials;
+use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -20,32 +20,44 @@ pub struct FormationSweep {
     pub series: Vec<(usize, f64)>,
 }
 
-/// Runs the sweep: independent blocks per (formation, p), identical
-/// timelines across all of them.
+/// Runs the sweep: independent blocks, each sampled once and evaluated
+/// under every (formation, p).
 #[must_use]
 pub fn run(opts: &RunOptions) -> Vec<FormationSweep> {
-    schemes::variant_formations()
+    let formations = schemes::variant_formations();
+    let set: Vec<_> = formations
         .iter()
-        .map(|&(a, b)| {
-            let series = POINTER_SWEEP
-                .map(|p| {
-                    let policy = schemes::aegis_rw_p(a, b, 512, p);
-                    let outcomes = block_outcomes_with_threads(
-                        policy.as_ref(),
-                        opts.criterion,
-                        opts.trials,
-                        opts.seed,
-                        opts.threads,
-                    );
-                    let lifetimes: Vec<f64> =
-                        outcomes.iter().filter_map(|o| o.death_time).collect();
-                    (p, stats::mean(&lifetimes))
-                })
-                .collect();
-            FormationSweep {
-                formation: format!("{a}x{b}"),
-                series,
+        .flat_map(|&(a, b)| schemes::aegis_rw_p_sweep(a, b, 512, POINTER_SWEEP))
+        .collect();
+    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
+    // Per policy: the sum of the dead blocks' lifetimes, added in trial
+    // order exactly as `stats::mean` would, and their count.
+    let mut dead = vec![(0.0f64, 0usize); policies.len()];
+    block_trials(
+        &policies,
+        opts.criterion,
+        opts.trials,
+        opts.seed,
+        opts.threads,
+        |trial| {
+            for ((sum, count), outcome) in dead.iter_mut().zip(trial) {
+                if let Some(t) = outcome.death_time {
+                    *sum += t;
+                    *count += 1;
+                }
             }
+        },
+    );
+    formations
+        .iter()
+        .zip(dead.chunks(POINTER_SWEEP.count()))
+        .map(|(&(a, b), dead)| FormationSweep {
+            formation: format!("{a}x{b}"),
+            // No dead block leaves 0/0 = NaN, as `stats::mean` reports.
+            series: POINTER_SWEEP
+                .zip(dead)
+                .map(|(p, &(sum, count))| (p, sum / count as f64))
+                .collect(),
         })
         .collect()
 }

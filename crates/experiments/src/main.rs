@@ -216,12 +216,27 @@ fn parse_args() -> Result<Cli, String> {
                     .map_err(|e| format!("{}: invalid value '{raw}': {e}\n\n{USAGE}", $name))?
             }};
         }
+        // Counts and cadences: zero leaves nothing to simulate or report
+        // (or no chunk to checkpoint), so it is a usage error like any
+        // malformed value.
+        macro_rules! positive {
+            ($name:literal) => {{
+                let n = parsed!($name);
+                if n == 0 {
+                    return Err(format!(
+                        "{}: invalid value '0': must be at least 1\n\n{USAGE}",
+                        $name
+                    ));
+                }
+                n
+            }};
+        }
         match arg.as_str() {
-            "--pages" => cli.opts.pages = parsed!("--pages"),
-            "--trials" => cli.opts.trials = parsed!("--trials"),
+            "--pages" => cli.opts.pages = positive!("--pages"),
+            "--trials" => cli.opts.trials = positive!("--trials"),
             "--seed" => cli.opts.seed = parsed!("--seed"),
             "--page-bytes" => cli.opts.page_bytes = parsed!("--page-bytes"),
-            "--samples" => samples = parsed!("--samples"),
+            "--samples" => samples = positive!("--samples"),
             "--threads" => cli.opts.threads = Some(parsed!("--threads")),
             "--guaranteed" => guaranteed = true,
             "--full" => {
@@ -285,13 +300,7 @@ fn parse_args() -> Result<Cli, String> {
                 cli.telemetry = true;
             }
             "--checkpoint-every" => {
-                let every: usize = parsed!("--checkpoint-every");
-                if every == 0 {
-                    return Err(format!(
-                        "--checkpoint-every: invalid value '0': must be at least 1\n\n{USAGE}"
-                    ));
-                }
-                cli.checkpoint_every = Some(every);
+                cli.checkpoint_every = Some(positive!("--checkpoint-every"));
                 cli.telemetry = true;
             }
             "--resume" => {

@@ -62,6 +62,30 @@ pub fn aegis_rw_p(a: usize, b: usize, block_bits: usize, p: usize) -> Policy {
     ))
 }
 
+/// [`aegis_rw_p`] for each pointer count of `pointers`, all sharing one
+/// set of lookup ROMs.
+///
+/// # Panics
+///
+/// Panics if `pointers` is empty or holds a zero.
+#[must_use]
+pub fn aegis_rw_p_sweep(
+    a: usize,
+    b: usize,
+    block_bits: usize,
+    pointers: impl IntoIterator<Item = usize>,
+) -> Vec<Policy> {
+    let pointers: Vec<usize> = pointers.into_iter().collect();
+    let base = AegisRwPPolicy::new(
+        Rectangle::new(a, b, block_bits).expect("valid formation"),
+        *pointers.first().expect("at least one pointer count"),
+    );
+    pointers
+        .into_iter()
+        .map(|p| Box::new(base.with_pointers(p)) as Policy)
+        .collect()
+}
+
 /// ECP with `n` pointers.
 #[must_use]
 pub fn ecp(n: usize, block_bits: usize) -> Policy {

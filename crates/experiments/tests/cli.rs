@@ -50,6 +50,35 @@ fn bad_samples_value_is_rejected_with_the_offending_token() {
 }
 
 #[test]
+fn zero_counts_are_rejected_before_anything_runs() {
+    let out = std::env::temp_dir().join(format!("aegis-cli-zero-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    for (command, flag) in [
+        ("failcdf", "--trials"),
+        ("fig10", "--trials"),
+        ("fig5", "--pages"),
+        ("fig5", "--samples"),
+    ] {
+        let output = experiments()
+            .args([command, flag, "0", "--quiet", "--out"])
+            .arg(&out)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{command} {flag} 0");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("{flag}: invalid value '0': must be at least 1")),
+            "{command} {flag} 0: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{command} {flag} 0 printed a report"
+        );
+        assert!(!out.exists(), "{command} {flag} 0 wrote output");
+    }
+}
+
+#[test]
 fn unknown_option_is_rejected() {
     let output = experiments()
         .args(["fig5", "--verbose"])

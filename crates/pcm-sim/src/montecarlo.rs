@@ -11,7 +11,7 @@
 //! - [`MemoryRun::mean_faults_recovered`] → Figure 5 / 11 bars;
 //! - [`MemoryRun::lifetime_improvement`] → Figure 6 / 12 bars
 //!   (and ÷ overhead bits → Figures 7 / 13);
-//! - [`block_failure_cdf`] → Figure 8 curves;
+//! - [`block_failure_cdfs`] → Figure 8 curves;
 //! - [`survival_curve`] / [`half_lifetime`] → Figure 9 curves.
 
 use crate::fault::sample_split_for_into;
@@ -186,59 +186,20 @@ pub fn evaluate_block_with_scratch(
     telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
 ) -> BlockOutcome {
-    // Detach the driver-owned fault buffer so the policy can borrow the
-    // arena's own fields (`flags`, `bytes`, `counts`) mutably during the
-    // decision. The split buffer stays in the arena until a branch needs
-    // it: the guarantee branch hands the whole arena to the policy, which
-    // may enumerate splits out of `scratch.split` itself.
-    let mut faults: Vec<Fault> = std::mem::take(&mut scratch.faults);
-    faults.clear();
+    scratch.faults.clear();
     // A new block begins: any incremental pair state in the arena is stale.
     policy.forget_block(scratch);
     let mut decisions = 0u64;
-    let outcome = 'outcome: {
-        for (i, event) in timeline.events.iter().enumerate() {
-            faults.push(event.fault);
-            // Let the policy extend its incremental pair state with the new
-            // arrival before the split checks for this population run.
-            policy.observe_fault(&faults, scratch);
-            let survivable = match criterion {
-                FailureCriterion::PerEventSplit { samples } => {
-                    let mut wrong: Vec<bool> = std::mem::take(&mut scratch.split);
-                    let mut rng = SmallRng::seed_from_u64(event.split_seed);
-                    let ok = (0..samples).all(|_| {
-                        decisions += 1;
-                        // Fault-aware sampling: fully stuck faults consume
-                        // exactly one bool (identical stream to the legacy
-                        // count-based sampler), partially stuck faults get
-                        // their weak-write chance to land on R.
-                        sample_split_for_into(&mut rng, &faults, &mut wrong);
-                        policy.recoverable_with(&faults, &wrong, scratch)
-                    });
-                    scratch.split = wrong;
-                    ok
-                }
-                FailureCriterion::GuaranteedAllData => {
-                    decisions += 1;
-                    policy.guaranteed_with(&faults, scratch)
-                }
-            };
-            if !survivable {
-                break 'outcome BlockOutcome {
-                    events_survived: i,
-                    death_time: Some(event.time),
-                };
-            }
-        }
-        BlockOutcome {
-            events_survived: timeline.events.len(),
-            death_time: None,
-        }
-    };
-    let fault_events = faults.len() as u64;
-    scratch.faults = faults;
+    let outcome = finish_block(
+        policy,
+        &timeline.events,
+        0,
+        criterion,
+        scratch,
+        &mut decisions,
+    );
     if let Some(t) = telemetry {
-        t.fault_events.add(fault_events);
+        t.fault_events.add(scratch.faults.len() as u64);
         t.policy_decisions.add(decisions);
         match (outcome.death_time, criterion) {
             (None, _) => t.blocks_outlived.incr(),
@@ -403,10 +364,9 @@ impl BatchScratch {
 }
 
 /// Advances one lane by one fault event; returns whether the lane
-/// survived it. This is the per-event body of
-/// [`evaluate_block_with_scratch`], factored out so the batched and
-/// single-block paths run literally the same code (same entropy, same
-/// policy calls, same decision count).
+/// survived it. This is the one per-event body of both the single-block
+/// and the batched paths, so they run literally the same code (same
+/// entropy, same policy calls, same decision count).
 fn step_lane(
     policy: &dyn RecoveryPolicy,
     event: &FaultEvent,
@@ -414,8 +374,15 @@ fn step_lane(
     scratch: &mut PolicyScratch,
     decisions: &mut u64,
 ) -> bool {
+    // Detach the driver-owned fault buffer so the policy can borrow the
+    // arena's own fields (`flags`, `bytes`, `counts`) mutably during the
+    // decision. The split buffer stays in the arena until a branch needs
+    // it: the guarantee branch hands the whole arena to the policy, which
+    // may enumerate splits out of `scratch.split` itself.
     let mut faults: Vec<Fault> = std::mem::take(&mut scratch.faults);
     faults.push(event.fault);
+    // Let the policy extend its incremental pair state with the new
+    // arrival before the split checks for this population run.
     policy.observe_fault(&faults, scratch);
     let survivable = match criterion {
         FailureCriterion::PerEventSplit { samples } => {
@@ -423,6 +390,10 @@ fn step_lane(
             let mut rng = SmallRng::seed_from_u64(event.split_seed);
             let ok = (0..samples).all(|_| {
                 *decisions += 1;
+                // Fault-aware sampling: fully stuck faults consume exactly
+                // one bool (identical stream to the legacy count-based
+                // sampler), partially stuck faults get their weak-write
+                // chance to land on R.
                 sample_split_for_into(&mut rng, &faults, &mut wrong);
                 policy.recoverable_with(&faults, &wrong, scratch)
             });
@@ -436,6 +407,31 @@ fn step_lane(
     };
     scratch.faults = faults;
     survivable
+}
+
+/// Steps one lane through `events[from..]` until it dies or runs out of
+/// events: the whole of a single-block evaluation (`from = 0`) and the
+/// tail of a batch's lone survivor.
+fn finish_block(
+    policy: &dyn RecoveryPolicy,
+    events: &[FaultEvent],
+    from: usize,
+    criterion: FailureCriterion,
+    scratch: &mut PolicyScratch,
+    decisions: &mut u64,
+) -> BlockOutcome {
+    for (i, event) in events.iter().enumerate().skip(from) {
+        if !step_lane(policy, event, criterion, scratch, decisions) {
+            return BlockOutcome {
+                events_survived: i,
+                death_time: Some(event.time),
+            };
+        }
+    }
+    BlockOutcome {
+        events_survived: events.len(),
+        death_time: None,
+    }
 }
 
 /// Evaluates up to `lanes` blocks in lockstep — the batched twin of
@@ -531,28 +527,20 @@ pub fn evaluate_block_batch_with_scratch<'a>(
     // Lone survivor: fall back to the single-block path for its tail.
     if let Some(&lane) = active.first() {
         let scratch = &mut per_lane[lane];
-        let block = &blocks[lane];
-        let mut outcome = BlockOutcome {
-            events_survived: block.events.len(),
-            death_time: None,
-        };
-        let mut alive = true;
-        for (i, event) in block.events.iter().enumerate().skip(event_idx) {
-            if !step_lane(policy, event, criterion, scratch, &mut decisions) {
-                outcome = BlockOutcome {
-                    events_survived: i,
-                    death_time: Some(event.time),
-                };
-                alive = false;
-                break;
-            }
-        }
+        let outcome = finish_block(
+            policy,
+            &blocks[lane].events,
+            event_idx,
+            criterion,
+            scratch,
+            &mut decisions,
+        );
         outcomes[lane] = outcome;
         fault_events += scratch.faults.len() as u64;
-        if alive {
-            outlived += 1;
-        } else {
+        if outcome.death_time.is_some() {
             died += 1;
+        } else {
+            outlived += 1;
         }
         active.clear();
     }
@@ -1010,71 +998,125 @@ impl FailureCdf {
     }
 }
 
+/// Block outcomes [`block_trials`] holds between two folds, across all
+/// policies: bounds its memory whatever the trial count.
+const ROUND_OUTCOMES: usize = 1 << 14;
+
+/// Simulates `trials` independent blocks and evaluates every policy on
+/// each — the one block-trial path under Figures 8 and 10.
+///
+/// Trial `i` samples its block once, from
+/// [`TimelineSampler::page_rng`]`(seed, i)`, and runs each policy over it
+/// in slice order through [`evaluate_block_with_scratch`], sharing the
+/// worker's one [`PolicyScratch`] (the evaluation resets it per block).
+/// `visit` then sees the trial's outcomes, one per policy in slice order,
+/// on the caller's thread and in trial order. Trials run on `threads`
+/// workers (`None` defers to `SIM_THREADS`, then available parallelism)
+/// in rounds of at most [`ROUND_OUTCOMES`] outcomes, so neither the
+/// thread count nor the round size changes what `visit` sees.
+///
+/// # Panics
+///
+/// Panics if `policies` is empty or its policies protect different block
+/// widths.
+pub fn block_trials(
+    policies: &[&dyn RecoveryPolicy],
+    criterion: FailureCriterion,
+    trials: usize,
+    seed: u64,
+    threads: Option<usize>,
+    mut visit: impl FnMut(&[BlockOutcome]),
+) {
+    let sampler = trial_sampler(policies);
+    let threads = sim_pool::resolve_threads(threads);
+    let round = (ROUND_OUTCOMES / policies.len()).max(1);
+    for start in (0..trials).step_by(round) {
+        let count = round.min(trials - start);
+        let (outcomes, _stats) =
+            sim_pool::run_indexed(threads, count, PolicyScratch::new, |scratch, j| {
+                let mut rng = TimelineSampler::page_rng(seed, (start + j) as u64);
+                let timeline = sampler.sample_block(&mut rng);
+                policies
+                    .iter()
+                    .map(|&policy| {
+                        evaluate_block_with_scratch(policy, &timeline, criterion, None, scratch)
+                    })
+                    .collect::<Vec<_>>()
+            });
+        for trial in &outcomes {
+            visit(trial);
+        }
+    }
+}
+
+/// The sampler of the one block width all of `policies` protect.
+///
+/// # Panics
+///
+/// Panics if `policies` is empty or mixes block widths.
+fn trial_sampler(policies: &[&dyn RecoveryPolicy]) -> TimelineSampler {
+    let first = policies
+        .first()
+        .expect("block trials need at least one policy");
+    for policy in policies {
+        assert_eq!(
+            policy.block_bits(),
+            first.block_bits(),
+            "{} protects {}-bit blocks but {} protects {}-bit blocks",
+            policy.name(),
+            policy.block_bits(),
+            first.name(),
+            first.block_bits()
+        );
+    }
+    TimelineSampler::paper_default(first.block_bits())
+}
+
 /// Simulates `trials` independent blocks, returning each block's outcome.
 ///
 /// Block `i` is derived deterministically from `(seed, i)`, so different
 /// policies evaluated with the same arguments see identical fault
-/// timelines.
+/// timelines (see [`block_trials`]).
 pub fn block_outcomes(
     policy: &dyn RecoveryPolicy,
     criterion: FailureCriterion,
     trials: usize,
     seed: u64,
 ) -> Vec<BlockOutcome> {
-    block_outcomes_with_threads(policy, criterion, trials, seed, None)
-}
-
-/// [`block_outcomes`] with an explicit worker-thread override (`None`
-/// defers to `SIM_THREADS`, then available parallelism). Trials are
-/// dynamically scheduled by [`sim_pool::run_indexed`]; the thread count
-/// never affects the outcomes.
-pub fn block_outcomes_with_threads(
-    policy: &dyn RecoveryPolicy,
-    criterion: FailureCriterion,
-    trials: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> Vec<BlockOutcome> {
-    let sampler = TimelineSampler::paper_default(policy.block_bits());
-    let threads = sim_pool::resolve_threads(threads);
-    let (outcomes, _stats) =
-        sim_pool::run_indexed(threads, trials, PolicyScratch::new, |scratch, i| {
-            let mut rng = TimelineSampler::page_rng(seed, i as u64);
-            let tl = sampler.sample_block(&mut rng);
-            evaluate_block_with_scratch(policy, &tl, criterion, None, scratch)
-        });
+    let mut outcomes = Vec::with_capacity(trials);
+    block_trials(&[policy], criterion, trials, seed, None, |trial| {
+        outcomes.push(trial[0]);
+    });
     outcomes
 }
 
-/// Simulates `trials` independent blocks and records the fault count at
-/// which each dies (Figure 8).
-pub fn block_failure_cdf(
-    policy: &dyn RecoveryPolicy,
-    criterion: FailureCriterion,
-    trials: usize,
-    seed: u64,
-) -> FailureCdf {
-    block_failure_cdf_with_threads(policy, criterion, trials, seed, None)
-}
-
-/// [`block_failure_cdf`] with an explicit worker-thread override (see
-/// [`block_outcomes_with_threads`]).
-pub fn block_failure_cdf_with_threads(
-    policy: &dyn RecoveryPolicy,
+/// Simulates `trials` independent blocks shared by all `policies` and
+/// records, per policy, the fault count at which each block dies (Figure
+/// 8). Sampling, thread and panic rules are those of [`block_trials`].
+pub fn block_failure_cdfs(
+    policies: &[&dyn RecoveryPolicy],
     criterion: FailureCriterion,
     trials: usize,
     seed: u64,
     threads: Option<usize>,
-) -> FailureCdf {
-    let sampler = TimelineSampler::paper_default(policy.block_bits());
-    let mut histogram = vec![0usize; sampler.max_events() + 1];
-    for outcome in block_outcomes_with_threads(policy, criterion, trials, seed, threads) {
-        if outcome.death_time.is_some() {
-            let slot = (outcome.events_survived + 1).min(histogram.len() - 1);
-            histogram[slot] += 1;
+) -> Vec<FailureCdf> {
+    let slots = trial_sampler(policies).max_events() + 1;
+    let mut cdfs = vec![
+        FailureCdf {
+            histogram: vec![0; slots],
+            trials,
+        };
+        policies.len()
+    ];
+    block_trials(policies, criterion, trials, seed, threads, |trial| {
+        for (cdf, outcome) in cdfs.iter_mut().zip(trial) {
+            if outcome.death_time.is_some() {
+                let slot = (outcome.events_survived + 1).min(slots - 1);
+                cdf.histogram[slot] += 1;
+            }
         }
-    }
-    FailureCdf { histogram, trials }
+    });
+    cdfs
 }
 
 #[cfg(test)]
@@ -1191,13 +1233,41 @@ mod tests {
     #[test]
     fn failure_cdf_is_monotone_and_reaches_one() {
         let policy = CapPolicy { cap: 3, bits: 64 };
-        let cdf = block_failure_cdf(&policy, FailureCriterion::default(), 200, 11).cdf();
+        let cdfs = block_failure_cdfs(&[&policy], FailureCriterion::default(), 200, 11, None);
+        let cdf = cdfs[0].cdf();
         assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*cdf.last().unwrap(), 1.0);
         // Nothing dies at or below the cap.
         assert_eq!(cdf[3], 0.0);
         // Everything is dead by fault 4.
         assert_eq!(cdf[4], 1.0);
+    }
+
+    #[test]
+    fn block_trials_visit_in_trial_order_across_rounds() {
+        // Enough policies that one round holds fewer trials than the run.
+        let policies: Vec<CapPolicy> = (0..100)
+            .map(|i| CapPolicy {
+                cap: i % 9,
+                bits: 64,
+            })
+            .collect();
+        let refs: Vec<&dyn RecoveryPolicy> =
+            policies.iter().map(|p| p as &dyn RecoveryPolicy).collect();
+        let trials = 2 * ROUND_OUTCOMES / refs.len() + 7;
+        let sampler = TimelineSampler::paper_default(64);
+        let criterion = FailureCriterion::default();
+        for threads in [1, 3] {
+            let mut next = 0u64;
+            block_trials(&refs, criterion, trials, 5, Some(threads), |trial| {
+                let block = sampler.sample_block(&mut TimelineSampler::page_rng(5, next));
+                for (&policy, outcome) in refs.iter().zip(trial) {
+                    assert_eq!(*outcome, evaluate_block(policy, &block, criterion));
+                }
+                next += 1;
+            });
+            assert_eq!(next, trials as u64, "threads {threads}");
+        }
     }
 
     #[test]
@@ -1266,9 +1336,14 @@ mod tests {
             assert_eq!(single.unprotected_lifetimes, multi.unprotected_lifetimes);
             assert_eq!(single.faults_recovered, multi.faults_recovered);
         }
-        let a = block_outcomes_with_threads(&policy, cfg.criterion, 50, 9, Some(1));
-        let b = block_outcomes_with_threads(&policy, cfg.criterion, 50, 9, Some(4));
-        assert_eq!(a, b);
+        let trials = |threads| {
+            let mut outcomes = Vec::new();
+            block_trials(&[&policy], cfg.criterion, 50, 9, Some(threads), |trial| {
+                outcomes.extend_from_slice(trial);
+            });
+            outcomes
+        };
+        assert_eq!(trials(1), trials(4));
     }
 
     #[test]

@@ -139,13 +139,15 @@ rm -rf "$fig8_out"
 # Committed-artifact freshness: the functional-codec extension CSVs in
 # results/ must equal what `experiments <cmd>` writes at the default
 # seed, so a change to a codec or to its sweep cannot leave them stale.
-# failcdf --full pins the timeline sampler's stream the same way: every
-# scheme re-samples every block, so any drift in the sampled lifetimes,
-# their order or the per-event draws changes this CSV.
+# failcdf --full and fig10 --full pin the timeline sampler's stream and
+# the shared block-trial pass the same way: every trial's block is
+# sampled once and judged by every scheme, so any drift in the sampled
+# lifetimes, their order, the per-event draws or the per-scheme verdicts
+# changes these CSVs.
 codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
 rm -rf "$codec_out"
-echo "==> results/{writecost,biasstudy,cachestudy,failcdf}.csv match a default-seed run"
-for cmd in writecost biasstudy cachestudy "failcdf --full"; do
+echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10}.csv match a default-seed run"
+for cmd in writecost biasstudy cachestudy "failcdf --full" "fig10 --full"; do
     name="${cmd%% *}"
     # shellcheck disable=SC2086 # $cmd carries the command's flags
     cargo run --release --offline -p aegis-experiments -- \
