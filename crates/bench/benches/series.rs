@@ -110,7 +110,7 @@ fn bench_series_overhead(c: &mut Bench) {
         SeriesWriter::with_buffer("bench", SharedBuf::default(), 0).expect("in-memory series");
     group.bench_function("per_unit_overhead", |b| {
         b.iter(|| {
-            status.begin_phase("mc.Aegis_9x61");
+            status.begin_phase("mc.Aegis_9x61", 1);
             for page in 1..=pages {
                 status.phase_progress(page);
             }

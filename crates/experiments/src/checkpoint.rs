@@ -578,10 +578,10 @@ pub fn run_units_checkpointed(
     ctl: &CheckpointCtl<'_>,
 ) -> io::Result<Option<Vec<UnitProgress>>> {
     let every = ctl.every.max(1);
-    // Campaign-scope timeline cache: units sharing a chip configuration
-    // (every scheme of one width) sample each page once across chunks and
-    // resumes. Byte-identity is unaffected — cached pages are bit-equal to
-    // resampled ones.
+    // Campaign-scope timeline cache: units run one chunk at a time here,
+    // so units sharing a chip configuration (every scheme of one width)
+    // sample each page once across chunks through it. Byte-identity is
+    // unaffected — cached pages are bit-equal to resampled ones.
     let campaign_timelines = pcm_sim::timeline::TimelineCache::new();
     let observer = &RunObserver {
         timelines: observer.timelines.or(Some(&campaign_timelines)),

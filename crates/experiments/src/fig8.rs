@@ -21,9 +21,10 @@
 //! and the CLI suite.
 
 use crate::csvout;
-use crate::runner::{run_labeled_range, unit_estimates, RunObserver, RunOptions, SchemeSummary};
+use crate::runner::{run_units, RunObserver, RunOptions, SchemeSummary};
 use crate::schemes::{self, Policy};
 use pcm_sim::montecarlo::MemoryRun;
+use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -88,19 +89,22 @@ pub fn run(opts: &RunOptions) -> Fig8 {
 }
 
 /// [`run`] with telemetry/progress observation.
+///
+/// Each fraction's units run as one page-major pass, so every page is
+/// sampled once per fraction and judged by the whole scheme set.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig8 {
-    let runs: Vec<MemoryRun> = units()
-        .iter()
-        .map(|(percent, policy)| {
-            let cfg = opts.sim_config_partial(FIG8_BLOCK_BITS, *percent as f64 / 100.0);
-            let label = unit_label(&policy.name(), *percent);
-            let run = run_labeled_range(policy.as_ref(), &label, &cfg, observer, 0, opts.pages);
-            observer.unit_barrier_with(
-                opts.pages as u64,
-                &unit_estimates(&label, FIG8_BLOCK_BITS, &run),
-            );
-            run
+    let set = schemes::fig8_schemes();
+    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
+    let runs: Vec<MemoryRun> = FIG8_PARTIAL_PERCENTS
+        .into_iter()
+        .flat_map(|percent| {
+            let cfg = opts.sim_config_partial(FIG8_BLOCK_BITS, percent as f64 / 100.0);
+            let labels: Vec<String> = policies
+                .iter()
+                .map(|policy| unit_label(&policy.name(), percent))
+                .collect();
+            run_units(&policies, &labels, &cfg, observer)
         })
         .collect();
     assemble(&runs)

@@ -2,9 +2,10 @@
 //! half-lifetime metric.
 
 use crate::csvout;
-use crate::runner::{run_chip_with, RunObserver, RunOptions};
+use crate::runner::{run_units, RunObserver, RunOptions};
 use crate::schemes;
 use pcm_sim::montecarlo::{half_lifetime, survival_curve};
+use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -27,19 +28,21 @@ pub fn run(opts: &RunOptions) -> Vec<SchemeSurvival> {
 }
 
 /// [`run`] with telemetry/progress observation.
+///
+/// One page-major pass judges every scheme on each sampled page.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Vec<SchemeSurvival> {
-    let mut policies = schemes::failcdf_schemes();
-    policies.push(schemes::unprotected(512));
-    policies
-        .iter()
-        .map(|policy| {
-            let run = run_chip_with(policy, 512, opts, observer);
-            SchemeSurvival {
-                name: policy.name(),
-                curve: survival_curve(&run.page_lifetimes),
-                half_lifetime: half_lifetime(&run.page_lifetimes),
-            }
+    let mut set = schemes::failcdf_schemes();
+    set.push(schemes::unprotected(512));
+    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
+    let names: Vec<String> = policies.iter().map(|policy| policy.name()).collect();
+    run_units(&policies, &names, &opts.sim_config(512), observer)
+        .into_iter()
+        .zip(names)
+        .map(|(run, name)| SchemeSurvival {
+            name,
+            curve: survival_curve(&run.page_lifetimes),
+            half_lifetime: half_lifetime(&run.page_lifetimes),
         })
         .collect()
 }

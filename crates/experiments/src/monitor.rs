@@ -5,7 +5,7 @@
 //! `sim_telemetry::status`). This module scans a directory of those files
 //! — typically `results/telemetry` while a sharded campaign is running —
 //! and renders one row per run (state, phase, progress, ETA, worker busy
-//! fraction, SIMD backend/lanes) plus a per-run `mean ± CI` estimate
+//! fraction, SIMD backend) plus a per-run `mean ± CI` estimate
 //! table with convergence tags and a rollup of how many runs are in each
 //! state. Statistics a heartbeat cannot compute yet (no pages done, one
 //! sample) render `--`, never `inf`/`NaN`. The CLI
@@ -136,11 +136,7 @@ pub fn render(snapshot: &MonitorSnapshot, now_unix_ms: u64) -> String {
             .busy
             .filter(|b| b.is_finite())
             .map_or_else(|| "--".to_owned(), |b| format!("{:.0}%", 100.0 * b));
-        let backend = match (&run.simd_backend, run.eval_lanes) {
-            (Some(name), Some(lanes)) => format!("{name}/{lanes}"),
-            (Some(name), None) => name.clone(),
-            _ => "--".to_owned(),
-        };
+        let backend = run.simd_backend.clone().unwrap_or_else(|| "--".to_owned());
         let shard = run
             .shard_id
             .zip(run.shards)
@@ -247,7 +243,7 @@ mod tests {
         let a = StatusWriter::create("shard-0", &dir).unwrap();
         a.set_total_pages(100);
         a.set_shard(0, 2);
-        a.begin_phase("mc.ECP6");
+        a.begin_phase("mc.ECP6", 1);
         a.complete_unit(25);
         let b = StatusWriter::create("shard-1", &dir).unwrap();
         b.set_total_pages(100);
@@ -336,7 +332,7 @@ mod tests {
         // A run that heartbeats before evaluating any page: no rate, no
         // ETA, no fraction. Every statistic must render `--`.
         let w = StatusWriter::create("stalled", &dir).unwrap();
-        w.begin_phase("mc.ECP6");
+        w.begin_phase("mc.ECP6", 1);
         let snapshot = scan(&dir).unwrap();
         let record = &snapshot.runs[0];
         assert_eq!(record.eta_ms, None);
@@ -354,7 +350,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let w = StatusWriter::create("conv", &dir).unwrap();
         w.set_total_pages(8);
-        w.set_backend("avx2", 8);
+        w.set_simd_backend("avx2");
         w.set_target_rse(0.05);
         w.set_estimates(&[
             sim_telemetry::UnitEstimate {
@@ -372,7 +368,8 @@ mod tests {
         w.complete_unit(4);
         let snapshot = scan(&dir).unwrap();
         let text = render(&snapshot, sim_telemetry::unix_millis());
-        assert!(text.contains("avx2/8"), "{text}");
+        assert!(text.contains("avx2"), "{text}");
+        assert!(!text.contains("avx2/"), "no lane width: {text}");
         assert!(text.contains("target RSE 0.05"), "{text}");
         assert!(text.contains("ECP6#512.lifetime"), "{text}");
         assert!(text.contains("converged"), "{text}");

@@ -2,7 +2,8 @@
 //! summarize the metrics the figures report.
 
 use crate::schemes::Policy;
-use pcm_sim::montecarlo::{self, FailureCriterion, McTelemetry, MemoryRun, RunHooks, SimConfig};
+use pcm_sim::montecarlo::{self, FailureCriterion, McTelemetry, MemoryRun, PassHooks, SimConfig};
+use pcm_sim::policy::RecoveryPolicy;
 use pcm_sim::timeline::TimelineCache;
 use sim_telemetry::{Registry, SeriesWriter, StatusWriter, Tracer, UnitEstimate};
 
@@ -114,7 +115,7 @@ pub struct SchemeSummary {
 impl SchemeSummary {
     /// Builds the summary from a finished run.
     #[must_use]
-    pub fn from_run(policy: &dyn pcm_sim::policy::RecoveryPolicy, run: &MemoryRun) -> Self {
+    pub fn from_run(policy: &dyn RecoveryPolicy, run: &MemoryRun) -> Self {
         let overhead_bits = policy.overhead_bits();
         let improvement = run.lifetime_improvement();
         let lifetime = run.lifetime_moments();
@@ -207,10 +208,12 @@ pub struct RunObserver<'a> {
     /// Live `<run-id>.status.json` heartbeats (`--status`): forwarded to
     /// the engine for page-level progress and folded at unit barriers.
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache. Campaign drivers set this so every
-    /// scheme evaluated under the same `(seed, width)` samples each page
-    /// once; [`summarize_schemes_with`] provides a per-sweep cache when the
-    /// caller brings none. Results are byte-identical with or without it.
+    /// Shared page-timeline cache for drivers that run one unit at a time
+    /// over the same chip: the checkpoint and shard drivers set it so each
+    /// page is sampled once per campaign, and the benchmark harness
+    /// prefills one to time sampling apart. Straight runs need none — a
+    /// page-major pass samples each page once for all of its units.
+    /// Results are byte-identical with or without it.
     pub timelines: Option<&'a TimelineCache>,
 }
 
@@ -271,104 +274,112 @@ pub fn summarize_schemes_with(
     opts: &RunOptions,
     observer: &RunObserver<'_>,
 ) -> Vec<SchemeSummary> {
-    let cfg = opts.sim_config(block_bits);
-    // One shared timeline cache per scheme sweep: all schemes see the same
-    // sampled chip, so the (dominant) sampling cost is paid once per width
-    // instead of once per scheme. Campaign drivers that already carry a
-    // longer-lived cache keep theirs.
-    let sweep_cache = TimelineCache::new();
-    let observer = RunObserver {
-        timelines: observer.timelines.or(Some(&sweep_cache)),
-        ..*observer
-    };
-    policies
+    let set: Vec<&dyn RecoveryPolicy> = policies.iter().map(AsRef::as_ref).collect();
+    let labels: Vec<String> = set.iter().map(|policy| policy.name()).collect();
+    run_units(&set, &labels, &opts.sim_config(block_bits), observer)
         .iter()
-        .map(|policy| {
-            let run = run_observed(policy.as_ref(), &cfg, &observer);
-            SchemeSummary::from_run(policy.as_ref(), &run)
-        })
+        .zip(&set)
+        .map(|(run, &policy)| SchemeSummary::from_run(policy, run))
         .collect()
 }
 
-fn run_observed(
-    policy: &dyn pcm_sim::policy::RecoveryPolicy,
+/// Runs every policy over the whole chip of `cfg` in one page-major pass
+/// (see [`montecarlo::run_memory_pass`]) and closes each as a Monte Carlo
+/// unit, in slice order. `labels[i]` names unit `i` in telemetry, progress
+/// and estimates.
+///
+/// Each unit's telemetry is staged in a registry of its own while the pass
+/// runs and absorbed into the observer's registry at that unit's barrier,
+/// so every barrier samples the registry exactly as if the units had run
+/// one after another: the stream, the series sidecar and the status unit
+/// counts do not depend on the pass.
+pub(crate) fn run_units(
+    policies: &[&dyn RecoveryPolicy],
+    labels: &[String],
     cfg: &SimConfig,
     observer: &RunObserver<'_>,
-) -> MemoryRun {
-    let name = policy.name();
-    let telemetry = observer
-        .registry
-        .map(|registry| McTelemetry::for_scheme(registry, &name));
-    let run = match observer.progress {
-        Some(report) => {
-            let forward = |done: usize, total: usize| report(&name, done, total);
-            let hooks = RunHooks {
-                telemetry,
-                progress: Some(&forward),
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_with(policy, cfg, &hooks)
+) -> Vec<MemoryRun> {
+    let staging: Vec<Registry> = match observer.registry {
+        Some(registry) if registry.is_enabled() => labels.iter().map(|_| Registry::new()).collect(),
+        _ => Vec::new(),
+    };
+    let telemetry: Vec<McTelemetry> = staging
+        .iter()
+        .zip(labels)
+        .map(|(registry, label)| McTelemetry::for_scheme(registry, label))
+        .collect();
+    let runs = run_pass(policies, labels, &telemetry, cfg, observer, 0, cfg.pages);
+    for (i, (label, run)) in labels.iter().zip(&runs).enumerate() {
+        if let (Some(registry), Some(staged)) = (observer.registry, staging.get(i)) {
+            registry.absorb(staged);
         }
-        None => {
-            let hooks = RunHooks {
-                telemetry,
-                progress: None,
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_with(policy, cfg, &hooks)
+        observer.unit_barrier_with(
+            cfg.pages as u64,
+            &unit_estimates(label, cfg.block_bits, run),
+        );
+    }
+    runs
+}
+
+/// One page-major pass over the global pages `start..end`, forwarding
+/// progress under each unit's label.
+fn run_pass(
+    policies: &[&dyn RecoveryPolicy],
+    labels: &[String],
+    telemetry: &[McTelemetry],
+    cfg: &SimConfig,
+    observer: &RunObserver<'_>,
+    start: usize,
+    end: usize,
+) -> Vec<MemoryRun> {
+    let forward = |unit: usize, done: usize, total: usize| {
+        if let Some(report) = observer.progress {
+            report(&labels[unit], done, total);
         }
     };
-    observer.unit_barrier_with(
-        cfg.pages as u64,
-        &unit_estimates(&name, cfg.block_bits, &run),
-    );
-    run
+    let hooks = PassHooks {
+        telemetry,
+        progress: observer
+            .progress
+            .map(|_| &forward as &montecarlo::PassProgressFn<'_>),
+        tracer: observer.tracer,
+        status: observer.status,
+        timelines: observer.timelines,
+    };
+    montecarlo::run_memory_pass(policies, cfg, start, end, &hooks)
 }
 
 /// Runs one policy over the global pages `start..end` of an explicit chip
 /// configuration, recording telemetry/progress under `label` instead of
-/// the policy's own name. The shared engine path of the checkpointed,
-/// sharded, and swept (fig8) campaigns: a unit's label stays stable even
-/// when the same policy appears under several configurations.
+/// the policy's own name, straight into the observer's registry. The
+/// engine path of the checkpointed and sharded campaigns, which run one
+/// unit at a time: a unit's label stays stable even when the same policy
+/// appears under several configurations.
 #[must_use]
 pub fn run_labeled_range(
-    policy: &dyn pcm_sim::policy::RecoveryPolicy,
+    policy: &dyn RecoveryPolicy,
     label: &str,
     cfg: &SimConfig,
     observer: &RunObserver<'_>,
     start: usize,
     end: usize,
 ) -> MemoryRun {
-    let telemetry = observer
+    let telemetry: Vec<McTelemetry> = observer
         .registry
-        .map(|registry| McTelemetry::for_scheme(registry, label));
-    match observer.progress {
-        Some(report) => {
-            let forward = |done: usize, total: usize| report(label, done, total);
-            let hooks = RunHooks {
-                telemetry,
-                progress: Some(&forward),
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_range_with(policy, cfg, start, end, &hooks)
-        }
-        None => {
-            let hooks = RunHooks {
-                telemetry,
-                progress: None,
-                tracer: observer.tracer,
-                status: observer.status,
-                timelines: observer.timelines,
-            };
-            montecarlo::run_memory_range_with(policy, cfg, start, end, &hooks)
-        }
-    }
+        .map(|registry| McTelemetry::for_scheme(registry, label))
+        .into_iter()
+        .collect();
+    run_pass(
+        &[policy],
+        &[label.to_owned()],
+        &telemetry,
+        cfg,
+        observer,
+        start,
+        end,
+    )
+    .pop()
+    .expect("a pass returns one run per policy")
 }
 
 /// Runs one policy and returns the raw chip run (for survival curves).
@@ -385,7 +396,14 @@ pub fn run_chip_with(
     opts: &RunOptions,
     observer: &RunObserver<'_>,
 ) -> MemoryRun {
-    run_observed(policy.as_ref(), &opts.sim_config(block_bits), observer)
+    run_units(
+        &[policy.as_ref()],
+        &[policy.name()],
+        &opts.sim_config(block_bits),
+        observer,
+    )
+    .pop()
+    .expect("a pass returns one run per policy")
 }
 
 #[cfg(test)]

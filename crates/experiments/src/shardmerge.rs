@@ -53,8 +53,8 @@ pub fn run_shard_units(
     lo: usize,
     hi: usize,
 ) -> Vec<UnitProgress> {
-    // Shard-scope timeline cache: all schemes of one width share their
-    // stripe's sampled pages within this process.
+    // Shard-scope timeline cache: units run one at a time here, so all
+    // schemes of one width share their stripe's sampled pages through it.
     let shard_timelines = pcm_sim::timeline::TimelineCache::new();
     let observer = &RunObserver {
         timelines: observer.timelines.or(Some(&shard_timelines)),

@@ -139,6 +139,16 @@ pub fn sample_split_into<R: Rng + ?Sized>(rng: &mut R, fault_count: usize, out: 
 /// reverse — the deterministic handle the theorem-invariant suite pins.
 pub fn sample_split_for_into<R: Rng + ?Sized>(rng: &mut R, faults: &[Fault], out: &mut Vec<bool>) {
     out.clear();
+    extend_split_for(rng, faults, out);
+}
+
+/// Appends one split drawn exactly as [`sample_split_for_into`] draws it,
+/// keeping whatever `out` already holds.
+pub(crate) fn extend_split_for<R: Rng + ?Sized>(
+    rng: &mut R,
+    faults: &[Fault],
+    out: &mut Vec<bool>,
+) {
     out.extend(faults.iter().map(|fault| {
         let disagrees = rng.random::<bool>();
         match fault.kind {

@@ -14,17 +14,18 @@
 //! - [`block_failure_cdfs`] → Figure 8 curves;
 //! - [`survival_curve`] / [`half_lifetime`] → Figure 9 curves.
 
-use crate::fault::sample_split_for_into;
+use crate::fault::extend_split_for;
 use crate::policy::{PolicyScratch, RecoveryPolicy};
 use crate::timeline::{BlockTimeline, FaultEvent, PageTimeline, TimelineCache, TimelineSampler};
 use crate::Fault;
 use sim_rng::SeedableRng;
 use sim_rng::SmallRng;
 use sim_telemetry::{
-    metric_name, Counter, Histogram, PoolWorkerUtil, Registry, StatusWriter, Tracer,
+    metric_name, Counter, Histogram, PoolWorkerUtil, Registry, StatusWriter, Tracer, WorkerTracer,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// When is a block considered dead? (See DESIGN.md §3.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,29 +109,59 @@ impl McTelemetry {
     }
 }
 
-/// Optional observation hooks for a chip run; the default observes
-/// nothing and adds no work.
+/// Progress callback of a page-major pass: `(policy index, pages_done,
+/// pages_total)`, called once per policy as each page completes. Called
+/// from worker threads, so implementations must be `Sync`; page completion
+/// order is nondeterministic but every policy's final call reports
+/// `(total, total)`.
+pub type PassProgressFn<'a> = dyn Fn(usize, usize, usize) + Sync + 'a;
+
+/// Optional observation hooks for a one-policy chip run
+/// ([`run_memory_with`]); the default observes nothing and adds no work.
+/// A pass over several policies takes [`PassHooks`] instead.
 #[derive(Default)]
 pub struct RunHooks<'a> {
     /// Metric handles to feed (usually [`McTelemetry::for_scheme`]).
     pub telemetry: Option<McTelemetry>,
     /// Called after each page completes.
     pub progress: Option<&'a ProgressFn<'a>>,
-    /// Wall-clock span collector. When enabled, the run opens an
-    /// `mc.<scheme>` span, each worker records per-`page` spans into its
-    /// private ring, and per-worker pool utilization is captured — all on
+    /// Wall-clock span collector; see [`PassHooks::tracer`].
+    pub tracer: Option<&'a Tracer>,
+    /// Live heartbeat sink; see [`PassHooks::status`].
+    pub status: Option<&'a StatusWriter>,
+    /// Shared page-timeline cache; see [`PassHooks::timelines`].
+    pub timelines: Option<&'a TimelineCache>,
+}
+
+/// Optional observation hooks for a page-major pass
+/// ([`run_memory_pass`]); the default observes nothing and adds no work.
+#[derive(Default, Clone, Copy)]
+pub struct PassHooks<'a> {
+    /// Metric handles, one per policy in policy order; empty observes
+    /// nothing.
+    pub telemetry: &'a [McTelemetry],
+    /// Called once per policy after each page completes.
+    pub progress: Option<&'a PassProgressFn<'a>>,
+    /// Wall-clock span collector. When enabled, the pass opens a phase
+    /// span — `mc.<scheme>` for one policy, `mc.<first scheme> +<others>`
+    /// for several — and each worker records a `page` span per page into
+    /// its private ring. With several policies every `page` span gets one
+    /// `mc.<scheme>` child per policy holding that policy's share of the
+    /// page, so profiles still attribute time per scheme. Per-worker pool
+    /// utilization is captured under the phase name. All of it lands on
     /// the volatile trace sidecar, never the deterministic stream.
     pub tracer: Option<&'a Tracer>,
-    /// Live heartbeat sink. When enabled, the run enters an `mc.<scheme>`
-    /// phase, reports page completions as phase progress (rate-limited
-    /// rewrites of `<run-id>.status.json`), and records the pool's worker
-    /// busy fraction — pure liveness, outside the determinism contract.
+    /// Live heartbeat sink. When enabled, the pass enters a phase named
+    /// like its trace span, reports each completed page once per policy as
+    /// phase progress (rate-limited rewrites of `<run-id>.status.json`),
+    /// and records the pool's worker busy fraction — pure liveness,
+    /// outside the determinism contract.
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache. When set, workers fetch sampled pages
-    /// through [`TimelineCache::get_or_sample`] instead of re-sampling, so
-    /// a sweep evaluating several schemes over the same `(seed, width)`
-    /// samples each page once. Results are byte-identical with the cache
-    /// on or off (see the cache's determinism notes).
+    /// Shared page-timeline cache. When set, workers fetch pages through
+    /// [`TimelineCache::get_or_sample`] instead of sampling them: the
+    /// chunked checkpoint and shard drivers run one policy at a time, and
+    /// the cache keeps them at one sample per page per campaign. Results
+    /// are byte-identical with the cache on or off.
     pub timelines: Option<&'a TimelineCache>,
 }
 
@@ -174,11 +205,12 @@ pub fn evaluate_block_with(
 
 /// [`evaluate_block_with`] reusing a caller-provided [`PolicyScratch`].
 ///
-/// This is the engine's steady-state form: the fault population, the W/R
-/// split, and the policy's working buffers all live in the arena, so
-/// evaluating a block allocates nothing after the arena warms up. Results
-/// are identical to the allocating form — split sampling consumes the same
-/// entropy and policies must decide identically with or without scratch.
+/// This is the engine's steady-state form: the fault population, the
+/// block's W/R split tape, and the policy's working buffers all live in
+/// the arena, so evaluating a block allocates nothing after the arena warms
+/// up. Results are identical to the allocating form — split sampling
+/// consumes the same entropy and policies must decide identically with or
+/// without scratch.
 pub fn evaluate_block_with_scratch(
     policy: &dyn RecoveryPolicy,
     timeline: &BlockTimeline,
@@ -186,27 +218,17 @@ pub fn evaluate_block_with_scratch(
     telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
 ) -> BlockOutcome {
-    scratch.faults.clear();
-    // A new block begins: any incremental pair state in the arena is stale.
-    policy.forget_block(scratch);
-    let mut decisions = 0u64;
+    let mut tape = std::mem::take(&mut scratch.tape);
+    tape.reset();
     let outcome = finish_block(
         policy,
         &timeline.events,
-        0,
         criterion,
+        telemetry,
         scratch,
-        &mut decisions,
+        &mut tape,
     );
-    if let Some(t) = telemetry {
-        t.fault_events.add(scratch.faults.len() as u64);
-        t.policy_decisions.add(decisions);
-        match (outcome.death_time, criterion) {
-            (None, _) => t.blocks_outlived.incr(),
-            (Some(_), FailureCriterion::PerEventSplit { .. }) => t.block_deaths_split.incr(),
-            (Some(_), FailureCriterion::GuaranteedAllData) => t.block_deaths_guarantee.incr(),
-        }
-    }
+    scratch.tape = tape;
     outcome
 }
 
@@ -262,53 +284,83 @@ pub fn evaluate_page_with_scratch(
     telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
 ) -> PageOutcome {
-    let mut death_time = f64::INFINITY;
-    let mut capped = false;
+    let mut fold = PageFold::OPEN;
     for block in &page.blocks {
-        let outcome = evaluate_block_with_scratch(policy, block, criterion, telemetry, scratch);
+        fold.add(evaluate_block_with_scratch(
+            policy, block, criterion, telemetry, scratch,
+        ));
+    }
+    fold.close(page, telemetry)
+}
+
+/// A page's block outcomes folded so far.
+#[derive(Debug, Clone, Copy)]
+struct PageFold {
+    /// Earliest block death.
+    death_time: f64,
+    /// Whether some block outlived its truncated timeline.
+    outlived: bool,
+}
+
+impl PageFold {
+    /// No block folded yet.
+    const OPEN: Self = Self {
+        death_time: f64::INFINITY,
+        outlived: false,
+    };
+
+    fn add(&mut self, outcome: BlockOutcome) {
         match outcome.death_time {
-            Some(t) => death_time = death_time.min(t),
-            None => capped = true,
+            Some(t) => self.death_time = self.death_time.min(t),
+            None => self.outlived = true,
         }
     }
-    // A block that outlived its truncated timeline only matters if it could
-    // have died before the earliest real death; its last tracked event is a
-    // lower bound witness.
-    let capped = capped
-        && page
+
+    /// The page's outcome once every block is folded in; records the
+    /// page-level telemetry.
+    fn close(self, page: &PageTimeline, telemetry: Option<&McTelemetry>) -> PageOutcome {
+        let death_time = self.death_time;
+        // A block that outlived its truncated timeline only matters if it
+        // could have died before the earliest real death; its last tracked
+        // event is a lower bound witness.
+        let capped = self.outlived
+            && page
+                .blocks
+                .iter()
+                .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
+        let faults_recovered = page
             .blocks
             .iter()
-            .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
-    let faults_recovered = page
-        .blocks
-        .iter()
-        .flat_map(|b| &b.events)
-        .filter(|e| e.time < death_time)
-        .count();
-    if let Some(t) = telemetry {
-        t.pages.incr();
-        let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
-        t.page_fault_arrivals.record(arrivals as u64);
-        if death_time.is_finite() && death_time >= 0.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            t.page_lifetime_writes.record(death_time as u64);
+            .flat_map(|b| &b.events)
+            .filter(|e| e.time < death_time)
+            .count();
+        if let Some(t) = telemetry {
+            t.pages.incr();
+            let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
+            t.page_fault_arrivals.record(arrivals as u64);
+            if death_time.is_finite() && death_time >= 0.0 {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                t.page_lifetime_writes.record(death_time as u64);
+            }
         }
-    }
-    PageOutcome {
-        death_time,
-        faults_recovered,
-        capped,
+        PageOutcome {
+            death_time,
+            faults_recovered,
+            capped,
+        }
     }
 }
 
-/// Default number of blocks a worker evaluates in lockstep per batch.
+/// Default of [`eval_lanes`].
 pub const DEFAULT_EVAL_LANES: usize = 8;
 
-/// Blocks per lane-sized batch in the chip-level engine, resolved once per
-/// process: `SIM_EVAL_LANES` (clamped to `1..=64`) overrides the default of
-/// [`DEFAULT_EVAL_LANES`]. The lane width never affects results — the
-/// determinism suite pins byte-identical telemetry across widths — only
-/// locality and batching opportunity.
+/// The process's `SIM_EVAL_LANES` value, clamped to `1..=64` (default
+/// [`DEFAULT_EVAL_LANES`]).
+///
+/// It selects nothing: the engine walks every block through one per-event
+/// body and has no lane width. It is resolved only for the benchmark
+/// harness's provenance line (`perfbench/`), which still records it; run
+/// manifests, status heartbeats and `monitor` no longer do.
 pub fn eval_lanes() -> usize {
     static LANES: OnceLock<usize> = OnceLock::new();
     *LANES.get_or_init(|| {
@@ -319,87 +371,86 @@ pub fn eval_lanes() -> usize {
     })
 }
 
-/// Per-worker arena for the batched engine path: one [`PolicyScratch`] per
-/// lane plus the batch bookkeeping, so steady-state evaluation of
-/// lane-sized block batches allocates nothing once warm.
-#[derive(Debug)]
-pub struct BatchScratch {
-    /// One policy arena per lane; lane `l` of every batch reuses arena `l`,
-    /// so each arena sees one block at a time exactly like the sequential
-    /// path (the pair cache self-heals on the block boundary).
-    per_lane: Vec<PolicyScratch>,
-    /// Per-lane outcomes of the current batch.
-    outcomes: Vec<BlockOutcome>,
-    /// Lanes still in lockstep (not yet dead or out of events).
-    active: Vec<usize>,
+/// The W/R splits of one block's fault events, drawn once and read back by
+/// every policy evaluated on the block.
+///
+/// Event `j`'s `samples` splits are a pure function of its
+/// [`FaultEvent::split_seed`] and of the population `events[..=j]`, so
+/// they are the same for every policy that reaches the event. The first
+/// policy to reach it draws them; later policies read the same bits.
+/// Every policy walks the events in order, so the tape only ever grows at
+/// its end. [`reset`](Self::reset) it before each block.
+#[derive(Debug, Default)]
+pub(crate) struct SplitTape {
+    /// Events `0..drawn` of the current block have their splits on the
+    /// tape.
+    drawn: usize,
+    /// Event-major splits: event `j` holds `samples` splits of `j + 1`
+    /// entries each, starting at `samples · j(j+1)/2`.
+    bits: Vec<bool>,
 }
 
-impl BatchScratch {
-    /// An arena evaluating `lanes` blocks per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    #[must_use]
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        Self {
-            per_lane: (0..lanes).map(|_| PolicyScratch::new()).collect(),
-            outcomes: Vec::with_capacity(lanes),
-            active: Vec::with_capacity(lanes),
+impl SplitTape {
+    /// Starts a new block: forgets every drawn split, keeps the buffer.
+    fn reset(&mut self) {
+        self.drawn = 0;
+        self.bits.clear();
+    }
+
+    /// The `samples` splits of the event whose arrival made the population
+    /// `faults` (event `faults.len() - 1`), drawn from `split_seed` if no
+    /// policy reached that event before.
+    fn splits(&mut self, split_seed: u64, faults: &[Fault], samples: usize) -> &[bool] {
+        let j = faults.len() - 1;
+        if j == self.drawn {
+            let mut rng = SmallRng::seed_from_u64(split_seed);
+            for _ in 0..samples {
+                // Fault-aware sampling: fully stuck faults consume exactly
+                // one bool (identical stream to the legacy count-based
+                // sampler), partially stuck faults get their weak-write
+                // chance to land on R.
+                extend_split_for(&mut rng, faults, &mut self.bits);
+            }
+            self.drawn += 1;
         }
-    }
-
-    /// An arena sized by [`eval_lanes`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::new(eval_lanes())
-    }
-
-    /// Lanes per batch.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.per_lane.len()
+        debug_assert!(
+            j < self.drawn,
+            "event {j} reached before event {}",
+            self.drawn
+        );
+        let start = samples * (j * (j + 1) / 2);
+        &self.bits[start..start + samples * faults.len()]
     }
 }
 
-/// Advances one lane by one fault event; returns whether the lane
-/// survived it. This is the one per-event body of both the single-block
-/// and the batched paths, so they run literally the same code (same
-/// entropy, same policy calls, same decision count).
+/// Advances one policy by one fault event; returns whether the block
+/// survived it. This is the engine's one per-event body: single blocks,
+/// single pages, page-major passes and block trials all run it.
 fn step_lane(
     policy: &dyn RecoveryPolicy,
     event: &FaultEvent,
     criterion: FailureCriterion,
     scratch: &mut PolicyScratch,
+    tape: &mut SplitTape,
     decisions: &mut u64,
 ) -> bool {
     // Detach the driver-owned fault buffer so the policy can borrow the
     // arena's own fields (`flags`, `bytes`, `counts`) mutably during the
-    // decision. The split buffer stays in the arena until a branch needs
-    // it: the guarantee branch hands the whole arena to the policy, which
-    // may enumerate splits out of `scratch.split` itself.
+    // decision. The guarantee branch hands the whole arena to the policy,
+    // which may enumerate splits out of `scratch.split` itself.
     let mut faults: Vec<Fault> = std::mem::take(&mut scratch.faults);
     faults.push(event.fault);
     // Let the policy extend its incremental pair state with the new
     // arrival before the split checks for this population run.
     policy.observe_fault(&faults, scratch);
     let survivable = match criterion {
-        FailureCriterion::PerEventSplit { samples } => {
-            let mut wrong: Vec<bool> = std::mem::take(&mut scratch.split);
-            let mut rng = SmallRng::seed_from_u64(event.split_seed);
-            let ok = (0..samples).all(|_| {
+        FailureCriterion::PerEventSplit { samples } => tape
+            .splits(event.split_seed, &faults, samples as usize)
+            .chunks_exact(faults.len())
+            .all(|wrong| {
                 *decisions += 1;
-                // Fault-aware sampling: fully stuck faults consume exactly
-                // one bool (identical stream to the legacy count-based
-                // sampler), partially stuck faults get their weak-write
-                // chance to land on R.
-                sample_split_for_into(&mut rng, &faults, &mut wrong);
-                policy.recoverable_with(&faults, &wrong, scratch)
-            });
-            scratch.split = wrong;
-            ok
-        }
+                policy.recoverable_with(&faults, wrong, scratch)
+            }),
         FailureCriterion::GuaranteedAllData => {
             *decisions += 1;
             policy.guaranteed_with(&faults, scratch)
@@ -409,204 +460,185 @@ fn step_lane(
     survivable
 }
 
-/// Steps one lane through `events[from..]` until it dies or runs out of
-/// events: the whole of a single-block evaluation (`from = 0`) and the
-/// tail of a batch's lone survivor.
+/// Steps one policy through a block's events, from a clean arena, until it
+/// dies or runs out of events, reading splits from `tape` (which holds
+/// this block's splits so far, or none). Feeds the block's telemetry: fault
+/// events seen, every predicate invocation, and the block's fate.
 fn finish_block(
     policy: &dyn RecoveryPolicy,
     events: &[FaultEvent],
-    from: usize,
     criterion: FailureCriterion,
+    telemetry: Option<&McTelemetry>,
     scratch: &mut PolicyScratch,
-    decisions: &mut u64,
+    tape: &mut SplitTape,
 ) -> BlockOutcome {
-    for (i, event) in events.iter().enumerate().skip(from) {
-        if !step_lane(policy, event, criterion, scratch, decisions) {
-            return BlockOutcome {
+    scratch.faults.clear();
+    // A new block begins: any incremental pair state in the arena is stale.
+    policy.forget_block(scratch);
+    let mut decisions = 0u64;
+    let mut outcome = BlockOutcome {
+        events_survived: events.len(),
+        death_time: None,
+    };
+    for (i, event) in events.iter().enumerate() {
+        if !step_lane(policy, event, criterion, scratch, tape, &mut decisions) {
+            outcome = BlockOutcome {
                 events_survived: i,
                 death_time: Some(event.time),
             };
+            break;
         }
     }
-    BlockOutcome {
-        events_survived: events.len(),
-        death_time: None,
+    if let Some(t) = telemetry {
+        t.fault_events.add(scratch.faults.len() as u64);
+        t.policy_decisions.add(decisions);
+        match (outcome.death_time, criterion) {
+            (None, _) => t.blocks_outlived.incr(),
+            (Some(_), FailureCriterion::PerEventSplit { .. }) => t.block_deaths_split.incr(),
+            (Some(_), FailureCriterion::GuaranteedAllData) => t.block_deaths_guarantee.incr(),
+        }
+    }
+    outcome
+}
+
+/// Per-worker arena of a page-major pass: one [`PolicyScratch`] per
+/// policy, the W/R split tape they share, and the page's per-policy
+/// results. A warm arena evaluates further pages without allocating.
+#[derive(Debug, Default)]
+pub struct PageArena {
+    scratches: Vec<PolicyScratch>,
+    tape: SplitTape,
+    folds: Vec<PageFold>,
+    outcomes: Vec<PageOutcome>,
+    /// Nanoseconds each policy spent on the current page (traced passes
+    /// only).
+    policy_ns: Vec<u64>,
+}
+
+impl PageArena {
+    /// An empty arena; it grows to the pass's policy count on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Grows the per-policy scratches to `policies`.
+    fn fit(&mut self, policies: usize) {
+        if self.scratches.len() < policies {
+            self.scratches.resize_with(policies, PolicyScratch::new);
+        }
+    }
+
+    /// Every policy's outcome on one block, in slice order, read off one
+    /// shared tape.
+    fn block_outcomes(
+        &mut self,
+        policies: &[&dyn RecoveryPolicy],
+        block: &BlockTimeline,
+        criterion: FailureCriterion,
+    ) -> Vec<BlockOutcome> {
+        self.fit(policies.len());
+        self.tape.reset();
+        policies
+            .iter()
+            .zip(&mut self.scratches)
+            .map(|(&policy, scratch)| {
+                finish_block(
+                    policy,
+                    &block.events,
+                    criterion,
+                    None,
+                    scratch,
+                    &mut self.tape,
+                )
+            })
+            .collect()
     }
 }
 
-/// Evaluates up to `lanes` blocks in lockstep — the batched twin of
-/// [`evaluate_block_with_scratch`].
+/// Evaluates every policy of `policies` over one page: the body of a
+/// page-major pass.
 ///
-/// All lanes advance event index by event index. Each lane's decisions
-/// depend only on its own fault population, split RNG (re-seeded per event
-/// from [`FaultEvent::split_seed`]) and per-lane arena, so interleaving
-/// lanes cannot change any lane's verdict: outcome `l` is exactly what
-/// [`evaluate_block_with_scratch`] returns for `blocks[l]`.
-///
-/// Per-lane fault divergence — a lane dying or running out of events while
-/// others continue — is handled by *compacting* the diverged lane out of
-/// the active set; when the batch thins to a single survivor, its remaining
-/// events finish on the plain single-block loop. Telemetry totals are
-/// order-independent sums, so the batched path feeds the exact counter
-/// values of the sequential path.
+/// The page is walked block by block. Each block resets the shared W/R
+/// split tape — each event's splits drawn once, by the first policy to
+/// reach the event — then every policy runs over it in slice order through
+/// the engine's per-event body, on its own [`PolicyScratch`] and reading
+/// the block's splits off the tape. Outcome `i`, and the `telemetry[i]`
+/// counters when given, are exactly what [`evaluate_page_with_scratch`]
+/// yields for `policies[i]` alone.
 ///
 /// # Panics
 ///
-/// Panics if `blocks.len()` exceeds the arena's lane count.
-pub fn evaluate_block_batch_with_scratch<'a>(
-    policy: &dyn RecoveryPolicy,
-    blocks: &[BlockTimeline],
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-    batch: &'a mut BatchScratch,
-) -> &'a [BlockOutcome] {
-    let BatchScratch {
-        per_lane,
-        outcomes,
-        active,
-    } = batch;
-    assert!(
-        blocks.len() <= per_lane.len(),
-        "batch of {} blocks exceeds {} lanes",
-        blocks.len(),
-        per_lane.len()
-    );
-    outcomes.clear();
-    outcomes.resize(
-        blocks.len(),
-        BlockOutcome {
-            events_survived: 0,
-            death_time: None,
-        },
-    );
-    active.clear();
-    active.extend(0..blocks.len());
-    let mut decisions = 0u64;
-    let mut fault_events = 0u64;
-    let mut outlived = 0u64;
-    let mut died = 0u64;
-    for scratch in per_lane.iter_mut().take(blocks.len()) {
-        scratch.faults.clear();
-        // A new block begins in every lane: stale incremental pair state
-        // from the previous batch must not leak in.
-        policy.forget_block(scratch);
-    }
-    let mut event_idx = 0usize;
-    while active.len() > 1 {
-        let idx = event_idx;
-        active.retain(|&lane| {
-            let scratch = &mut per_lane[lane];
-            match blocks[lane].events.get(idx) {
-                // Lane out of events: it outlived its (truncated) timeline.
-                None => {
-                    outcomes[lane] = BlockOutcome {
-                        events_survived: idx,
-                        death_time: None,
-                    };
-                    fault_events += scratch.faults.len() as u64;
-                    outlived += 1;
-                    false
-                }
-                Some(event) => {
-                    if step_lane(policy, event, criterion, scratch, &mut decisions) {
-                        true
-                    } else {
-                        outcomes[lane] = BlockOutcome {
-                            events_survived: idx,
-                            death_time: Some(event.time),
-                        };
-                        fault_events += scratch.faults.len() as u64;
-                        died += 1;
-                        false
-                    }
-                }
-            }
-        });
-        event_idx += 1;
-    }
-    // Lone survivor: fall back to the single-block path for its tail.
-    if let Some(&lane) = active.first() {
-        let scratch = &mut per_lane[lane];
-        let outcome = finish_block(
-            policy,
-            &blocks[lane].events,
-            event_idx,
-            criterion,
-            scratch,
-            &mut decisions,
-        );
-        outcomes[lane] = outcome;
-        fault_events += scratch.faults.len() as u64;
-        if outcome.death_time.is_some() {
-            died += 1;
-        } else {
-            outlived += 1;
-        }
-        active.clear();
-    }
-    if let Some(t) = telemetry {
-        t.fault_events.add(fault_events);
-        t.policy_decisions.add(decisions);
-        t.blocks_outlived.add(outlived);
-        match criterion {
-            FailureCriterion::PerEventSplit { .. } => t.block_deaths_split.add(died),
-            FailureCriterion::GuaranteedAllData => t.block_deaths_guarantee.add(died),
-        }
-    }
-    outcomes
-}
-
-/// Batched twin of [`evaluate_page_with_scratch`]: the page's blocks are
-/// pulled through [`evaluate_block_batch_with_scratch`] in lane-sized
-/// chunks (the final chunk may be partial). Outcome aggregation is
-/// identical to the sequential form, so the returned [`PageOutcome`] — and
-/// all telemetry — is byte-identical lane width by lane width.
-pub fn evaluate_page_batched_with_scratch(
-    policy: &dyn RecoveryPolicy,
+/// Panics if `telemetry` is neither empty nor one handle per policy.
+pub fn evaluate_page_pass<'a>(
+    policies: &[&dyn RecoveryPolicy],
     page: &PageTimeline,
     criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-    batch: &mut BatchScratch,
-) -> PageOutcome {
-    let lanes = batch.lanes();
-    let mut death_time = f64::INFINITY;
-    let mut any_outlived = false;
-    for chunk in page.blocks.chunks(lanes) {
-        for outcome in evaluate_block_batch_with_scratch(policy, chunk, criterion, telemetry, batch)
-        {
-            match outcome.death_time {
-                Some(t) => death_time = death_time.min(t),
-                None => any_outlived = true,
+    telemetry: &[McTelemetry],
+    arena: &'a mut PageArena,
+) -> &'a [PageOutcome] {
+    page_pass(policies, page, criterion, telemetry, arena, false)
+}
+
+/// [`evaluate_page_pass`], optionally timing each policy's share of the
+/// page into `arena.policy_ns`.
+fn page_pass<'a>(
+    policies: &[&dyn RecoveryPolicy],
+    page: &PageTimeline,
+    criterion: FailureCriterion,
+    telemetry: &[McTelemetry],
+    arena: &'a mut PageArena,
+    timed: bool,
+) -> &'a [PageOutcome] {
+    assert!(
+        telemetry.is_empty() || telemetry.len() == policies.len(),
+        "{} telemetry handles for {} policies",
+        telemetry.len(),
+        policies.len()
+    );
+    arena.fit(policies.len());
+    let PageArena {
+        scratches,
+        tape,
+        folds,
+        outcomes,
+        policy_ns,
+    } = arena;
+    folds.clear();
+    folds.resize(policies.len(), PageFold::OPEN);
+    policy_ns.clear();
+    if timed {
+        policy_ns.resize(policies.len(), 0);
+    }
+    for block in &page.blocks {
+        tape.reset();
+        for (i, (&policy, scratch)) in policies.iter().zip(scratches.iter_mut()).enumerate() {
+            let started = timed.then(Instant::now);
+            let outcome = finish_block(
+                policy,
+                &block.events,
+                criterion,
+                telemetry.get(i),
+                scratch,
+                tape,
+            );
+            if let Some(started) = started {
+                #[allow(clippy::cast_possible_truncation)]
+                {
+                    policy_ns[i] += started.elapsed().as_nanos() as u64;
+                }
             }
+            folds[i].add(outcome);
         }
     }
-    // Same capping rule as the sequential path: truncation only matters if
-    // an outlived block could have died before the earliest real death.
-    let capped = any_outlived
-        && page
-            .blocks
+    outcomes.clear();
+    outcomes.extend(
+        folds
             .iter()
-            .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
-    let faults_recovered = page
-        .blocks
-        .iter()
-        .flat_map(|b| &b.events)
-        .filter(|e| e.time < death_time)
-        .count();
-    if let Some(t) = telemetry {
-        t.pages.incr();
-        let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
-        t.page_fault_arrivals.record(arrivals as u64);
-        if death_time.is_finite() && death_time >= 0.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            t.page_lifetime_writes.record(death_time as u64);
-        }
-    }
-    PageOutcome {
-        death_time,
-        faults_recovered,
-        capped,
-    }
+            .enumerate()
+            .map(|(i, fold)| fold.close(page, telemetry.get(i))),
+    );
+    outcomes
 }
 
 /// Configuration of a chip-level Monte Carlo run.
@@ -765,13 +797,6 @@ pub fn run_memory(policy: &dyn RecoveryPolicy, cfg: &SimConfig) -> MemoryRun {
 ///
 /// The hooks never influence the simulation — results are byte-identical
 /// with hooks on or off (telemetry totals are order-independent sums).
-///
-/// Pages are scheduled dynamically over `cfg.threads` workers by
-/// [`sim_pool::run_indexed`]: page lifetimes vary ~10×, so workers pull
-/// small index batches from a shared counter instead of owning static
-/// chunks. Each page's randomness is derived from `(cfg.seed, page_idx)`
-/// and results are written by index, so the thread count and stealing
-/// order never change the output.
 pub fn run_memory_with(
     policy: &dyn RecoveryPolicy,
     cfg: &SimConfig,
@@ -780,7 +805,8 @@ pub fn run_memory_with(
     run_memory_range_with(policy, cfg, 0, cfg.pages, hooks)
 }
 
-/// [`run_memory_with`] restricted to the global pages `start..end`.
+/// [`run_memory_with`] restricted to the global pages `start..end`: the
+/// one-policy case of [`run_memory_pass`].
 ///
 /// Because every page's randomness is the `substream_seed(cfg.seed,
 /// page_idx)` substream (see [`TimelineSampler::page_rng`]), evaluating a
@@ -801,13 +827,62 @@ pub fn run_memory_range_with(
     end: usize,
     hooks: &RunHooks<'_>,
 ) -> MemoryRun {
-    assert_eq!(
-        policy.block_bits(),
-        cfg.block_bits,
-        "policy protects {}-bit blocks but the config uses {}-bit blocks",
-        policy.block_bits(),
-        cfg.block_bits
-    );
+    let forward = |_: usize, done: usize, total: usize| {
+        if let Some(report) = hooks.progress {
+            report(done, total);
+        }
+    };
+    let pass = PassHooks {
+        telemetry: hooks.telemetry.as_slice(),
+        progress: hooks.progress.map(|_| &forward as &PassProgressFn<'_>),
+        tracer: hooks.tracer,
+        status: hooks.status,
+        timelines: hooks.timelines,
+    };
+    run_memory_pass(&[policy], cfg, start, end, &pass)
+        .pop()
+        .expect("a pass returns one run per policy")
+}
+
+/// Runs every policy of `policies` over the global pages `start..end` of
+/// one simulated chip in a single page-major pass, returning one
+/// [`MemoryRun`] per policy in slice order.
+///
+/// A worker samples page `p` once — or fetches it from `hooks.timelines`
+/// — and judges every policy on it with [`evaluate_page_pass`], so the
+/// policies share the page's timeline and each block's W/R splits, and
+/// nothing outlives the page. Pages are scheduled dynamically over
+/// `cfg.threads` workers by [`sim_pool::run_indexed`]: page lifetimes vary
+/// ~10×, so workers pull small index batches from a shared counter instead
+/// of owning static chunks. Each page's randomness is derived from
+/// `(cfg.seed, page_idx)` and every run is folded in page order, so the
+/// thread count, the stealing order and the other policies of the pass
+/// never change a run: run `i` is what [`run_memory_range_with`] returns
+/// for `policies[i]` alone, and so are its `hooks.telemetry[i]` counters.
+///
+/// # Panics
+///
+/// Panics if `policies` is empty, a policy's block width differs from
+/// `cfg.block_bits`, the page range is out of bounds, or `hooks.telemetry`
+/// is neither empty nor one handle per policy.
+pub fn run_memory_pass(
+    policies: &[&dyn RecoveryPolicy],
+    cfg: &SimConfig,
+    start: usize,
+    end: usize,
+    hooks: &PassHooks<'_>,
+) -> Vec<MemoryRun> {
+    assert!(!policies.is_empty(), "a pass needs at least one policy");
+    for policy in policies {
+        assert_eq!(
+            policy.block_bits(),
+            cfg.block_bits,
+            "policy {} protects {}-bit blocks but the config uses {}-bit blocks",
+            policy.name(),
+            policy.block_bits(),
+            cfg.block_bits
+        );
+    }
     assert!(
         start <= end && end <= cfg.pages,
         "page range {start}..{end} out of bounds for {} pages",
@@ -823,78 +898,92 @@ pub fn run_memory_range_with(
     let blocks_per_page = cfg.blocks_per_page();
     let threads = sim_pool::resolve_threads(cfg.threads);
     let done = AtomicUsize::new(0);
-    let telemetry = hooks.telemetry.as_ref();
-    let progress = hooks.progress;
+    let spans: Vec<String> = policies
+        .iter()
+        .map(|policy| format!("mc.{}", policy.name()))
+        .collect();
+    let phase_name = match spans.as_slice() {
+        [only] => only.clone(),
+        [first, rest @ ..] => format!("{first} +{}", rest.len()),
+        [] => unreachable!("a pass has policies"),
+    };
     let status = hooks.status.filter(|s| s.is_enabled());
     if let Some(status) = status {
-        status.begin_phase(&format!("mc.{}", policy.name()));
+        status.begin_phase(&phase_name, policies.len() as u64);
     }
 
-    let timelines = hooks.timelines;
-    // The identical per-page body runs under both scheduling paths, so
+    // The identical per-page body runs under every scheduling variant, so
     // tracing can only add spans around it, never change what it computes.
-    let eval_page = |scratch: &mut BatchScratch, page_idx: usize| {
-        let page = match timelines {
-            Some(cache) => {
-                cache.get_or_sample(&sampler, cfg.seed, page_idx as u64, blocks_per_page)
+    let eval_page =
+        |arena: &mut PageArena, mut trace: Option<&mut WorkerTracer>, page_idx: usize| {
+            let span = trace.as_mut().map(|t| t.begin("page"));
+            let page = match hooks.timelines {
+                Some(cache) => {
+                    cache.get_or_sample(&sampler, cfg.seed, page_idx as u64, blocks_per_page)
+                }
+                None => {
+                    let mut rng = TimelineSampler::page_rng(cfg.seed, page_idx as u64);
+                    Arc::new(sampler.sample_page(&mut rng, blocks_per_page))
+                }
+            };
+            // One policy's share is the whole page span already; several
+            // get a child span each, laid end to end from here.
+            let timed = trace.is_some() && policies.len() > 1;
+            let evaluating = trace.as_ref().map_or(0, |t| t.now_ns());
+            let outcomes: Box<[PageOutcome]> = page_pass(
+                policies,
+                &page,
+                cfg.criterion,
+                hooks.telemetry,
+                arena,
+                timed,
+            )
+            .into();
+            if let (Some(trace), Some(span)) = (trace, span) {
+                let mut at = evaluating;
+                for (name, &ns) in spans.iter().zip(&arena.policy_ns) {
+                    trace.record(name, at, ns);
+                    at += ns;
+                }
+                trace.end(span);
             }
-            None => {
-                let mut rng = TimelineSampler::page_rng(cfg.seed, page_idx as u64);
-                Arc::new(sampler.sample_page(&mut rng, blocks_per_page))
+            // Advance completion unconditionally so the count can never
+            // disagree with the telemetry pages counters, then report it.
+            let finished = start + done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(report) = hooks.progress {
+                for i in 0..policies.len() {
+                    report(i, finished, cfg.pages);
+                }
             }
+            if let Some(status) = status {
+                status.phase_progress((finished * policies.len()) as u64);
+            }
+            (page.first_cell_death(), outcomes)
         };
-        let outcome =
-            evaluate_page_batched_with_scratch(policy, &page, cfg.criterion, telemetry, scratch);
-        // Advance completion unconditionally so the count can never
-        // disagree with the telemetry pages counter, then report it.
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(report) = progress {
-            report(start + finished, cfg.pages);
-        }
-        if let Some(status) = status {
-            status.phase_progress((start + finished) as u64);
-        }
-        (
-            outcome.death_time,
-            page.first_cell_death(),
-            outcome.faults_recovered,
-            outcome.capped,
-        )
-    };
 
     let tracer = hooks.tracer.filter(|t| t.is_enabled());
     let (results, stats) = match (tracer, status) {
-        (None, None) => {
-            sim_pool::run_indexed(threads, count, BatchScratch::from_env, |scratch, idx| {
-                eval_page(scratch, start + idx)
-            })
-        }
+        (None, None) => sim_pool::run_indexed(threads, count, PageArena::new, |arena, idx| {
+            eval_page(arena, None, start + idx)
+        }),
         // Status heartbeats without tracing still need the timed pool
         // variant for the worker busy fraction; results are identical.
         (None, Some(status)) => {
-            let (results, stats, workers) = sim_pool::run_indexed_stats(
-                threads,
-                count,
-                BatchScratch::from_env,
-                |scratch, idx| eval_page(scratch, start + idx),
-            );
+            let (results, stats, workers) =
+                sim_pool::run_indexed_stats(threads, count, PageArena::new, |arena, idx| {
+                    eval_page(arena, None, start + idx)
+                });
             status.set_busy(sim_pool::busy_fraction(&workers));
             (results, stats)
         }
         (Some(tracer), _) => {
-            let phase_name = format!("mc.{}", policy.name());
             let phase = tracer.span(&phase_name);
             let parent = Some(phase.id());
             let (results, stats, workers) = sim_pool::run_indexed_stats(
                 threads,
                 count,
-                || (BatchScratch::from_env(), tracer.worker(parent)),
-                |(scratch, trace), idx| {
-                    let span = trace.begin("page");
-                    let out = eval_page(scratch, start + idx);
-                    trace.end(span);
-                    out
-                },
+                || (PageArena::new(), tracer.worker(parent)),
+                |(arena, trace), idx| eval_page(arena, Some(trace), start + idx),
             );
             drop(phase);
             if let Some(status) = status {
@@ -916,18 +1005,29 @@ pub fn run_memory_range_with(
         }
     };
     debug_assert_eq!(done.load(Ordering::Relaxed), count);
-    if let Some(t) = telemetry {
-        t.record_pool(&stats);
+    for telemetry in hooks.telemetry {
+        telemetry.record_pool(&stats);
     }
 
-    let mut run = MemoryRun::default();
-    for (death, unprotected, faults, capped) in results {
-        run.page_lifetimes.push(death);
-        run.unprotected_lifetimes.push(unprotected);
-        run.faults_recovered.push(faults);
-        run.capped_pages += usize::from(capped);
+    let mut runs: Vec<MemoryRun> = policies
+        .iter()
+        .map(|_| MemoryRun {
+            page_lifetimes: Vec::with_capacity(count),
+            unprotected_lifetimes: Vec::with_capacity(count),
+            faults_recovered: Vec::with_capacity(count),
+            capped_pages: 0,
+        })
+        .collect();
+    // Fold in page order, whatever order the workers finished in.
+    for (unprotected, outcomes) in results {
+        for (run, outcome) in runs.iter_mut().zip(outcomes.iter()) {
+            run.page_lifetimes.push(outcome.death_time);
+            run.unprotected_lifetimes.push(unprotected);
+            run.faults_recovered.push(outcome.faults_recovered);
+            run.capped_pages += usize::from(outcome.capped);
+        }
     }
-    run
+    runs
 }
 
 /// Survival curve of a chip under perfect wear leveling over *live* pages.
@@ -1007,9 +1107,9 @@ const ROUND_OUTCOMES: usize = 1 << 14;
 ///
 /// Trial `i` samples its block once, from
 /// [`TimelineSampler::page_rng`]`(seed, i)`, and runs each policy over it
-/// in slice order through [`evaluate_block_with_scratch`], sharing the
-/// worker's one [`PolicyScratch`] (the evaluation resets it per block).
-/// `visit` then sees the trial's outcomes, one per policy in slice order,
+/// in slice order through the engine's per-event body, each on its own
+/// [`PolicyScratch`] of the worker's [`PageArena`] and all reading the
+/// block's W/R splits off one shared tape. `visit` then sees the trial's outcomes, one per policy in slice order,
 /// on the caller's thread and in trial order. Trials run on `threads`
 /// workers (`None` defers to `SIM_THREADS`, then available parallelism)
 /// in rounds of at most [`ROUND_OUTCOMES`] outcomes, so neither the
@@ -1033,15 +1133,9 @@ pub fn block_trials(
     for start in (0..trials).step_by(round) {
         let count = round.min(trials - start);
         let (outcomes, _stats) =
-            sim_pool::run_indexed(threads, count, PolicyScratch::new, |scratch, j| {
+            sim_pool::run_indexed(threads, count, PageArena::new, |arena, j| {
                 let mut rng = TimelineSampler::page_rng(seed, (start + j) as u64);
-                let timeline = sampler.sample_block(&mut rng);
-                policies
-                    .iter()
-                    .map(|&policy| {
-                        evaluate_block_with_scratch(policy, &timeline, criterion, None, scratch)
-                    })
-                    .collect::<Vec<_>>()
+                arena.block_outcomes(policies, &sampler.sample_block(&mut rng), criterion)
             });
         for trial in &outcomes {
             visit(trial);
@@ -1511,45 +1605,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_evaluation_matches_sequential_for_every_lane_width() {
-        let policy = CapPolicy { cap: 3, bits: 256 };
-        let sampler = crate::timeline::TimelineSampler::paper_default(256);
-        for seed in 0..4u64 {
-            let mut rng = crate::timeline::TimelineSampler::page_rng(seed, 0);
-            let page = sampler.sample_page(&mut rng, 16);
-            let registry = Registry::new();
-            let telemetry = McTelemetry::for_scheme(&registry, "seq");
-            let expected = evaluate_page_with_scratch(
-                &policy,
-                &page,
-                FailureCriterion::default(),
-                Some(&telemetry),
-                &mut PolicyScratch::new(),
-            );
-            let expected_counters: std::collections::BTreeMap<String, u64> =
-                registry.counters().into_iter().collect();
-            for lanes in [1usize, 2, 3, 5, 8, 16, 64] {
-                let registry = Registry::new();
-                let telemetry = McTelemetry::for_scheme(&registry, "seq");
-                let mut batch = BatchScratch::new(lanes);
-                let got = evaluate_page_batched_with_scratch(
-                    &policy,
-                    &page,
-                    FailureCriterion::default(),
-                    Some(&telemetry),
-                    &mut batch,
-                );
-                assert_eq!(got, expected, "seed {seed} lanes {lanes}");
-                let counters: std::collections::BTreeMap<String, u64> =
-                    registry.counters().into_iter().collect();
-                assert_eq!(counters, expected_counters, "seed {seed} lanes {lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_guarantee_criterion_matches_sequential() {
-        let policy = CapPolicy { cap: 2, bits: 512 };
+    fn page_pass_matches_each_policy_alone() {
+        let policies = [
+            CapPolicy { cap: 1, bits: 512 },
+            CapPolicy { cap: 2, bits: 512 },
+            CapPolicy { cap: 3, bits: 512 },
+        ];
+        let refs: Vec<&dyn RecoveryPolicy> =
+            policies.iter().map(|p| p as &dyn RecoveryPolicy).collect();
         let page = PageTimeline {
             blocks: vec![
                 timeline(&[5.0, 50.0, 60.0]),
@@ -1558,17 +1621,110 @@ mod tests {
                 timeline(&[1.0, 2.0, 3.0, 4.0]),
             ],
         };
-        let expected = evaluate_page(&policy, &page, FailureCriterion::GuaranteedAllData);
-        for lanes in [1usize, 2, 4, 8] {
-            let got = evaluate_page_batched_with_scratch(
-                &policy,
-                &page,
-                FailureCriterion::GuaranteedAllData,
-                None,
-                &mut BatchScratch::new(lanes),
-            );
-            assert_eq!(got, expected, "lanes {lanes}");
+        let mut arena = PageArena::new();
+        for criterion in [
+            FailureCriterion::PerEventSplit { samples: 2 },
+            FailureCriterion::GuaranteedAllData,
+        ] {
+            let registry = Registry::new();
+            let telemetry: Vec<McTelemetry> = policies
+                .iter()
+                .map(|p| McTelemetry::for_scheme(&registry, &p.name()))
+                .collect();
+            let got = evaluate_page_pass(&refs, &page, criterion, &telemetry, &mut arena).to_vec();
+            let alone = Registry::new();
+            for (&policy, outcome) in refs.iter().zip(&got) {
+                let t = McTelemetry::for_scheme(&alone, &policy.name());
+                assert_eq!(
+                    *outcome,
+                    evaluate_page_with(policy, &page, criterion, Some(&t)),
+                    "{} {criterion:?}",
+                    policy.name()
+                );
+            }
+            assert_eq!(registry.counters(), alone.counters(), "{criterion:?}");
         }
+    }
+
+    #[test]
+    fn pass_reports_every_policy_and_attributes_trace_time() {
+        let (a, b) = (
+            CapPolicy { cap: 1, bits: 512 },
+            CapPolicy { cap: 3, bits: 512 },
+        );
+        let cfg = SimConfig {
+            threads: Some(2),
+            ..SimConfig::scaled(5, 512, 9)
+        };
+        let progress = std::sync::Mutex::new(Vec::new());
+        let record = |policy: usize, done: usize, total: usize| {
+            progress.lock().unwrap().push((policy, done, total));
+        };
+        let tracer = Tracer::new(1024);
+        let hooks = PassHooks {
+            progress: Some(&record),
+            tracer: Some(&tracer),
+            ..PassHooks::default()
+        };
+        let runs = run_memory_pass(&[&a, &b], &cfg, 0, cfg.pages, &hooks);
+        assert_eq!(runs[0], run_memory(&a, &cfg));
+        assert_eq!(runs[1], run_memory(&b, &cfg));
+
+        let mut calls = progress.into_inner().unwrap();
+        calls.sort_unstable();
+        let expected: Vec<(usize, usize, usize)> = (0..2)
+            .flat_map(|policy| (1..=5).map(move |done| (policy, done, 5)))
+            .collect();
+        assert_eq!(calls, expected, "each policy sees every page once");
+
+        let log = tracer.finish("unit").unwrap();
+        let phase = log.spans.iter().find(|s| s.name == "mc.cap1 +1").unwrap();
+        let pages: Vec<_> = log.spans.iter().filter(|s| s.name == "page").collect();
+        assert_eq!(pages.len(), 5);
+        assert!(pages.iter().all(|s| s.parent == Some(phase.id)));
+        for name in ["mc.cap1", "mc.cap3"] {
+            let shares: Vec<_> = log.spans.iter().filter(|s| s.name == name).collect();
+            assert_eq!(shares.len(), 5, "{name}: one share per page");
+            for share in shares {
+                let page = pages.iter().find(|p| Some(p.id) == share.parent).unwrap();
+                assert!(
+                    share.start_ns >= page.start_ns,
+                    "{name} starts inside its page"
+                );
+                assert!(share.dur_ns <= page.dur_ns, "{name} fits inside its page");
+            }
+        }
+        assert_eq!(log.pool[0].phase, "mc.cap1 +1");
+    }
+
+    #[test]
+    fn split_tape_replays_each_event_draw() {
+        let faults: Vec<Fault> = (0..3).map(|i| Fault::new(i, false)).collect();
+        let mut tape = SplitTape::default();
+        for j in 0..3 {
+            let expected: Vec<bool> = {
+                let mut rng = SmallRng::seed_from_u64(100 + j as u64);
+                let mut out = Vec::new();
+                for _ in 0..2 {
+                    let mut one = Vec::new();
+                    crate::fault::sample_split_for_into(&mut rng, &faults[..=j], &mut one);
+                    out.extend(one);
+                }
+                out
+            };
+            let first = tape.splits(100 + j as u64, &faults[..=j], 2).to_vec();
+            // A second reader gets the drawn bits back, whatever seed it
+            // would have used.
+            let again = tape.splits(0, &faults[..=j], 2).to_vec();
+            assert_eq!(first, expected, "event {j}");
+            assert_eq!(again, expected, "event {j} read back");
+        }
+        tape.reset();
+        let fresh = tape.splits(7, &faults[..1], 2).to_vec();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut want = crate::fault::sample_split_for(&mut rng, &faults[..1]);
+        want.extend(crate::fault::sample_split_for(&mut rng, &faults[..1]));
+        assert_eq!(fresh, want, "a reset tape draws afresh");
     }
 
     #[test]

@@ -37,6 +37,11 @@ pub struct PolicyScratch {
     pub(crate) split: Vec<bool>,
     /// Fault-population buffer owned by the Monte Carlo driver.
     pub(crate) faults: Vec<Fault>,
+    /// Split tape of the single-policy entry points
+    /// ([`evaluate_block_with_scratch`](crate::montecarlo::evaluate_block_with_scratch)
+    /// and its page form). A page-major pass shares one tape across its
+    /// policies instead and leaves this one empty.
+    pub(crate) tape: crate::montecarlo::SplitTape,
 }
 
 /// One cached fault pair: indices into the covered fault slice plus a

@@ -357,13 +357,14 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 ///
 /// Timelines are the engine's common random numbers: every scheme evaluated
 /// under one `(master_seed, page, blocks_per_page, sampler)` tuple sees the
-/// *identical* timeline by construction, yet historically each scheme
-/// re-sampled it from the per-page RNG. Even with each page sampled once,
-/// sampling is about 18% of worker busy time in a traced `fig5 --pages
-/// 256` run (2-core Xeon), so re-sampling per scheme would multiply that
-/// layer by the S schemes of a sweep for bit-identical data. The cache
-/// samples each page once and hands out `Arc` clones to every subsequent
-/// run.
+/// *identical* timeline by construction. A page-major pass
+/// ([`run_memory_pass`](crate::montecarlo::run_memory_pass)) gets that
+/// sharing without a cache: it samples each page once, judges every scheme
+/// on it, and drops it. Drivers that run one scheme at a time over the
+/// same chip — the chunked checkpoint and shard campaigns — would instead
+/// re-sample every page per scheme; the cache samples each page once and
+/// hands out `Arc` clones to every subsequent run, at the price of holding
+/// the whole chip in memory.
 ///
 /// # Determinism
 ///

@@ -114,8 +114,6 @@ pub struct StatusRecord {
     /// `avx2` or `scalar` — shows which backend each shard of a
     /// mixed-machine campaign is running.
     pub simd_backend: Option<String>,
-    /// Effective `SIM_EVAL_LANES` batch width.
-    pub eval_lanes: Option<u64>,
     /// The run's `--target-rse` early-stop target, when set.
     pub target_rse: Option<f64>,
     /// Latest per-unit estimates (empty until the first unit barrier).
@@ -171,7 +169,7 @@ impl StatusRecord {
             "{{\n  \"run_id\": {},\n  \"state\": {},\n  \"phase\": {},\n  \
              \"pages_done\": {},\n  \"pages_total\": {},\n  \"elapsed_ms\": {},\n  \
              \"eta_ms\": {},\n  \"busy\": {},\n  \"shard_id\": {},\n  \"shards\": {},\n  \
-             \"simd_backend\": {},\n  \"eval_lanes\": {},\n  \"target_rse\": {},\n  \
+             \"simd_backend\": {},\n  \"target_rse\": {},\n  \
              \"estimates\": [{}],\n  \
              \"heartbeats\": {},\n  \"updated_unix_ms\": {}\n}}\n",
             escape(&self.run_id),
@@ -185,7 +183,6 @@ impl StatusRecord {
             opt_u64(self.shard_id),
             opt_u64(self.shards),
             backend,
-            opt_u64(self.eval_lanes),
             self.target_rse.map_or_else(|| "null".to_owned(), json_f64),
             estimates.join(", "),
             self.heartbeats,
@@ -272,7 +269,6 @@ impl StatusRecord {
             shard_id: opt_u64("shard_id")?,
             shards: opt_u64("shards")?,
             simd_backend: value.str_field("simd_backend").map(str::to_owned),
-            eval_lanes: opt_u64("eval_lanes")?,
             target_rse,
             estimates,
             heartbeats: value.u64_field("heartbeats").unwrap_or(0),
@@ -288,10 +284,12 @@ struct StatusState {
     base_pages: u64,
     /// Unit-local pages reported by the current phase (monotone max).
     phase_done: u64,
+    /// Units of the current phase not yet completed.
+    open_units: u64,
     pages_total: u64,
     busy: Option<f64>,
     shard: Option<(u64, u64)>,
-    backend: Option<(String, u64)>,
+    backend: Option<String>,
     target_rse: Option<f64>,
     estimates: Vec<EstimateStatus>,
     heartbeats: u64,
@@ -348,6 +346,7 @@ impl StatusWriter {
                 phase: String::new(),
                 base_pages: 0,
                 phase_done: 0,
+                open_units: 0,
                 pages_total: 0,
                 busy: None,
                 shard: None,
@@ -395,13 +394,22 @@ impl StatusWriter {
         }
     }
 
-    /// Records the SIMD dispatch backend and effective eval-lanes width
-    /// the run resolved at startup, so a mixed-machine campaign's monitor
-    /// shows which backend each shard runs.
-    pub fn set_backend(&self, backend: &str, lanes: u64) {
+    /// Records the SIMD dispatch backend the run resolved at startup, so
+    /// a mixed-machine campaign's monitor shows which backend each shard
+    /// runs.
+    pub fn set_simd_backend(&self, backend: &str) {
         if let Some(core) = &self.0 {
-            core.state.lock().expect("status poisoned").backend = Some((backend.to_owned(), lanes));
+            core.state.lock().expect("status poisoned").backend = Some(backend.to_owned());
         }
+    }
+
+    /// [`set_simd_backend`](Self::set_simd_backend), ignoring `lanes`:
+    /// the engine has no lane width, so the heartbeat no longer records
+    /// one. Kept for the benchmark harness (`perfbench/`), which still
+    /// passes it.
+    pub fn set_backend(&self, backend: &str, lanes: u64) {
+        let _ = lanes;
+        self.set_simd_backend(backend);
     }
 
     /// Records the run's `--target-rse` early-stop target (also the bar
@@ -441,14 +449,16 @@ impl StatusWriter {
         }
     }
 
-    /// Enters a new engine phase (a `(block_bits, scheme)` unit). Resets
-    /// the phase-local progress, returns the state to `running`, and
-    /// rewrites the file immediately.
-    pub fn begin_phase(&self, name: &str) {
+    /// Enters a new engine phase covering `units` Monte Carlo units — one
+    /// `(block_bits, scheme)` unit, or several judged together by a
+    /// page-major pass, which reports each page once per unit. Returns the
+    /// state to `running` and rewrites the file immediately.
+    pub fn begin_phase(&self, name: &str, units: u64) {
         let Some(core) = &self.0 else { return };
         {
             let mut state = core.state.lock().expect("status poisoned");
             state.phase = name.to_owned();
+            state.open_units = units;
             state.state = RunState::Running;
         }
         let _ = self.write_now();
@@ -472,14 +482,23 @@ impl StatusWriter {
         }
     }
 
-    /// Folds a completed unit's pages into the base count and clears the
-    /// phase-local progress. Call at unit barriers.
+    /// Folds a completed unit's pages into the base count. Call at unit
+    /// barriers. The phase's last open unit clears the phase-local
+    /// progress; an earlier unit of a several-unit phase takes only its
+    /// own pages out of it, so the total never steps back while the
+    /// phase's other units close.
     pub fn complete_unit(&self, pages: u64) {
         let Some(core) = &self.0 else { return };
         {
             let mut state = core.state.lock().expect("status poisoned");
             state.base_pages += pages;
-            state.phase_done = 0;
+            if state.open_units > 1 {
+                state.open_units -= 1;
+                state.phase_done = state.phase_done.saturating_sub(pages);
+            } else {
+                state.open_units = 0;
+                state.phase_done = 0;
+            }
         }
         let _ = self.write_now();
     }
@@ -527,8 +546,7 @@ impl StatusWriter {
             busy: state.busy,
             shard_id: state.shard.map(|(id, _)| id),
             shards: state.shard.map(|(_, of)| of),
-            simd_backend: state.backend.as_ref().map(|(name, _)| name.clone()),
-            eval_lanes: state.backend.as_ref().map(|&(_, lanes)| lanes),
+            simd_backend: state.backend.clone(),
             target_rse: state.target_rse,
             estimates: state.estimates.clone(),
             heartbeats: state.heartbeats,
@@ -575,7 +593,6 @@ mod tests {
             shard_id: Some(0),
             shards: Some(2),
             simd_backend: Some("avx2".to_owned()),
-            eval_lanes: Some(8),
             target_rse: Some(0.05),
             estimates: vec![
                 EstimateStatus {
@@ -618,7 +635,6 @@ mod tests {
             shard_id: None,
             shards: None,
             simd_backend: None,
-            eval_lanes: None,
             target_rse: None,
             estimates: Vec::new(),
             heartbeats: 1,
@@ -634,9 +650,17 @@ mod tests {
                       \"pages_done\": 0, \"pages_total\": 0}";
         let parsed = StatusRecord::parse(legacy).unwrap();
         assert_eq!(parsed.simd_backend, None);
-        assert_eq!(parsed.eval_lanes, None);
         assert_eq!(parsed.target_rse, None);
         assert!(parsed.estimates.is_empty());
+
+        // Files from before the engine lost its lane width still carry
+        // `eval_lanes`; the parser accepts and drops it, and no record
+        // writes it again.
+        let laned = "{\"run_id\": \"x\", \"state\": \"done\", \"pages_done\": 4, \
+                     \"pages_total\": 4, \"simd_backend\": \"avx2\", \"eval_lanes\": 8}";
+        let parsed = StatusRecord::parse(laned).unwrap();
+        assert_eq!(parsed.simd_backend.as_deref(), Some("avx2"));
+        assert!(!parsed.to_json().contains("eval_lanes"));
     }
 
     #[test]
@@ -661,7 +685,7 @@ mod tests {
 
         status.set_total_pages(8);
         status.set_shard(1, 2);
-        status.begin_phase("mc.ECP6");
+        status.begin_phase("mc.ECP6", 1);
         status.phase_progress(2);
         status.phase_progress(1); // stale racy report folds with max
         let read = StatusRecord::parse(&fs::read_to_string(&path).unwrap()).unwrap();
@@ -673,7 +697,7 @@ mod tests {
         assert!(read.eta_ms.is_some());
 
         status.phase_progress(4);
-        status.set_backend("avx2", 8);
+        status.set_simd_backend("avx2");
         status.set_target_rse(0.05);
         status.set_estimates(&[crate::estimate::UnitEstimate {
             unit: "ECP6#512".to_owned(),
@@ -688,7 +712,6 @@ mod tests {
         assert_eq!(read.pages_done, 4, "complete_unit folds into base");
         assert_eq!(read.busy, Some(0.75));
         assert_eq!(read.simd_backend.as_deref(), Some("avx2"));
-        assert_eq!(read.eval_lanes, Some(8));
         assert_eq!(read.target_rse, Some(0.05));
         assert_eq!(read.estimates.len(), 1);
         assert_eq!(read.estimates[0].name, "ECP6#512.lifetime");
@@ -699,12 +722,30 @@ mod tests {
     }
 
     #[test]
+    fn a_phase_covering_several_units_never_steps_back() {
+        let dir = temp_dir("multi-unit");
+        let _ = fs::remove_dir_all(&dir);
+        let status = StatusWriter::with_interval("multi", &dir, Duration::ZERO).unwrap();
+        status.set_total_pages(10);
+        status.begin_phase("mc.ECP6 +1", 2);
+        // Two units over five pages, each page reported once per unit.
+        status.phase_progress(10);
+        let done = || status.record().unwrap().pages_done;
+        assert_eq!(done(), 10);
+        status.complete_unit(5);
+        assert_eq!(done(), 10, "the second unit's pages stay counted");
+        status.complete_unit(5);
+        assert_eq!(done(), 10);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn disabled_writer_touches_nothing() {
         let status = StatusWriter::disabled();
         assert!(!status.is_enabled());
         assert_eq!(status.path(), None);
         status.set_total_pages(8);
-        status.begin_phase("mc.X");
+        status.begin_phase("mc.X", 1);
         status.phase_progress(3);
         status.complete_unit(3);
         status.mark(RunState::Done);

@@ -412,6 +412,31 @@ impl WorkerTracer {
         }
     }
 
+    /// Nanoseconds since the tracer's epoch on the clock spans use (`0`
+    /// when disabled): the `start_ns` of [`WorkerTracer::record`].
+    #[must_use]
+    pub fn now_ns(&self) -> u64 {
+        self.core.as_ref().map_or(0, |core| core.elapsed_ns())
+    }
+
+    /// Records a closed span the caller timed itself: `dur_ns` long,
+    /// starting `start_ns` after the tracer's epoch, nested under the
+    /// innermost open span. For work that runs in interleaved stretches —
+    /// one scheme's share of a page whose blocks alternate between schemes
+    /// — where a `begin`/`end` pair per stretch would flood the ring.
+    pub fn record(&mut self, name: &str, start_ns: u64, dur_ns: u64) {
+        let Some(core) = &self.core else { return };
+        let id = core.next_id.fetch_add(1, Ordering::Relaxed);
+        self.ring.push(TraceRecord {
+            id,
+            parent: self.stack.last().copied().or(self.parent),
+            name: name.to_owned(),
+            worker: self.worker,
+            start_ns,
+            dur_ns,
+        });
+    }
+
     /// Closes a span opened with [`WorkerTracer::begin`].
     pub fn end(&mut self, handle: WorkerSpanHandle) {
         let Some(core) = &self.core else { return };

@@ -143,19 +143,42 @@ rm -rf "$fig8_out"
 # the shared block-trial pass the same way: every trial's block is
 # sampled once and judged by every scheme, so any drift in the sampled
 # lifetimes, their order, the per-event draws or the per-scheme verdicts
-# changes these CSVs.
+# changes these CSVs. fig5/fig8/fig9 --full pin the page-major chip pass
+# at paper scale: each page sampled once, every scheme judged on it with
+# one shared split tape.
 codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
 rm -rf "$codec_out"
-echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10}.csv match a default-seed run"
-for cmd in writecost biasstudy cachestudy "failcdf --full" "fig10 --full"; do
+echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10,fig5-7,fig8,fig9}.csv match a default-seed run"
+for cmd in writecost biasstudy cachestudy "failcdf --full" "fig10 --full" \
+           "fig5 --full" "fig8 --full" "fig9 --full"; do
     name="${cmd%% *}"
+    case "$name" in
+        fig5) csvs="fig5 fig6 fig7" ;;
+        fig9) csvs="fig9 fig9_half_lifetime" ;;
+        *) csvs="$name" ;;
+    esac
     # shellcheck disable=SC2086 # $cmd carries the command's flags
     cargo run --release --offline -p aegis-experiments -- \
         $cmd --quiet --out "$codec_out" >/dev/null
-    cmp "results/$name.csv" "$codec_out/$name.csv" \
-        || { echo "results/$name.csv is stale: rerun experiments $cmd --out results" >&2; exit 1; }
+    for csv in $csvs; do
+        cmp "results/$csv.csv" "$codec_out/$csv.csv" \
+            || { echo "results/$csv.csv is stale: rerun experiments $cmd --out results" >&2; exit 1; }
+    done
 done
 rm -rf "$codec_out"
+
+# Memory ceiling: a straight paper-scale fig5 run keeps one sampled page
+# per worker alive, not the whole chip, so its peak RSS stays far below
+# the 2048-page chip's ~0.8 GB of timelines.
+echo "==> fig5 --full peak RSS under 100 MB"
+rss_out="${TMPDIR:-/tmp}/aegis-verify-rss"
+rm -rf "$rss_out"
+fig5_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
+    fig5 --full --quiet --out "$rss_out")
+echo "fig5 --full peak RSS: $fig5_rss MB"
+awk -v mb="$fig5_rss" 'BEGIN { exit !(mb < 100) }' \
+    || { echo "fig5 --full peaked at $fig5_rss MB (ceiling 100 MB)" >&2; exit 1; }
+rm -rf "$rss_out"
 
 # Observability smoke: runs recorded with --series --status must leave a
 # series sidecar and a status heartbeat; `monitor --once --json` must
@@ -290,9 +313,7 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test dominance
 
 # Batched-kernel suite at CI depth: 10^4 random cases per property,
 # lane-major batched kernels vs single-block kernels vs the pair
-# policies, and the batched engine path vs the sequential one across all
-# policy families, lane widths and criteria (see
-# tests/batched_kernels.rs).
+# policies (see tests/batched_kernels.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernels
 
 # Timeline-sampler suite at CI depth: 10^4 random sampler configurations,

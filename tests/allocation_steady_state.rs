@@ -1,13 +1,14 @@
-//! Steady-state allocation gate (PR 9): once a worker's arenas are warm,
+//! Steady-state allocation gate: once a worker's arenas are warm,
 //! evaluating further pages must not touch the allocator at all — every
-//! per-block temporary lives in [`PolicyScratch`] / [`BatchScratch`] and
-//! is reused block after block.
+//! per-block temporary, the shared W/R split tape included, lives in
+//! [`PolicyScratch`] / [`PageArena`] and is reused block after block.
 //!
 //! The test wraps the global allocator in a counting shim, replays the
 //! *same* pages once to warm every arena (first-touch growth is expected
 //! and amortized), then replays them again and asserts the allocation
 //! count did not move — for every policy family the Monte Carlo engine
-//! ships, on both the sequential and the batched evaluation paths.
+//! ships, on the single-policy path and on the page-major pass that
+//! judges all of them on one page and one split tape.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can bleed
 //! allocations into the measured window.
@@ -17,9 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aegis_experiments::schemes;
 use aegis_pcm::pcm::montecarlo::{
-    evaluate_page_batched_with_scratch, evaluate_page_with_scratch, BatchScratch, FailureCriterion,
+    evaluate_page_pass, evaluate_page_with_scratch, FailureCriterion, PageArena,
 };
-use aegis_pcm::pcm::policy::PolicyScratch;
+use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
 use aegis_pcm::pcm::timeline::{PageTimeline, TimelineSampler};
 use sim_rng::{SeedableRng, SmallRng};
 
@@ -75,10 +76,31 @@ fn steady_state_evaluation_is_allocation_free() {
     ];
     let criteria = [
         FailureCriterion::PerEventSplit { samples: 1 },
+        FailureCriterion::PerEventSplit { samples: 3 },
         FailureCriterion::GuaranteedAllData,
     ];
+    let pass: Vec<&dyn RecoveryPolicy> = families.iter().map(|(p, _)| p.as_ref()).collect();
     for partial in [false, true] {
         let pages = sample_pages(BITS, partial);
+        for criterion in criteria {
+            // Page-major pass: every family on each page, one shared tape.
+            let mut arena = PageArena::new();
+            for page in &pages {
+                evaluate_page_pass(&pass, page, criterion, &[], &mut arena);
+            }
+            let warm = ALLOCATIONS.load(Ordering::Relaxed);
+            for page in &pages {
+                evaluate_page_pass(&pass, page, criterion, &[], &mut arena);
+            }
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(
+                after - warm,
+                0,
+                "page-major pass (partial={partial}, {criterion:?}): steady state \
+                 allocated {} times",
+                after - warm
+            );
+        }
         for (policy, name) in &families {
             for criterion in criteria {
                 // Sequential path.
@@ -107,37 +129,6 @@ fn steady_state_evaluation_is_allocation_free() {
                     after - warm,
                     0,
                     "{name} (partial={partial}, {criterion:?}): sequential steady state \
-                     allocated {} times",
-                    after - warm
-                );
-
-                // Batched path, at a lane width that forces partial
-                // batches and mid-batch compaction.
-                let mut batch = BatchScratch::new(5);
-                for page in &pages {
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut batch,
-                    );
-                }
-                let warm = ALLOCATIONS.load(Ordering::Relaxed);
-                for page in &pages {
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut batch,
-                    );
-                }
-                let after = ALLOCATIONS.load(Ordering::Relaxed);
-                assert_eq!(
-                    after - warm,
-                    0,
-                    "{name} (partial={partial}, {criterion:?}): batched steady state \
                      allocated {} times",
                     after - warm
                 );

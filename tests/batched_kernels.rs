@@ -1,6 +1,6 @@
-//! Differential property suite for the PR 9 cross-block batched kernels
-//! and the batched Monte Carlo engine path: on random geometries, lane
-//! counts, lane occupancies and fault populations,
+//! Differential property suite for the cross-block batched kernels:
+//! on random geometries, lane counts, lane occupancies and fault
+//! populations,
 //!
 //! 1. [`predicate_batch`] must agree lane for lane with
 //!    [`predicate_single`] *and* with the `O(f²)` pair policies
@@ -9,21 +9,16 @@
 //!    same recoverability question;
 //! 2. [`encode_batch`] must produce, lane for lane, the codeword of
 //!    [`encode_single`] and of a naive scalar reference that XORs the
-//!    selected [`ShiftRom`] group masks one at a time;
-//! 3. `evaluate_page_batched_with_scratch` must reproduce the sequential
-//!    `evaluate_page_with_scratch` outcome bit for bit across all six
-//!    policy families, both failure criteria, Full/Partial stuckness
-//!    mixes, and random lane widths (driving partial final batches and
-//!    mid-batch divergence/compaction).
+//!    selected [`ShiftRom`] group masks one at a time.
 //!
-//! Failures shrink toward fewer lanes, fewer faults and fewer blocks via
-//! the in-tree `sim_rng::prop` harness; CI runs the suite with
-//! `SIM_PROP_CASES=10000` (see `scripts/verify.sh`). Byte-identity of
-//! *telemetry* across lane widths rides on top as a fixed-workload test,
-//! and the cross-process twins (`SIM_EVAL_LANES`, `SIM_FORCE_SCALAR`
-//! through the experiments CLI) live in `crates/experiments/tests/`.
+//! Failures shrink toward fewer lanes and fewer faults via the in-tree
+//! `sim_rng::prop` harness; CI runs the suite with
+//! `SIM_PROP_CASES=10000` (see `scripts/verify.sh`). The Monte Carlo
+//! engine has no batched path: its page-major pass is pinned against a
+//! per-policy reference in `tests/page_major.rs`, and the cross-process
+//! twin (`SIM_FORCE_SCALAR` through the experiments CLI) lives in
+//! `crates/experiments/tests/`.
 
-use aegis_experiments::schemes;
 use aegis_pcm::aegis::batch::{
     encode_batch, encode_single, fault_masks, predicate_batch, predicate_single, FaultBatch,
     PairRule,
@@ -31,14 +26,8 @@ use aegis_pcm::aegis::batch::{
 use aegis_pcm::aegis::rom::ShiftRom;
 use aegis_pcm::aegis::{AegisPolicy, AegisRwPolicy, Rectangle};
 use aegis_pcm::bitblock::{BatchBitBlock, BitBlock};
-use aegis_pcm::pcm::montecarlo::{
-    evaluate_page_batched_with_scratch, evaluate_page_with_scratch, BatchScratch, FailureCriterion,
-    McTelemetry,
-};
-use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
-use aegis_pcm::pcm::timeline::TimelineSampler;
+use aegis_pcm::pcm::policy::RecoveryPolicy;
 use aegis_pcm::pcm::Fault;
-use aegis_pcm::telemetry::{strip_volatile, RunTelemetry, SharedBuf};
 use sim_rng::prop::{shrink, Runner};
 use sim_rng::{prop_assert_eq, Rng, SeedableRng, SmallRng};
 
@@ -260,230 +249,4 @@ fn batched_encode_matches_single_and_a_naive_rom_reference() {
             }
             Ok(())
         });
-}
-
-/// The six policy families the Monte Carlo engine ships, built at a
-/// property-sized block width.
-fn policy_family(index: usize, block_bits: usize) -> (schemes::Policy, &'static str) {
-    // 512-bit formations shrink to (a, b) pairs valid at 128 bits.
-    match index {
-        0 => (schemes::aegis(4, 37, block_bits), "aegis"),
-        1 => (schemes::aegis_rw(4, 37, block_bits), "aegis-rw"),
-        2 => (schemes::aegis_rw_p(4, 37, block_bits, 2), "aegis-rw-p"),
-        3 => (schemes::ecp(4, block_bits), "ecp"),
-        4 => (schemes::safer(5, block_bits, false), "safer"),
-        _ => (schemes::rdis3(block_bits), "rdis"),
-    }
-}
-
-/// One engine trial: a policy family, a page shape, a stuckness mix, a
-/// criterion, a lane width and a timeline seed.
-#[derive(Debug, Clone)]
-struct EngineCase {
-    family: usize,
-    blocks: usize,
-    lanes: usize,
-    partial: bool,
-    guarantee: bool,
-    seed: u64,
-}
-
-fn gen_engine_case(rng: &mut SmallRng) -> EngineCase {
-    EngineCase {
-        family: rng.random_range(0..6usize),
-        // 1..=9 blocks over 1..=9 lanes covers full batches, partial
-        // final batches, and the lone-survivor tail.
-        blocks: rng.random_range(1..=9usize),
-        lanes: rng.random_range(1..=9usize),
-        partial: rng.random_bool(0.4),
-        guarantee: rng.random_bool(0.3),
-        seed: rng.random(),
-    }
-}
-
-fn shrink_engine_case(case: &EngineCase) -> Vec<EngineCase> {
-    let mut out = Vec::new();
-    for blocks in shrink::usize_toward(case.blocks, 1) {
-        out.push(EngineCase {
-            blocks,
-            ..case.clone()
-        });
-    }
-    for lanes in shrink::usize_toward(case.lanes, 1) {
-        out.push(EngineCase {
-            lanes,
-            ..case.clone()
-        });
-    }
-    out
-}
-
-#[test]
-fn batched_engine_matches_sequential_across_policies_and_lane_widths() {
-    Runner::new("batched_engine_matches_sequential_across_policies_and_lane_widths")
-        .cases(200)
-        .run(gen_engine_case, shrink_engine_case, |case| {
-            const BITS: usize = 128;
-            let (policy, name) = policy_family(case.family, BITS);
-            let mut sampler = TimelineSampler::paper_default(BITS);
-            if case.partial {
-                sampler = sampler.with_partial_mix(0.3, 128);
-            }
-            let mut rng = SmallRng::seed_from_u64(case.seed);
-            let page = sampler.sample_page(&mut rng, case.blocks);
-            let criterion = if case.guarantee {
-                FailureCriterion::GuaranteedAllData
-            } else {
-                FailureCriterion::PerEventSplit { samples: 1 }
-            };
-
-            let sequential = evaluate_page_with_scratch(
-                policy.as_ref(),
-                &page,
-                criterion,
-                None,
-                &mut PolicyScratch::new(),
-            );
-            let mut batch = BatchScratch::new(case.lanes);
-            let batched = evaluate_page_batched_with_scratch(
-                policy.as_ref(),
-                &page,
-                criterion,
-                None,
-                &mut batch,
-            );
-
-            prop_assert_eq!(
-                batched.death_time.to_bits(),
-                sequential.death_time.to_bits(),
-                "{}: death time diverged at {} lanes",
-                name,
-                case.lanes
-            );
-            prop_assert_eq!(batched.faults_recovered, sequential.faults_recovered);
-            prop_assert_eq!(batched.capped, sequential.capped);
-            Ok(())
-        });
-}
-
-/// Telemetry is part of the determinism contract: the batched engine
-/// path must feed the registry the *byte-identical* stream the
-/// sequential path feeds, for every lane width and every policy family.
-#[test]
-fn batched_engine_telemetry_is_byte_identical_across_lane_widths() {
-    const BITS: usize = 128;
-    let stream = |family: usize, lanes: Option<usize>| -> String {
-        let buf = SharedBuf::new();
-        let run = RunTelemetry::with_buffer("batch-prop", buf.clone()).expect("buffer sink");
-        let (policy, name) = policy_family(family, BITS);
-        let telemetry = McTelemetry::for_scheme(run.registry(), name);
-        let sampler = TimelineSampler::paper_default(BITS).with_partial_mix(0.25, 128);
-        for seed in 0..6u64 {
-            let mut rng = SmallRng::seed_from_u64(seed * 977 + family as u64);
-            let page = sampler.sample_page(&mut rng, 7);
-            let criterion = FailureCriterion::PerEventSplit { samples: 1 };
-            match lanes {
-                Some(lanes) => {
-                    let mut batch = BatchScratch::new(lanes);
-                    evaluate_page_batched_with_scratch(
-                        policy.as_ref(),
-                        &page,
-                        criterion,
-                        Some(&telemetry),
-                        &mut batch,
-                    );
-                }
-                None => {
-                    evaluate_page_with_scratch(
-                        policy.as_ref(),
-                        &page,
-                        criterion,
-                        Some(&telemetry),
-                        &mut PolicyScratch::new(),
-                    );
-                }
-            }
-        }
-        run.finish().expect("finish");
-        strip_volatile(&buf.text())
-    };
-    for family in 0..6usize {
-        let sequential = stream(family, None);
-        assert!(
-            sequential.contains("fault_events"),
-            "sequential stream must carry engine counters"
-        );
-        for lanes in [1usize, 2, 3, 5, 8, 16] {
-            assert_eq!(
-                stream(family, Some(lanes)),
-                sequential,
-                "family {family} at {lanes} lanes must replay the sequential stream"
-            );
-        }
-    }
-}
-
-/// Mid-batch divergence pinned explicitly: a batch where one lane dies
-/// on its first event, one outlives a truncated timeline, and the rest
-/// keep marching must still agree with the sequential path.
-#[test]
-fn forced_divergence_and_empty_lanes_agree_with_sequential() {
-    const BITS: usize = 64;
-    let (policy, _) = policy_family(0, BITS);
-    let sampler = TimelineSampler::paper_default(BITS);
-    let mut rng = SmallRng::seed_from_u64(41);
-    let mut page = sampler.sample_page(&mut rng, 6);
-    // Lane 1: no events at all (outlives immediately).
-    page.blocks[1].events.clear();
-    // Lane 3: truncated after its first event.
-    page.blocks[3].events.truncate(1);
-    for criterion in [
-        FailureCriterion::PerEventSplit { samples: 1 },
-        FailureCriterion::GuaranteedAllData,
-    ] {
-        let sequential = evaluate_page_with_scratch(
-            policy.as_ref(),
-            &page,
-            criterion,
-            None,
-            &mut PolicyScratch::new(),
-        );
-        for lanes in [1usize, 2, 4, 6, 8] {
-            let mut batch = BatchScratch::new(lanes);
-            let batched = evaluate_page_batched_with_scratch(
-                policy.as_ref(),
-                &page,
-                criterion,
-                None,
-                &mut batch,
-            );
-            assert_eq!(
-                batched.death_time.to_bits(),
-                sequential.death_time.to_bits(),
-                "lanes={lanes}"
-            );
-            assert_eq!(batched.faults_recovered, sequential.faults_recovered);
-            assert_eq!(batched.capped, sequential.capped);
-        }
-    }
-    // Scratch reuse across pages must not leak state between batches.
-    let mut batch = BatchScratch::new(4);
-    let mut rng = SmallRng::seed_from_u64(42);
-    for _ in 0..3 {
-        let page = sampler.sample_page(&mut rng, 5);
-        let criterion = FailureCriterion::PerEventSplit { samples: 1 };
-        let sequential = evaluate_page_with_scratch(
-            policy.as_ref(),
-            &page,
-            criterion,
-            None,
-            &mut PolicyScratch::new(),
-        );
-        let batched =
-            evaluate_page_batched_with_scratch(policy.as_ref(), &page, criterion, None, &mut batch);
-        assert_eq!(
-            batched.death_time.to_bits(),
-            sequential.death_time.to_bits()
-        );
-    }
 }
