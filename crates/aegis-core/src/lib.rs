@@ -28,7 +28,13 @@
 //!   ([`pcm_sim::PcmBlock`]);
 //! - [`AegisPolicy`], [`AegisRwPolicy`], [`AegisRwPPolicy`]: `O(f²)` Monte
 //!   Carlo predicates, property-tested equivalent to the codecs;
-//! - [`cost`]: the closed-form per-block metadata costs of Table 1.
+//! - [`cost`]: the closed-form per-block metadata costs of Table 1;
+//! - [`analysis`]: a closed-form soft-FTC model for sizing a formation;
+//! - [`primes`]: primality helpers for choosing `B`.
+//!
+//! Every predicate answers for one block at a time; the Monte Carlo
+//! engine consults it at each fault arrival through the incremental pair
+//! cache ([`pcm_sim::policy::PairCache`]).
 //!
 //! # Examples
 //!
@@ -63,7 +69,6 @@ mod geometry;
 mod predicate;
 
 pub mod analysis;
-pub mod batch;
 pub mod cost;
 pub mod primes;
 pub mod rom;

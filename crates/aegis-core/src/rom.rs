@@ -234,21 +234,6 @@ impl ShiftRom {
         &self.words[start..start + self.words_per_mask]
     }
 
-    /// All group masks of one slope as one contiguous word slice
-    /// (`groups() * words_per_mask()` words, group-major) — the unit the
-    /// batched slope kernels ([`bitblock::simd`]) stream in a single pass.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `slope` is out of range (release builds
-    /// rely on the slice indexing below, as [`ShiftRom::mask_words`] does).
-    #[must_use]
-    pub fn slope_rows(&self, slope: usize) -> &[u64] {
-        debug_assert!(slope < self.slopes, "ShiftRom slope out of range");
-        let per_slope = self.groups * self.words_per_mask;
-        &self.words[slope * per_slope..(slope + 1) * per_slope]
-    }
-
     /// Fills `out` with the union of every group mask selected by
     /// `inversion_vector`, reusing `out`'s allocation — the allocation-free
     /// twin of [`InversionRom::inversion_mask`].

@@ -32,23 +32,14 @@
 //!    overhead *fraction* instead of racing two like-sized legs keeps
 //!    the verdict stable on noisy shared runners: the expected margin
 //!    is ~100×, which scheduler drift cannot flip.
-//! 5. **Batched-kernel speedup (PR 9, `BENCH_pr9.json`).** The
-//!    `batch_kernels_512_9x61` (fused predicate + encode steady-state
-//!    step) and `predicate_batch_512_9x61` groups must show the
-//!    `batched` leg at least 4× faster (median) than the `single` leg
-//!    doing the same 16 blocks one at a time — the PR 9 acceptance bar.
-//!    The bandwidth-bound `encode_batch_512_9x61` group must hold ≥1.5×
-//!    (its contribution to the fused gate is already covered by the
-//!    combined group). The document also carries the end-to-end fig5
-//!    `--full` wall-clock record for this PR, checked like the others.
-//! 6. **Estimate-snapshot overhead (PR 10, `BENCH_pr10.json`).** The
+//! 5. **Estimate-snapshot overhead (PR 10, `BENCH_pr10.json`).** The
 //!    `estimate_overhead_512_9x61` group must show the
 //!    `per_unit_overhead` leg — everything the streaming uncertainty
 //!    layer adds at a unit barrier: the per-page moment folds, the
 //!    series estimate lines and the status `mean ± CI` upserts — at
 //!    least 50× (the reciprocal of the 2% bound) faster than the
 //!    `unit` leg it rides on, sample minima, mirroring the PR 7 gate.
-//! 7. **No wall-clock regression.** For each document, a recorded fig5
+//! 6. **No wall-clock regression.** For each document, a recorded fig5
 //!    `--full` post-change wall clock must beat the pre-change
 //!    measurement (the PR 5 document records its pre-change field as the
 //!    PR 4 wall clock plus the tolerated 2%, and the PR 7 document as a
@@ -108,14 +99,6 @@ const SERIES_OVERHEAD_FRACTION: f64 = 0.02;
 /// lines and status `mean ± CI` upserts at a unit barrier — may add
 /// (the PR 10 "uncertainty quantification is free" bar).
 const ESTIMATE_OVERHEAD_FRACTION: f64 = 0.02;
-/// Minimum batched-over-single median speedup for the PR 9 fused
-/// steady-state step and predicate groups (the PR 9 acceptance bar).
-const REQUIRED_BATCH_SPEEDUP: f64 = 4.0;
-/// Minimum batched-over-single median speedup for the PR 9 encode group.
-/// Encode is bandwidth-bound — the batch layout saves ROM re-streaming
-/// but cannot manufacture a 4× on a kernel that already runs near the
-/// store limit; the fused gate above is the acceptance bar.
-const REQUIRED_BATCH_ENCODE_SPEEDUP: f64 = 1.5;
 /// Maximum tolerated median regression versus the recorded baseline.
 const REGRESSION_TOLERANCE: f64 = 1.2;
 /// Absolute slack added on top of the relative regression bound. A pure
@@ -339,22 +322,6 @@ fn pr10_checks() -> Vec<RatioCheck> {
     }]
 }
 
-/// The PR 9 batched-vs-single kernel requirements.
-fn pr9_checks() -> Vec<RatioCheck> {
-    let pair = |group, required| RatioCheck {
-        group,
-        fast: "batched",
-        slow: "single",
-        required,
-        stat: Stat::Median,
-    };
-    vec![
-        pair("batch_kernels_512_9x61", REQUIRED_BATCH_SPEEDUP),
-        pair("predicate_batch_512_9x61", REQUIRED_BATCH_SPEEDUP),
-        pair("encode_batch_512_9x61", REQUIRED_BATCH_ENCODE_SPEEDUP),
-    ]
-}
-
 /// Median-vs-baseline regression checks, normalized for machine drift.
 ///
 /// The committed baselines carry absolute times from the recording
@@ -559,20 +526,6 @@ fn main() -> ExitCode {
             &pr7_path,
             &baseline_path.with_file_name("BENCH_pr7.baseline.json"),
             &pr7_checks(),
-            strict,
-        )),
-        Err(e) => failures.push(e),
-    }
-
-    // The PR 9 batched-kernel record: the lane-major SoA kernels must
-    // hold their speedup over the single-block kernels they batch.
-    let pr9_path = current_path.with_file_name("BENCH_pr9.json");
-    match load(&pr9_path) {
-        Ok(pr9_doc) => failures.extend(gate_document(
-            &pr9_doc,
-            &pr9_path,
-            &baseline_path.with_file_name("BENCH_pr9.baseline.json"),
-            &pr9_checks(),
             strict,
         )),
         Err(e) => failures.push(e),

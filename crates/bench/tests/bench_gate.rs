@@ -78,22 +78,6 @@ fn pr7_doc() -> String {
     )
 }
 
-fn pr9_doc() -> String {
-    // Fused step and predicate at the 4x bar with margin; encode at its
-    // bandwidth-bound 1.5x bar.
-    passing_doc(
-        "BENCH_pr9",
-        &[
-            ("batch_kernels_512_9x61", "batched", 100.0),
-            ("batch_kernels_512_9x61", "single", 500.0),
-            ("predicate_batch_512_9x61", "batched", 100.0),
-            ("predicate_batch_512_9x61", "single", 500.0),
-            ("encode_batch_512_9x61", "batched", 100.0),
-            ("encode_batch_512_9x61", "single", 200.0),
-        ],
-    )
-}
-
 fn pr10_doc() -> String {
     // The per-barrier estimate work must be at least 50x quicker than
     // the unit it rides on (the 2% fraction bound).
@@ -117,7 +101,6 @@ fn committed_layout(tag: &str) -> PathBuf {
         ("BENCH_pr4", pr4_doc()),
         ("BENCH_pr5", pr5_doc()),
         ("BENCH_pr7", pr7_doc()),
-        ("BENCH_pr9", pr9_doc()),
         ("BENCH_pr10", pr10_doc()),
     ] {
         std::fs::write(dir.join(format!("{name}.json")), &doc).expect("write record");
@@ -186,33 +169,6 @@ fn missing_baseline_fails_with_directory_argument() {
     assert!(
         stderr_of(&output).contains("BENCH_pr5.baseline.json"),
         "stderr must name the missing baseline: {}",
-        stderr_of(&output)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn pr9_batch_ratio_below_four_x_fails() {
-    let dir = committed_layout("pr9-ratio");
-    // 3.9x on the fused steady-state step: below the 4x acceptance bar.
-    let doc = passing_doc(
-        "BENCH_pr9",
-        &[
-            ("batch_kernels_512_9x61", "batched", 100.0),
-            ("batch_kernels_512_9x61", "single", 390.0),
-            ("predicate_batch_512_9x61", "batched", 100.0),
-            ("predicate_batch_512_9x61", "single", 500.0),
-            ("encode_batch_512_9x61", "batched", 100.0),
-            ("encode_batch_512_9x61", "single", 200.0),
-        ],
-    );
-    std::fs::write(dir.join("BENCH_pr9.json"), &doc).expect("write record");
-    std::fs::write(dir.join("BENCH_pr9.baseline.json"), &doc).expect("write baseline");
-    let output = gate(&[&dir.join("BENCH_pr3.json")]);
-    assert_eq!(output.status.code(), Some(1), "{}", stderr_of(&output));
-    assert!(
-        stderr_of(&output).contains("batch_kernels_512_9x61"),
-        "stderr must name the failing group: {}",
         stderr_of(&output)
     );
     let _ = std::fs::remove_dir_all(&dir);

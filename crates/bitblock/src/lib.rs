@@ -25,19 +25,13 @@
 //! assert_eq!(data.ones().collect::<Vec<_>>(), vec![8, 300]);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module (and only it) carries a
-// scoped `allow` for the `core::arch` intrinsic paths behind runtime
-// feature detection. Everything else in the crate remains safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod block;
 mod iter;
 mod ops;
-#[allow(unsafe_code)]
 pub mod simd;
 
-pub use batch::BatchBitBlock;
 pub use block::BitBlock;
 pub use iter::{Bits, Ones};

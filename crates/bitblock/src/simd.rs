@@ -1,1439 +1,11 @@
-//! Runtime-dispatched SIMD row kernels for lane-major batches.
+//! Benchmark-harness shim: the crate has no SIMD code.
 //!
-//! The batched Aegis kernels ([`crate::BatchBitBlock`] consumers in
-//! `aegis-core::batch`) spend their time applying ROM mask words to the
-//! same word of L blocks at once. Two granularities are provided, written
-//! once per backend:
-//!
-//! **Slope kernels** — the hot path. Both take one slope's *entire* row
-//! table (`groups × words` contiguous `u64`s, as `ShiftRom::slope_rows`
-//! hands it out) and a chunk of [`chunk_lanes`] lanes whose batch words
-//! they pin in vector registers for the whole pass, so each ROM word is
-//! loaded exactly once and no per-group accumulator spill ever touches
-//! memory:
-//!
-//! - [`slope_bad_lanes`] — the predicate step: per-lane "this slope has a
-//!   poisoned group" verdict bitmask, folding each group row into `seen`/
-//!   `dup`/`wseen`/`rseen` accumulators (see `aegis-core::batch` for the
-//!   derivation) and early-exiting once every chunk lane is bad;
-//! - [`encode_slope_lanes`] — the encode step: `out = data XOR union of
-//!   the group rows each lane's inversion vector selects`, with the
-//!   codeword chunk accumulated in registers.
-//!
-//! **Row primitives** — the single-row building blocks the slope kernels
-//! generalise ([`xor_select_rows`], [`fold_group_rows`], [`fill_words`]).
-//! They remain the differential reference for the slope kernels' tests and
-//! serve callers batching at finer grain.
-//!
-//! # Dispatch
-//!
-//! The backend is chosen **once per process** by [`backend`] (an
-//! [`OnceLock`]): `SIM_FORCE_SCALAR=1` pins the portable `u64` fallback on
-//! any machine; otherwise x86-64 runtime detection prefers AVX-512
-//! (`avx512f`, eight lanes per vector) over AVX2 (four lanes), and the
-//! aarch64 feature probe selects NEON (two lanes). The selected backend is
-//! exposed via [`backend_name`] so run manifests can record which code
-//! path produced a result. Every backend computes bit-identical outputs —
-//! the differential tests in this module hold each SIMD path against the
-//! portable one on random inputs — so the choice is a pure throughput knob
-//! and never a determinism hazard.
-//!
-//! # Safety
-//!
-//! This is the only module in the crate allowed to use `unsafe` (the crate
-//! root carries `#![deny(unsafe_code)]`; the `mod` declaration scopes an
-//! allow). The unsafety is confined to `#[target_feature]` functions using
-//! `core::arch` intrinsics on slices whose lengths are asserted by the safe
-//! dispatch wrappers before any raw load/store; every pointer derives from
-//! an in-bounds slice index.
+//! Every scheme's predicate runs through the scalar per-event engine
+//! body. [`backend_name`] exists only because `perfbench/` writes it into
+//! its provenance line; delete it once the benchmark stops calling it.
 
-use std::sync::OnceLock;
-
-/// The SIMD code path selected for this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Plain `u64` loops; always available, and forced by
-    /// `SIM_FORCE_SCALAR=1`.
-    Portable,
-    /// 256-bit AVX2 path (x86-64, runtime-detected).
-    Avx2,
-    /// 512-bit AVX-512F path (x86-64, runtime-detected; preferred over
-    /// AVX2 when available).
-    Avx512,
-    /// 128-bit NEON path (aarch64, runtime-detected).
-    Neon,
-}
-
-impl Backend {
-    /// Stable lowercase name for manifests and logs.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Portable => "portable-u64",
-            Backend::Avx2 => "avx2",
-            Backend::Avx512 => "avx512",
-            Backend::Neon => "neon",
-        }
-    }
-}
-
-static BACKEND: OnceLock<Backend> = OnceLock::new();
-
-/// The backend every batched kernel in this process dispatches to.
-///
-/// Detected on first call and frozen for the process lifetime, so a run's
-/// manifest records exactly the code path that produced it.
-#[must_use]
-pub fn backend() -> Backend {
-    *BACKEND.get_or_init(detect)
-}
-
-/// [`backend`]'s stable name (`"portable-u64"`, `"avx2"` or `"neon"`).
+/// Always `"none"`: no SIMD backend exists to select.
 #[must_use]
 pub fn backend_name() -> &'static str {
-    backend().name()
-}
-
-/// Whether `SIM_FORCE_SCALAR` requests the portable fallback.
-///
-/// Any non-empty value other than `"0"` counts as a request, mirroring the
-/// other `SIM_*` toggles in the workspace.
-#[must_use]
-pub fn force_scalar_requested() -> bool {
-    std::env::var_os("SIM_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn detect() -> Backend {
-    if force_scalar_requested() {
-        return Backend::Portable;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return Backend::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Backend::Neon;
-        }
-    }
-    Backend::Portable
-}
-
-/// Lane-chunk width the slope kernels vectorize best at for the selected
-/// backend: one full vector of `u64` lanes (8 for AVX-512, 4 for AVX2, 2
-/// for NEON). The portable fallback reports 8 — its slope kernels walk
-/// lanes independently (with per-lane early exit), so the chunk width only
-/// sets the outer-loop grain.
-///
-/// Callers chunking a batch by this width hit the registered fast path on
-/// every full chunk; tail chunks fall back to the portable loops.
-#[must_use]
-pub fn chunk_lanes() -> usize {
-    match backend() {
-        Backend::Avx512 | Backend::Portable => 8,
-        Backend::Avx2 => 4,
-        Backend::Neon => 2,
-    }
-}
-
-/// Widest per-lane mask the vector slope kernels pin in registers (16
-/// words = 1024-bit blocks). Wider formations take the portable path.
-const MAX_WORDS: usize = 16;
-
-/// Per-lane "slope is bad" verdicts for one chunk of lanes, over one
-/// slope's full group-row table.
-///
-/// `rows` holds `groups × words` contiguous `u64`s (group-major — the
-/// layout of `ShiftRom::slope_rows`); `f`/`w_mask` are lane-major batches
-/// of `words` words over `lanes` lanes (F = fault offsets, W ⊆ F = wrong
-/// offsets). For each lane `l` in `l0..l1` the kernel folds every group
-/// row `G` and reports lane bit `l - l0` set iff some group makes the
-/// slope bad:
-///
-/// - `mixed == false` (base Aegis): `|G ∩ F| ≥ 2` and `G ∩ W ≠ ∅`;
-/// - `mixed == true` (Aegis-rw): `G ∩ W ≠ ∅` and `G ∩ (F \ W) ≠ ∅`.
-///
-/// Lanes set in `initial_bad` (same bit convention) are treated as already
-/// bad: they are carried through to the returned mask unchanged and the
-/// scan stops as soon as every chunk lane is bad — callers pass their
-/// already-decided lanes here so a chunk stops scanning the moment its
-/// last open lane resolves.
-///
-/// # Panics
-///
-/// Panics if the shapes disagree (`rows.len()` not a multiple of `words`,
-/// batch slices shorter than `words * lanes`) or the chunk is wider than
-/// 64 lanes.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn slope_bad_lanes(
-    rows: &[u64],
-    words: usize,
-    f: &[u64],
-    w_mask: &[u64],
-    lanes: usize,
-    l0: usize,
-    l1: usize,
-    mixed: bool,
-    initial_bad: u64,
-) -> u64 {
-    assert!(
-        words > 0 && rows.len().is_multiple_of(words),
-        "ragged slope rows"
-    );
-    assert_eq!(f.len(), words * lanes, "lane-major shape mismatch");
-    assert_eq!(w_mask.len(), words * lanes, "lane-major shape mismatch");
-    assert!(l0 <= l1 && l1 <= lanes && l1 - l0 <= 64, "bad lane chunk");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if l1 - l0 == 8 && words <= MAX_WORDS => unsafe {
-            if mixed {
-                avx512::slope_bad_lanes::<true>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            } else {
-                avx512::slope_bad_lanes::<false>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            }
-        },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if l1 - l0 == 4 && words <= MAX_WORDS => unsafe {
-            if mixed {
-                avx2::slope_bad_lanes::<true>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            } else {
-                avx2::slope_bad_lanes::<false>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            }
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if l1 - l0 == 2 && words <= MAX_WORDS => {
-            if mixed {
-                neon::slope_bad_lanes::<true>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            } else {
-                neon::slope_bad_lanes::<false>(rows, words, f, w_mask, lanes, l0, initial_bad)
-            }
-        }
-        _ => portable::slope_bad_lanes(rows, words, f, w_mask, lanes, l0, l1, mixed, initial_bad),
-    }
-}
-
-/// Encodes one chunk of lanes under one slope: for each lane `l` in
-/// `l0..l1`, `out[l] = data[l] XOR union(rows[g] for every group g whose
-/// bit is set in the lane's inversion vector)`.
-///
-/// `rows` is the slope's full group-row table as in [`slope_bad_lanes`];
-/// `inv` is a lane-major batch of inversion vectors with `inv_words` words
-/// per lane (group `g` lives at word `g / 64`, bit `g % 64`); `data`/`out`
-/// are lane-major codeword batches of `words` words per lane. The chunk's
-/// codewords accumulate in registers on the vector backends, so each
-/// selected ROM word costs one broadcast-XOR regardless of how many lanes
-/// select it.
-///
-/// # Panics
-///
-/// Panics if the shapes disagree or the group count exceeds
-/// `inv_words * 64`.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_slope_lanes(
-    rows: &[u64],
-    words: usize,
-    inv: &[u64],
-    inv_words: usize,
-    data: &[u64],
-    out: &mut [u64],
-    lanes: usize,
-    l0: usize,
-    l1: usize,
-) {
-    assert!(
-        words > 0 && rows.len().is_multiple_of(words),
-        "ragged slope rows"
-    );
-    let groups = rows.len() / words;
-    assert!(groups <= inv_words * 64, "inversion vector too narrow");
-    assert_eq!(inv.len(), inv_words * lanes, "lane-major shape mismatch");
-    assert_eq!(data.len(), words * lanes, "lane-major shape mismatch");
-    assert_eq!(out.len(), words * lanes, "lane-major shape mismatch");
-    assert!(l0 <= l1 && l1 <= lanes, "bad lane chunk");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 if l1 - l0 == 8 && words <= MAX_WORDS => unsafe {
-            avx512::encode_slope_lanes(rows, words, inv, data, out, lanes, l0);
-        },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if l1 - l0 == 4 && words <= MAX_WORDS => unsafe {
-            avx2::encode_slope_lanes(rows, words, inv, data, out, lanes, l0);
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if l1 - l0 == 2 && words <= MAX_WORDS => {
-            neon::encode_slope_lanes(rows, words, inv, data, out, lanes, l0);
-        }
-        _ => portable::encode_slope_lanes(rows, words, inv, data, out, lanes, l0, l1),
-    }
-}
-
-/// Sets `dst[w * lanes + l] ^= row[w] & sel[l]` for every word `w` and lane
-/// `l` — one ROM mask row XORed into every lane selected by `sel` (`sel[l]`
-/// is all-ones or all-zeros).
-///
-/// `dst` is lane-major ([`crate::BatchBitBlock`] layout) with
-/// `lanes = sel.len()` lanes and `row.len()` words per lane.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != row.len() * sel.len()`.
-pub fn xor_select_rows(row: &[u64], sel: &[u64], dst: &mut [u64]) {
-    assert_eq!(
-        dst.len(),
-        row.len() * sel.len(),
-        "lane-major shape mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => unsafe { avx2::xor_select_rows(row, sel, dst) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::xor_select_rows(row, sel, dst),
-        _ => portable::xor_select_rows(row, sel, dst, 0, sel.len()),
-    }
-}
-
-/// Folds one `(slope, group)` ROM mask row into the per-lane collision
-/// accumulators (`lanes = seen.len()`). For every word `w` and lane `l`,
-/// with `x = row[w] & f[w * lanes + l]`:
-///
-/// - `dup[l] |= x & (x - 1)` — two-or-more member faults within word `w`;
-/// - `dup[l] |= x` when `seen[l]` was already non-zero — a member fault in
-///   an earlier word pairs with one in this word;
-/// - `seen[l] |= x` — member faults observed so far;
-/// - `wseen[l] |= row[w] & w_mask[w * lanes + l]` — member stuck-at-Wrong
-///   faults;
-/// - `rseen[l] |= x & !w_mask[...]` — member stuck-at-Right faults.
-///
-/// After folding every word: the group holds ≥ 2 faults iff `dup[l] != 0`,
-/// holds a W fault iff `wseen[l] != 0`, and holds an R fault iff
-/// `rseen[l] != 0` — the three bits both Aegis collision rules need,
-/// without a single popcount.
-///
-/// # Panics
-///
-/// Panics if the accumulator slices disagree on the lane count or the mask
-/// slices are not `row.len() * lanes` long.
-pub fn fold_group_rows(
-    row: &[u64],
-    f: &[u64],
-    w_mask: &[u64],
-    seen: &mut [u64],
-    dup: &mut [u64],
-    wseen: &mut [u64],
-    rseen: &mut [u64],
-) {
-    let lanes = seen.len();
-    assert!(
-        dup.len() == lanes && wseen.len() == lanes && rseen.len() == lanes,
-        "accumulator lane counts disagree"
-    );
-    assert!(
-        f.len() == row.len() * lanes && w_mask.len() == row.len() * lanes,
-        "lane-major shape mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => unsafe {
-            avx2::fold_group_rows(row, f, w_mask, seen, dup, wseen, rseen)
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::fold_group_rows(row, f, w_mask, seen, dup, wseen, rseen),
-        _ => portable::fold_group_rows(row, f, w_mask, seen, dup, wseen, rseen, 0, lanes),
-    }
-}
-
-/// Fills a per-lane accumulator with `value` (dispatch-free; `slice::fill`
-/// already compiles to the widest store available).
-pub fn fill_words(words: &mut [u64], value: u64) {
-    words.fill(value);
-}
-
-mod portable {
-    //! Reference `u64` implementations, also used for SIMD tail lanes.
-    //! `l0..l1` bounds the lane range so the vector paths can delegate
-    //! their remainder lanes without re-slicing the lane-major buffers.
-
-    pub(super) fn xor_select_rows(row: &[u64], sel: &[u64], dst: &mut [u64], l0: usize, l1: usize) {
-        let lanes = sel.len();
-        for (w, &rw) in row.iter().enumerate() {
-            let base = w * lanes;
-            for l in l0..l1 {
-                dst[base + l] ^= rw & sel[l];
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn fold_group_rows(
-        row: &[u64],
-        f: &[u64],
-        w_mask: &[u64],
-        seen: &mut [u64],
-        dup: &mut [u64],
-        wseen: &mut [u64],
-        rseen: &mut [u64],
-        l0: usize,
-        l1: usize,
-    ) {
-        let lanes = seen.len();
-        for (w, &rw) in row.iter().enumerate() {
-            let base = w * lanes;
-            for l in l0..l1 {
-                let fw = f[base + l];
-                let ww = w_mask[base + l];
-                let x = rw & fw;
-                // Two set bits within this word…
-                let mut d = x & x.wrapping_sub(1);
-                // …or one here and one in an earlier word of this group.
-                if seen[l] != 0 {
-                    d |= x;
-                }
-                dup[l] |= d;
-                seen[l] |= x;
-                wseen[l] |= rw & ww;
-                rseen[l] |= x & !ww;
-            }
-        }
-    }
-
-    /// Portable [`super::slope_bad_lanes`]: each lane scans the slope's
-    /// groups independently and stops at its first bad group — the same
-    /// early exit the single-block predicate enjoys.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn slope_bad_lanes(
-        rows: &[u64],
-        words: usize,
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        l1: usize,
-        mixed: bool,
-        initial_bad: u64,
-    ) -> u64 {
-        let groups = rows.len() / words;
-        let mut bad = initial_bad;
-        for l in l0..l1 {
-            let bit = 1u64 << (l - l0);
-            if bad & bit != 0 {
-                continue;
-            }
-            for g in 0..groups {
-                let row = &rows[g * words..(g + 1) * words];
-                let (mut seen, mut dup, mut wseen, mut rseen) = (0u64, 0u64, 0u64, 0u64);
-                for (wi, &rw) in row.iter().enumerate() {
-                    let x = rw & f[wi * lanes + l];
-                    dup |= x & x.wrapping_sub(1);
-                    if seen != 0 {
-                        dup |= x;
-                    }
-                    seen |= x;
-                    wseen |= rw & w_mask[wi * lanes + l];
-                    rseen |= x & !w_mask[wi * lanes + l];
-                }
-                let bad_group = if mixed {
-                    wseen != 0 && rseen != 0
-                } else {
-                    dup != 0 && wseen != 0
-                };
-                if bad_group {
-                    bad |= bit;
-                    break;
-                }
-            }
-        }
-        bad
-    }
-
-    /// Portable [`super::encode_slope_lanes`]: per lane, copy the data
-    /// words then XOR in every selected group row.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn encode_slope_lanes(
-        rows: &[u64],
-        words: usize,
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-        l1: usize,
-    ) {
-        let groups = rows.len() / words;
-        for l in l0..l1 {
-            for wi in 0..words {
-                out[wi * lanes + l] = data[wi * lanes + l];
-            }
-            for g in 0..groups {
-                if (inv[(g / 64) * lanes + l] >> (g % 64)) & 1 != 0 {
-                    for wi in 0..words {
-                        out[wi * lanes + l] ^= rows[g * words + wi];
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! AVX2 implementations: four lanes per 256-bit vector, remainder lanes
-    //! delegated to the portable loop.
-    //!
-    //! Safety: callers hold the shape contract asserted by the dispatch
-    //! wrappers (`f.len() == w_mask.len() == row.len() * lanes`, all
-    //! accumulators `lanes` long); every unaligned load/store below indexes
-    //! `base + l + 0..4` with `l + 4 <= lanes`, so all pointers stay inside
-    //! their slices.
-
-    use super::portable;
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpeq_epi64,
-        _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x, _mm256_setzero_si256,
-        _mm256_storeu_si256, _mm256_xor_si256,
-    };
-
-    #[inline]
-    unsafe fn loadu(slice: &[u64], at: usize) -> __m256i {
-        debug_assert!(at + 4 <= slice.len());
-        _mm256_loadu_si256(slice.as_ptr().add(at).cast())
-    }
-
-    #[inline]
-    unsafe fn storeu(slice: &mut [u64], at: usize, v: __m256i) {
-        debug_assert!(at + 4 <= slice.len());
-        _mm256_storeu_si256(slice.as_mut_ptr().add(at).cast(), v);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xor_select_rows(row: &[u64], sel: &[u64], dst: &mut [u64]) {
-        let lanes = sel.len();
-        let mut l = 0;
-        while l + 4 <= lanes {
-            let vsel = loadu(sel, l);
-            for (w, &rw) in row.iter().enumerate() {
-                let at = w * lanes + l;
-                let vrow = _mm256_set1_epi64x(rw as i64);
-                let cur = loadu(dst, at);
-                storeu(dst, at, _mm256_xor_si256(cur, _mm256_and_si256(vrow, vsel)));
-            }
-            l += 4;
-        }
-        portable::xor_select_rows(row, sel, dst, l, lanes);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn fold_group_rows(
-        row: &[u64],
-        f: &[u64],
-        w_mask: &[u64],
-        seen: &mut [u64],
-        dup: &mut [u64],
-        wseen: &mut [u64],
-        rseen: &mut [u64],
-    ) {
-        let lanes = seen.len();
-        let zero = _mm256_setzero_si256();
-        let neg1 = _mm256_set1_epi64x(-1);
-        let mut l = 0;
-        while l + 4 <= lanes {
-            let mut vseen = loadu(seen, l);
-            let mut vdup = loadu(dup, l);
-            let mut vwseen = loadu(wseen, l);
-            let mut vrseen = loadu(rseen, l);
-            for (w, &rw) in row.iter().enumerate() {
-                let at = w * lanes + l;
-                let vrow = _mm256_set1_epi64x(rw as i64);
-                let vf = loadu(f, at);
-                let vw = loadu(w_mask, at);
-                let x = _mm256_and_si256(vrow, vf);
-                // x & (x - 1): ≥ 2 set bits within this word.
-                let xm1 = _mm256_add_epi64(x, neg1);
-                vdup = _mm256_or_si256(vdup, _mm256_and_si256(x, xm1));
-                // x where seen != 0: cross-word pair. cmpeq(seen, 0) is
-                // all-ones exactly where seen == 0, so andnot keeps x in
-                // the lanes that already saw a member fault.
-                let seen_zero = _mm256_cmpeq_epi64(vseen, zero);
-                vdup = _mm256_or_si256(vdup, _mm256_andnot_si256(seen_zero, x));
-                vseen = _mm256_or_si256(vseen, x);
-                vwseen = _mm256_or_si256(vwseen, _mm256_and_si256(vrow, vw));
-                vrseen = _mm256_or_si256(vrseen, _mm256_andnot_si256(vw, x));
-            }
-            storeu(seen, l, vseen);
-            storeu(dup, l, vdup);
-            storeu(wseen, l, vwseen);
-            storeu(rseen, l, vrseen);
-            l += 4;
-        }
-        portable::fold_group_rows(row, f, w_mask, seen, dup, wseen, rseen, l, lanes);
-    }
-
-    /// Four-lane [`super::slope_bad_lanes`]: the chunk's F/W words stay in
-    /// registers across the whole slope, each group row costs one
-    /// broadcast per word, and the verdict falls out of two zero-compares
-    /// plus a sign-bit movemask. Caller guarantees `l0 + 4 <= lanes` and
-    /// `words <= MAX_WORDS`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn slope_bad_lanes<const MIXED: bool>(
-        rows: &[u64],
-        words: usize,
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        initial_bad: u64,
-    ) -> u64 {
-        use std::arch::x86_64::{_mm256_castsi256_pd, _mm256_movemask_pd};
-        let zero = _mm256_setzero_si256();
-        let neg1 = _mm256_set1_epi64x(-1);
-        let mut vf = [zero; super::MAX_WORDS];
-        let mut vw = [zero; super::MAX_WORDS];
-        for wi in 0..words {
-            vf[wi] = loadu(f, wi * lanes + l0);
-            vw[wi] = loadu(w_mask, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        let mut bad = initial_bad;
-        for g in 0..groups {
-            if bad == 0xf {
-                break;
-            }
-            let base = g * words;
-            let mut vseen = zero;
-            let mut vdup = zero;
-            let mut vwseen = zero;
-            let mut vrseen = zero;
-            for wi in 0..words {
-                let vrow = _mm256_set1_epi64x(rows[base + wi] as i64);
-                let x = _mm256_and_si256(vrow, vf[wi]);
-                let xm1 = _mm256_add_epi64(x, neg1);
-                vdup = _mm256_or_si256(vdup, _mm256_and_si256(x, xm1));
-                let seen_zero = _mm256_cmpeq_epi64(vseen, zero);
-                vdup = _mm256_or_si256(vdup, _mm256_andnot_si256(seen_zero, x));
-                vseen = _mm256_or_si256(vseen, x);
-                vwseen = _mm256_or_si256(vwseen, _mm256_and_si256(vrow, vw[wi]));
-                if MIXED {
-                    vrseen = _mm256_or_si256(vrseen, _mm256_andnot_si256(vw[wi], x));
-                }
-            }
-            // not-bad lanes have a zero in either required accumulator;
-            // the cmpeq results carry all-ones there, so the sign-bit
-            // movemask of their OR flags exactly the not-bad lanes.
-            let (za, zb) = if MIXED {
-                (
-                    _mm256_cmpeq_epi64(vwseen, zero),
-                    _mm256_cmpeq_epi64(vrseen, zero),
-                )
-            } else {
-                (
-                    _mm256_cmpeq_epi64(vdup, zero),
-                    _mm256_cmpeq_epi64(vwseen, zero),
-                )
-            };
-            let not_bad = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(za, zb))) as u64;
-            bad |= !not_bad & 0xf;
-        }
-        bad
-    }
-
-    /// Four-lane [`super::encode_slope_lanes`]: the chunk's codewords
-    /// accumulate in registers; each group costs a two-op selector build
-    /// and is skipped outright when no chunk lane selects it. Caller
-    /// guarantees `l0 + 4 <= lanes` and `words <= MAX_WORDS`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn encode_slope_lanes(
-        rows: &[u64],
-        words: usize,
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-    ) {
-        use std::arch::x86_64::_mm256_movemask_epi8;
-        let zero = _mm256_setzero_si256();
-        let mut vout = [zero; super::MAX_WORDS];
-        for (wi, v) in vout.iter_mut().enumerate().take(words) {
-            *v = loadu(data, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        for g in 0..groups {
-            let vinv = loadu(inv, (g / 64) * lanes + l0);
-            let vbit = _mm256_set1_epi64x((1u64 << (g % 64)) as i64);
-            let sel = _mm256_cmpeq_epi64(_mm256_and_si256(vinv, vbit), vbit);
-            if _mm256_movemask_epi8(sel) == 0 {
-                continue;
-            }
-            let base = g * words;
-            for wi in 0..words {
-                let vrow = _mm256_set1_epi64x(rows[base + wi] as i64);
-                vout[wi] = _mm256_xor_si256(vout[wi], _mm256_and_si256(vrow, sel));
-            }
-        }
-        for (wi, &v) in vout.iter().enumerate().take(words) {
-            storeu(out, wi * lanes + l0, v);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    //! AVX-512F implementations: eight lanes per 512-bit vector. Only the
-    //! slope kernels live here — the row primitives reuse the AVX2 paths,
-    //! which every AVX-512 machine also supports.
-    //!
-    //! Safety: as in the AVX2 module, callers hold the shape contract
-    //! asserted by the dispatch wrappers and guarantee `l0 + 8 <= lanes`,
-    //! so every unaligned eight-word load/store stays inside its slice.
-
-    use std::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_andnot_si512, _mm512_loadu_si512,
-        _mm512_mask_or_epi64, _mm512_mask_xor_epi64, _mm512_or_si512, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_storeu_si512, _mm512_test_epi64_mask,
-    };
-
-    #[inline]
-    unsafe fn loadu(slice: &[u64], at: usize) -> __m512i {
-        debug_assert!(at + 8 <= slice.len());
-        _mm512_loadu_si512(slice.as_ptr().add(at).cast())
-    }
-
-    #[inline]
-    unsafe fn storeu(slice: &mut [u64], at: usize, v: __m512i) {
-        debug_assert!(at + 8 <= slice.len());
-        _mm512_storeu_si512(slice.as_mut_ptr().add(at).cast(), v);
-    }
-
-    /// Eight-lane [`super::slope_bad_lanes`]; mask registers make both the
-    /// cross-word `dup` update and the per-group verdict single
-    /// instructions. Common per-lane word counts (1/2/4/8 — 64- to
-    /// 512-bit blocks) get fully unrolled bodies whose F/W vectors stay
-    /// pinned in the 32-register file; other widths fall back to the
-    /// dynamic loop.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn slope_bad_lanes<const MIXED: bool>(
-        rows: &[u64],
-        words: usize,
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        initial_bad: u64,
-    ) -> u64 {
-        match words {
-            1 => slope_bad_fixed::<MIXED, 1>(rows, f, w_mask, lanes, l0, initial_bad),
-            2 => slope_bad_fixed::<MIXED, 2>(rows, f, w_mask, lanes, l0, initial_bad),
-            4 => slope_bad_fixed::<MIXED, 4>(rows, f, w_mask, lanes, l0, initial_bad),
-            8 => slope_bad_fixed::<MIXED, 8>(rows, f, w_mask, lanes, l0, initial_bad),
-            _ => slope_bad_dyn::<MIXED>(rows, words, f, w_mask, lanes, l0, initial_bad),
-        }
-    }
-
-    /// [`slope_bad_lanes`] body for an exact compile-time word count.
-    #[inline(always)]
-    unsafe fn slope_bad_fixed<const MIXED: bool, const W: usize>(
-        rows: &[u64],
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        initial_bad: u64,
-    ) -> u64 {
-        let zero = _mm512_setzero_si512();
-        let neg1 = _mm512_set1_epi64(-1);
-        let mut vf = [zero; W];
-        let mut vw = [zero; W];
-        for wi in 0..W {
-            vf[wi] = loadu(f, wi * lanes + l0);
-            vw[wi] = loadu(w_mask, wi * lanes + l0);
-        }
-        let groups = rows.len() / W;
-        let mut bad = initial_bad as u8;
-        for g in 0..groups {
-            if bad == 0xff {
-                break;
-            }
-            let base = g * W;
-            let mut vseen = zero;
-            let mut vdup = zero;
-            let mut vwseen = zero;
-            let mut vrseen = zero;
-            for wi in 0..W {
-                let vrow = _mm512_set1_epi64(rows[base + wi] as i64);
-                let x = _mm512_and_si512(vrow, vf[wi]);
-                let xm1 = _mm512_add_epi64(x, neg1);
-                vdup = _mm512_or_si512(vdup, _mm512_and_si512(x, xm1));
-                let seen_nz = _mm512_test_epi64_mask(vseen, vseen);
-                vdup = _mm512_mask_or_epi64(vdup, seen_nz, vdup, x);
-                vseen = _mm512_or_si512(vseen, x);
-                vwseen = _mm512_or_si512(vwseen, _mm512_and_si512(vrow, vw[wi]));
-                if MIXED {
-                    vrseen = _mm512_or_si512(vrseen, _mm512_andnot_si512(vw[wi], x));
-                }
-            }
-            bad |= if MIXED {
-                _mm512_test_epi64_mask(vwseen, vwseen) & _mm512_test_epi64_mask(vrseen, vrseen)
-            } else {
-                _mm512_test_epi64_mask(vdup, vdup) & _mm512_test_epi64_mask(vwseen, vwseen)
-            };
-        }
-        u64::from(bad)
-    }
-
-    /// [`slope_bad_lanes`] body for uncommon word counts.
-    #[inline(always)]
-    unsafe fn slope_bad_dyn<const MIXED: bool>(
-        rows: &[u64],
-        words: usize,
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        initial_bad: u64,
-    ) -> u64 {
-        let zero = _mm512_setzero_si512();
-        let neg1 = _mm512_set1_epi64(-1);
-        let mut vf = [zero; super::MAX_WORDS];
-        let mut vw = [zero; super::MAX_WORDS];
-        for wi in 0..words {
-            vf[wi] = loadu(f, wi * lanes + l0);
-            vw[wi] = loadu(w_mask, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        let mut bad = initial_bad as u8;
-        for g in 0..groups {
-            if bad == 0xff {
-                break;
-            }
-            let base = g * words;
-            let mut vseen = zero;
-            let mut vdup = zero;
-            let mut vwseen = zero;
-            let mut vrseen = zero;
-            for wi in 0..words {
-                let vrow = _mm512_set1_epi64(rows[base + wi] as i64);
-                let x = _mm512_and_si512(vrow, vf[wi]);
-                let xm1 = _mm512_add_epi64(x, neg1);
-                vdup = _mm512_or_si512(vdup, _mm512_and_si512(x, xm1));
-                let seen_nz = _mm512_test_epi64_mask(vseen, vseen);
-                vdup = _mm512_mask_or_epi64(vdup, seen_nz, vdup, x);
-                vseen = _mm512_or_si512(vseen, x);
-                vwseen = _mm512_or_si512(vwseen, _mm512_and_si512(vrow, vw[wi]));
-                if MIXED {
-                    vrseen = _mm512_or_si512(vrseen, _mm512_andnot_si512(vw[wi], x));
-                }
-            }
-            bad |= if MIXED {
-                _mm512_test_epi64_mask(vwseen, vwseen) & _mm512_test_epi64_mask(vrseen, vrseen)
-            } else {
-                _mm512_test_epi64_mask(vdup, vdup) & _mm512_test_epi64_mask(vwseen, vwseen)
-            };
-        }
-        u64::from(bad)
-    }
-
-    /// Eight-lane [`super::encode_slope_lanes`]: group selection is one
-    /// test-into-mask, and the masked XOR applies the row to exactly the
-    /// selecting lanes. Word counts 1/2/4/8 get fully unrolled
-    /// register-resident bodies, like [`slope_bad_lanes`].
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn encode_slope_lanes(
-        rows: &[u64],
-        words: usize,
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-    ) {
-        match words {
-            1 => encode_slope_fixed::<1>(rows, inv, data, out, lanes, l0),
-            2 => encode_slope_fixed::<2>(rows, inv, data, out, lanes, l0),
-            4 => encode_slope_fixed::<4>(rows, inv, data, out, lanes, l0),
-            8 => encode_slope_fixed::<8>(rows, inv, data, out, lanes, l0),
-            _ => encode_slope_dyn(rows, words, inv, data, out, lanes, l0),
-        }
-    }
-
-    /// [`encode_slope_lanes`] body for an exact compile-time word count.
-    #[inline(always)]
-    unsafe fn encode_slope_fixed<const W: usize>(
-        rows: &[u64],
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-    ) {
-        let zero = _mm512_setzero_si512();
-        let mut vout = [zero; W];
-        for (wi, v) in vout.iter_mut().enumerate() {
-            *v = loadu(data, wi * lanes + l0);
-        }
-        let groups = rows.len() / W;
-        for g in 0..groups {
-            let vinv = loadu(inv, (g / 64) * lanes + l0);
-            let vbit = _mm512_set1_epi64((1u64 << (g % 64)) as i64);
-            let k = _mm512_test_epi64_mask(vinv, vbit);
-            if k == 0 {
-                continue;
-            }
-            let base = g * W;
-            for wi in 0..W {
-                let vrow = _mm512_set1_epi64(rows[base + wi] as i64);
-                vout[wi] = _mm512_mask_xor_epi64(vout[wi], k, vout[wi], vrow);
-            }
-        }
-        for (wi, &v) in vout.iter().enumerate() {
-            storeu(out, wi * lanes + l0, v);
-        }
-    }
-
-    /// [`encode_slope_lanes`] body for uncommon word counts.
-    #[inline(always)]
-    unsafe fn encode_slope_dyn(
-        rows: &[u64],
-        words: usize,
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-    ) {
-        let zero = _mm512_setzero_si512();
-        let mut vout = [zero; super::MAX_WORDS];
-        for (wi, v) in vout.iter_mut().enumerate().take(words) {
-            *v = loadu(data, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        for g in 0..groups {
-            let vinv = loadu(inv, (g / 64) * lanes + l0);
-            let vbit = _mm512_set1_epi64((1u64 << (g % 64)) as i64);
-            let k = _mm512_test_epi64_mask(vinv, vbit);
-            if k == 0 {
-                continue;
-            }
-            let base = g * words;
-            for wi in 0..words {
-                let vrow = _mm512_set1_epi64(rows[base + wi] as i64);
-                vout[wi] = _mm512_mask_xor_epi64(vout[wi], k, vout[wi], vrow);
-            }
-        }
-        for (wi, &v) in vout.iter().enumerate().take(words) {
-            storeu(out, wi * lanes + l0, v);
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON implementations: two lanes per 128-bit vector, remainder lanes
-    //! delegated to the portable loop. NEON is baseline on aarch64, so no
-    //! `#[target_feature]` gate is needed and the intrinsics are safe to
-    //! call; the runtime probe in `detect` is kept for symmetry (and for
-    //! exotic no-NEON targets, which fall back to portable).
-
-    use super::portable;
-    use std::arch::aarch64::{
-        uint64x2_t, vandq_u64, vbicq_u64, vceqzq_u64, vdupq_n_u64, veorq_u64, vld1q_u64, vorrq_u64,
-        vst1q_u64, vsubq_u64,
-    };
-
-    #[inline]
-    fn loadq(slice: &[u64], at: usize) -> uint64x2_t {
-        assert!(at + 2 <= slice.len());
-        // SAFETY: the bounds check above keeps the two-word read in-slice.
-        #[allow(unsafe_code)]
-        unsafe {
-            vld1q_u64(slice.as_ptr().add(at))
-        }
-    }
-
-    #[inline]
-    fn storeq(slice: &mut [u64], at: usize, v: uint64x2_t) {
-        assert!(at + 2 <= slice.len());
-        // SAFETY: the bounds check above keeps the two-word write in-slice.
-        #[allow(unsafe_code)]
-        unsafe {
-            vst1q_u64(slice.as_mut_ptr().add(at), v);
-        }
-    }
-
-    pub(super) fn xor_select_rows(row: &[u64], sel: &[u64], dst: &mut [u64]) {
-        let lanes = sel.len();
-        let mut l = 0;
-        while l + 2 <= lanes {
-            let vsel = loadq(sel, l);
-            for (w, &rw) in row.iter().enumerate() {
-                let at = w * lanes + l;
-                let vrow = vdupq_n_u64(rw);
-                let cur = loadq(dst, at);
-                storeq(dst, at, veorq_u64(cur, vandq_u64(vrow, vsel)));
-            }
-            l += 2;
-        }
-        portable::xor_select_rows(row, sel, dst, l, lanes);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn fold_group_rows(
-        row: &[u64],
-        f: &[u64],
-        w_mask: &[u64],
-        seen: &mut [u64],
-        dup: &mut [u64],
-        wseen: &mut [u64],
-        rseen: &mut [u64],
-    ) {
-        let lanes = seen.len();
-        let one = vdupq_n_u64(1);
-        let mut l = 0;
-        while l + 2 <= lanes {
-            let mut vseen = loadq(seen, l);
-            let mut vdup = loadq(dup, l);
-            let mut vwseen = loadq(wseen, l);
-            let mut vrseen = loadq(rseen, l);
-            for (w, &rw) in row.iter().enumerate() {
-                let at = w * lanes + l;
-                let vrow = vdupq_n_u64(rw);
-                let vf = loadq(f, at);
-                let vw = loadq(w_mask, at);
-                let x = vandq_u64(vrow, vf);
-                let xm1 = vsubq_u64(x, one);
-                vdup = vorrq_u64(vdup, vandq_u64(x, xm1));
-                // vceqzq gives all-ones where seen == 0; vbic(x, mask)
-                // keeps x in the lanes that already saw a member fault.
-                vdup = vorrq_u64(vdup, vbicq_u64(x, vceqzq_u64(vseen)));
-                vseen = vorrq_u64(vseen, x);
-                vwseen = vorrq_u64(vwseen, vandq_u64(vrow, vw));
-                vrseen = vorrq_u64(vrseen, vbicq_u64(x, vw));
-            }
-            storeq(seen, l, vseen);
-            storeq(dup, l, vdup);
-            storeq(wseen, l, vwseen);
-            storeq(rseen, l, vrseen);
-            l += 2;
-        }
-        portable::fold_group_rows(row, f, w_mask, seen, dup, wseen, rseen, l, lanes);
-    }
-
-    /// Two-lane [`super::slope_bad_lanes`]; `vtstq_u64` gives the per-lane
-    /// non-zero masks the verdict needs. Caller guarantees
-    /// `l0 + 2 <= lanes` and `words <= MAX_WORDS`.
-    pub(super) fn slope_bad_lanes<const MIXED: bool>(
-        rows: &[u64],
-        words: usize,
-        f: &[u64],
-        w_mask: &[u64],
-        lanes: usize,
-        l0: usize,
-        initial_bad: u64,
-    ) -> u64 {
-        use std::arch::aarch64::{vgetq_lane_u64, vtstq_u64};
-        let zero = vdupq_n_u64(0);
-        let one = vdupq_n_u64(1);
-        let mut vf = [zero; super::MAX_WORDS];
-        let mut vw = [zero; super::MAX_WORDS];
-        for wi in 0..words {
-            vf[wi] = loadq(f, wi * lanes + l0);
-            vw[wi] = loadq(w_mask, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        let mut bad = initial_bad;
-        for g in 0..groups {
-            if bad == 0b11 {
-                break;
-            }
-            let base = g * words;
-            let mut vseen = zero;
-            let mut vdup = zero;
-            let mut vwseen = zero;
-            let mut vrseen = zero;
-            for wi in 0..words {
-                let vrow = vdupq_n_u64(rows[base + wi]);
-                let x = vandq_u64(vrow, vf[wi]);
-                let xm1 = vsubq_u64(x, one);
-                vdup = vorrq_u64(vdup, vandq_u64(x, xm1));
-                vdup = vorrq_u64(vdup, vbicq_u64(x, vceqzq_u64(vseen)));
-                vseen = vorrq_u64(vseen, x);
-                vwseen = vorrq_u64(vwseen, vandq_u64(vrow, vw[wi]));
-                if MIXED {
-                    vrseen = vorrq_u64(vrseen, vbicq_u64(x, vw[wi]));
-                }
-            }
-            let badv = if MIXED {
-                vandq_u64(vtstq_u64(vwseen, vwseen), vtstq_u64(vrseen, vrseen))
-            } else {
-                vandq_u64(vtstq_u64(vdup, vdup), vtstq_u64(vwseen, vwseen))
-            };
-            // SAFETY: plain lane extraction; NEON is baseline on aarch64.
-            #[allow(unsafe_code)]
-            unsafe {
-                bad |= (vgetq_lane_u64(badv, 0) & 1) | ((vgetq_lane_u64(badv, 1) & 1) << 1);
-            }
-        }
-        bad
-    }
-
-    /// Two-lane [`super::encode_slope_lanes`]; `vtstq_u64` against the
-    /// group's bit builds the selector without a shift. Caller guarantees
-    /// `l0 + 2 <= lanes` and `words <= MAX_WORDS`.
-    pub(super) fn encode_slope_lanes(
-        rows: &[u64],
-        words: usize,
-        inv: &[u64],
-        data: &[u64],
-        out: &mut [u64],
-        lanes: usize,
-        l0: usize,
-    ) {
-        use std::arch::aarch64::{vgetq_lane_u64, vtstq_u64};
-        let zero = vdupq_n_u64(0);
-        let mut vout = [zero; super::MAX_WORDS];
-        for wi in 0..words {
-            vout[wi] = loadq(data, wi * lanes + l0);
-        }
-        let groups = rows.len() / words;
-        for g in 0..groups {
-            let vinv = loadq(inv, (g / 64) * lanes + l0);
-            let sel = vtstq_u64(vinv, vdupq_n_u64(1u64 << (g % 64)));
-            // SAFETY: plain lane extraction; NEON is baseline on aarch64.
-            #[allow(unsafe_code)]
-            let any = unsafe { vgetq_lane_u64(sel, 0) | vgetq_lane_u64(sel, 1) };
-            if any == 0 {
-                continue;
-            }
-            let base = g * words;
-            for wi in 0..words {
-                let vrow = vdupq_n_u64(rows[base + wi]);
-                vout[wi] = veorq_u64(vout[wi], vandq_u64(vrow, sel));
-            }
-        }
-        for wi in 0..words {
-            storeq(out, wi * lanes + l0, vout[wi]);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim_rng::{Rng, SeedableRng, SmallRng};
-
-    fn random_words(rng: &mut SmallRng, n: usize) -> Vec<u64> {
-        (0..n).map(|_| rng.random()).collect()
-    }
-
-    /// Runs the portable fold and returns the four accumulators.
-    #[allow(clippy::type_complexity)]
-    fn portable_fold(
-        row: &[u64],
-        f: &[u64],
-        w: &[u64],
-        lanes: usize,
-        init: &[Vec<u64>; 4],
-    ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
-        let (mut seen, mut dup, mut wseen, mut rseen) = (
-            init[0].clone(),
-            init[1].clone(),
-            init[2].clone(),
-            init[3].clone(),
-        );
-        portable::fold_group_rows(
-            row, f, w, &mut seen, &mut dup, &mut wseen, &mut rseen, 0, lanes,
-        );
-        (seen, dup, wseen, rseen)
-    }
-
-    #[test]
-    fn backend_is_detected_once_and_named() {
-        let b = backend();
-        assert_eq!(b, backend(), "dispatch must be stable per process");
-        assert!(["portable-u64", "avx2", "avx512", "neon"].contains(&backend_name()));
-        assert!([1, 2, 4, 8].contains(&chunk_lanes()));
-        if force_scalar_requested() {
-            assert_eq!(b, Backend::Portable);
-        }
-    }
-
-    #[test]
-    fn fold_detects_pairs_within_and_across_words() {
-        // One group mask covering bits {1, 70}: a fault pair split across
-        // two words must set dup, a single fault must not.
-        let lanes = 1;
-        let row = [0b10u64, 0b100_0000u64]; // bits 1 and 70
-        let zeros = [
-            vec![0; lanes],
-            vec![0; lanes],
-            vec![0; lanes],
-            vec![0; lanes],
-        ];
-        // Lane holds faults at bits 1 and 70, both wrong.
-        let f = [0b10u64, 0b100_0000u64];
-        let (seen, dup, wseen, rseen) = portable_fold(&row, &f, &f, lanes, &zeros);
-        assert_ne!(seen[0], 0);
-        assert_ne!(dup[0], 0, "cross-word pair must register");
-        assert_ne!(wseen[0], 0);
-        assert_eq!(rseen[0], 0, "all-W population has no R member");
-        // Single fault at bit 1 only: no pair.
-        let f = [0b10u64, 0u64];
-        let (_, dup, _, rseen) = portable_fold(&row, &f, &[0, 0], lanes, &zeros);
-        assert_eq!(dup[0], 0, "a lone fault is not a pair");
-        assert_ne!(rseen[0], 0, "a non-wrong fault is an R member");
-        // Two faults in the same word.
-        let row = [0b11u64, 0];
-        let f = [0b11u64, 0];
-        let (_, dup, _, _) = portable_fold(&row, &f, &[0, 0], lanes, &zeros);
-        assert_ne!(dup[0], 0, "same-word pair must register");
-    }
-
-    #[test]
-    fn dispatched_kernels_match_the_portable_reference() {
-        // Whatever backend this machine selected must agree with the
-        // portable loops bit for bit, over every lane count that exercises
-        // both the vector body and the remainder lanes.
-        let mut rng = SmallRng::seed_from_u64(0x51_3D);
-        for lanes in [1usize, 2, 3, 4, 5, 7, 8, 11, 16] {
-            for words in [1usize, 4, 8, 9] {
-                let row = random_words(&mut rng, words);
-                let f = random_words(&mut rng, words * lanes);
-                let w: Vec<u64> = f.iter().map(|&fw| fw & rng.random::<u64>()).collect();
-                let init = [
-                    random_words(&mut rng, lanes),
-                    random_words(&mut rng, lanes),
-                    random_words(&mut rng, lanes),
-                    random_words(&mut rng, lanes),
-                ];
-                let want = portable_fold(&row, &f, &w, lanes, &init);
-                let (mut seen, mut dup, mut wseen, mut rseen) = (
-                    init[0].clone(),
-                    init[1].clone(),
-                    init[2].clone(),
-                    init[3].clone(),
-                );
-                fold_group_rows(&row, &f, &w, &mut seen, &mut dup, &mut wseen, &mut rseen);
-                assert_eq!(
-                    (seen, dup, wseen, rseen),
-                    want,
-                    "lanes={lanes} words={words}"
-                );
-
-                let sel: Vec<u64> = (0..lanes)
-                    .map(|_| if rng.random() { u64::MAX } else { 0 })
-                    .collect();
-                let mut dst = random_words(&mut rng, words * lanes);
-                let mut want_dst = dst.clone();
-                portable::xor_select_rows(&row, &sel, &mut want_dst, 0, lanes);
-                xor_select_rows(&row, &sel, &mut dst);
-                assert_eq!(dst, want_dst, "lanes={lanes} words={words}");
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_path_matches_portable_when_available() {
-        // Exercise the AVX2 functions directly (the dispatched test above
-        // only covers whichever backend detection picked, which a forced-
-        // scalar environment pins to portable).
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(0xA2);
-        for lanes in [4usize, 6, 8, 16] {
-            let words = 8;
-            let row = random_words(&mut rng, words);
-            let f = random_words(&mut rng, words * lanes);
-            let w: Vec<u64> = f.iter().map(|&fw| fw & rng.random::<u64>()).collect();
-            let mut seen = vec![0u64; lanes];
-            let mut dup = vec![0u64; lanes];
-            let mut wseen = vec![0u64; lanes];
-            let mut rseen = vec![0u64; lanes];
-            let want = portable_fold(
-                &row,
-                &f,
-                &w,
-                lanes,
-                &[seen.clone(), dup.clone(), wseen.clone(), rseen.clone()],
-            );
-            // SAFETY: the feature probe above confirmed AVX2.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::fold_group_rows(&row, &f, &w, &mut seen, &mut dup, &mut wseen, &mut rseen);
-            }
-            assert_eq!((seen, dup, wseen, rseen), want, "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn fill_words_resets_accumulators() {
-        let mut acc = vec![0xdead_beefu64; 9];
-        fill_words(&mut acc, 0);
-        assert!(acc.iter().all(|&w| w == 0));
-    }
-
-    /// Sparse lane-major F batch plus a W ⊆ F batch — dense random masks
-    /// would make every group bad at once and never exercise the verdict
-    /// boundaries.
-    fn sparse_batch(rng: &mut SmallRng, words: usize, lanes: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut f = vec![0u64; words * lanes];
-        let mut w = vec![0u64; words * lanes];
-        for l in 0..lanes {
-            for _ in 0..rng.random_range(0..10) {
-                let bit = rng.random_range(0..words * 64);
-                f[(bit / 64) * lanes + l] |= 1 << (bit % 64);
-                if rng.random() {
-                    w[(bit / 64) * lanes + l] |= 1 << (bit % 64);
-                }
-            }
-        }
-        (f, w)
-    }
-
-    #[test]
-    fn dispatched_slope_kernels_match_the_portable_reference() {
-        // Whatever backend this machine selected must agree with the
-        // portable slope loops over chunk widths that hit both the vector
-        // fast path (chunk_lanes-wide chunks) and the portable tail.
-        let mut rng = SmallRng::seed_from_u64(0x0005_109E);
-        let (words, groups) = (8usize, 13usize);
-        for lanes in [1usize, 2, 3, 4, 5, 8, 11, 16] {
-            let rows = random_words(&mut rng, groups * words);
-            let (f, w) = sparse_batch(&mut rng, words, lanes);
-            let mut l0 = 0;
-            while l0 < lanes {
-                let l1 = (l0 + chunk_lanes()).min(lanes);
-                for mixed in [false, true] {
-                    for initial_bad in [0u64, 1, (1 << (l1 - l0)) - 1] {
-                        let want = portable::slope_bad_lanes(
-                            &rows,
-                            words,
-                            &f,
-                            &w,
-                            lanes,
-                            l0,
-                            l1,
-                            mixed,
-                            initial_bad,
-                        );
-                        let got = slope_bad_lanes(
-                            &rows,
-                            words,
-                            &f,
-                            &w,
-                            lanes,
-                            l0,
-                            l1,
-                            mixed,
-                            initial_bad,
-                        );
-                        assert_eq!(
-                            got, want,
-                            "lanes={lanes} l0={l0} mixed={mixed} init={initial_bad}"
-                        );
-                    }
-                }
-
-                let inv_words = 1;
-                let inv: Vec<u64> = (0..inv_words * lanes)
-                    .map(|_| rng.random::<u64>() & ((1 << groups) - 1))
-                    .collect();
-                let data = random_words(&mut rng, words * lanes);
-                let mut out = vec![0u64; words * lanes];
-                let mut want_out = vec![0u64; words * lanes];
-                portable::encode_slope_lanes(
-                    &rows,
-                    words,
-                    &inv,
-                    &data,
-                    &mut want_out,
-                    lanes,
-                    l0,
-                    l1,
-                );
-                encode_slope_lanes(
-                    &rows, words, &inv, inv_words, &data, &mut out, lanes, l0, l1,
-                );
-                assert_eq!(out[..], want_out[..], "encode lanes={lanes} l0={l0}",);
-                l0 = l1;
-            }
-        }
-    }
-
-    #[test]
-    fn slope_kernels_honor_initial_bad_and_early_exit() {
-        // A lane marked bad on entry must stay bad even if its population
-        // is empty, and a saturated chunk must still report every lane.
-        let words = 2;
-        let rows = vec![u64::MAX, u64::MAX]; // one group covering all bits
-        let lanes = chunk_lanes();
-        let f = vec![u64::MAX; words * lanes]; // every bit faulty…
-        let w = f.clone(); // …and wrong: every lane bad under AnyWrong
-        let full = (1u64 << lanes) - 1;
-        assert_eq!(
-            slope_bad_lanes(&rows, words, &f, &w, lanes, 0, lanes, false, 0),
-            full
-        );
-        // Mixed needs an R member too — all-W is never a mixed pair.
-        assert_eq!(
-            slope_bad_lanes(&rows, words, &f, &w, lanes, 0, lanes, true, 0),
-            0
-        );
-        let empty = vec![0u64; words * lanes];
-        assert_eq!(
-            slope_bad_lanes(&rows, words, &empty, &empty, lanes, 0, lanes, false, 0b1),
-            0b1,
-            "initial_bad lanes must carry through untouched"
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_slope_kernels_match_portable_when_available() {
-        // Direct exercise of the AVX-512 functions (dispatch may have
-        // picked them already, but a forced-scalar environment would not).
-        if !std::arch::is_x86_feature_detected!("avx512f") {
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(0x512);
-        let (words, groups, lanes) = (8usize, 13usize, 8usize);
-        for _ in 0..50 {
-            let rows = random_words(&mut rng, groups * words);
-            let (f, w) = sparse_batch(&mut rng, words, lanes);
-            for mixed in [false, true] {
-                let want =
-                    portable::slope_bad_lanes(&rows, words, &f, &w, lanes, 0, lanes, mixed, 0);
-                // SAFETY: the feature probe above confirmed AVX-512F.
-                #[allow(unsafe_code)]
-                let got = unsafe {
-                    if mixed {
-                        avx512::slope_bad_lanes::<true>(&rows, words, &f, &w, lanes, 0, 0)
-                    } else {
-                        avx512::slope_bad_lanes::<false>(&rows, words, &f, &w, lanes, 0, 0)
-                    }
-                };
-                assert_eq!(got, want, "mixed={mixed}");
-            }
-            let inv: Vec<u64> = (0..lanes)
-                .map(|_| rng.random::<u64>() & ((1 << groups) - 1))
-                .collect();
-            let data = random_words(&mut rng, words * lanes);
-            let mut out = vec![0u64; words * lanes];
-            let mut want_out = vec![0u64; words * lanes];
-            portable::encode_slope_lanes(&rows, words, &inv, &data, &mut want_out, lanes, 0, lanes);
-            // SAFETY: the feature probe above confirmed AVX-512F.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx512::encode_slope_lanes(&rows, words, &inv, &data, &mut out, lanes, 0);
-            }
-            assert_eq!(out, want_out);
-        }
-    }
+    "none"
 }

@@ -816,10 +816,6 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
         "threads_effective",
         &sim_pool::resolve_threads(cli.opts.threads).to_string(),
     );
-    // SIMD dispatch is resolved once per process; like the thread count,
-    // it never affects the event stream — the manifest records it so a
-    // replayed run can state what actually ran.
-    tel.set_meta("simd_backend", bitblock::simd::backend_name());
     tel.set_meta("out_dir", &cli.out_dir.display().to_string());
     tel.set_meta("trace", if cli.trace { "on" } else { "off" });
 }
@@ -920,7 +916,6 @@ fn run_shard(cli: &Cli) -> ExitCode {
         };
         status.set_total_pages((units * (hi - lo)) as u64);
         status.set_shard(shard_id as u64, shards as u64);
-        status.set_simd_backend(bitblock::simd::backend_name());
     }
     let observer = runner::RunObserver {
         registry: Some(registry),
@@ -1444,11 +1439,8 @@ fn main() -> ExitCode {
     } else {
         StatusWriter::disabled()
     };
-    if status_w.is_enabled() {
-        status_w.set_simd_backend(bitblock::simd::backend_name());
-        if let Some(target) = cli.target_rse {
-            status_w.set_target_rse(target);
-        }
+    if let Some(target) = cli.target_rse {
+        status_w.set_target_rse(target);
     }
     if status_w.is_enabled() && matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7") {
         let units: usize = checkpoint::unit_policies(cli.scalar)

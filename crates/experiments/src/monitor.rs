@@ -5,7 +5,7 @@
 //! `sim_telemetry::status`). This module scans a directory of those files
 //! — typically `results/telemetry` while a sharded campaign is running —
 //! and renders one row per run (state, phase, progress, ETA, worker busy
-//! fraction, SIMD backend) plus a per-run `mean ± CI` estimate
+//! fraction, shard) plus a per-run `mean ± CI` estimate
 //! table with convergence tags and a rollup of how many runs are in each
 //! state. Statistics a heartbeat cannot compute yet (no pages done, one
 //! sample) render `--`, never `inf`/`NaN`. The CLI
@@ -119,8 +119,8 @@ pub fn render(snapshot: &MonitorSnapshot, now_unix_ms: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<28} {:<13} {:<20} {:>14} {:>6} {:>8} {:>6} {:>10} {:>8} {:>8}",
-        "RUN", "STATE", "PHASE", "PAGES", "%", "ETA", "BUSY", "BACKEND", "SHARD", "AGE"
+        "{:<28} {:<13} {:<20} {:>14} {:>6} {:>8} {:>6} {:>8} {:>8}",
+        "RUN", "STATE", "PHASE", "PAGES", "%", "ETA", "BUSY", "SHARD", "AGE"
     );
     for run in &snapshot.runs {
         let pages = if run.pages_total > 0 {
@@ -136,14 +136,13 @@ pub fn render(snapshot: &MonitorSnapshot, now_unix_ms: u64) -> String {
             .busy
             .filter(|b| b.is_finite())
             .map_or_else(|| "--".to_owned(), |b| format!("{:.0}%", 100.0 * b));
-        let backend = run.simd_backend.clone().unwrap_or_else(|| "--".to_owned());
         let shard = run
             .shard_id
             .zip(run.shards)
             .map_or_else(|| "--".to_owned(), |(id, of)| format!("{id}/{of}"));
         let _ = writeln!(
             out,
-            "{:<28} {:<13} {:<20} {:>14} {:>6} {:>8} {:>6} {:>10} {:>8} {:>8}",
+            "{:<28} {:<13} {:<20} {:>14} {:>6} {:>8} {:>6} {:>8} {:>8}",
             run.run_id,
             run.state.as_str(),
             run.phase,
@@ -151,7 +150,6 @@ pub fn render(snapshot: &MonitorSnapshot, now_unix_ms: u64) -> String {
             pct,
             fmt_eta(run.eta_ms),
             busy,
-            backend,
             shard,
             fmt_age(run.updated_unix_ms, now_unix_ms)
         );
@@ -345,12 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_and_estimates_render_in_table() {
+    fn estimates_render_in_table() {
         let dir = temp_dir("estimates");
         let _ = fs::remove_dir_all(&dir);
         let w = StatusWriter::create("conv", &dir).unwrap();
         w.set_total_pages(8);
-        w.set_simd_backend("avx2");
         w.set_target_rse(0.05);
         w.set_estimates(&[
             sim_telemetry::UnitEstimate {
@@ -368,8 +365,7 @@ mod tests {
         w.complete_unit(4);
         let snapshot = scan(&dir).unwrap();
         let text = render(&snapshot, sim_telemetry::unix_millis());
-        assert!(text.contains("avx2"), "{text}");
-        assert!(!text.contains("avx2/"), "no lane width: {text}");
+        assert!(!text.contains("BACKEND"), "no backend column: {text}");
         assert!(text.contains("target RSE 0.05"), "{text}");
         assert!(text.contains("ECP6#512.lifetime"), "{text}");
         assert!(text.contains("converged"), "{text}");

@@ -24,7 +24,7 @@ use sim_telemetry::{
     metric_name, Counter, Histogram, PoolWorkerUtil, Registry, StatusWriter, Tracer, WorkerTracer,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// When is a block considered dead? (See DESIGN.md §3.)
@@ -182,28 +182,13 @@ pub fn evaluate_block(
     timeline: &BlockTimeline,
     criterion: FailureCriterion,
 ) -> BlockOutcome {
-    evaluate_block_with(policy, timeline, criterion, None)
+    evaluate_block_with_scratch(policy, timeline, criterion, None, &mut PolicyScratch::new())
 }
 
-/// [`evaluate_block`] with optional telemetry: counts fault events seen,
-/// every policy-predicate invocation, and the block's fate (death under
-/// which criterion, or outliving its timeline).
-pub fn evaluate_block_with(
-    policy: &dyn RecoveryPolicy,
-    timeline: &BlockTimeline,
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-) -> BlockOutcome {
-    evaluate_block_with_scratch(
-        policy,
-        timeline,
-        criterion,
-        telemetry,
-        &mut PolicyScratch::new(),
-    )
-}
-
-/// [`evaluate_block_with`] reusing a caller-provided [`PolicyScratch`].
+/// [`evaluate_block`] with optional telemetry, reusing a caller-provided
+/// [`PolicyScratch`]. Telemetry counts fault events seen, every
+/// policy-predicate invocation, and the block's fate (death under which
+/// criterion, or outliving its timeline).
 ///
 /// This is the engine's steady-state form: the fault population, the
 /// block's W/R split tape, and the policy's working buffers all live in
@@ -247,36 +232,11 @@ pub struct PageOutcome {
     pub capped: bool,
 }
 
-/// Evaluates `policy` over a page timeline.
-pub fn evaluate_page(
-    policy: &dyn RecoveryPolicy,
-    page: &PageTimeline,
-    criterion: FailureCriterion,
-) -> PageOutcome {
-    evaluate_page_with(policy, page, criterion, None)
-}
-
-/// [`evaluate_page`] with optional telemetry: additionally records the
+/// Evaluates `policy` over a page timeline, reusing a caller-provided
+/// [`PolicyScratch`] across all of the page's blocks (see
+/// [`evaluate_block_with_scratch`]). Telemetry additionally records the
 /// page count, the page's total fault arrivals, and its lifetime (in
 /// whole page writes) into the `mc.<scheme>.*` histograms.
-pub fn evaluate_page_with(
-    policy: &dyn RecoveryPolicy,
-    page: &PageTimeline,
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-) -> PageOutcome {
-    evaluate_page_with_scratch(
-        policy,
-        page,
-        criterion,
-        telemetry,
-        &mut PolicyScratch::new(),
-    )
-}
-
-/// [`evaluate_page_with`] reusing a caller-provided [`PolicyScratch`]
-/// across all of the page's blocks (see
-/// [`evaluate_block_with_scratch`]).
 pub fn evaluate_page_with_scratch(
     policy: &dyn RecoveryPolicy,
     page: &PageTimeline,
@@ -351,24 +311,15 @@ impl PageFold {
     }
 }
 
-/// Default of [`eval_lanes`].
-pub const DEFAULT_EVAL_LANES: usize = 8;
-
-/// The process's `SIM_EVAL_LANES` value, clamped to `1..=64` (default
-/// [`DEFAULT_EVAL_LANES`]).
+/// Always `1`: the engine walks every block through one per-event body
+/// and has no lane width.
 ///
-/// It selects nothing: the engine walks every block through one per-event
-/// body and has no lane width. It is resolved only for the benchmark
-/// harness's provenance line (`perfbench/`), which still records it; run
-/// manifests, status heartbeats and `monitor` no longer do.
+/// A benchmark-harness shim: it survives only because `perfbench/` still
+/// writes it into its provenance line, and goes once the benchmark stops
+/// calling it.
+#[must_use]
 pub fn eval_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("SIM_EVAL_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_EVAL_LANES, |n| n.clamp(1, 64))
-    })
+    1
 }
 
 /// The W/R splits of one block's fault events, drawn once and read back by
@@ -1283,7 +1234,13 @@ mod tests {
         let page = PageTimeline {
             blocks: vec![timeline(&[5.0, 50.0]), timeline(&[7.0, 9.0])],
         };
-        let outcome = evaluate_page(&policy, &page, FailureCriterion::default());
+        let outcome = evaluate_page_with_scratch(
+            &policy,
+            &page,
+            FailureCriterion::default(),
+            None,
+            &mut PolicyScratch::new(),
+        );
         // Block 1 dies at 9.0, block 0 at 50.0 => page dies at 9.0 having
         // recovered the faults at 5.0 and 7.0.
         assert_eq!(outcome.death_time, 9.0);
@@ -1472,11 +1429,12 @@ mod tests {
         let policy = CapPolicy { cap: 1, bits: 512 };
         let registry = Registry::new();
         let telemetry = McTelemetry::for_scheme(&registry, "cap1");
-        let outcome = evaluate_block_with(
+        let outcome = evaluate_block_with_scratch(
             &policy,
             &timeline(&[1.0, 2.0, 3.0]),
             FailureCriterion::GuaranteedAllData,
             Some(&telemetry),
+            &mut PolicyScratch::new(),
         );
         assert_eq!(outcome.death_time, Some(2.0));
         let counters: std::collections::BTreeMap<String, u64> =
@@ -1637,7 +1595,13 @@ mod tests {
                 let t = McTelemetry::for_scheme(&alone, &policy.name());
                 assert_eq!(
                     *outcome,
-                    evaluate_page_with(policy, &page, criterion, Some(&t)),
+                    evaluate_page_with_scratch(
+                        policy,
+                        &page,
+                        criterion,
+                        Some(&t),
+                        &mut PolicyScratch::new()
+                    ),
                     "{} {criterion:?}",
                     policy.name()
                 );

@@ -110,10 +110,6 @@ pub struct StatusRecord {
     pub shard_id: Option<u64>,
     /// Shard count, for `experiments shard` runs.
     pub shards: Option<u64>,
-    /// SIMD dispatch backend the run resolved at startup (PR 9), e.g.
-    /// `avx2` or `scalar` — shows which backend each shard of a
-    /// mixed-machine campaign is running.
-    pub simd_backend: Option<String>,
     /// The run's `--target-rse` early-stop target, when set.
     pub target_rse: Option<f64>,
     /// Latest per-unit estimates (empty until the first unit barrier).
@@ -145,10 +141,6 @@ impl StatusRecord {
             .busy
             .filter(|b| b.is_finite())
             .map_or_else(|| "null".to_owned(), |b| format!("{b:.4}"));
-        let backend = self
-            .simd_backend
-            .as_deref()
-            .map_or_else(|| "null".to_owned(), escape);
         let estimates: Vec<String> = self
             .estimates
             .iter()
@@ -169,7 +161,7 @@ impl StatusRecord {
             "{{\n  \"run_id\": {},\n  \"state\": {},\n  \"phase\": {},\n  \
              \"pages_done\": {},\n  \"pages_total\": {},\n  \"elapsed_ms\": {},\n  \
              \"eta_ms\": {},\n  \"busy\": {},\n  \"shard_id\": {},\n  \"shards\": {},\n  \
-             \"simd_backend\": {},\n  \"target_rse\": {},\n  \
+             \"target_rse\": {},\n  \
              \"estimates\": [{}],\n  \
              \"heartbeats\": {},\n  \"updated_unix_ms\": {}\n}}\n",
             escape(&self.run_id),
@@ -182,7 +174,6 @@ impl StatusRecord {
             busy,
             opt_u64(self.shard_id),
             opt_u64(self.shards),
-            backend,
             self.target_rse.map_or_else(|| "null".to_owned(), json_f64),
             estimates.join(", "),
             self.heartbeats,
@@ -268,7 +259,6 @@ impl StatusRecord {
             busy,
             shard_id: opt_u64("shard_id")?,
             shards: opt_u64("shards")?,
-            simd_backend: value.str_field("simd_backend").map(str::to_owned),
             target_rse,
             estimates,
             heartbeats: value.u64_field("heartbeats").unwrap_or(0),
@@ -289,7 +279,6 @@ struct StatusState {
     pages_total: u64,
     busy: Option<f64>,
     shard: Option<(u64, u64)>,
-    backend: Option<String>,
     target_rse: Option<f64>,
     estimates: Vec<EstimateStatus>,
     heartbeats: u64,
@@ -350,7 +339,6 @@ impl StatusWriter {
                 pages_total: 0,
                 busy: None,
                 shard: None,
-                backend: None,
                 target_rse: None,
                 estimates: Vec::new(),
                 heartbeats: 0,
@@ -394,22 +382,11 @@ impl StatusWriter {
         }
     }
 
-    /// Records the SIMD dispatch backend the run resolved at startup, so
-    /// a mixed-machine campaign's monitor shows which backend each shard
-    /// runs.
-    pub fn set_simd_backend(&self, backend: &str) {
-        if let Some(core) = &self.0 {
-            core.state.lock().expect("status poisoned").backend = Some(backend.to_owned());
-        }
-    }
-
-    /// [`set_simd_backend`](Self::set_simd_backend), ignoring `lanes`:
-    /// the engine has no lane width, so the heartbeat no longer records
-    /// one. Kept for the benchmark harness (`perfbench/`), which still
-    /// passes it.
+    /// Does nothing: the engine has no SIMD backend or lane width, so the
+    /// heartbeat records neither. A benchmark-harness shim kept only
+    /// because `perfbench/` still calls it.
     pub fn set_backend(&self, backend: &str, lanes: u64) {
-        let _ = lanes;
-        self.set_simd_backend(backend);
+        let _ = (backend, lanes);
     }
 
     /// Records the run's `--target-rse` early-stop target (also the bar
@@ -546,7 +523,6 @@ impl StatusWriter {
             busy: state.busy,
             shard_id: state.shard.map(|(id, _)| id),
             shards: state.shard.map(|(_, of)| of),
-            simd_backend: state.backend.clone(),
             target_rse: state.target_rse,
             estimates: state.estimates.clone(),
             heartbeats: state.heartbeats,
@@ -592,7 +568,6 @@ mod tests {
             busy: Some(0.8125),
             shard_id: Some(0),
             shards: Some(2),
-            simd_backend: Some("avx2".to_owned()),
             target_rse: Some(0.05),
             estimates: vec![
                 EstimateStatus {
@@ -634,7 +609,6 @@ mod tests {
             busy: None,
             shard_id: None,
             shards: None,
-            simd_backend: None,
             target_rse: None,
             estimates: Vec::new(),
             heartbeats: 1,
@@ -644,23 +618,24 @@ mod tests {
         assert_eq!(parsed, record);
         assert_eq!(parsed.fraction(), None);
 
-        // Pre-PR 10 status files lack the backend/estimate fields
-        // entirely; the parser defaults them instead of failing.
+        // Pre-PR 10 status files lack the estimate fields entirely; the
+        // parser defaults them instead of failing.
         let legacy = "{\"run_id\": \"x\", \"state\": \"running\", \
                       \"pages_done\": 0, \"pages_total\": 0}";
         let parsed = StatusRecord::parse(legacy).unwrap();
-        assert_eq!(parsed.simd_backend, None);
         assert_eq!(parsed.target_rse, None);
         assert!(parsed.estimates.is_empty());
 
-        // Files from before the engine lost its lane width still carry
-        // `eval_lanes`; the parser accepts and drops it, and no record
-        // writes it again.
+        // Files from before the engine lost its SIMD backend and lane
+        // width still carry `simd_backend` and `eval_lanes`; the parser
+        // accepts and drops both, and no record writes either again.
         let laned = "{\"run_id\": \"x\", \"state\": \"done\", \"pages_done\": 4, \
                      \"pages_total\": 4, \"simd_backend\": \"avx2\", \"eval_lanes\": 8}";
         let parsed = StatusRecord::parse(laned).unwrap();
-        assert_eq!(parsed.simd_backend.as_deref(), Some("avx2"));
-        assert!(!parsed.to_json().contains("eval_lanes"));
+        assert_eq!((parsed.pages_done, parsed.pages_total), (4, 4));
+        let rewritten = parsed.to_json();
+        assert!(!rewritten.contains("simd_backend"));
+        assert!(!rewritten.contains("eval_lanes"));
     }
 
     #[test]
@@ -697,7 +672,7 @@ mod tests {
         assert!(read.eta_ms.is_some());
 
         status.phase_progress(4);
-        status.set_simd_backend("avx2");
+        status.set_backend("avx2", 8);
         status.set_target_rse(0.05);
         status.set_estimates(&[crate::estimate::UnitEstimate {
             unit: "ECP6#512".to_owned(),
@@ -711,7 +686,8 @@ mod tests {
         assert_eq!(read.state, RunState::Done);
         assert_eq!(read.pages_done, 4, "complete_unit folds into base");
         assert_eq!(read.busy, Some(0.75));
-        assert_eq!(read.simd_backend.as_deref(), Some("avx2"));
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("simd_backend") && !text.contains("eval_lanes"));
         assert_eq!(read.target_rse, Some(0.05));
         assert_eq!(read.estimates.len(), 1);
         assert_eq!(read.estimates[0].name, "ECP6#512.lifetime");

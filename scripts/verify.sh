@@ -23,12 +23,6 @@ run cargo test -q --offline --workspace
 # above resolves to the machine's parallelism, which can be 1 in CI).
 SIM_THREADS=2 run cargo test -q --offline --workspace
 
-# And once more with the SIMD dispatch pinned to the portable scalar
-# fallback, so the whole suite — including the batched-kernel
-# differential properties — also passes on the path machines without
-# AVX2/AVX-512/NEON will take (PR 9).
-SIM_FORCE_SCALAR=1 run cargo test -q --offline --workspace
-
 # Style and lint gates.
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -280,7 +274,7 @@ rm -rf "$conv_out"
 # Repo hygiene: every PR's bench record AND its regression baseline must
 # be committed — the PR 4 pair was once missing for two releases because
 # the gate only printed a skip notice when a baseline was absent.
-for pr in pr3 pr4 pr5 pr7 pr9 pr10; do
+for pr in pr3 pr4 pr5 pr7 pr10; do
     for f in "results/bench/BENCH_$pr.json" "results/bench/BENCH_$pr.baseline.json"; do
         [[ -s "$f" ]] || { echo "missing committed bench record: $f" >&2; exit 1; }
     done
@@ -311,11 +305,6 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test theorem_invari
 # and the exhaustive Mask2/PLC1+1 crossover (see tests/dominance.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test dominance
 
-# Batched-kernel suite at CI depth: 10^4 random cases per property,
-# lane-major batched kernels vs single-block kernels vs the pair
-# policies (see tests/batched_kernels.rs).
-SIM_PROP_CASES=10000 run cargo test -q --offline --release --test batched_kernels
-
 # Timeline-sampler suite at CI depth: 10^4 random sampler configurations,
 # the select-k kernel vs the retained sort-everything reference, equal
 # events and equal RNG state afterwards (see tests/timeline_sampler.rs).
@@ -327,8 +316,8 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test timeline_sampl
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test estimates
 
 # Bench gate: run the kernel (PR 3), engine (PR 4), tracing-overhead
-# (PR 5), series/status-overhead (PR 7), batched-kernel (PR 9) and
-# estimate-snapshot (PR 10) benchmarks into a scratch directory (so the tracked results/bench/
+# (PR 5), series/status-overhead (PR 7) and estimate-snapshot (PR 10)
+# benchmarks into a scratch directory (so the tracked results/bench/
 # records are not clobbered) and check the speedup and overhead ratios
 # plus the recorded baselines (see EXPERIMENTS.md for regeneration).
 bench_out="${TMPDIR:-/tmp}/aegis-verify-bench"
@@ -337,7 +326,6 @@ SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench kern
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench engine
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench tracing
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench series
-SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench batch
 SIM_BENCH_OUT="$bench_out" run cargo bench --offline -p aegis-bench --bench estimates
 run cargo run -q --release --offline -p aegis-bench --bin bench-gate \
     "$bench_out/BENCH_pr3.json" results/bench

@@ -11,7 +11,13 @@
 //! encode. Failures shrink toward fewer faults and fewer/simpler writes
 //! via the in-tree `sim_rng::prop` harness; CI runs the suite with
 //! `SIM_PROP_CASES=10000` per codec variant (see `scripts/verify.sh`).
+//!
+//! Two more properties hold the ROM itself to naive references on the
+//! same geometries: the pair policies against a per-group count over the
+//! `ShiftRom` masks, and `ShiftRom::inversion_mask_into` against XOR-ing
+//! the selected group masks one at a time.
 
+use aegis_pcm::aegis::rom::ShiftRom;
 use aegis_pcm::aegis::{
     AegisCodec, AegisPolicy, AegisRwCodec, AegisRwPCodec, AegisRwPPolicy, AegisRwPolicy, Rectangle,
 };
@@ -292,6 +298,95 @@ fn policy_verdicts_agree_between_kernel_and_scalar_modes() {
                     prop_assert_eq!(k.recoverable(&case.faults, &wrong), want);
                     prop_assert_eq!(k.recoverable_with(&case.faults, &wrong, &mut scratch), want);
                     prop_assert_eq!(s.recoverable_with(&case.faults, &wrong, &mut scratch), want);
+                }
+            }
+            Ok(())
+        });
+}
+
+/// Group-count oracle read straight off the [`ShiftRom`] member masks:
+/// some slope leaves no group mixing W and R faults and, for base Aegis
+/// (`rw == false`), no group holding two W faults. It shares no code with
+/// the policies' pair-collision formulation.
+fn shift_rom_oracle(shift: &ShiftRom, faults: &[Fault], wrong: &[bool], rw: bool) -> bool {
+    (0..shift.slopes()).any(|slope| {
+        (0..shift.groups()).all(|group| {
+            let mask = shift.mask_words(slope, group);
+            let (mut w, mut r) = (0usize, 0usize);
+            for (fault, &is_wrong) in faults.iter().zip(wrong) {
+                if (mask[fault.offset / 64] >> (fault.offset % 64)) & 1 == 1 {
+                    if is_wrong {
+                        w += 1;
+                    } else {
+                        r += 1;
+                    }
+                }
+            }
+            !(w > 0 && r > 0) && (rw || w <= 1)
+        })
+    })
+}
+
+/// The pair policies answer the same question as a per-group count over
+/// the ROM masks, on ragged and multi-word geometries up to the 512-bit
+/// paper formation (the brute-force oracles in `exhaustive_small.rs`
+/// stop at `B ≤ 7`).
+#[test]
+fn pair_policies_match_a_shift_rom_group_oracle() {
+    Runner::new("pair_policies_match_a_shift_rom_group_oracle")
+        .cases(1_000)
+        .run(gen_case, shrink_case, |case| {
+            let rect = case.rect();
+            let shift = ShiftRom::new(&rect);
+            let aegis = AegisPolicy::new(rect.clone());
+            let aegis_rw = AegisRwPolicy::new(rect);
+            for &seed in &case.writes {
+                let mut split_rng = SmallRng::seed_from_u64(seed);
+                let wrong: Vec<bool> = case
+                    .faults
+                    .iter()
+                    .map(|_| split_rng.random_bool(0.5))
+                    .collect();
+                prop_assert_eq!(
+                    aegis.recoverable(&case.faults, &wrong),
+                    shift_rom_oracle(&shift, &case.faults, &wrong, false),
+                    "Aegis, split {:?}",
+                    wrong
+                );
+                prop_assert_eq!(
+                    aegis_rw.recoverable(&case.faults, &wrong),
+                    shift_rom_oracle(&shift, &case.faults, &wrong, true),
+                    "Aegis-rw, split {:?}",
+                    wrong
+                );
+            }
+            Ok(())
+        });
+}
+
+/// `ShiftRom::inversion_mask_into` — the encode step of every Aegis
+/// write — equals XOR-ing the selected group masks into the data one at
+/// a time, on every slope of ragged and multi-word geometries (the
+/// exhaustive pin in `exhaustive_small.rs` covers single-word blocks).
+#[test]
+fn shift_rom_inversion_mask_matches_the_naive_group_union() {
+    Runner::new("shift_rom_inversion_mask_matches_the_naive_group_union")
+        .cases(500)
+        .run(gen_case, shrink_case, |case| {
+            let rect = case.rect();
+            let shift = ShiftRom::new(&rect);
+            let mut mask = BitBlock::zeros(rect.bits());
+            for &seed in &case.writes {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let inversion = BitBlock::random_with_density(&mut rng, shift.groups(), 0.3);
+                let data = BitBlock::random(&mut rng, rect.bits());
+                for slope in 0..shift.slopes() {
+                    shift.inversion_mask_into(slope, &inversion, &mut mask);
+                    let mut naive = data.clone();
+                    for group in inversion.ones() {
+                        naive.xor_words(shift.mask_words(slope, group));
+                    }
+                    prop_assert_eq!(&data ^ &mask, naive, "slope {}", slope);
                 }
             }
             Ok(())
