@@ -1,8 +1,9 @@
 //! Deterministic checkpoint/resume for the fig5/6/7 and fig8 Monte Carlo
-//! campaigns.
+//! campaigns: the snapshot format and the control block of a checkpointed
+//! run. The chunk loop itself is [`crate::campaign::execute`].
 //!
-//! A checkpoint is a serializable engine snapshot taken at a page-range
-//! boundary: the per-unit page high-water marks, the partial per-scheme
+//! A checkpoint is a serializable engine snapshot taken at a chunk
+//! barrier: the per-unit page high-water marks, the partial per-scheme
 //! tallies (raw per-page results, `f64` death times stored as exact bit
 //! patterns), and the deterministic telemetry metrics accumulated so far.
 //! Because every page's randomness is its own
@@ -20,24 +21,19 @@
 //! `PairCache::snapshot`/`restore` API exists for mid-block suspension
 //! and is round-trip tested in `pcm-sim`; see DESIGN.md §12.
 
-use crate::fig567::Fig567;
-use crate::fig8::{self, Fig8};
-use crate::runner::{run_labeled_range, unit_estimates, RunObserver, RunOptions, SchemeSummary};
-use crate::schemes::{self, Policy};
-use pcm_sim::montecarlo::{MemoryRun, SimConfig};
-use sim_telemetry::{
-    escape, HistogramSnapshot, Json, Registry, RunState, SeriesCursor, SeriesWriter,
-    HISTOGRAM_BUCKETS,
-};
+use crate::campaign::{self, Unit};
+use crate::runner::RunObserver;
+use pcm_sim::montecarlo::MemoryRun;
+use sim_telemetry::{escape, HistogramSnapshot, Json, Registry, SeriesCursor, HISTOGRAM_BUCKETS};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
+
+// The benchmark harness imports these from here.
+pub use crate::campaign::{fig8_unit_specs, UnitSpec};
 
 /// Snapshot format version; bumped on incompatible layout changes.
 pub const CHECKPOINT_VERSION: u64 = 1;
-
-/// The block sizes one fig5/6/7 run sweeps, in unit order.
-pub const FIG567_BLOCK_BITS: [usize; 2] = [256, 512];
 
 /// One `(block_bits, scheme)` Monte Carlo unit's accumulated state: the
 /// page high-water mark plus the raw per-page results for `0..pages_done`.
@@ -75,8 +71,9 @@ pub struct Checkpoint {
     /// the interrupted run left it. Absent in pre-series checkpoints
     /// (parsed as the zero cursor; no version bump needed).
     pub series: SeriesCursor,
-    /// Per-unit progress, in fixed unit order (block size major, scheme
-    /// set order minor).
+    /// Per-unit progress, in campaign unit order. The executor advances
+    /// the active units of one chip configuration together, so their
+    /// cursors agree unless `--target-rse` stopped a unit early.
     pub units: Vec<UnitProgress>,
 }
 
@@ -269,17 +266,18 @@ impl Checkpoint {
         std::fs::rename(&tmp, path)
     }
 
-    /// Replays the snapshot's metrics into `registry` so the final
-    /// counters/histograms equal an uninterrupted run's.
-    pub fn restore_metrics(&self, registry: &Registry) {
+    /// Replays the snapshot's metrics, each into the registry `route`
+    /// picks for its name, so the final counters/histograms equal an
+    /// uninterrupted run's.
+    pub fn restore_metrics<'r>(&self, route: impl Fn(&str) -> &'r Registry) {
         for (name, value) in &self.counters {
-            registry.counter(name).add(*value);
+            route(name).counter(name).add(*value);
         }
         for (name, value) in &self.volatile {
-            registry.volatile_counter(name).add(*value);
+            route(name).volatile_counter(name).add(*value);
         }
         for (name, snap) in &self.histograms {
-            registry.add_histogram_snapshot(name, snap);
+            route(name).add_histogram_snapshot(name, snap);
         }
     }
 }
@@ -416,6 +414,11 @@ fn parse_unit(value: &Json) -> Result<UnitProgress, String> {
             "unit '{scheme}' arrays disagree with pages_done={pages_done}"
         ));
     }
+    if capped_pages > pages_done {
+        return Err(format!(
+            "unit '{scheme}' has {capped_pages} capped pages but pages_done={pages_done}"
+        ));
+    }
     Ok(UnitProgress {
         block_bits,
         scheme,
@@ -429,104 +432,7 @@ fn parse_unit(value: &Json) -> Result<UnitProgress, String> {
     })
 }
 
-/// The fig5/6/7 policy sets per block size, in unit order.
-#[must_use]
-pub fn unit_policies(scalar: bool) -> Vec<(usize, Vec<Policy>)> {
-    FIG567_BLOCK_BITS
-        .into_iter()
-        .map(|bits| {
-            let set = if scalar {
-                schemes::fig5_schemes_scalar(bits)
-            } else {
-                schemes::fig5_schemes(bits)
-            };
-            (bits, set)
-        })
-        .collect()
-}
-
-/// Runs one policy over the global pages `start..end` with the observer's
-/// telemetry/progress/tracing hooks attached (the range analogue of the
-/// runner's full-chip path).
-#[must_use]
-pub fn run_unit_range(
-    policy: &Policy,
-    block_bits: usize,
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    start: usize,
-    end: usize,
-) -> MemoryRun {
-    run_labeled_range(
-        policy.as_ref(),
-        &policy.name(),
-        &opts.sim_config(block_bits),
-        observer,
-        start,
-        end,
-    )
-}
-
-/// One Monte Carlo unit of a checkpointed or sharded campaign: a policy
-/// over an explicit chip configuration under a stable label. fig5/6/7
-/// units differ in block size; fig8 units differ in partially-stuck
-/// fraction (the label carries the `#p<percent>` suffix).
-pub struct UnitSpec {
-    /// Stable unit key (telemetry scheme label and checkpoint unit name).
-    pub label: String,
-    /// Chip configuration this unit simulates.
-    pub cfg: SimConfig,
-    /// The policy under evaluation.
-    pub policy: Policy,
-}
-
-/// The fig5/6/7 campaign's unit specs, in unit order.
-#[must_use]
-pub fn fig567_unit_specs(opts: &RunOptions, scalar: bool) -> Vec<UnitSpec> {
-    unit_policies(scalar)
-        .into_iter()
-        .flat_map(|(bits, set)| {
-            let cfg = opts.sim_config(bits);
-            set.into_iter().map(move |policy| UnitSpec {
-                label: policy.name(),
-                cfg,
-                policy,
-            })
-        })
-        .collect()
-}
-
-/// The fig8 campaign's unit specs, in unit order (fraction major).
-#[must_use]
-pub fn fig8_unit_specs(opts: &RunOptions) -> Vec<UnitSpec> {
-    fig8::units()
-        .into_iter()
-        .map(|(percent, policy)| UnitSpec {
-            label: fig8::unit_label(&policy.name(), percent),
-            cfg: opts.sim_config_partial(fig8::FIG8_BLOCK_BITS, percent as f64 / 100.0),
-            policy,
-        })
-        .collect()
-}
-
-/// The `--target-rse` early-stop predicate, evaluated only at chunk
-/// barriers: the unit's mean-lifetime relative standard error has reached
-/// the target (lifetime is the campaign's highest-variance metric; when
-/// it converges, the fault-count mean converged earlier). `None` — no
-/// target — never stops, and fewer than [`sim_telemetry::MIN_SAMPLES`]
-/// pages never stop.
-fn unit_converged(unit: &UnitProgress, target_rse: Option<f64>) -> bool {
-    target_rse.is_some_and(|target| unit.run.lifetime_moments().converged(target))
-}
-
-fn append_run(acc: &mut MemoryRun, part: MemoryRun) {
-    acc.page_lifetimes.extend(part.page_lifetimes);
-    acc.unprotected_lifetimes.extend(part.unprotected_lifetimes);
-    acc.faults_recovered.extend(part.faults_recovered);
-    acc.capped_pages += part.capped_pages;
-}
-
-/// Control block for a checkpointed fig5/6/7 run.
+/// Control block for a checkpointed fig5/6/7 or fig8 run.
 pub struct CheckpointCtl<'a> {
     /// Where snapshots are written (`<telemetry-dir>/<run-id>.ckpt.json`).
     pub path: std::path::PathBuf,
@@ -540,8 +446,11 @@ pub struct CheckpointCtl<'a> {
     /// snapshot (and already validated against `resume` by the caller).
     pub fingerprint: Vec<(String, String)>,
     /// `--target-rse`: stop a unit at the first chunk barrier where the
-    /// relative standard error of its mean lifetime reaches the target.
-    /// The predicate is a pure function of the pages processed so far
+    /// relative standard error of its mean lifetime reaches the target
+    /// (lifetime is the campaign's highest-variance metric; when it
+    /// converges, the fault-count mean converged earlier). Fewer than
+    /// [`sim_telemetry::MIN_SAMPLES`] pages never stop. The predicate is a
+    /// pure function of the pages processed so far
     /// ([`sim_telemetry::Moments::converged`]), evaluated only at chunk
     /// barriers, so the stop decision — and the stopped byte stream — is
     /// identical across thread counts, tracing modes, and SIGINT +
@@ -550,236 +459,29 @@ pub struct CheckpointCtl<'a> {
     pub target_rse: Option<f64>,
 }
 
-/// How a checkpointed run ended.
-pub enum CheckpointOutcome {
-    /// All units finished; the snapshot file has been removed.
-    Complete(Fig567),
-    /// SIGINT was observed at a chunk barrier; the snapshot at
-    /// [`CheckpointCtl::path`] holds everything needed to `--resume`.
-    Interrupted,
-}
-
-/// Runs a campaign's unit specs in `ctl.every`-page chunks with a
-/// snapshot after each chunk, seeding progress from `ctl.resume` when
-/// present (validating it describes the same unit list). Returns `None`
-/// when a pending SIGINT stopped the run at a chunk barrier — the
-/// snapshot at [`CheckpointCtl::path`] then holds everything needed to
-/// resume — and the completed per-unit runs otherwise (with the snapshot
-/// file removed).
+/// [`campaign::execute`] over `specs` and the pages `0..pages` with
+/// snapshots.
+///
+/// A benchmark-harness shim: `perfbench/` still calls it, and it goes once
+/// the benchmark calls [`campaign::execute`] (ROADMAP item 1).
 ///
 /// # Errors
 ///
-/// Propagates snapshot I/O errors; a resume snapshot whose unit list
-/// disagrees with `specs` is [`io::ErrorKind::InvalidData`].
+/// As [`campaign::execute`].
 pub fn run_units_checkpointed(
     specs: &[UnitSpec],
     pages: usize,
     observer: &RunObserver<'_>,
     ctl: &CheckpointCtl<'_>,
 ) -> io::Result<Option<Vec<UnitProgress>>> {
-    let every = ctl.every.max(1);
-    // Campaign-scope timeline cache: units run one chunk at a time here,
-    // so units sharing a chip configuration (every scheme of one width)
-    // sample each page once across chunks through it. Byte-identity is
-    // unaffected — cached pages are bit-equal to resampled ones.
-    let campaign_timelines = pcm_sim::timeline::TimelineCache::new();
-    let observer = &RunObserver {
-        timelines: observer.timelines.or(Some(&campaign_timelines)),
-        ..*observer
-    };
-
-    // Seed per-unit progress from the resume snapshot (validating that it
-    // describes the same unit list) or start every unit empty.
-    let mut units: Vec<UnitProgress> = specs
-        .iter()
-        .map(|spec| UnitProgress {
-            block_bits: spec.cfg.block_bits,
-            scheme: spec.label.clone(),
-            pages_done: 0,
-            run: MemoryRun::default(),
-        })
-        .collect();
-    if let Some(resume) = &ctl.resume {
-        if resume.units.len() != units.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint has {} units but this run has {}",
-                    resume.units.len(),
-                    units.len()
-                ),
-            ));
-        }
-        for (current, stored) in units.iter_mut().zip(&resume.units) {
-            if current.block_bits != stored.block_bits || current.scheme != stored.scheme {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "checkpoint unit '{}' ({} bits) does not match expected '{}' ({} bits)",
-                        stored.scheme, stored.block_bits, current.scheme, current.block_bits
-                    ),
-                ));
-            }
-            *current = stored.clone();
-        }
-        if let Some(registry) = observer.registry {
-            resume.restore_metrics(registry);
-        }
-        // Fold fully-completed prior units into the status base so a
-        // resumed run's heartbeat reports global progress, not just this
-        // process's share. The partial unit needs nothing: the engine
-        // reports unit-global positions (`start + finished`).
-        if let Some(status) = observer.status {
-            for unit in units
-                .iter()
-                .filter(|u| u.pages_done >= pages || unit_converged(u, ctl.target_rse))
-            {
-                status.complete_unit(unit.pages_done as u64);
-            }
-        }
-    }
-
-    let snapshot = |units: &[UnitProgress]| -> Checkpoint {
-        let (counters, volatile, histograms) = match observer.registry {
-            Some(r) => (r.counters(), r.volatile_counters(), r.histograms()),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        Checkpoint {
-            every,
-            fingerprint: ctl.fingerprint.clone(),
-            counters,
-            volatile,
-            histograms,
-            series: observer
-                .series
-                .map(SeriesWriter::cursor)
-                .unwrap_or_default(),
-            units: units.to_vec(),
-        }
-    };
-    let mark = |state: RunState| {
-        if let Some(status) = observer.status {
-            status.mark(state);
-        }
-    };
-
-    for (flat, spec) in specs.iter().enumerate() {
-        // The loop-entry convergence check is what makes `--resume` of an
-        // early-stopped unit deterministic: surviving past a grid point
-        // implies the predicate did not hold there, so a resumed run that
-        // finds it holding at the stored grid point knows the original
-        // run stopped exactly here — skip without re-emitting the barrier
-        // (the stored series cursor already covers it).
-        while units[flat].pages_done < pages && !unit_converged(&units[flat], ctl.target_rse) {
-            if ctl.interrupted.load(Ordering::SeqCst) {
-                snapshot(&units).store(&ctl.path)?;
-                mark(RunState::Interrupted);
-                return Ok(None);
-            }
-            let start = units[flat].pages_done;
-            let end = (start + every).min(pages);
-            let part = run_labeled_range(
-                spec.policy.as_ref(),
-                &spec.label,
-                &spec.cfg,
-                observer,
-                start,
-                end,
-            );
-            append_run(&mut units[flat].run, part);
-            units[flat].pages_done = end;
-            // The unit barrier must precede the snapshot so the stored
-            // series cursor covers the sample this barrier just wrote;
-            // mid-unit chunks never sample, which is exactly why the
-            // sidecar is byte-identical to an uninterrupted run's. An
-            // early stop is a unit barrier too: the unit is done at
-            // `end < pages` pages.
-            if end == pages || unit_converged(&units[flat], ctl.target_rse) {
-                observer.unit_barrier_with(
-                    units[flat].pages_done as u64,
-                    &unit_estimates(&spec.label, spec.cfg.block_bits, &units[flat].run),
-                );
-            }
-            snapshot(&units).store(&ctl.path)?;
-            mark(RunState::Checkpointed);
-        }
-    }
-    if ctl.interrupted.load(Ordering::SeqCst) {
-        // A SIGINT that lands after the last chunk still stops the run
-        // (reports/CSVs are skipped); the final snapshot covers everything.
-        snapshot(&units).store(&ctl.path)?;
-        mark(RunState::Interrupted);
-        return Ok(None);
-    }
-    match std::fs::remove_file(&ctl.path) {
-        Ok(()) => {}
-        Err(err) if err.kind() == io::ErrorKind::NotFound => {}
-        Err(err) => return Err(err),
-    }
-    Ok(Some(units))
-}
-
-/// [`crate::fig567::run_with_mode`] with periodic snapshots: every unit
-/// runs in `ctl.every`-page chunks, a snapshot is written after each
-/// chunk, and a pending SIGINT stops the run at the barrier.
-///
-/// # Errors
-///
-/// Propagates snapshot I/O errors; a resume snapshot whose unit list
-/// disagrees with the rebuilt policy sets is [`io::ErrorKind::InvalidData`].
-pub fn run_fig567_checkpointed(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    scalar: bool,
-    ctl: &CheckpointCtl<'_>,
-) -> io::Result<CheckpointOutcome> {
-    let specs = fig567_unit_specs(opts, scalar);
-    let Some(units) = run_units_checkpointed(&specs, opts.pages, observer, ctl)? else {
-        return Ok(CheckpointOutcome::Interrupted);
-    };
-    let mut by_block: Vec<(usize, Vec<SchemeSummary>)> = Vec::new();
-    for (spec, unit) in specs.iter().zip(&units) {
-        let summary = SchemeSummary::from_run(spec.policy.as_ref(), &unit.run);
-        match by_block.last_mut() {
-            Some((bits, summaries)) if *bits == unit.block_bits => summaries.push(summary),
-            _ => by_block.push((unit.block_bits, vec![summary])),
-        }
-    }
-    Ok(CheckpointOutcome::Complete(Fig567 { by_block }))
-}
-
-/// How a checkpointed fig8 run ended (the fig8 analogue of
-/// [`CheckpointOutcome`]).
-pub enum Fig8CheckpointOutcome {
-    /// All units finished; the snapshot file has been removed.
-    Complete(Fig8),
-    /// SIGINT was observed at a chunk barrier; the snapshot at
-    /// [`CheckpointCtl::path`] holds everything needed to `--resume`.
-    Interrupted,
-}
-
-/// [`crate::fig8::run_with`] with periodic snapshots, chunked and resumed
-/// exactly like the fig5/6/7 campaign.
-///
-/// # Errors
-///
-/// As [`run_units_checkpointed`].
-pub fn run_fig8_checkpointed(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    ctl: &CheckpointCtl<'_>,
-) -> io::Result<Fig8CheckpointOutcome> {
-    let specs = fig8_unit_specs(opts);
-    let Some(units) = run_units_checkpointed(&specs, opts.pages, observer, ctl)? else {
-        return Ok(Fig8CheckpointOutcome::Interrupted);
-    };
-    let runs: Vec<MemoryRun> = units.into_iter().map(|unit| unit.run).collect();
-    Ok(Fig8CheckpointOutcome::Complete(fig8::assemble(&runs)))
+    let units: Vec<Unit<'_>> = specs.iter().map(UnitSpec::unit).collect();
+    campaign::execute(&units, 0..pages, observer, Some(ctl))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunOptions;
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
@@ -885,10 +587,83 @@ mod tests {
     fn restore_metrics_reproduces_registry_state() {
         let ckpt = sample_checkpoint();
         let registry = Registry::new();
-        ckpt.restore_metrics(&registry);
+        ckpt.restore_metrics(|_| &registry);
         assert_eq!(registry.counters(), ckpt.counters);
         assert_eq!(registry.volatile_counters(), ckpt.volatile);
         assert_eq!(registry.histograms(), ckpt.histograms);
+    }
+
+    #[test]
+    fn parse_rejects_more_capped_pages_than_pages_done() {
+        let overcapped =
+            sample_checkpoint()
+                .to_json()
+                .replacen("\"capped\": 1", "\"capped\": 3", 1);
+        let err = Checkpoint::parse(&overcapped).unwrap_err();
+        assert!(err.contains("ECP6") && err.contains("capped"), "{err}");
+    }
+
+    fn ctl<'a>(
+        dir: &Path,
+        every: usize,
+        interrupted: &'a AtomicBool,
+        resume: Option<Checkpoint>,
+    ) -> CheckpointCtl<'a> {
+        CheckpointCtl {
+            path: dir.join("t.ckpt.json"),
+            every,
+            interrupted,
+            resume,
+            fingerprint: Vec::new(),
+            target_rse: None,
+        }
+    }
+
+    fn run_bits(run: &MemoryRun) -> (Vec<u64>, Vec<u64>, Vec<usize>, usize) {
+        (
+            run.page_lifetimes.iter().map(|v| v.to_bits()).collect(),
+            run.unprotected_lifetimes
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            run.faults_recovered.clone(),
+            run.capped_pages,
+        )
+    }
+
+    /// `specs` run chunked with snapshots, from `resume` if given.
+    fn chunked(
+        specs: &[UnitSpec],
+        pages: usize,
+        every: usize,
+        resume: Option<Checkpoint>,
+        dir: &Path,
+    ) -> io::Result<Vec<UnitProgress>> {
+        let interrupted = AtomicBool::new(false);
+        let ctl = ctl(dir, every, &interrupted, resume);
+        let units: Vec<Unit<'_>> = specs.iter().map(UnitSpec::unit).collect();
+        let done = campaign::execute(&units, 0..pages, &RunObserver::default(), Some(&ctl))?
+            .expect("not interrupted");
+        assert!(!ctl.path.exists(), "snapshot must be removed on success");
+        Ok(done)
+    }
+
+    fn straight(specs: &[UnitSpec], pages: usize) -> Vec<UnitProgress> {
+        let units: Vec<Unit<'_>> = specs.iter().map(UnitSpec::unit).collect();
+        campaign::run(&units, 0..pages, &RunObserver::default())
+    }
+
+    /// Every unit's run is bit-identical chunked (with snapshots) and
+    /// straight.
+    fn assert_chunked_matches_straight(specs: &[UnitSpec], pages: usize, tag: &str) {
+        let dir = std::env::temp_dir().join(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let chunked = chunked(specs, pages, 2, None, &dir).expect("run");
+        for (c, s) in chunked.iter().zip(&straight(specs, pages)) {
+            assert_eq!(c.scheme, s.scheme);
+            assert_eq!(run_bits(&c.run), run_bits(&s.run), "{}", c.scheme);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -898,35 +673,8 @@ mod tests {
             seed: 11,
             ..RunOptions::default()
         };
-        let interrupted = AtomicBool::new(false);
-        let dir = std::env::temp_dir().join("aegis-ckpt-chunk-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let ctl = CheckpointCtl {
-            path: dir.join("t.ckpt.json"),
-            every: 2,
-            interrupted: &interrupted,
-            resume: None,
-            fingerprint: Vec::new(),
-            target_rse: None,
-        };
-        let observer = RunObserver::default();
-        let chunked = match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("run") {
-            CheckpointOutcome::Complete(results) => results,
-            CheckpointOutcome::Interrupted => panic!("not interrupted"),
-        };
-        assert!(!ctl.path.exists(), "snapshot must be removed on success");
-        let straight = crate::fig567::run_with_mode(&opts, &observer, false);
-        assert_eq!(chunked.by_block.len(), straight.by_block.len());
-        for ((cb, cs), (sb, ss)) in chunked.by_block.iter().zip(&straight.by_block) {
-            assert_eq!(cb, sb);
-            for (c, s) in cs.iter().zip(ss) {
-                assert_eq!(c.name, s.name);
-                assert_eq!(c.mean_faults_recovered, s.mean_faults_recovered);
-                assert_eq!(c.mean_lifetime, s.mean_lifetime);
-                assert_eq!(c.half_lifetime, s.half_lifetime);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let specs = campaign::fig567_unit_specs(&opts, false);
+        assert_chunked_matches_straight(&specs, opts.pages, "aegis-ckpt-chunk-test");
     }
 
     #[test]
@@ -936,34 +684,89 @@ mod tests {
             seed: 13,
             ..RunOptions::default()
         };
-        let interrupted = AtomicBool::new(false);
-        let dir = std::env::temp_dir().join("aegis-ckpt-fig8-chunk-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let ctl = CheckpointCtl {
-            path: dir.join("t.ckpt.json"),
-            every: 2,
-            interrupted: &interrupted,
-            resume: None,
-            fingerprint: Vec::new(),
-            target_rse: None,
-        };
-        let observer = RunObserver::default();
-        let chunked = match run_fig8_checkpointed(&opts, &observer, &ctl).expect("run") {
-            Fig8CheckpointOutcome::Complete(results) => results,
-            Fig8CheckpointOutcome::Interrupted => panic!("not interrupted"),
-        };
-        assert!(!ctl.path.exists(), "snapshot must be removed on success");
-        let straight = fig8::run_with(&opts, &observer);
-        assert_eq!(chunked.by_fraction.len(), straight.by_fraction.len());
-        for ((cp, cs), (sp, ss)) in chunked.by_fraction.iter().zip(&straight.by_fraction) {
-            assert_eq!(cp, sp);
-            for (c, s) in cs.iter().zip(ss) {
-                assert_eq!(c.name, s.name);
-                assert_eq!(c.mean_faults_recovered, s.mean_faults_recovered);
-                assert_eq!(c.mean_lifetime, s.mean_lifetime);
-                assert_eq!(c.half_lifetime, s.half_lifetime);
-            }
+        let specs = fig8_unit_specs(&opts);
+        assert_chunked_matches_straight(&specs, opts.pages, "aegis-ckpt-fig8-chunk-test");
+    }
+
+    /// The first `pages` pages of a unit's straight run.
+    fn prefix(unit: &UnitProgress, pages: usize) -> UnitProgress {
+        let run = &unit.run;
+        UnitProgress {
+            pages_done: pages,
+            run: MemoryRun {
+                page_lifetimes: run.page_lifetimes[..pages].to_vec(),
+                unprotected_lifetimes: run.unprotected_lifetimes[..pages].to_vec(),
+                faults_recovered: run.faults_recovered[..pages].to_vec(),
+                capped_pages: 0,
+            },
+            ..unit.clone()
         }
+    }
+
+    /// A unit-major snapshot (unit 0 complete, unit 1 one chunk in, the
+    /// rest empty) resumes to the straight run bit for bit: the lowest
+    /// cursors advance first until the width shares one cursor.
+    #[test]
+    fn ragged_cursor_snapshot_resumes_to_the_straight_run() {
+        let opts = RunOptions {
+            pages: 5,
+            seed: 19,
+            ..RunOptions::default()
+        };
+        let dir = std::env::temp_dir().join("aegis-ckpt-ragged-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = campaign::fig567_unit_specs(&opts, false);
+        let reference = straight(&specs, opts.pages);
+        assert!(reference.iter().all(|unit| unit.run.capped_pages == 0));
+        let units: Vec<UnitProgress> = reference
+            .iter()
+            .enumerate()
+            .map(|(i, unit)| match i {
+                0 => unit.clone(),
+                1 => prefix(unit, 2),
+                _ => prefix(unit, 0),
+            })
+            .collect();
+        let resume = Checkpoint {
+            every: 2,
+            units,
+            ..Checkpoint::default()
+        };
+        let resumed = chunked(&specs, opts.pages, 2, Some(resume), &dir).expect("resume");
+        assert_eq!(resumed.len(), reference.len());
+        for (r, s) in resumed.iter().zip(&reference) {
+            assert_eq!((&r.scheme, r.block_bits), (&s.scheme, s.block_bits));
+            assert_eq!(r.pages_done, opts.pages, "{}", r.scheme);
+            assert_eq!(run_bits(&r.run), run_bits(&s.run), "{}", r.scheme);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_a_unit_beyond_the_run() {
+        let opts = RunOptions {
+            pages: 2,
+            seed: 23,
+            ..RunOptions::default()
+        };
+        let dir = std::env::temp_dir().join("aegis-ckpt-overrun-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = fig8_unit_specs(&opts);
+        let mut units = straight(&specs, opts.pages);
+        // Unit 1 claims a third page the run does not have.
+        let extra = &mut units[1];
+        extra.pages_done += 1;
+        extra.run.page_lifetimes.push(1.0);
+        extra.run.unprotected_lifetimes.push(1.0);
+        extra.run.faults_recovered.push(0);
+        let resume = Checkpoint {
+            every: 1,
+            units,
+            ..Checkpoint::default()
+        };
+        let err = chunked(&specs, opts.pages, 1, Some(resume), &dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&specs[1].label), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,9 +2,10 @@
 //! and per-overhead-bit contribution — one Monte Carlo run powers all
 //! three, for both block sizes.
 
+use crate::campaign::{self, fig567_unit_specs, UnitSpec};
 use crate::csvout::{self, fmt_f64};
-use crate::runner::{summarize_schemes_with, RunObserver, RunOptions, SchemeSummary};
-use crate::schemes;
+use crate::runner::{RunObserver, RunOptions, SchemeSummary};
+use pcm_sim::montecarlo::MemoryRun;
 use std::io;
 use std::path::Path;
 
@@ -33,17 +34,28 @@ pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig567 {
 /// by `tests/determinism.rs` and the cross-process CLI test.
 #[must_use]
 pub fn run_with_mode(opts: &RunOptions, observer: &RunObserver<'_>, scalar: bool) -> Fig567 {
-    let by_block = [256usize, 512]
+    let specs = fig567_unit_specs(opts, scalar);
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    let runs: Vec<MemoryRun> = campaign::run(&units, 0..opts.pages, observer)
         .into_iter()
-        .map(|bits| {
-            let set = if scalar {
-                schemes::fig5_schemes_scalar(bits)
-            } else {
-                schemes::fig5_schemes(bits)
-            };
-            (bits, summarize_schemes_with(&set, bits, opts, observer))
-        })
+        .map(|unit| unit.run)
         .collect();
+    assemble(&specs, &runs)
+}
+
+/// Folds per-unit runs (in [`fig567_unit_specs`] order) into the figure
+/// results.
+#[must_use]
+pub fn assemble(specs: &[UnitSpec], runs: &[MemoryRun]) -> Fig567 {
+    let mut by_block: Vec<(usize, Vec<SchemeSummary>)> = Vec::new();
+    for (spec, run) in specs.iter().zip(runs) {
+        let bits = spec.cfg.block_bits;
+        let summary = SchemeSummary::from_run(spec.policy.as_ref(), run);
+        match by_block.last_mut() {
+            Some((last, summaries)) if *last == bits => summaries.push(summary),
+            _ => by_block.push((bits, vec![summary])),
+        }
+    }
     Fig567 { by_block }
 }
 

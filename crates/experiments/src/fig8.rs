@@ -20,11 +20,11 @@
 //! `shard`/`merge` byte-identically — pinned in `tests/determinism.rs`
 //! and the CLI suite.
 
+use crate::campaign::{self, fig8_unit_specs, UnitSpec};
 use crate::csvout;
-use crate::runner::{run_units, RunObserver, RunOptions, SchemeSummary};
+use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use crate::schemes::{self, Policy};
 use pcm_sim::montecarlo::MemoryRun;
-use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -94,18 +94,11 @@ pub fn run(opts: &RunOptions) -> Fig8 {
 /// sampled once per fraction and judged by the whole scheme set.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig8 {
-    let set = schemes::fig8_schemes();
-    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
-    let runs: Vec<MemoryRun> = FIG8_PARTIAL_PERCENTS
+    let specs = fig8_unit_specs(opts);
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    let runs: Vec<MemoryRun> = campaign::run(&units, 0..opts.pages, observer)
         .into_iter()
-        .flat_map(|percent| {
-            let cfg = opts.sim_config_partial(FIG8_BLOCK_BITS, percent as f64 / 100.0);
-            let labels: Vec<String> = policies
-                .iter()
-                .map(|policy| unit_label(&policy.name(), percent))
-                .collect();
-            run_units(&policies, &labels, &cfg, observer)
-        })
+        .map(|unit| unit.run)
         .collect();
     assemble(&runs)
 }

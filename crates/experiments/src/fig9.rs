@@ -2,7 +2,7 @@
 //! half-lifetime metric.
 
 use crate::csvout;
-use crate::runner::{run_units, RunObserver, RunOptions};
+use crate::runner::{run_policies, RunObserver, RunOptions};
 use crate::schemes;
 use pcm_sim::montecarlo::{half_lifetime, survival_curve};
 use pcm_sim::policy::RecoveryPolicy;
@@ -35,12 +35,11 @@ pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Vec<SchemeSurv
     let mut set = schemes::failcdf_schemes();
     set.push(schemes::unprotected(512));
     let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
-    let names: Vec<String> = policies.iter().map(|policy| policy.name()).collect();
-    run_units(&policies, &names, &opts.sim_config(512), observer)
+    run_policies(&policies, &opts.sim_config(512), observer)
         .into_iter()
-        .zip(names)
-        .map(|(run, name)| SchemeSurvival {
-            name,
+        .zip(&policies)
+        .map(|(run, policy)| SchemeSurvival {
+            name: policy.name(),
             curve: survival_curve(&run.page_lifetimes),
             half_lifetime: half_lifetime(&run.page_lifetimes),
         })

@@ -30,6 +30,7 @@
 pub mod analyze;
 pub mod biasstudy;
 pub mod cachestudy;
+pub mod campaign;
 pub mod checkpoint;
 pub mod csvout;
 pub mod diff;

@@ -4,15 +4,16 @@
 //! (unknown command/option or a malformed value — the offending token is
 //! echoed with the usage text).
 
-use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl, CheckpointOutcome};
+use aegis_experiments::campaign::{self, UnitSpec};
+use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
 use aegis_experiments::runner::RunOptions;
 use aegis_experiments::{
-    analyze, biasstudy, cachestudy, checkpoint, diff, failcdf, fig10, fig567, fig8, fig9, monitor,
-    osassist, payg_check, runner, schemes, shardmerge, table1, telemetry, variants,
-    wearlevel_check, writecost,
+    analyze, biasstudy, cachestudy, diff, failcdf, fig10, fig567, fig8, fig9, monitor, osassist,
+    payg_check, runner, schemes, shardmerge, table1, telemetry, variants, wearlevel_check,
+    writecost,
 };
 use pcm_sim::forensics;
-use pcm_sim::montecarlo::FailureCriterion;
+use pcm_sim::montecarlo::{FailureCriterion, MemoryRun};
 use sim_telemetry::{RunState, RunTelemetry, SeriesWriter, Span, StatusWriter, TraceSpan, Tracer};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -130,10 +131,12 @@ Options:
                   thread count and across SIGINT + --resume)
   --checkpoint-every N
                   fig5/fig6/fig7/fig8 only: snapshot engine state to
-                  OUT/telemetry/<run-id>.ckpt.json every N pages per unit
-                  (implies --telemetry). SIGINT then stops the run at the
-                  next snapshot barrier with exit code 130 instead of
-                  killing it; the snapshot is removed when the run completes
+                  OUT/telemetry/<run-id>.ckpt.json after every N-page chunk
+                  of a block width (fig8: of a fraction), whose schemes
+                  advance together (implies --telemetry). SIGINT then stops
+                  the run at the next snapshot barrier with exit code 130
+                  instead of killing it; the snapshot is removed when the
+                  run completes
   --resume RUN_ID fig5/fig6/fig7/fig8 only: continue RUN_ID from its snapshot to
                   output byte-identical to an uninterrupted run (implies
                   --telemetry; adopts the snapshot's recorded configuration
@@ -363,11 +366,32 @@ impl Ctx<'_> {
             tracer: self.tracer.is_enabled().then_some(self.tracer),
             series: self.series.is_enabled().then_some(self.series),
             status: self.status_w.is_enabled().then_some(self.status_w),
-            // The checkpoint and shard drivers attach campaign timeline
-            // caches; straight runs sample each page once per pass and
-            // need none.
             timelines: None,
         }
+    }
+
+    /// Runs a fig5/6/7 or fig8 campaign over the whole chip — straight,
+    /// or in snapshotted chunks under `--checkpoint-every`/`--resume`/
+    /// `--target-rse` — then prints and writes what `command` asks for. A
+    /// SIGINT that stops it surfaces as
+    /// [`std::io::ErrorKind::Interrupted`].
+    fn campaign(&self, command: &str) -> std::io::Result<()> {
+        let (specs, runs) = {
+            let (specs, span) = campaign_specs(command, self.opts, self.scalar);
+            let _span = self.span(span)?;
+            let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+            let done = campaign::execute(&units, 0..self.opts.pages, &self.observer(), self.ckpt)?;
+            let done = done.ok_or_else(|| {
+                let path = self.ckpt.map(|ctl| ctl.path.display().to_string());
+                std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    format!("checkpoint written to {}", path.unwrap_or_default()),
+                )
+            })?;
+            let runs: Vec<MemoryRun> = done.into_iter().map(|unit| unit.run).collect();
+            (specs, runs)
+        };
+        emit_campaign(command, &specs, &runs, self.out)
     }
 
     fn span(&self, name: &str) -> std::io::Result<PhaseSpan<'_>> {
@@ -390,33 +414,32 @@ fn run_table1(ctx: &Ctx) -> std::io::Result<()> {
     table1::write_csv(&table, ctx.out)
 }
 
-fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig5-7] simulating {} pages per block size…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("fig567.montecarlo")?;
-        match ctx.ckpt {
-            None => fig567::run_with_mode(ctx.opts, &ctx.observer(), ctx.scalar),
-            Some(ctl) => {
-                match checkpoint::run_fig567_checkpointed(
-                    ctx.opts,
-                    &ctx.observer(),
-                    ctx.scalar,
-                    ctl,
-                )? {
-                    CheckpointOutcome::Complete(results) => results,
-                    CheckpointOutcome::Interrupted => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::Interrupted,
-                            format!("checkpoint written to {}", ctl.path.display()),
-                        ));
-                    }
-                }
-            }
-        }
-    };
+/// A fig5/6/7 or fig8 campaign's unit specs and its stream span name.
+fn campaign_specs(command: &str, opts: &RunOptions, scalar: bool) -> (Vec<UnitSpec>, &'static str) {
+    if command == "fig8" {
+        (campaign::fig8_unit_specs(opts), "fig8.montecarlo")
+    } else {
+        (
+            campaign::fig567_unit_specs(opts, scalar),
+            "fig567.montecarlo",
+        )
+    }
+}
+
+/// Prints the reports `command` asks for from a fig5/6/7 or fig8
+/// campaign's unit runs and writes the figure's CSVs.
+fn emit_campaign(
+    command: &str,
+    specs: &[UnitSpec],
+    runs: &[MemoryRun],
+    out: &Path,
+) -> std::io::Result<()> {
+    if command == "fig8" {
+        let results = fig8::assemble(runs);
+        println!("{}", fig8::report(&results));
+        return fig8::write_csv(&results, out);
+    }
+    let results = fig567::assemble(specs, runs);
     if matches!(command, "fig5" | "all") {
         println!("{}", fig567::report_fig5(&results));
     }
@@ -426,7 +449,15 @@ fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
     if matches!(command, "fig7" | "all") {
         println!("{}", fig567::report_fig7(&results));
     }
-    fig567::write_csvs(&results, ctx.out)
+    fig567::write_csvs(&results, out)
+}
+
+fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
+    ctx.status(&format!(
+        "[fig5-7] simulating {} pages per block size…",
+        ctx.opts.pages
+    ));
+    ctx.campaign(command)
 }
 
 fn run_fig8(ctx: &Ctx) -> std::io::Result<()> {
@@ -434,23 +465,7 @@ fn run_fig8(ctx: &Ctx) -> std::io::Result<()> {
         "[fig8] sweeping partially-stuck fractions over {} pages per unit…",
         ctx.opts.pages
     ));
-    let results = {
-        let _span = ctx.span("fig8.montecarlo")?;
-        match ctx.ckpt {
-            None => fig8::run_with(ctx.opts, &ctx.observer()),
-            Some(ctl) => match checkpoint::run_fig8_checkpointed(ctx.opts, &ctx.observer(), ctl)? {
-                checkpoint::Fig8CheckpointOutcome::Complete(results) => results,
-                checkpoint::Fig8CheckpointOutcome::Interrupted => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        format!("checkpoint written to {}", ctl.path.display()),
-                    ));
-                }
-            },
-        }
-    };
-    println!("{}", fig8::report(&results));
-    fig8::write_csv(&results, ctx.out)
+    ctx.campaign("fig8")
 }
 
 fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
@@ -836,7 +851,6 @@ fn run_shard(cli: &Cli) -> ExitCode {
             "'{figure}' cannot be sharded (only fig5, fig6, fig7 and fig8 can)"
         ));
     }
-    let is_fig8 = figure == "fig8";
     let (Some(shards), Some(shard_id)) = (cli.shards, cli.shard_id) else {
         return usage_error("--shards and --shard-id are required");
     };
@@ -905,16 +919,9 @@ fn run_shard(cli: &Cli) -> ExitCode {
     } else {
         StatusWriter::disabled()
     };
+    let (specs, span_name) = campaign_specs(figure, &cli.opts, cli.scalar);
     if status.is_enabled() {
-        let units: usize = if is_fig8 {
-            fig8::units().len()
-        } else {
-            checkpoint::unit_policies(cli.scalar)
-                .iter()
-                .map(|(_, policies)| policies.len())
-                .sum()
-        };
-        status.set_total_pages((units * (hi - lo)) as u64);
+        status.set_total_pages((specs.len() * (hi - lo)) as u64);
         status.set_shard(shard_id as u64, shards as u64);
     }
     let observer = runner::RunObserver {
@@ -924,11 +931,6 @@ fn run_shard(cli: &Cli) -> ExitCode {
         ..runner::RunObserver::default()
     };
     let units = {
-        let span_name = if is_fig8 {
-            "fig8.montecarlo"
-        } else {
-            "fig567.montecarlo"
-        };
         let span = match tel.span(span_name) {
             Ok(span) => span,
             Err(err) => {
@@ -936,11 +938,12 @@ fn run_shard(cli: &Cli) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let units = if is_fig8 {
-            shardmerge::run_fig8_shard_units(&cli.opts, &observer, lo, hi)
-        } else {
-            shardmerge::run_shard_units(&cli.opts, &observer, cli.scalar, lo, hi)
-        };
+        // A shard's unit barrier covers its stripe: the series sidecar is
+        // keyed by this shard's cumulative pages and the estimates are the
+        // stripe's own. Merge recomputes the pooled intervals from the
+        // concatenated per-page results.
+        let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+        let units = campaign::run(&units, lo..hi, &observer);
         drop(span);
         units
     };
@@ -1006,9 +1009,8 @@ fn run_merge(cli: &Cli) -> ExitCode {
         eprintln!("merge: shard manifests carry a non-numeric 'seed' option");
         return ExitCode::from(USAGE_ERROR);
     };
-    let is_fig8 = command == "fig8";
-    // fig8 rebuilds its unit specs from the campaign options; only the
-    // spec labels and block size matter for validating the sidecars.
+    // The unit specs are rebuilt from the campaign options: their labels
+    // and block sizes validate the sidecars, their policies name the rows.
     let merge_opts = RunOptions {
         seed,
         pages: option("pages")
@@ -1016,17 +1018,9 @@ fn run_merge(cli: &Cli) -> ExitCode {
             .unwrap_or(RunOptions::default().pages),
         ..RunOptions::default()
     };
-    enum Merged {
-        Fig567(fig567::Fig567),
-        Fig8(fig8::Fig8),
-    }
-    let merged = if is_fig8 {
-        shardmerge::merge_fig8_results(&inputs, &merge_opts).map(Merged::Fig8)
-    } else {
-        shardmerge::merge_results(&inputs, scalar).map(Merged::Fig567)
-    };
-    let results = match merged {
-        Ok(results) => results,
+    let (specs, span_name) = campaign_specs(&command, &merge_opts, scalar);
+    let runs = match shardmerge::merge_units(&inputs, &specs) {
+        Ok(runs) => runs,
         Err(msg) => {
             eprintln!("merge: {msg}");
             return ExitCode::from(USAGE_ERROR);
@@ -1075,32 +1069,14 @@ fn run_merge(cli: &Cli) -> ExitCode {
     tel.set_meta("trace", "off");
     let emit = || -> std::io::Result<()> {
         {
-            let _span = tel.span(if is_fig8 {
-                "fig8.montecarlo"
-            } else {
-                "fig567.montecarlo"
-            })?;
+            let _span = tel.span(span_name)?;
             shardmerge::absorb_shard_streams(&inputs, tel.registry());
         }
         {
             let _span = tel.span("codec-probe")?;
             telemetry::codec_probe(tel.registry(), seed);
         }
-        match &results {
-            Merged::Fig567(results) => {
-                match command.as_str() {
-                    "fig5" => println!("{}", fig567::report_fig5(results)),
-                    "fig6" => println!("{}", fig567::report_fig6(results)),
-                    "fig7" => println!("{}", fig567::report_fig7(results)),
-                    _ => {}
-                }
-                fig567::write_csvs(results, &cli.out_dir)?;
-            }
-            Merged::Fig8(results) => {
-                println!("{}", fig8::report(results));
-                fig8::write_csv(results, &cli.out_dir)?;
-            }
-        }
+        emit_campaign(&command, &specs, &runs, &cli.out_dir)?;
         tel.finish().map(drop)
     };
     match emit() {
@@ -1443,10 +1419,7 @@ fn main() -> ExitCode {
         status_w.set_target_rse(target);
     }
     if status_w.is_enabled() && matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7") {
-        let units: usize = checkpoint::unit_policies(cli.scalar)
-            .iter()
-            .map(|(_, policies)| policies.len())
-            .sum();
+        let units = campaign::fig567_unit_specs(&cli.opts, cli.scalar).len();
         status_w.set_total_pages((units * cli.opts.pages) as u64);
     }
     if status_w.is_enabled() && cli.command == "fig8" {

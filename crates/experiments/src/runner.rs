@@ -1,8 +1,9 @@
 //! Shared orchestration: run scheme sets over simulated chips and
 //! summarize the metrics the figures report.
 
+use crate::campaign::{self, Unit};
 use crate::schemes::Policy;
-use pcm_sim::montecarlo::{self, FailureCriterion, McTelemetry, MemoryRun, PassHooks, SimConfig};
+use pcm_sim::montecarlo::{self, FailureCriterion, MemoryRun, SimConfig};
 use pcm_sim::policy::RecoveryPolicy;
 use pcm_sim::timeline::TimelineCache;
 use sim_telemetry::{Registry, SeriesWriter, StatusWriter, Tracer, UnitEstimate};
@@ -208,12 +209,10 @@ pub struct RunObserver<'a> {
     /// Live `<run-id>.status.json` heartbeats (`--status`): forwarded to
     /// the engine for page-level progress and folded at unit barriers.
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache for drivers that run one unit at a time
-    /// over the same chip: the checkpoint and shard drivers set it so each
-    /// page is sampled once per campaign, and the benchmark harness
-    /// prefills one to time sampling apart. Straight runs need none — a
-    /// page-major pass samples each page once for all of its units.
-    /// Results are byte-identical with or without it.
+    /// Prefilled page-timeline cache, forwarded to
+    /// [`montecarlo::PassHooks::timelines`]. The benchmark harness is the
+    /// only caller: it prefills one to time sampling apart. ROADMAP item 1
+    /// removes it. Results are byte-identical with or without it.
     pub timelines: Option<&'a TimelineCache>,
 }
 
@@ -229,9 +228,9 @@ impl<'a> RunObserver<'a> {
 
     /// Marks one Monte Carlo unit of `pages` pages complete: samples the
     /// time-series sidecar from the registry and folds the pages into the
-    /// status heartbeat's base count. Called at every unit barrier —
-    /// straight runs do this per scheme; chunked (checkpointed) runs only
-    /// when a unit's final chunk lands, keeping the sidecars identical.
+    /// status heartbeat's base count. The campaign executor calls it at
+    /// every unit barrier, in unit order, once the unit's last chunk lands,
+    /// keeping the sidecars identical however the run is chunked.
     pub fn unit_barrier(&self, pages: u64) {
         self.unit_barrier_with(pages, &[]);
     }
@@ -275,111 +274,30 @@ pub fn summarize_schemes_with(
     observer: &RunObserver<'_>,
 ) -> Vec<SchemeSummary> {
     let set: Vec<&dyn RecoveryPolicy> = policies.iter().map(AsRef::as_ref).collect();
-    let labels: Vec<String> = set.iter().map(|policy| policy.name()).collect();
-    run_units(&set, &labels, &opts.sim_config(block_bits), observer)
+    run_policies(&set, &opts.sim_config(block_bits), observer)
         .iter()
         .zip(&set)
         .map(|(run, &policy)| SchemeSummary::from_run(policy, run))
         .collect()
 }
 
-/// Runs every policy over the whole chip of `cfg` in one page-major pass
-/// (see [`montecarlo::run_memory_pass`]) and closes each as a Monte Carlo
-/// unit, in slice order. `labels[i]` names unit `i` in telemetry, progress
-/// and estimates.
-///
-/// Each unit's telemetry is staged in a registry of its own while the pass
-/// runs and absorbed into the observer's registry at that unit's barrier,
-/// so every barrier samples the registry exactly as if the units had run
-/// one after another: the stream, the series sidecar and the status unit
-/// counts do not depend on the pass.
-pub(crate) fn run_units(
+/// Runs every policy over the whole chip of `cfg` as one campaign (see
+/// [`campaign::execute`]), each unit labeled by its policy's name.
+pub(crate) fn run_policies(
     policies: &[&dyn RecoveryPolicy],
-    labels: &[String],
     cfg: &SimConfig,
     observer: &RunObserver<'_>,
 ) -> Vec<MemoryRun> {
-    let staging: Vec<Registry> = match observer.registry {
-        Some(registry) if registry.is_enabled() => labels.iter().map(|_| Registry::new()).collect(),
-        _ => Vec::new(),
-    };
-    let telemetry: Vec<McTelemetry> = staging
+    let labels: Vec<String> = policies.iter().map(|policy| policy.name()).collect();
+    let units: Vec<Unit<'_>> = policies
         .iter()
-        .zip(labels)
-        .map(|(registry, label)| McTelemetry::for_scheme(registry, label))
+        .zip(&labels)
+        .map(|(&policy, label)| Unit { label, cfg, policy })
         .collect();
-    let runs = run_pass(policies, labels, &telemetry, cfg, observer, 0, cfg.pages);
-    for (i, (label, run)) in labels.iter().zip(&runs).enumerate() {
-        if let (Some(registry), Some(staged)) = (observer.registry, staging.get(i)) {
-            registry.absorb(staged);
-        }
-        observer.unit_barrier_with(
-            cfg.pages as u64,
-            &unit_estimates(label, cfg.block_bits, run),
-        );
-    }
-    runs
-}
-
-/// One page-major pass over the global pages `start..end`, forwarding
-/// progress under each unit's label.
-fn run_pass(
-    policies: &[&dyn RecoveryPolicy],
-    labels: &[String],
-    telemetry: &[McTelemetry],
-    cfg: &SimConfig,
-    observer: &RunObserver<'_>,
-    start: usize,
-    end: usize,
-) -> Vec<MemoryRun> {
-    let forward = |unit: usize, done: usize, total: usize| {
-        if let Some(report) = observer.progress {
-            report(&labels[unit], done, total);
-        }
-    };
-    let hooks = PassHooks {
-        telemetry,
-        progress: observer
-            .progress
-            .map(|_| &forward as &montecarlo::PassProgressFn<'_>),
-        tracer: observer.tracer,
-        status: observer.status,
-        timelines: observer.timelines,
-    };
-    montecarlo::run_memory_pass(policies, cfg, start, end, &hooks)
-}
-
-/// Runs one policy over the global pages `start..end` of an explicit chip
-/// configuration, recording telemetry/progress under `label` instead of
-/// the policy's own name, straight into the observer's registry. The
-/// engine path of the checkpointed and sharded campaigns, which run one
-/// unit at a time: a unit's label stays stable even when the same policy
-/// appears under several configurations.
-#[must_use]
-pub fn run_labeled_range(
-    policy: &dyn RecoveryPolicy,
-    label: &str,
-    cfg: &SimConfig,
-    observer: &RunObserver<'_>,
-    start: usize,
-    end: usize,
-) -> MemoryRun {
-    let telemetry: Vec<McTelemetry> = observer
-        .registry
-        .map(|registry| McTelemetry::for_scheme(registry, label))
+    campaign::run(&units, 0..cfg.pages, observer)
         .into_iter()
-        .collect();
-    run_pass(
-        &[policy],
-        &[label.to_owned()],
-        &telemetry,
-        cfg,
-        observer,
-        start,
-        end,
-    )
-    .pop()
-    .expect("a pass returns one run per policy")
+        .map(|unit| unit.run)
+        .collect()
 }
 
 /// Runs one policy and returns the raw chip run (for survival curves).
@@ -396,14 +314,9 @@ pub fn run_chip_with(
     opts: &RunOptions,
     observer: &RunObserver<'_>,
 ) -> MemoryRun {
-    run_units(
-        &[policy.as_ref()],
-        &[policy.name()],
-        &opts.sim_config(block_bits),
-        observer,
-    )
-    .pop()
-    .expect("a pass returns one run per policy")
+    run_policies(&[policy.as_ref()], &opts.sim_config(block_bits), observer)
+        .pop()
+        .expect("a campaign returns one run per unit")
 }
 
 #[cfg(test)]

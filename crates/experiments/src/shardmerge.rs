@@ -1,8 +1,9 @@
-//! Seed-disjoint sharding and byte-deterministic merging of fig5/6/7
-//! Monte Carlo campaigns.
+//! Seed-disjoint sharding and byte-deterministic merging of fig5/6/7 and
+//! fig8 Monte Carlo campaigns.
 //!
 //! A shard runs the contiguous stripe of global page indices
-//! `[i·P/K, (i+1)·P/K)` with the campaign's master seed. Every page is
+//! `[i·P/K, (i+1)·P/K)` with the campaign's master seed, as the page range
+//! of [`crate::campaign::execute`]. Every page is
 //! its own [`sim_rng::substream_seed`] substream of that seed, so the
 //! shards consume pairwise-disjoint RNG streams and the union of their
 //! per-page results is exactly what one unsharded process would compute.
@@ -19,12 +20,9 @@
 //! byte-identical to the unsharded run's — pinned in the CLI test suite
 //! and the verify.sh/CI smoke.
 
-use crate::checkpoint::{
-    fig8_unit_specs, run_unit_range, unit_policies, Checkpoint, UnitProgress, UnitSpec,
-};
-use crate::fig567::Fig567;
-use crate::fig8::{self, Fig8};
-use crate::runner::{run_labeled_range, unit_estimates, RunObserver, RunOptions, SchemeSummary};
+use crate::campaign::UnitSpec;
+use crate::checkpoint::Checkpoint;
+use pcm_sim::montecarlo::MemoryRun;
 use sim_telemetry::{Event, Registry, RunManifest};
 use std::io;
 use std::path::Path;
@@ -41,84 +39,6 @@ pub fn shard_range(pages: usize, shards: usize, shard_id: usize) -> (usize, usiz
 #[must_use]
 pub fn shard_run_id(command: &str, seed: u64, shards: usize, shard_id: usize) -> String {
     format!("{command}-s{seed}-shard{shard_id}of{shards}")
-}
-
-/// Runs this shard's stripe of every fig5/6/7 unit and returns the
-/// per-unit raw results (pages `lo..hi` of each unit).
-#[must_use]
-pub fn run_shard_units(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    scalar: bool,
-    lo: usize,
-    hi: usize,
-) -> Vec<UnitProgress> {
-    // Shard-scope timeline cache: units run one at a time here, so all
-    // schemes of one width share their stripe's sampled pages through it.
-    let shard_timelines = pcm_sim::timeline::TimelineCache::new();
-    let observer = &RunObserver {
-        timelines: observer.timelines.or(Some(&shard_timelines)),
-        ..*observer
-    };
-    unit_policies(scalar)
-        .iter()
-        .flat_map(|(bits, set)| {
-            set.iter().map(|policy| {
-                let run = run_unit_range(policy, *bits, opts, observer, lo, hi);
-                // A shard's unit barrier covers its stripe: the series
-                // sidecar is keyed by *this shard's* cumulative pages and
-                // the status heartbeat folds `hi - lo` pages per unit.
-                // Estimates snapshot the stripe's own moments; merge
-                // recomputes the pooled interval from the concatenated
-                // per-page results, so shard-local estimates are a
-                // monitoring view, not an input to the merged CI.
-                observer.unit_barrier_with(
-                    (hi - lo) as u64,
-                    &unit_estimates(&policy.name(), *bits, &run),
-                );
-                UnitProgress {
-                    block_bits: *bits,
-                    scheme: policy.name(),
-                    pages_done: hi - lo,
-                    run,
-                }
-            })
-        })
-        .collect()
-}
-
-/// Runs this shard's stripe of every fig8 unit (the fig8 analogue of
-/// [`run_shard_units`]; the shard machinery is otherwise identical).
-#[must_use]
-pub fn run_fig8_shard_units(
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-    lo: usize,
-    hi: usize,
-) -> Vec<UnitProgress> {
-    fig8_unit_specs(opts)
-        .iter()
-        .map(|spec| {
-            let run = run_labeled_range(
-                spec.policy.as_ref(),
-                &spec.label,
-                &spec.cfg,
-                observer,
-                lo,
-                hi,
-            );
-            observer.unit_barrier_with(
-                (hi - lo) as u64,
-                &unit_estimates(&spec.label, spec.cfg.block_bits, &run),
-            );
-            UnitProgress {
-                block_bits: spec.cfg.block_bits,
-                scheme: spec.label.clone(),
-                pages_done: hi - lo,
-                run,
-            }
-        })
-        .collect()
 }
 
 /// Everything merge reads back for one shard.
@@ -296,101 +216,41 @@ pub fn validate_shards(inputs: &mut [ShardInput]) -> Result<(), String> {
 }
 
 /// Concatenates the sorted shards' per-unit results into full-campaign
-/// unit runs, cross-checking every shard's unit list.
-fn concat_units(inputs: &[ShardInput], unit_count: usize) -> Result<Vec<UnitProgress>, String> {
-    let mut merged: Vec<UnitProgress> = Vec::with_capacity(unit_count);
+/// runs, in `specs` order, after checking every shard's unit list against
+/// the rebuilt specs.
+///
+/// # Errors
+///
+/// Returns a message naming the first shard whose unit list disagrees.
+pub fn merge_units(inputs: &[ShardInput], specs: &[UnitSpec]) -> Result<Vec<MemoryRun>, String> {
+    let mut merged = vec![MemoryRun::default(); specs.len()];
     for input in inputs {
-        if input.sidecar.units.len() != unit_count {
+        let units = &input.sidecar.units;
+        if units.len() != specs.len() {
             return Err(format!(
-                "shard '{}' records {} units but this build expects {unit_count}",
+                "shard '{}' records {} units but this build expects {}",
                 input.run_id,
-                input.sidecar.units.len()
+                units.len(),
+                specs.len()
             ));
         }
-        for (index, unit) in input.sidecar.units.iter().enumerate() {
-            match merged.get_mut(index) {
-                None => merged.push(unit.clone()),
-                Some(acc) => {
-                    if acc.block_bits != unit.block_bits || acc.scheme != unit.scheme {
-                        return Err(format!(
-                            "shard '{}' unit {index} is '{}' ({} bits) but an earlier shard \
-                             recorded '{}' ({} bits)",
-                            input.run_id, unit.scheme, unit.block_bits, acc.scheme, acc.block_bits
-                        ));
-                    }
-                    acc.pages_done += unit.pages_done;
-                    acc.run
-                        .page_lifetimes
-                        .extend_from_slice(&unit.run.page_lifetimes);
-                    acc.run
-                        .unprotected_lifetimes
-                        .extend_from_slice(&unit.run.unprotected_lifetimes);
-                    acc.run
-                        .faults_recovered
-                        .extend_from_slice(&unit.run.faults_recovered);
-                    acc.run.capped_pages += unit.run.capped_pages;
-                }
+        for ((acc, unit), spec) in merged.iter_mut().zip(units).zip(specs) {
+            if unit.scheme != spec.label || unit.block_bits != spec.cfg.block_bits {
+                return Err(format!(
+                    "shard '{}' unit '{}' ({} bits) does not match the rebuilt unit '{}' ({} bits)",
+                    input.run_id, unit.scheme, unit.block_bits, spec.label, spec.cfg.block_bits
+                ));
             }
+            acc.page_lifetimes
+                .extend_from_slice(&unit.run.page_lifetimes);
+            acc.unprotected_lifetimes
+                .extend_from_slice(&unit.run.unprotected_lifetimes);
+            acc.faults_recovered
+                .extend_from_slice(&unit.run.faults_recovered);
+            acc.capped_pages += unit.run.capped_pages;
         }
     }
     Ok(merged)
-}
-
-/// Concatenates the sorted shards' per-unit results into full-campaign
-/// runs and summarizes them into the figure results.
-///
-/// # Errors
-///
-/// Returns a message when the shards' unit lists disagree.
-pub fn merge_results(inputs: &[ShardInput], scalar: bool) -> Result<Fig567, String> {
-    let sets = unit_policies(scalar);
-    let unit_count: usize = sets.iter().map(|(_, set)| set.len()).sum();
-    let merged = concat_units(inputs, unit_count)?;
-
-    let mut by_block = Vec::new();
-    let mut flat = 0usize;
-    for (bits, set) in &sets {
-        let mut summaries: Vec<SchemeSummary> = Vec::with_capacity(set.len());
-        for policy in set {
-            let unit = &merged[flat];
-            if unit.scheme != policy.name() || unit.block_bits != *bits {
-                return Err(format!(
-                    "merged unit '{}' ({} bits) does not match the rebuilt scheme set's \
-                     '{}' ({} bits)",
-                    unit.scheme,
-                    unit.block_bits,
-                    policy.name(),
-                    bits
-                ));
-            }
-            summaries.push(SchemeSummary::from_run(policy.as_ref(), &unit.run));
-            flat += 1;
-        }
-        by_block.push((*bits, summaries));
-    }
-    Ok(Fig567 { by_block })
-}
-
-/// [`merge_results`] for a fig8 campaign: concatenates the shards' unit
-/// runs and folds them into the sweep results.
-///
-/// # Errors
-///
-/// Returns a message when the shards' unit lists disagree with the
-/// rebuilt fig8 unit specs.
-pub fn merge_fig8_results(inputs: &[ShardInput], opts: &RunOptions) -> Result<Fig8, String> {
-    let specs: Vec<UnitSpec> = fig8_unit_specs(opts);
-    let merged = concat_units(inputs, specs.len())?;
-    for (spec, unit) in specs.iter().zip(&merged) {
-        if unit.scheme != spec.label || unit.block_bits != spec.cfg.block_bits {
-            return Err(format!(
-                "merged unit '{}' ({} bits) does not match the rebuilt fig8 unit '{}' ({} bits)",
-                unit.scheme, unit.block_bits, spec.label, spec.cfg.block_bits
-            ));
-        }
-    }
-    let runs: Vec<_> = merged.into_iter().map(|unit| unit.run).collect();
-    Ok(fig8::assemble(&runs))
 }
 
 /// Replays every metric event of the sorted shard streams into
@@ -432,6 +292,8 @@ pub fn absorb_shard_streams(inputs: &[ShardInput], registry: &Registry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign;
+    use crate::runner::{RunObserver, RunOptions};
 
     #[test]
     fn shard_ranges_partition_the_page_space() {
@@ -454,10 +316,12 @@ mod tests {
             seed: 9,
             ..RunOptions::default()
         };
+        let specs = campaign::fig567_unit_specs(&opts, false);
+        let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
         let observer = RunObserver::default();
-        let full = run_shard_units(&opts, &observer, false, 0, opts.pages);
-        let mut glued = run_shard_units(&opts, &observer, false, 0, 2);
-        let right = run_shard_units(&opts, &observer, false, 2, opts.pages);
+        let full = campaign::run(&units, 0..opts.pages, &observer);
+        let mut glued = campaign::run(&units, 0..2, &observer);
+        let right = campaign::run(&units, 2..opts.pages, &observer);
         for (acc, part) in glued.iter_mut().zip(&right) {
             acc.pages_done += part.pages_done;
             acc.run

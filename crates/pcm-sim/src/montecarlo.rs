@@ -129,8 +129,6 @@ pub struct RunHooks<'a> {
     pub tracer: Option<&'a Tracer>,
     /// Live heartbeat sink; see [`PassHooks::status`].
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache; see [`PassHooks::timelines`].
-    pub timelines: Option<&'a TimelineCache>,
 }
 
 /// Optional observation hooks for a page-major pass
@@ -157,11 +155,11 @@ pub struct PassHooks<'a> {
     /// and records the pool's worker busy fraction — pure liveness,
     /// outside the determinism contract.
     pub status: Option<&'a StatusWriter>,
-    /// Shared page-timeline cache. When set, workers fetch pages through
-    /// [`TimelineCache::get_or_sample`] instead of sampling them: the
-    /// chunked checkpoint and shard drivers run one policy at a time, and
-    /// the cache keeps them at one sample per page per campaign. Results
-    /// are byte-identical with the cache on or off.
+    /// Prefilled page-timeline cache. When set, workers fetch pages
+    /// through [`TimelineCache::get_or_sample`] instead of sampling them.
+    /// The benchmark harness is the only caller: it prefills a cache to
+    /// time sampling apart from evaluation. ROADMAP item 1 removes it.
+    /// Results are byte-identical with the cache on or off.
     pub timelines: Option<&'a TimelineCache>,
 }
 
@@ -593,7 +591,7 @@ fn page_pass<'a>(
 }
 
 /// Configuration of a chip-level Monte Carlo run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Pages simulated (the paper's 8 MB chip has 2048 pages of 4 KB).
     pub pages: usize,
@@ -763,10 +761,11 @@ pub fn run_memory_with(
 /// page_idx)` substream (see [`TimelineSampler::page_rng`]), evaluating a
 /// sub-range produces exactly the per-page results the full run would
 /// produce for those indices — no RNG state crosses page boundaries. This
-/// is the primitive under both checkpoint/resume (a resumed run continues
+/// is the property both checkpoint/resume (a resumed run continues
 /// from the page high-water mark) and sharding (shard `i` of `K` runs the
-/// stripe `[i·P/K, (i+1)·P/K)`); concatenating the ranges in index order
-/// is byte-identical to one uninterrupted call over `0..cfg.pages`.
+/// stripe `[i·P/K, (i+1)·P/K)`) build on; concatenating the ranges in
+/// index order is byte-identical to one uninterrupted call over
+/// `0..cfg.pages`.
 ///
 /// `cfg.pages` stays the *global* page count: progress reports and
 /// telemetry denominators describe positions in the full run, so a resumed
@@ -788,7 +787,7 @@ pub fn run_memory_range_with(
         progress: hooks.progress.map(|_| &forward as &PassProgressFn<'_>),
         tracer: hooks.tracer,
         status: hooks.status,
-        timelines: hooks.timelines,
+        timelines: None,
     };
     run_memory_pass(&[policy], cfg, start, end, &pass)
         .pop()
@@ -799,10 +798,9 @@ pub fn run_memory_range_with(
 /// one simulated chip in a single page-major pass, returning one
 /// [`MemoryRun`] per policy in slice order.
 ///
-/// A worker samples page `p` once — or fetches it from `hooks.timelines`
-/// — and judges every policy on it with [`evaluate_page_pass`], so the
-/// policies share the page's timeline and each block's W/R splits, and
-/// nothing outlives the page. Pages are scheduled dynamically over
+/// A worker samples page `p` once and judges every policy on it with
+/// [`evaluate_page_pass`], so the policies share the page's timeline and
+/// each block's W/R splits, and nothing outlives the page. Pages are scheduled dynamically over
 /// `cfg.threads` workers by [`sim_pool::run_indexed`]: page lifetimes vary
 /// ~10×, so workers pull small index batches from a shared counter instead
 /// of owning static chunks. Each page's randomness is derived from
@@ -1698,14 +1696,19 @@ mod tests {
         cfg.partial_fraction = 0.25;
         let plain = run_memory(&policy, &cfg);
         let cache = TimelineCache::with_capacity(64);
-        let hooks = RunHooks {
+        let hooks = PassHooks {
             timelines: Some(&cache),
-            ..RunHooks::default()
+            ..PassHooks::default()
         };
-        let cached_cold = run_memory_with(&policy, &cfg, &hooks);
+        let cached = || {
+            run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks)
+                .pop()
+                .expect("one run per policy")
+        };
+        let cached_cold = cached();
         assert_eq!(cache.len(), 6, "every page was retained");
         assert_eq!(cache.hits(), 0);
-        let cached_warm = run_memory_with(&policy, &cfg, &hooks);
+        let cached_warm = cached();
         assert_eq!(cache.hits(), 6, "second run served entirely from cache");
         for run in [&cached_cold, &cached_warm] {
             assert_eq!(plain.page_lifetimes, run.page_lifetimes);

@@ -360,11 +360,12 @@ pub const DEFAULT_TIMELINE_CACHE_PAGES: usize = 16_384;
 /// *identical* timeline by construction. A page-major pass
 /// ([`run_memory_pass`](crate::montecarlo::run_memory_pass)) gets that
 /// sharing without a cache: it samples each page once, judges every scheme
-/// on it, and drops it. Drivers that run one scheme at a time over the
-/// same chip — the chunked checkpoint and shard campaigns — would instead
-/// re-sample every page per scheme; the cache samples each page once and
-/// hands out `Arc` clones to every subsequent run, at the price of holding
-/// the whole chip in memory.
+/// on it, and drops it. No figure driver builds one. The benchmark harness
+/// is the only caller: it prefills a cache so that sampling is timed apart
+/// from evaluation, and the engine then hands out `Arc` clones of the
+/// cached pages (see [`PassHooks::timelines`]). ROADMAP item 1 removes it.
+///
+/// [`PassHooks::timelines`]: crate::montecarlo::PassHooks::timelines
 ///
 /// # Determinism
 ///

@@ -174,6 +174,20 @@ awk -v mb="$fig5_rss" 'BEGIN { exit !(mb < 100) }' \
     || { echo "fig5 --full peaked at $fig5_rss MB (ceiling 100 MB)" >&2; exit 1; }
 rm -rf "$rss_out"
 
+# The checkpointed campaign runs page-major chunks too: no campaign
+# timeline cache, the same ceiling, and the committed fig5-7 CSVs.
+echo "==> fig5 --full --checkpoint-every 256 peak RSS under 100 MB"
+ckpt_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
+    fig5 --full --checkpoint-every 256 --telemetry --quiet --out "$rss_out")
+echo "fig5 --full --checkpoint-every 256 peak RSS: $ckpt_rss MB"
+awk -v mb="$ckpt_rss" 'BEGIN { exit !(mb < 100) }' \
+    || { echo "fig5 --full --checkpoint-every 256 peaked at $ckpt_rss MB (ceiling 100 MB)" >&2; exit 1; }
+for csv in fig5 fig6 fig7; do
+    cmp "results/$csv.csv" "$rss_out/$csv.csv" \
+        || { echo "checkpointed fig5 --full changed results/$csv.csv" >&2; exit 1; }
+done
+rm -rf "$rss_out"
+
 # Observability smoke: runs recorded with --series --status must leave a
 # series sidecar and a status heartbeat; `monitor --once --json` must
 # report the finished campaign all_done; `telemetry-diff` must find a

@@ -8,6 +8,8 @@
 //! in-tree `sim-rng` substrate was built to pin down (no platform RNG, no
 //! external crate whose algorithm may change under us).
 
+use aegis_experiments::campaign::{self, UnitSpec};
+use aegis_experiments::checkpoint::UnitProgress;
 use aegis_experiments::runner::{summarize_schemes_with, RunObserver, RunOptions};
 use aegis_experiments::schemes;
 use aegis_pcm::aegis::{AegisPolicy, Rectangle};
@@ -18,6 +20,50 @@ use aegis_pcm::telemetry::{
     strip_volatile, Event, RunTelemetry, SeriesWriter, SharedBuf, StatusWriter, Tracer,
 };
 use sim_rng::{Rng, RngCore, SeedableRng, SmallRng};
+
+/// A checkpointed fig5/6/7 campaign through the campaign executor; `None`
+/// when a pending interrupt stopped it at a chunk barrier.
+fn fig567_checkpointed(
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+    ctl: &aegis_experiments::checkpoint::CheckpointCtl<'_>,
+) -> Option<aegis_experiments::fig567::Fig567> {
+    let specs = campaign::fig567_unit_specs(opts, false);
+    Some(aegis_experiments::fig567::assemble(
+        &specs,
+        &checkpointed_runs(&specs, opts, observer, ctl)?,
+    ))
+}
+
+/// [`fig567_checkpointed`] for the fig8 campaign.
+fn fig8_checkpointed(
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+    ctl: &aegis_experiments::checkpoint::CheckpointCtl<'_>,
+) -> Option<aegis_experiments::fig8::Fig8> {
+    let specs = campaign::fig8_unit_specs(opts);
+    Some(aegis_experiments::fig8::assemble(&checkpointed_runs(
+        &specs, opts, observer, ctl,
+    )?))
+}
+
+fn checkpointed_runs(
+    specs: &[UnitSpec],
+    opts: &RunOptions,
+    observer: &RunObserver<'_>,
+    ctl: &aegis_experiments::checkpoint::CheckpointCtl<'_>,
+) -> Option<Vec<aegis_pcm::pcm::montecarlo::MemoryRun>> {
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    let done =
+        campaign::execute(&units, 0..opts.pages, observer, Some(ctl)).expect("checkpointed run")?;
+    Some(done.into_iter().map(|unit| unit.run).collect())
+}
+
+/// One shard stripe `lo..hi` of every unit of `specs`.
+fn stripe(specs: &[UnitSpec], lo: usize, hi: usize) -> Vec<UnitProgress> {
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    campaign::run(&units, lo..hi, &RunObserver::default())
+}
 
 /// The raw generator is reproducible from a seed and sensitive to it.
 #[test]
@@ -425,9 +471,7 @@ fn series_sidecar_is_byte_identical_across_threads_tracing_and_monitoring() {
 /// that was never interrupted.
 #[test]
 fn checkpoint_resume_continues_the_series_sidecar() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, Checkpoint, CheckpointCtl, CheckpointOutcome,
-    };
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let opts = RunOptions {
@@ -450,10 +494,9 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             series: Some(&series),
             ..RunObserver::default()
         };
-        match run_fig567_checkpointed(
+        match fig567_checkpointed(
             &opts,
             &observer,
-            false,
             &CheckpointCtl {
                 path: dir.join("straight.ckpt.json"),
                 every: 2,
@@ -462,11 +505,9 @@ fn checkpoint_resume_continues_the_series_sidecar() {
                 fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
                 target_rse: None,
             },
-        )
-        .expect("straight run")
-        {
-            CheckpointOutcome::Complete(_) => {}
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts the straight leg"),
+        ) {
+            Some(_) => {}
+            None => panic!("nothing interrupts the straight leg"),
         }
         series.finish().expect("series finish");
         run.finish().expect("finish");
@@ -497,9 +538,9 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse: None,
         };
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("interrupted run") {
-            CheckpointOutcome::Interrupted => {}
-            CheckpointOutcome::Complete(_) => panic!("the pulled plug must stop the run"),
+        match fig567_checkpointed(&opts, &observer, &ctl) {
+            None => {}
+            Some(_) => panic!("the pulled plug must stop the run"),
         }
         assert!(path.exists(), "interruption must leave a snapshot");
         run.finish().expect("finish");
@@ -526,9 +567,9 @@ fn checkpoint_resume_continues_the_series_sidecar() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse: None,
         };
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("resumed run") {
-            CheckpointOutcome::Complete(_) => {}
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
+        match fig567_checkpointed(&opts, &observer, &ctl) {
+            Some(_) => {}
+            None => panic!("nothing interrupts the resumed leg"),
         }
         series.finish().expect("series finish");
         run.finish().expect("finish");
@@ -552,9 +593,7 @@ fn checkpoint_resume_continues_the_series_sidecar() {
 /// run with early stopping disabled.
 #[test]
 fn unreached_target_rse_and_estimates_leave_the_stream_byte_identical() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, CheckpointCtl, CheckpointOutcome,
-    };
+    use aegis_experiments::checkpoint::CheckpointCtl;
     use std::sync::atomic::AtomicBool;
 
     let dir = std::env::temp_dir().join("aegis-det-target-rse");
@@ -583,11 +622,9 @@ fn unreached_target_rse_and_estimates_leave_the_stream_byte_identical() {
             fingerprint: vec![("command".to_owned(), "fig5".to_owned())],
             target_rse,
         };
-        let results = match run_fig567_checkpointed(&opts, &observer, false, &ctl)
-            .expect("checkpointed run")
-        {
-            CheckpointOutcome::Complete(results) => results,
-            CheckpointOutcome::Interrupted => panic!("nothing interrupts this leg"),
+        let results = match fig567_checkpointed(&opts, &observer, &ctl) {
+            Some(results) => results,
+            None => panic!("nothing interrupts this leg"),
         };
         series.finish().expect("series finish");
         run.finish().expect("finish");
@@ -742,9 +779,7 @@ fn page_ranges_concatenate_to_the_full_run() {
 /// results match bit for bit — the tentpole contract of `--resume`.
 #[test]
 fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
-    use aegis_experiments::checkpoint::{
-        run_fig567_checkpointed, Checkpoint, CheckpointCtl, CheckpointOutcome,
-    };
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
     use aegis_experiments::fig567;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -782,9 +817,9 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("checkpointed run") {
-            CheckpointOutcome::Interrupted => {}
-            CheckpointOutcome::Complete(_) => panic!("pending interrupt must stop the run"),
+        match fig567_checkpointed(&opts, &observer, &ctl) {
+            None => {}
+            Some(_) => panic!("pending interrupt must stop the run"),
         }
         assert!(path.exists(), "interruption must leave a snapshot behind");
         run.finish().expect("finish");
@@ -806,11 +841,10 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let results =
-            match run_fig567_checkpointed(&opts, &observer, false, &ctl).expect("resumed run") {
-                CheckpointOutcome::Complete(results) => results,
-                CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
-            };
+        let results = match fig567_checkpointed(&opts, &observer, &ctl) {
+            Some(results) => results,
+            None => panic!("nothing interrupts the resumed leg"),
+        };
         run.finish().expect("finish");
         (results, buf.text())
     };
@@ -946,9 +980,7 @@ fn fig8_telemetry_is_byte_identical_across_threads_and_tracing() {
 /// sweep results match bit for bit.
 #[test]
 fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
-    use aegis_experiments::checkpoint::{
-        run_fig8_checkpointed, Checkpoint, CheckpointCtl, Fig8CheckpointOutcome,
-    };
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
     use aegis_experiments::fig8;
     use std::sync::atomic::AtomicBool;
 
@@ -986,9 +1018,9 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("f8-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        match run_fig8_checkpointed(&opts, &observer, &ctl).expect("checkpointed run") {
-            Fig8CheckpointOutcome::Interrupted => {}
-            Fig8CheckpointOutcome::Complete(_) => panic!("pending interrupt must stop the run"),
+        match fig8_checkpointed(&opts, &observer, &ctl) {
+            None => {}
+            Some(_) => panic!("pending interrupt must stop the run"),
         }
         assert!(path.exists(), "interruption must leave a snapshot behind");
         run.finish().expect("finish");
@@ -1009,9 +1041,9 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("f8-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let results = match run_fig8_checkpointed(&opts, &observer, &ctl).expect("resumed run") {
-            Fig8CheckpointOutcome::Complete(results) => results,
-            Fig8CheckpointOutcome::Interrupted => panic!("nothing interrupts the resumed leg"),
+        let results = match fig8_checkpointed(&opts, &observer, &ctl) {
+            Some(results) => results,
+            None => panic!("nothing interrupts the resumed leg"),
         };
         run.finish().expect("finish");
         (results, buf.text())
@@ -1032,19 +1064,19 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
 /// contract for the new figure.
 #[test]
 fn fig8_shard_stripes_reproduce_the_full_sweep() {
-    use aegis_experiments::shardmerge::{run_fig8_shard_units, shard_range};
+    use aegis_experiments::shardmerge::shard_range;
 
     let opts = RunOptions {
         pages: 4,
         seed: 17,
         ..RunOptions::default()
     };
-    let observer = RunObserver::default();
-    let full = run_fig8_shard_units(&opts, &observer, 0, opts.pages);
+    let specs = campaign::fig8_unit_specs(&opts);
+    let full = stripe(&specs, 0, opts.pages);
     let parts: Vec<_> = (0..2usize)
         .map(|shard_id| {
             let (lo, hi) = shard_range(opts.pages, 2, shard_id);
-            run_fig8_shard_units(&opts, &observer, lo, hi)
+            stripe(&specs, lo, hi)
         })
         .collect();
     for (unit_idx, unit) in full.iter().enumerate() {
@@ -1079,7 +1111,7 @@ fn fig8_shard_stripes_reproduce_the_full_sweep() {
 /// results back together reproduces the full run bit for bit.
 #[test]
 fn shard_stripes_tile_and_reproduce_the_full_run() {
-    use aegis_experiments::shardmerge::{run_shard_units, shard_range};
+    use aegis_experiments::shardmerge::shard_range;
 
     let opts = RunOptions {
         pages: 5,
@@ -1098,11 +1130,11 @@ fn shard_stripes_tile_and_reproduce_the_full_run() {
         assert_eq!(pair[0].1, pair[1].0, "stripes must tile without gaps");
     }
 
-    let observer = RunObserver::default();
-    let full = run_shard_units(&opts, &observer, false, 0, opts.pages);
+    let specs = campaign::fig567_unit_specs(&opts, false);
+    let full = stripe(&specs, 0, opts.pages);
     let parts: Vec<_> = edges
         .iter()
-        .map(|&(lo, hi)| run_shard_units(&opts, &observer, false, lo, hi))
+        .map(|&(lo, hi)| stripe(&specs, lo, hi))
         .collect();
     for (unit_idx, unit) in full.iter().enumerate() {
         let mut lifetimes = Vec::new();
@@ -1129,4 +1161,208 @@ fn shard_stripes_tile_and_reproduce_the_full_run() {
         );
         assert_eq!(faults, unit.run.faults_recovered);
     }
+}
+
+/// `--target-rse` holds a stopped unit's barrier until every earlier unit
+/// of its fraction has had its own. In this fig8 campaign later units stop
+/// at earlier grid points than earlier ones, yet running every unit at
+/// once through the executor serializes the stream, the series sidecar and
+/// the runs of the unit-major order, where each unit runs to its stop on
+/// its own.
+#[test]
+fn target_rse_barriers_fire_in_unit_order_when_later_units_stop_first() {
+    use aegis_experiments::campaign::Unit;
+    use aegis_experiments::checkpoint::CheckpointCtl;
+    use std::sync::atomic::AtomicBool;
+
+    let opts = RunOptions {
+        pages: 12,
+        seed: 1,
+        ..RunOptions::default()
+    };
+    let specs = campaign::fig8_unit_specs(&opts);
+    let units: Vec<Unit<'_>> = specs.iter().map(UnitSpec::unit).collect();
+    let dir = std::env::temp_dir().join("aegis-det-target-rse-order");
+    let _ = std::fs::remove_dir_all(&dir);
+    let leg = |tag: &str, calls: &[&[Unit<'_>]]| {
+        let buf = SharedBuf::new();
+        let run = RunTelemetry::with_buffer("ro", buf.clone()).expect("buffer sink");
+        let series_dir = dir.join(tag);
+        let series = SeriesWriter::create("ro", &series_dir, 0).expect("series");
+        let observer = RunObserver {
+            registry: Some(run.registry()),
+            series: Some(&series),
+            ..RunObserver::default()
+        };
+        let interrupted = AtomicBool::new(false);
+        let ctl = CheckpointCtl {
+            path: dir.join(format!("{tag}.ckpt.json")),
+            every: 2,
+            interrupted: &interrupted,
+            resume: None,
+            fingerprint: Vec::new(),
+            target_rse: Some(0.006),
+        };
+        let mut done = Vec::new();
+        for call in calls {
+            done.extend(
+                campaign::execute(call, 0..opts.pages, &observer, Some(&ctl))
+                    .expect("campaign")
+                    .expect("nothing interrupts this leg"),
+            );
+        }
+        series.finish().expect("series finish");
+        run.finish().expect("finish");
+        let sidecar = std::fs::read_to_string(series_dir.join("ro.series.jsonl")).expect("sidecar");
+        (buf.text(), sidecar, done)
+    };
+    let (stream_all, series_all, runs_all) = leg("all", &[&units]);
+    let one_by_one: Vec<&[Unit<'_>]> = units.chunks(1).collect();
+    let (stream_one, series_one, runs_one) = leg("one", &one_by_one);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let later_stops_first = (0..runs_all.len()).any(|i| {
+        (i + 1..runs_all.len()).any(|j| {
+            specs[i].cfg == specs[j].cfg && runs_all[j].pages_done < runs_all[i].pages_done
+        })
+    });
+    assert!(
+        later_stops_first,
+        "the scenario needs a later unit that stops before an earlier one"
+    );
+    assert_eq!(
+        strip_volatile(&stream_all),
+        strip_volatile(&stream_one),
+        "the stream must not depend on how the units share passes"
+    );
+    assert_eq!(
+        strip_volatile(&series_all),
+        strip_volatile(&series_one),
+        "barriers must sample the series in unit order"
+    );
+    assert_eq!(runs_all.len(), runs_one.len());
+    for (all, one) in runs_all.iter().zip(&runs_one) {
+        assert_eq!(all.scheme, one.scheme);
+        assert_eq!(all.pages_done, one.pages_done, "{}", all.scheme);
+        let bits = |run: &aegis_pcm::pcm::montecarlo::MemoryRun| {
+            (
+                run.page_lifetimes
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                run.unprotected_lifetimes
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                run.faults_recovered.clone(),
+                run.capped_pages,
+            )
+        };
+        assert_eq!(bits(&all.run), bits(&one.run), "{}", all.scheme);
+    }
+}
+
+/// fig5 repeats labels such as `ECP6` at both widths, so a snapshot taken
+/// part-way through the 512-bit units holds their staged metrics next to
+/// the finished 256-bit units' metrics of the same names. Resuming it must
+/// hand each back to the right owner: the stream and the series sidecar
+/// equal a straight run's.
+#[test]
+fn resume_inside_the_second_width_keeps_repeated_labels_apart() {
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let opts = RunOptions {
+        pages: 4,
+        seed: 29,
+        ..RunOptions::default()
+    };
+    let dir = std::env::temp_dir().join("aegis-det-resume-width2");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("w2.ckpt.json");
+    let ctl = |interrupted, resume| CheckpointCtl {
+        path: path.clone(),
+        every: 2,
+        interrupted,
+        resume,
+        fingerprint: Vec::new(),
+        target_rse: None,
+    };
+    let straight = {
+        let buf = SharedBuf::new();
+        let run = RunTelemetry::with_buffer("w2", buf.clone()).expect("buffer sink");
+        let series = SeriesWriter::create("w2", &dir.join("straight"), 0).expect("series");
+        let observer = RunObserver {
+            registry: Some(run.registry()),
+            series: Some(&series),
+            ..RunObserver::default()
+        };
+        let _ = aegis_experiments::fig567::run_with_mode(&opts, &observer, false);
+        series.finish().expect("series finish");
+        run.finish().expect("finish");
+        buf.text()
+    };
+
+    // Pull the plug once a scheme only the 512-bit set has starts running.
+    let interrupted = AtomicBool::new(false);
+    {
+        let pull_plug = |scheme: &str, _: usize, _: usize| {
+            if scheme == "SAFER128" {
+                interrupted.store(true, Ordering::SeqCst);
+            }
+        };
+        let run = RunTelemetry::with_buffer("w2", SharedBuf::new()).expect("buffer sink");
+        let series = SeriesWriter::create("w2", &dir.join("resumed"), 0).expect("series");
+        let observer = RunObserver {
+            registry: Some(run.registry()),
+            progress: Some(&pull_plug),
+            series: Some(&series),
+            ..RunObserver::default()
+        };
+        assert!(
+            fig567_checkpointed(&opts, &observer, &ctl(&interrupted, None)).is_none(),
+            "the pulled plug must stop the run"
+        );
+        run.finish().expect("finish");
+    }
+    let resume = Checkpoint::load(&path).expect("snapshot loads");
+    assert!(
+        resume
+            .units
+            .iter()
+            .any(|unit| unit.block_bits == 512 && unit.pages_done == 2),
+        "the snapshot must land inside the 512-bit units"
+    );
+    let resumed = {
+        let buf = SharedBuf::new();
+        let run = RunTelemetry::with_buffer("w2", buf.clone()).expect("buffer sink");
+        let series = SeriesWriter::resume("w2", &dir.join("resumed"), 0, resume.series)
+            .expect("series resume");
+        let observer = RunObserver {
+            registry: Some(run.registry()),
+            series: Some(&series),
+            ..RunObserver::default()
+        };
+        let not_interrupted = AtomicBool::new(false);
+        assert!(
+            fig567_checkpointed(&opts, &observer, &ctl(&not_interrupted, Some(resume))).is_some()
+        );
+        series.finish().expect("series finish");
+        run.finish().expect("finish");
+        buf.text()
+    };
+    let sidecar = |leg: &str| {
+        std::fs::read_to_string(dir.join(leg).join("w2.series.jsonl")).expect("sidecar")
+    };
+    assert_eq!(
+        strip_volatile(&resumed),
+        strip_volatile(&straight),
+        "resume must serialize the straight run's stream"
+    );
+    assert_eq!(
+        strip_volatile(&sidecar("resumed")),
+        strip_volatile(&sidecar("straight")),
+        "resume must continue the straight run's series sidecar"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
