@@ -2,10 +2,15 @@
 //! variant.
 //!
 //! These implement [`RecoveryPolicy`] for the engine in
-//! [`pcm_sim::montecarlo`]. Each predicate answers, in `O(f²)` for `f`
-//! faults, exactly the question the corresponding functional codec answers
-//! by physically writing cells — an equivalence enforced by property tests
-//! in `tests/codec_vs_policy.rs`.
+//! [`pcm_sim::montecarlo`]. Each predicate answers exactly the question the
+//! corresponding functional codec answers by physically writing cells — an
+//! equivalence enforced by property tests in `tests/codec_vs_policy.rs`.
+//!
+//! Cost for `f` faults: a cold verdict walks all `f²/2` pairs. The engine
+//! warms a [`PairCache`] one arrival at a time instead (`O(f)` collision
+//! lookups per new fault), after which a base-Aegis verdict is `O(f)` word
+//! ORs over per-fault slope masks (formations with at most 128 slopes) and
+//! an rw/rw-p verdict walks the cached colliding pairs.
 //!
 //! The derivations (see also DESIGN.md §3):
 //!
@@ -54,10 +59,10 @@ impl PolicyRoms {
 /// [`PairCache`] owner key for an Aegis rectangle.
 ///
 /// The cached content — every colliding pair with its collision slope,
-/// plus per-slope pair counts — is a pure function of the rectangle
-/// geometry and is *split-independent*, so all three Aegis variants over
-/// the same rectangle share one owner key (the `matters` filter is applied
-/// at check time, against the cached pairs).
+/// per-slope pair counts and per-fault slope masks — is a pure function of
+/// the rectangle geometry and is *split-independent*, so all three Aegis
+/// variants over the same rectangle share one owner key (the split is
+/// applied at check time, against the cached pairs or masks).
 fn aegis_cache_key(rect: &Rectangle) -> u64 {
     cache_key(&[
         0xA1,
@@ -67,6 +72,9 @@ fn aegis_cache_key(rect: &Rectangle) -> u64 {
     ])
 }
 
+/// Most slopes the per-fault slope masks of [`observe_pairs`] can hold.
+const MAX_MASK_SLOPES: usize = 128;
+
 /// Extends the Aegis pair cache with every fault the cache has not yet
 /// covered: for the `j`-th new fault only its `j-1` pairs hit the
 /// collision ROM, so a block's whole lifetime derives each pair exactly
@@ -74,7 +82,10 @@ fn aegis_cache_key(rect: &Rectangle) -> u64 {
 ///
 /// Maintains per-slope colliding-pair counts and the number of *clean*
 /// slopes (no colliding pair at all); a clean slope can never be bad, so
-/// its existence decides the base/rw predicates in O(1).
+/// its existence decides the base/rw predicates in O(1). When the
+/// formation has at most 128 slopes it also keeps, per fault, the `u128`
+/// of slopes on which that fault collides with any other (`masks`), which
+/// decides base Aegis without walking the pairs.
 fn observe_pairs(
     owner: u64,
     slopes: usize,
@@ -88,8 +99,10 @@ fn observe_pairs(
         cache.counts.resize(slopes, 0);
         cache.clean = slopes;
     }
+    let masked = slopes <= MAX_MASK_SLOPES;
     for j in start..faults.len() {
         let fj = faults[j];
+        let mut slopes_j = 0u128;
         for (i, fi) in faults[..j].iter().enumerate() {
             if let Some(k) = roms.collisions.collision_slope(fi.offset, fj.offset) {
                 cache.pairs.push(CachedPair {
@@ -101,7 +114,14 @@ fn observe_pairs(
                     cache.clean -= 1;
                 }
                 cache.counts[k] += 1;
+                if masked {
+                    cache.masks[i] |= 1u128 << k;
+                    slopes_j |= 1u128 << k;
+                }
             }
+        }
+        if masked {
+            cache.masks.push(slopes_j);
         }
         cache.commit(fj);
     }
@@ -294,11 +314,23 @@ impl RecoveryPolicy for AegisPolicy {
         };
         assert_eq!(faults.len(), wrong.len(), "split width mismatch");
         let slopes = self.rect.slopes();
-        if scratch.pair_cache.matches(self.key, faults) {
+        let cache = &scratch.pair_cache;
+        if cache.matches(self.key, faults) {
             // Incremental path: a slope with zero colliding pairs can never
             // be bad, so one surviving clean slope decides immediately.
-            if scratch.pair_cache.clean > 0 {
+            if cache.clean > 0 {
                 return true;
+            }
+            if slopes <= MAX_MASK_SLOPES {
+                // A slope is bad iff some pair with a W fault in it
+                // collides there, i.e. iff some W fault's slope mask
+                // holds it.
+                let bad = wrong
+                    .iter()
+                    .zip(&cache.masks)
+                    .filter(|&(&is_wrong, _)| is_wrong)
+                    .fold(0u128, |bad, (_, &mask)| bad | mask);
+                return bad != u128::MAX >> (MAX_MASK_SLOPES - slopes);
             }
             scratch.flags.clear();
             scratch.flags.resize(slopes, false);

@@ -364,24 +364,25 @@ impl StuckAtCodec for RdisCodec {
 #[derive(Debug, Clone, Copy)]
 pub struct RdisPolicy {
     scheme: RdisScheme,
-    /// Owner key for the per-block coordinate cache; shared across depths
-    /// of the same grid (cached coordinates depend only on the geometry).
+    /// Owner key for the per-block line-mask cache; shared across depths
+    /// of the same grid (the cached masks depend only on the geometry).
     key: u64,
-    /// Whether the allocation-free mask path applies: row/column masks fit
-    /// one `u64` each and the level masks fit the stack arrays.
+    /// Whether the word-parallel path applies: grids of at most 64 rows
+    /// and 64 columns (every grid the figures use), which bounds the
+    /// per-block line masks at 128 words.
     fast: bool,
 }
 
-/// Deepest recursion the stack-array fast path supports (RDIS-3 is the
-/// paper's configuration; 8 leaves generous headroom for ablations).
-const MAX_MASK_DEPTH: usize = 8;
+/// Most faults the word-parallel path tracks: one bit per fault index in
+/// a `u128`.
+const MAX_MASK_FAULTS: usize = 128;
 
 impl RdisPolicy {
     /// Creates the policy for a scheme.
     #[must_use]
     pub fn new(scheme: RdisScheme) -> Self {
         let key = cache_key(&[0xD15, scheme.rows() as u64, scheme.cols() as u64]);
-        let fast = scheme.rows() <= 64 && scheme.cols() <= 64 && scheme.depth() <= MAX_MASK_DEPTH;
+        let fast = scheme.rows() <= 64 && scheme.cols() <= 64;
         Self { scheme, key, fast }
     }
 
@@ -416,14 +417,28 @@ impl RecoveryPolicy for RdisPolicy {
         self.scheme.build_sets(faults, wrong).is_some()
     }
 
+    /// Caches each fault's `(row, col)` in `coords` and, in `masks`, one
+    /// `u128` per grid line over fault indices: `masks[r]` holds the
+    /// faults on row `r`, `masks[rows + c]` those on column `c`. Faults
+    /// past the 128th get coordinates but no mask bit; the verdict falls
+    /// back to [`RdisScheme::build_sets`] for them.
     fn observe_fault(&self, faults: &[Fault], scratch: &mut PolicyScratch) {
         if !self.fast {
             return;
         }
         let cache = &mut scratch.pair_cache;
         let start = cache.begin(self.key, faults);
-        for &f in &faults[start..] {
+        let lines = self.scheme.rows() + self.scheme.cols();
+        if cache.masks.len() != lines {
+            cache.masks.clear();
+            cache.masks.resize(lines, 0);
+        }
+        for (i, &f) in faults.iter().enumerate().skip(start) {
             let (r, c) = self.scheme.coords(f.offset);
+            if i < MAX_MASK_FAULTS {
+                cache.masks[r] |= 1u128 << i;
+                cache.masks[self.scheme.rows() + c] |= 1u128 << i;
+            }
             cache.coords.push((r as u32, c as u32));
             cache.commit(f);
         }
@@ -441,10 +456,19 @@ impl RecoveryPolicy for RdisPolicy {
         guaranteed_splits_with(self, faults, scratch)
     }
 
-    /// Allocation-free replay of [`RdisScheme::build_sets`]'s fixed point:
-    /// violators as a `u128` bitmask over fault indices, per-level row and
-    /// column masks as single `u64`s in stack arrays. The verdict (but not
-    /// the sets) is all the Monte Carlo loop needs.
+    /// Word-parallel replay of [`RdisScheme::build_sets`]'s fixed point
+    /// over fault indices. Level `l` holds the faults in the rows *and*
+    /// columns of the current violators — one OR of cached line masks per
+    /// violator. A fault's membership depth is the number of leading
+    /// levels holding it, so the running AND of the levels (`inside`) is
+    /// the set of faults at depth `≥ l + 1`, and XOR-ing those nested
+    /// prefixes leaves each fault's depth parity in `odd`. A W fault needs
+    /// odd parity and an R fault even, so the violators are `W ^ odd`.
+    /// (Each level's violators lie inside the previous level, so the
+    /// levels nest and the AND never drops a fault; it states the
+    /// prefix rule of [`RdisScheme::membership_depth`] rather than relying
+    /// on that.) The verdict (but not the sets) is all the Monte Carlo
+    /// loop needs.
     fn recoverable_with(
         &self,
         faults: &[Fault],
@@ -453,49 +477,32 @@ impl RecoveryPolicy for RdisPolicy {
     ) -> bool {
         assert_eq!(faults.len(), wrong.len(), "split width mismatch");
         let cache = &scratch.pair_cache;
-        if !self.fast || faults.len() > 128 || !cache.matches(self.key, faults) {
+        if !self.fast || faults.len() > MAX_MASK_FAULTS || !cache.matches(self.key, faults) {
             return self.recoverable(faults, wrong);
         }
-        let coords = &cache.coords;
-        let mut level_rows = [0u64; MAX_MASK_DEPTH];
-        let mut level_cols = [0u64; MAX_MASK_DEPTH];
-        let mut violators: u128 = 0;
-        for (i, &w) in wrong.iter().enumerate() {
-            if w {
-                violators |= 1u128 << i;
-            }
-        }
-        let mut built = 0usize;
+        let (row_masks, col_masks) = cache.masks.split_at(self.scheme.rows());
+        let w = wrong
+            .iter()
+            .enumerate()
+            .fold(0u128, |m, (i, &is_wrong)| m | (u128::from(is_wrong) << i));
+        let mut violators = w;
+        let mut inside = u128::MAX;
+        let mut odd = 0u128;
         for _ in 0..self.scheme.depth() {
             if violators == 0 {
                 break;
             }
-            let mut rows = 0u64;
-            let mut cols = 0u64;
+            let (mut rows, mut cols) = (0u128, 0u128);
             let mut v = violators;
             while v != 0 {
-                let (r, c) = coords[v.trailing_zeros() as usize];
-                rows |= 1u64 << r;
-                cols |= 1u64 << c;
+                let (r, c) = cache.coords[v.trailing_zeros() as usize];
+                rows |= row_masks[r as usize];
+                cols |= col_masks[c as usize];
                 v &= v - 1;
             }
-            level_rows[built] = rows;
-            level_cols[built] = cols;
-            built += 1;
-            violators = 0;
-            for (i, &w) in wrong.iter().enumerate() {
-                let (r, c) = coords[i];
-                let mut depth = 0usize;
-                while depth < built
-                    && (level_rows[depth] >> r) & 1 == 1
-                    && (level_cols[depth] >> c) & 1 == 1
-                {
-                    depth += 1;
-                }
-                if w != (depth % 2 == 1) {
-                    violators |= 1u128 << i;
-                }
-            }
+            inside &= rows & cols;
+            odd ^= inside;
+            violators = w ^ odd;
         }
         violators == 0
     }

@@ -286,12 +286,13 @@ impl PageFold {
                 .blocks
                 .iter()
                 .any(|b| b.events.last().is_some_and(|e| e.time < death_time));
+        // Each block's events are in ascending time order, so the ones
+        // before the death form a prefix.
         let faults_recovered = page
             .blocks
             .iter()
-            .flat_map(|b| &b.events)
-            .filter(|e| e.time < death_time)
-            .count();
+            .map(|b| b.events.partition_point(|e| e.time < death_time))
+            .sum();
         if let Some(t) = telemetry {
             t.pages.incr();
             let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();

@@ -86,8 +86,11 @@ pub struct PairCache {
     covered: Vec<Fault>,
     /// Cached pairs in arrival order of the later fault.
     pub pairs: Vec<CachedPair>,
-    /// Per-pair `u128` masks, parallel to `pairs` when a scheme needs mask
-    /// payloads wider than `CachedPair::tag` (SAFER's vector masks).
+    /// `u128` masks whose layout each owner defines: SAFER keeps one per
+    /// cached pair, parallel to `pairs` (the partition vectors the pair
+    /// rules out); Aegis one per covered fault (the slopes on which that
+    /// fault collides with any other); RDIS one per grid row, then one
+    /// per grid column (the indices of the faults on that line).
     pub masks: Vec<u128>,
     /// Per-tag pair counts (Aegis: colliding pairs per slope).
     pub counts: Vec<u32>,
@@ -99,7 +102,8 @@ pub struct PairCache {
     pub positions: Vec<usize>,
     /// Per-covered-fault group under `positions` (SAFER incremental).
     pub groups: Vec<u8>,
-    /// Per-covered-fault geometric coordinates (RDIS: `(row, col)`).
+    /// Per-covered-fault geometric coordinates; only RDIS fills it, with
+    /// each fault's `(row, col)`.
     pub coords: Vec<(u32, u32)>,
 }
 

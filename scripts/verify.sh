@@ -139,16 +139,18 @@ rm -rf "$fig8_out"
 # lifetimes, their order, the per-event draws or the per-scheme verdicts
 # changes these CSVs. fig5/fig8/fig9 --full pin the page-major chip pass
 # at paper scale: each page sampled once, every scheme judged on it with
-# one shared split tape.
+# one shared split tape. fig11 --full (fig11-13) pins the base-Aegis
+# verdicts across formations.
 codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
 rm -rf "$codec_out"
-echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10,fig5-7,fig8,fig9}.csv match a default-seed run"
+echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10,fig5-7,fig8,fig9,fig11-13}.csv match a default-seed run"
 for cmd in writecost biasstudy cachestudy "failcdf --full" "fig10 --full" \
-           "fig5 --full" "fig8 --full" "fig9 --full"; do
+           "fig5 --full" "fig8 --full" "fig9 --full" "fig11 --full"; do
     name="${cmd%% *}"
     case "$name" in
         fig5) csvs="fig5 fig6 fig7" ;;
         fig9) csvs="fig9 fig9_half_lifetime" ;;
+        fig11) csvs="fig11 fig12 fig13" ;;
         *) csvs="$name" ;;
     esac
     # shellcheck disable=SC2086 # $cmd carries the command's flags

@@ -27,10 +27,14 @@ use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
 use aegis_pcm::pcm::{Fault, PcmBlock};
 use sim_rng::prop::{shrink, Runner};
 use sim_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Valid `(A, B, bits)` formations the generator draws from: `B` prime,
 /// `A ≤ B`, `bits ≤ A·B`, spanning full and ragged rectangles from the
-/// trivial 1×3 up through a 512-bit paper formation.
+/// trivial 1×3 up through a 512-bit paper formation, and two 512-bit
+/// formations with more than 64 slopes.
 const GEOMETRIES: &[(usize, usize, usize)] = &[
     (1, 3, 3),
     (2, 3, 5),
@@ -44,6 +48,8 @@ const GEOMETRIES: &[(usize, usize, usize)] = &[
     (7, 11, 71),
     (9, 13, 112),
     (9, 61, 512),
+    (8, 71, 512),
+    (5, 127, 512),
 ];
 
 /// One differential trial: a formation, a fault population to install
@@ -129,6 +135,29 @@ fn shrink_case(case: &Case) -> Vec<Case> {
     out
 }
 
+/// Prototypes keyed by type, geometry index and variant.
+type Prototypes = HashMap<(TypeId, usize, usize), Box<dyn Any>>;
+
+thread_local! {
+    static PROTOTYPES: RefCell<Prototypes> = RefCell::default();
+}
+
+/// A clone of what `build` makes for the case's geometry and `variant`
+/// (a pointer budget, or 0), built once per test thread. The codecs,
+/// policies and ROMs of the 512-bit formations spend tens of milliseconds
+/// building their tables, and a clone of a fresh one is a fresh one.
+fn prototype<T: Clone + 'static>(case: &Case, variant: usize, build: impl FnOnce() -> T) -> T {
+    PROTOTYPES.with(|protos| {
+        protos
+            .borrow_mut()
+            .entry((TypeId::of::<T>(), case.geometry, variant))
+            .or_insert_with(|| Box::new(build()))
+            .downcast_ref::<T>()
+            .expect("prototypes are keyed by their type")
+            .clone()
+    })
+}
+
 /// Builds the twin fault-identical blocks for one case.
 fn twin_blocks(case: &Case, bits: usize) -> (PcmBlock, PcmBlock) {
     let mut kernel = PcmBlock::pristine(bits);
@@ -151,8 +180,8 @@ fn aegis_kernel_write_is_bit_identical_to_the_scalar_reference() {
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
             let bits = rect.bits();
-            let mut kernel = AegisCodec::new(rect.clone());
-            let mut scalar = AegisCodec::new(rect);
+            let mut kernel = prototype(case, 0, || AegisCodec::new(rect));
+            let mut scalar = kernel.clone();
             let (mut kb, mut sb) = twin_blocks(case, bits);
             for &seed in &case.writes {
                 let data = data_word(seed, bits);
@@ -178,8 +207,8 @@ fn aegis_rw_kernel_write_is_bit_identical_to_the_scalar_reference() {
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
             let bits = rect.bits();
-            let mut kernel = AegisRwCodec::new(rect.clone());
-            let mut scalar = AegisRwCodec::new(rect);
+            let mut kernel = prototype(case, 0, || AegisRwCodec::new(rect));
+            let mut scalar = kernel.clone();
             let (mut kb, mut sb) = twin_blocks(case, bits);
             let known = case.known_faults();
             for &seed in &case.writes {
@@ -205,8 +234,10 @@ fn aegis_rw_p_kernel_write_is_bit_identical_to_the_scalar_reference() {
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
             let bits = rect.bits();
-            let mut kernel = AegisRwPCodec::new(rect.clone(), case.pointers);
-            let mut scalar = AegisRwPCodec::new(rect, case.pointers);
+            let mut kernel = prototype(case, case.pointers, || {
+                AegisRwPCodec::new(rect, case.pointers)
+            });
+            let mut scalar = kernel.clone();
             prop_assert_eq!(kernel.pointers(), scalar.pointers());
             let (mut kb, mut sb) = twin_blocks(case, bits);
             let known = case.known_faults();
@@ -237,8 +268,8 @@ fn full_cache_write_paths_agree_for_the_rw_variants() {
             let rect = case.rect();
             let bits = rect.bits();
 
-            let mut kernel = AegisRwCodec::new(rect.clone());
-            let mut scalar = AegisRwCodec::new(rect.clone());
+            let mut kernel = prototype(case, 0, || AegisRwCodec::new(rect.clone()));
+            let mut scalar = kernel.clone();
             let (mut kb, mut sb) = twin_blocks(case, bits);
             for &seed in &case.writes {
                 let data = data_word(seed, bits);
@@ -249,8 +280,10 @@ fn full_cache_write_paths_agree_for_the_rw_variants() {
                 prop_assert_eq!(kb.read_raw(), sb.read_raw());
             }
 
-            let mut kernel = AegisRwPCodec::new(rect.clone(), case.pointers);
-            let mut scalar = AegisRwPCodec::new(rect, case.pointers);
+            let mut kernel = prototype(case, case.pointers, || {
+                AegisRwPCodec::new(rect, case.pointers)
+            });
+            let mut scalar = kernel.clone();
             let (mut kb, mut sb) = twin_blocks(case, bits);
             for &seed in &case.writes {
                 let data = data_word(seed, bits);
@@ -276,9 +309,11 @@ fn policy_verdicts_agree_between_kernel_and_scalar_modes() {
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
             let kernel: Vec<Box<dyn RecoveryPolicy>> = vec![
-                Box::new(AegisPolicy::new(rect.clone())),
-                Box::new(AegisRwPolicy::new(rect.clone())),
-                Box::new(AegisRwPPolicy::new(rect.clone(), case.pointers)),
+                Box::new(prototype(case, 0, || AegisPolicy::new(rect.clone()))),
+                Box::new(prototype(case, 0, || AegisRwPolicy::new(rect.clone()))),
+                Box::new(prototype(case, case.pointers, || {
+                    AegisRwPPolicy::new(rect.clone(), case.pointers)
+                })),
             ];
             let scalar: Vec<Box<dyn RecoveryPolicy>> = vec![
                 Box::new(AegisPolicy::scalar(rect.clone())),
@@ -330,16 +365,22 @@ fn shift_rom_oracle(shift: &ShiftRom, faults: &[Fault], wrong: &[bool], rw: bool
 /// The pair policies answer the same question as a per-group count over
 /// the ROM masks, on ragged and multi-word geometries up to the 512-bit
 /// paper formation (the brute-force oracles in `exhaustive_small.rs`
-/// stop at `B ≤ 7`).
+/// stop at `B ≤ 7`) — base Aegis both stateless and from a warm scratch.
 #[test]
 fn pair_policies_match_a_shift_rom_group_oracle() {
     Runner::new("pair_policies_match_a_shift_rom_group_oracle")
         .cases(1_000)
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
-            let shift = ShiftRom::new(&rect);
-            let aegis = AegisPolicy::new(rect.clone());
-            let aegis_rw = AegisRwPolicy::new(rect);
+            let shift = prototype(case, 0, || ShiftRom::new(&rect));
+            let aegis = prototype(case, 0, || AegisPolicy::new(rect.clone()));
+            let aegis_rw = prototype(case, 0, || AegisRwPolicy::new(rect));
+            // A scratch warmed one arrival at a time, as the engine does,
+            // so base Aegis also decides from its per-fault slope masks.
+            let mut warm = PolicyScratch::new();
+            for n in 1..=case.faults.len() {
+                aegis.observe_fault(&case.faults[..n], &mut warm);
+            }
             for &seed in &case.writes {
                 let mut split_rng = SmallRng::seed_from_u64(seed);
                 let wrong: Vec<bool> = case
@@ -347,10 +388,17 @@ fn pair_policies_match_a_shift_rom_group_oracle() {
                     .iter()
                     .map(|_| split_rng.random_bool(0.5))
                     .collect();
+                let want = shift_rom_oracle(&shift, &case.faults, &wrong, false);
                 prop_assert_eq!(
                     aegis.recoverable(&case.faults, &wrong),
-                    shift_rom_oracle(&shift, &case.faults, &wrong, false),
+                    want,
                     "Aegis, split {:?}",
+                    wrong
+                );
+                prop_assert_eq!(
+                    aegis.recoverable_with(&case.faults, &wrong, &mut warm),
+                    want,
+                    "Aegis (warm), split {:?}",
                     wrong
                 );
                 prop_assert_eq!(
@@ -374,7 +422,7 @@ fn shift_rom_inversion_mask_matches_the_naive_group_union() {
         .cases(500)
         .run(gen_case, shrink_case, |case| {
             let rect = case.rect();
-            let shift = ShiftRom::new(&rect);
+            let shift = prototype(case, 0, || ShiftRom::new(&rect));
             let mut mask = BitBlock::zeros(rect.bits());
             for &seed in &case.writes {
                 let mut rng = SmallRng::seed_from_u64(seed);

@@ -4,15 +4,16 @@
 //! combination* is not. This file checks the three Aegis predicates
 //! against an independently written brute-force oracle (straight from the
 //! paper's §2.2/§2.4 prose), and the codecs against the predicates, with
-//! no sampling anywhere.
+//! no sampling anywhere. RDIS-3's word-parallel verdict is held to its set
+//! construction on every fault subset of small grids the same way.
 
 use aegis_pcm::aegis::{
     AegisCodec, AegisPolicy, AegisRwCodec, AegisRwPPolicy, AegisRwPolicy, Rectangle,
 };
-use aegis_pcm::baselines::{combinations, MaskingCodec, PlbcCodec};
+use aegis_pcm::baselines::{combinations, MaskingCodec, PlbcCodec, RdisPolicy, RdisScheme};
 use aegis_pcm::bitblock::BitBlock;
 use aegis_pcm::codec::StuckAtCodec;
-use aegis_pcm::pcm::policy::RecoveryPolicy;
+use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
 use aegis_pcm::pcm::{Fault, PcmBlock};
 
 /// Brute-force oracle for base Aegis (§2.2): some slope has ≤ 1 W fault
@@ -131,11 +132,25 @@ fn predicates_match_brute_force_oracles_exhaustively() {
         let rw_p: Vec<AegisRwPPolicy> = (1..=3)
             .map(|p| AegisRwPPolicy::new(rect.clone(), p))
             .collect();
+        let mut scratch = PolicyScratch::new();
         for_all_populations(&rect, |rect, faults, wrong| {
+            let want = oracle_base(rect, faults, wrong);
             assert_eq!(
                 base.recoverable(faults, wrong),
-                oracle_base(rect, faults, wrong),
+                want,
                 "base mismatch on {} {faults:?} {wrong:?}",
+                rect.formation()
+            );
+            // The incremental verdict, from per-fault slope masks built
+            // one arrival at a time.
+            base.forget_block(&mut scratch);
+            for n in 1..=faults.len() {
+                base.observe_fault(&faults[..n], &mut scratch);
+            }
+            assert_eq!(
+                base.recoverable_with(faults, wrong, &mut scratch),
+                want,
+                "incremental base mismatch on {} {faults:?} {wrong:?}",
                 rect.formation()
             );
             assert_eq!(
@@ -154,6 +169,50 @@ fn predicates_match_brute_force_oracles_exhaustively() {
                 );
             }
         });
+    }
+}
+
+/// RDIS's incremental verdict — per-line fault masks built one arrival at
+/// a time — equals [`RdisScheme::build_sets`] on every fault subset of
+/// small grids (faults arriving in offset order) under every W/R split,
+/// at every recursion depth up to 3.
+#[test]
+fn rdis_verdicts_match_the_set_construction_on_every_subset() {
+    for (rows, cols) in [(3, 3), (2, 4)] {
+        for depth in 1..=3 {
+            let scheme = RdisScheme::new(rows, cols, depth);
+            let policy = RdisPolicy::new(scheme);
+            let bits = scheme.block_bits();
+            let mut scratch = PolicyScratch::new();
+            let (mut recovered, mut died) = (0usize, 0usize);
+            for subset in 0u32..1 << bits {
+                policy.forget_block(&mut scratch);
+                let mut faults = Vec::new();
+                for offset in (0..bits).filter(|&o| subset >> o & 1 == 1) {
+                    faults.push(Fault::new(offset, false));
+                    policy.observe_fault(&faults, &mut scratch);
+                }
+                assert_eq!(scratch.pair_cache.covered(), &faults[..]);
+                for split in 0u32..1 << faults.len() {
+                    let wrong: Vec<bool> = (0..faults.len()).map(|i| split >> i & 1 == 1).collect();
+                    let want = scheme.build_sets(&faults, &wrong).is_some();
+                    assert_eq!(
+                        policy.recoverable_with(&faults, &wrong, &mut scratch),
+                        want,
+                        "RDIS-{depth} {rows}x{cols}: {faults:?} {wrong:?}"
+                    );
+                    if want {
+                        recovered += 1;
+                    } else {
+                        died += 1;
+                    }
+                }
+            }
+            assert!(
+                recovered > 0 && died > 0,
+                "RDIS-{depth} {rows}x{cols} never changes its verdict"
+            );
+        }
     }
 }
 

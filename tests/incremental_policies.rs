@@ -20,27 +20,35 @@ use aegis_pcm::pcm::Fault;
 use sim_rng::prop::{shrink, Runner};
 use sim_rng::{prop_assert_eq, Rng, SeedableRng, SmallRng};
 
-/// `(label, block_bits)` of every policy configuration the generator draws
-/// from; `build_policy` constructs the matching predicate.
-const CONFIGS: &[(&str, usize)] = &[
-    ("aegis-9x61", 512),
-    ("aegis-rw-9x61", 512),
-    ("aegis-rw-p-9x61", 512),
-    ("aegis-5x7-ragged", 32),
-    ("safer32-ideal", 512),
-    ("safer32-cache-ideal", 512),
-    ("safer32", 512),
-    ("safer32-cache", 512),
-    ("safer8-cache-ideal", 64),
-    ("rdis3-512", 512),
-    ("rdis3-64", 64),
-    ("ecp6", 512),
-    ("mask2-512", 512),
-    ("mask2-scalar-512", 512),
-    ("mask1-64", 64),
-    ("plbc2+2-512", 512),
-    ("plbc2+2-scalar-512", 512),
-    ("plbc1+1-64", 64),
+/// `(label, block_bits, max_faults)` of every policy configuration the
+/// generator draws from; `build_policy` constructs the matching predicate.
+/// A case draws at most 8 faults, or — one case in 8 — up to `max_faults`:
+/// the Aegis and RDIS configurations go to 130 so their `u128` masks set
+/// bits at and past 64 and 128 (RDIS falls back past 128 faults, and a
+/// formation's slope masks only fill once every slope has a colliding
+/// pair).
+const CONFIGS: &[(&str, usize, usize)] = &[
+    ("aegis-9x61", 512, 130),
+    ("aegis-rw-9x61", 512, 130),
+    ("aegis-rw-p-9x61", 512, 8),
+    ("aegis-5x7-ragged", 32, 32),
+    ("safer32-ideal", 512, 8),
+    ("safer32-cache-ideal", 512, 8),
+    ("safer32", 512, 8),
+    ("safer32-cache", 512, 8),
+    ("safer8-cache-ideal", 64, 8),
+    ("rdis3-512", 512, 130),
+    ("rdis3-64", 64, 64),
+    ("ecp6", 512, 8),
+    ("mask2-512", 512, 8),
+    ("mask2-scalar-512", 512, 8),
+    ("mask1-64", 64, 8),
+    ("plbc2+2-512", 512, 8),
+    ("plbc2+2-scalar-512", 512, 8),
+    ("plbc1+1-64", 64, 8),
+    ("rdis3-256", 256, 130),
+    ("aegis-8x71", 512, 130),
+    ("aegis-4x131", 512, 130),
 ];
 
 fn build_policy(config: usize, pointers: usize) -> Box<dyn RecoveryPolicy> {
@@ -91,6 +99,13 @@ fn build_policy(config: usize, pointers: usize) -> Box<dyn RecoveryPolicy> {
         15 => Box::new(PlbcPolicy::new(2, 2, 512)),
         16 => Box::new(PlbcPolicy::scalar(2, 2, 512)),
         17 => Box::new(PlbcPolicy::new(1, 1, 64)),
+        18 => Box::new(RdisPolicy::rdis3(256)),
+        19 => Box::new(AegisPolicy::new(
+            Rectangle::new(8, 71, 512).expect("valid formation"),
+        )),
+        20 => Box::new(AegisPolicy::new(
+            Rectangle::new(4, 131, 512).expect("valid formation"),
+        )),
         _ => unreachable!("generator stays within CONFIGS"),
     }
 }
@@ -108,8 +123,13 @@ struct Case {
 
 fn gen_case(rng: &mut SmallRng) -> Case {
     let config = rng.random_range(0..CONFIGS.len());
-    let bits = CONFIGS[config].1;
-    let n = rng.random_range(0..=8usize.min(bits));
+    let (_, bits, max_faults) = CONFIGS[config];
+    let max = if rng.random_bool(0.125) {
+        max_faults
+    } else {
+        8
+    };
+    let n = rng.random_range(0..=max.min(bits));
     let mut offsets: Vec<usize> = Vec::with_capacity(n);
     while offsets.len() < n {
         let offset = rng.random_range(0..bits);
@@ -171,9 +191,13 @@ fn shrink_case(case: &Case) -> Vec<Case> {
     out
 }
 
+/// The W/R split of `len` faults drawn from `seed`. Every fourth seed
+/// marks only about one fault in 64 W: with many faults, the sparse
+/// splits are the ones Aegis and RDIS can still recover.
 fn split_for(seed: u64, len: usize) -> Vec<bool> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    (0..len).map(|_| rng.random_bool(0.5)).collect()
+    let w_rate = if seed % 4 == 3 { 1.0 / 64.0 } else { 0.5 };
+    (0..len).map(|_| rng.random_bool(w_rate)).collect()
 }
 
 /// The tentpole contract: warm incremental scratch ≡ cold recompute ≡
