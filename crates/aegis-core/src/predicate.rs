@@ -8,9 +8,11 @@
 //!
 //! Cost for `f` faults: a cold verdict walks all `f²/2` pairs. The engine
 //! warms a [`PairCache`] one arrival at a time instead (`O(f)` collision
-//! lookups per new fault), after which a base-Aegis verdict is `O(f)` word
-//! ORs over per-fault slope masks (formations with at most 128 slopes) and
-//! an rw/rw-p verdict walks the cached colliding pairs.
+//! lookups per new fault). On formations with at most [`MASK_BITS`]
+//! slopes base Aegis caches only per-fault slope masks and their union, so
+//! its verdict is one word compare while a slope is free of colliding
+//! pairs and `O(f)` word ORs after; an rw/rw-p verdict (and base Aegis on
+//! wider formations) walks the cached colliding pairs.
 //!
 //! The derivations (see also DESIGN.md §3):
 //!
@@ -30,6 +32,7 @@ use crate::rom::{CollisionRom, GroupRom};
 use crate::Rectangle;
 use pcm_sim::policy::{
     cache_key, guaranteed_splits_with, CachedPair, PairCache, PolicyScratch, RecoveryPolicy,
+    MASK_BITS,
 };
 use pcm_sim::Fault;
 use std::sync::Arc;
@@ -58,22 +61,27 @@ impl PolicyRoms {
 
 /// [`PairCache`] owner key for an Aegis rectangle.
 ///
-/// The cached content — every colliding pair with its collision slope,
-/// per-slope pair counts and per-fault slope masks — is a pure function of
-/// the rectangle geometry and is *split-independent*, so all three Aegis
-/// variants over the same rectangle share one owner key (the split is
-/// applied at check time, against the cached pairs or masks).
-fn aegis_cache_key(rect: &Rectangle) -> u64 {
+/// The cached content is a pure function of the rectangle geometry and is
+/// *split-independent* (the split is applied at check time). Aegis-rw and
+/// Aegis-rw-p cache the same colliding pairs and share the key tagged
+/// [`PAIRS_TAG`]; base Aegis keeps its own layout under [`BASE_TAG`] —
+/// per-fault slope masks on formations with at most [`MASK_BITS`] slopes,
+/// the pair list on wider ones — so its cache is never read as the pair
+/// list or the other way round.
+fn aegis_cache_key(tag: u64, rect: &Rectangle) -> u64 {
     cache_key(&[
-        0xA1,
+        tag,
         rect.slopes() as u64,
         rect.groups() as u64,
         rect.bits() as u64,
     ])
 }
 
-/// Most slopes the per-fault slope masks of [`observe_pairs`] can hold.
-const MAX_MASK_SLOPES: usize = 128;
+/// Owner tag of base Aegis's cache.
+const BASE_TAG: u64 = 0xA0;
+
+/// Owner tag of the colliding-pair cache Aegis-rw and Aegis-rw-p share.
+const PAIRS_TAG: u64 = 0xA1;
 
 /// Extends the Aegis pair cache with every fault the cache has not yet
 /// covered: for the `j`-th new fault only its `j-1` pairs hit the
@@ -82,10 +90,7 @@ const MAX_MASK_SLOPES: usize = 128;
 ///
 /// Maintains per-slope colliding-pair counts and the number of *clean*
 /// slopes (no colliding pair at all); a clean slope can never be bad, so
-/// its existence decides the base/rw predicates in O(1). When the
-/// formation has at most 128 slopes it also keeps, per fault, the `u128`
-/// of slopes on which that fault collides with any other (`masks`), which
-/// decides base Aegis without walking the pairs.
+/// its existence decides the base/rw predicates in O(1).
 fn observe_pairs(
     owner: u64,
     slopes: usize,
@@ -99,12 +104,12 @@ fn observe_pairs(
         cache.counts.resize(slopes, 0);
         cache.clean = slopes;
     }
-    let masked = slopes <= MAX_MASK_SLOPES;
     for j in start..faults.len() {
         let fj = faults[j];
-        let mut slopes_j = 0u128;
         for (i, fi) in faults[..j].iter().enumerate() {
-            if let Some(k) = roms.collisions.collision_slope(fi.offset, fj.offset) {
+            // The ROM is symmetric; reading row `fj` keeps every lookup of
+            // this arrival in one table row.
+            if let Some(k) = roms.collisions.collision_slope(fj.offset, fi.offset) {
                 cache.pairs.push(CachedPair {
                     a: i as u32,
                     b: j as u32,
@@ -114,15 +119,32 @@ fn observe_pairs(
                     cache.clean -= 1;
                 }
                 cache.counts[k] += 1;
-                if masked {
-                    cache.masks[i] |= 1u128 << k;
-                    slopes_j |= 1u128 << k;
-                }
             }
         }
-        if masked {
-            cache.masks.push(slopes_j);
+        cache.commit(fj);
+    }
+}
+
+/// Extends base Aegis's slope-mask cache (formations with at most
+/// [`MASK_BITS`] slopes) with every fault it has not yet covered:
+/// `masks[i]` is the `u128` of slopes on which fault `i` collides with any
+/// other fault and `all_mask` their union, the slopes holding at least one
+/// colliding pair. Same ROM lookups as [`observe_pairs`], but no pair list
+/// and no per-slope counts.
+fn observe_slope_masks(owner: u64, roms: &PolicyRoms, faults: &[Fault], cache: &mut PairCache) {
+    let start = cache.begin(owner, faults);
+    for j in start..faults.len() {
+        let fj = faults[j];
+        let mut slopes_j = 0u128;
+        for (i, fi) in faults[..j].iter().enumerate() {
+            if let Some(k) = roms.collisions.collision_slope(fj.offset, fi.offset) {
+                let bit = 1u128 << k;
+                cache.masks[i] |= bit;
+                slopes_j |= bit;
+            }
         }
+        cache.masks.push(slopes_j);
+        cache.all_mask |= slopes_j;
         cache.commit(fj);
     }
 }
@@ -251,6 +273,10 @@ pub struct AegisPolicy {
     rect: Rectangle,
     roms: Option<PolicyRoms>,
     key: u64,
+    /// Every slope as one `u128` when the formation has at most
+    /// [`MASK_BITS`] slopes (the slope-mask cache applies), `None` on
+    /// wider formations, which cache the pair list instead.
+    all_slopes: Option<u128>,
 }
 
 impl AegisPolicy {
@@ -259,8 +285,7 @@ impl AegisPolicy {
     #[must_use]
     pub fn new(rect: Rectangle) -> Self {
         let roms = Some(PolicyRoms::new(&rect));
-        let key = aegis_cache_key(&rect);
-        Self { rect, roms, key }
+        Self::with_roms(rect, roms)
     }
 
     /// Creates the reference-mode policy: decisions are computed with the
@@ -268,11 +293,18 @@ impl AegisPolicy {
     /// [`RecoveryPolicy::recoverable_with`].
     #[must_use]
     pub fn scalar(rect: Rectangle) -> Self {
-        let key = aegis_cache_key(&rect);
+        Self::with_roms(rect, None)
+    }
+
+    fn with_roms(rect: Rectangle, roms: Option<PolicyRoms>) -> Self {
+        let key = aegis_cache_key(BASE_TAG, &rect);
+        let slopes = rect.slopes();
+        let all_slopes = (slopes <= MASK_BITS).then(|| u128::MAX >> (MASK_BITS - slopes));
         Self {
             rect,
-            roms: None,
+            roms,
             key,
+            all_slopes,
         }
     }
 
@@ -318,10 +350,10 @@ impl RecoveryPolicy for AegisPolicy {
         if cache.matches(self.key, faults) {
             // Incremental path: a slope with zero colliding pairs can never
             // be bad, so one surviving clean slope decides immediately.
-            if cache.clean > 0 {
-                return true;
-            }
-            if slopes <= MAX_MASK_SLOPES {
+            if let Some(all_slopes) = self.all_slopes {
+                if cache.all_mask != all_slopes {
+                    return true;
+                }
                 // A slope is bad iff some pair with a W fault in it
                 // collides there, i.e. iff some W fault's slope mask
                 // holds it.
@@ -330,7 +362,10 @@ impl RecoveryPolicy for AegisPolicy {
                     .zip(&cache.masks)
                     .filter(|&(&is_wrong, _)| is_wrong)
                     .fold(0u128, |bad, (_, &mask)| bad | mask);
-                return bad != u128::MAX >> (MAX_MASK_SLOPES - slopes);
+                return bad != all_slopes;
+            }
+            if cache.clean > 0 {
+                return true;
             }
             scratch.flags.clear();
             scratch.flags.resize(slopes, false);
@@ -346,14 +381,14 @@ impl RecoveryPolicy for AegisPolicy {
     }
 
     fn observe_fault(&self, faults: &[Fault], scratch: &mut PolicyScratch) {
-        if let Some(roms) = &self.roms {
-            observe_pairs(
-                self.key,
-                self.rect.slopes(),
-                roms,
-                faults,
-                &mut scratch.pair_cache,
-            );
+        let Some(roms) = &self.roms else {
+            return;
+        };
+        let cache = &mut scratch.pair_cache;
+        if self.all_slopes.is_some() {
+            observe_slope_masks(self.key, roms, faults, cache);
+        } else {
+            observe_pairs(self.key, self.rect.slopes(), roms, faults, cache);
         }
     }
 
@@ -372,13 +407,19 @@ impl RecoveryPolicy for AegisPolicy {
     /// Allocation-free twin of [`guaranteed`](RecoveryPolicy::guaranteed).
     /// Under the all-wrong split every colliding pair matters, so a slope
     /// is bad iff it carries at least one pair — and the cached verdict is
-    /// exactly "a pair-free slope survives".
+    /// exactly "a pair-free slope survives": the union of the slope masks
+    /// misses a slope (or, on wider formations, a slope's pair count is
+    /// zero).
     fn guaranteed_with(&self, faults: &[Fault], scratch: &mut PolicyScratch) -> bool {
         let Some(roms) = &self.roms else {
             return self.guaranteed(faults);
         };
-        if scratch.pair_cache.matches(self.key, faults) {
-            return scratch.pair_cache.clean > 0;
+        let cache = &scratch.pair_cache;
+        if cache.matches(self.key, faults) {
+            return match self.all_slopes {
+                Some(all_slopes) => cache.all_mask != all_slopes,
+                None => cache.clean > 0,
+            };
         }
         let slopes = self.rect.slopes();
         let bad = scratch.flags(slopes);
@@ -412,14 +453,14 @@ impl AegisRwPolicy {
     #[must_use]
     pub fn new(rect: Rectangle) -> Self {
         let roms = Some(PolicyRoms::new(&rect));
-        let key = aegis_cache_key(&rect);
+        let key = aegis_cache_key(PAIRS_TAG, &rect);
         Self { rect, roms, key }
     }
 
     /// Creates the reference-mode policy (see [`AegisPolicy::scalar`]).
     #[must_use]
     pub fn scalar(rect: Rectangle) -> Self {
-        let key = aegis_cache_key(&rect);
+        let key = aegis_cache_key(PAIRS_TAG, &rect);
         Self {
             rect,
             roms: None,
@@ -540,7 +581,7 @@ impl AegisRwPPolicy {
     pub fn new(rect: Rectangle, pointers: usize) -> Self {
         assert!(pointers > 0, "need at least one group pointer");
         let roms = Some(Arc::new(PolicyRoms::new(&rect)));
-        let key = aegis_cache_key(&rect);
+        let key = aegis_cache_key(PAIRS_TAG, &rect);
         Self {
             rect,
             pointers,
@@ -572,7 +613,7 @@ impl AegisRwPPolicy {
     #[must_use]
     pub fn scalar(rect: Rectangle, pointers: usize) -> Self {
         assert!(pointers > 0, "need at least one group pointer");
-        let key = aegis_cache_key(&rect);
+        let key = aegis_cache_key(PAIRS_TAG, &rect);
         Self {
             rect,
             pointers,
@@ -941,13 +982,25 @@ mod tests {
         use pcm_sim::policy::PolicyScratch;
         use sim_rng::{Rng, SeedableRng, SmallRng};
         let r = rect();
-        let policies: Vec<Box<dyn RecoveryPolicy>> = vec![
-            Box::new(AegisPolicy::new(r.clone())),
-            Box::new(AegisRwPolicy::new(r.clone())),
-            Box::new(AegisRwPPolicy::new(r.clone(), 2)),
+        // Base Aegis caches slope masks under its own key; rw and rw-p
+        // share the pair list under another.
+        let policies: Vec<(Box<dyn RecoveryPolicy>, u64)> = vec![
+            (
+                Box::new(AegisPolicy::new(r.clone())),
+                aegis_cache_key(BASE_TAG, &r),
+            ),
+            (
+                Box::new(AegisRwPolicy::new(r.clone())),
+                aegis_cache_key(PAIRS_TAG, &r),
+            ),
+            (
+                Box::new(AegisRwPPolicy::new(r.clone(), 2)),
+                aegis_cache_key(PAIRS_TAG, &r),
+            ),
         ];
+        assert_ne!(policies[0].1, policies[1].1);
         let mut rng = SmallRng::seed_from_u64(4242);
-        for policy in &policies {
+        for (policy, key) in &policies {
             let mut warm = PolicyScratch::new();
             for _ in 0..50 {
                 policy.forget_block(&mut warm);
@@ -965,7 +1018,7 @@ mod tests {
                     // the engine, with observe_fault after each arrival.
                     fs.push(Fault::new(o, rng.random()));
                     policy.observe_fault(&fs, &mut warm);
-                    assert!(warm.pair_cache.matches(super::aegis_cache_key(&r), &fs));
+                    assert!(warm.pair_cache.matches(*key, &fs), "{}", policy.name());
                     for _ in 0..4 {
                         let wrong: Vec<bool> = (0..fs.len()).map(|_| rng.random()).collect();
                         let incremental = policy.recoverable_with(&fs, &wrong, &mut warm);

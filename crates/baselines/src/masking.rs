@@ -38,13 +38,13 @@ use crate::cost::masking_overhead;
 use crate::gf2m::{alpha_powers, field_bits};
 use bitblock::BitBlock;
 use pcm_sim::codec::{StuckAtCodec, WriteReport};
-use pcm_sim::policy::{cache_key, PairCache, PolicyScratch, RecoveryPolicy};
+use pcm_sim::policy::{cache_key, PairCache, PolicyScratch, RecoveryPolicy, MASK_BITS};
 use pcm_sim::{Fault, PcmBlock, UncorrectableError};
 
-/// Largest fault population the `u128` contributor masks support; the
-/// same discipline as SAFER's 128-group bound. Blocks die long before
-/// this in every simulated configuration.
-pub const MAX_MASK_FAULTS: usize = 128;
+/// Largest fault population the `u128` contributor masks support:
+/// [`MASK_BITS`], the bound every word-parallel policy shares. Blocks die
+/// long before this in every simulated configuration.
+pub const MAX_MASK_FAULTS: usize = MASK_BITS;
 
 /// The public masking matrix `H`: `t` BCH row-blocks over GF(2^m), one
 /// column per cell offset, packed into a `u64` lane per column

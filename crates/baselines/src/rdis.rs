@@ -25,7 +25,9 @@
 use crate::cost::{rdis_overhead, rdis_paper_overhead};
 use bitblock::BitBlock;
 use pcm_sim::codec::{StuckAtCodec, WriteReport};
-use pcm_sim::policy::{cache_key, guaranteed_splits_with, PolicyScratch, RecoveryPolicy};
+use pcm_sim::policy::{
+    cache_key, guaranteed_splits_with, PolicyScratch, RecoveryPolicy, MASK_BITS,
+};
 use pcm_sim::{classify_split, Fault, PcmBlock, UncorrectableError};
 
 /// Grid geometry and recursion depth of an RDIS scheme.
@@ -373,10 +375,6 @@ pub struct RdisPolicy {
     fast: bool,
 }
 
-/// Most faults the word-parallel path tracks: one bit per fault index in
-/// a `u128`.
-const MAX_MASK_FAULTS: usize = 128;
-
 impl RdisPolicy {
     /// Creates the policy for a scheme.
     #[must_use]
@@ -435,7 +433,7 @@ impl RecoveryPolicy for RdisPolicy {
         }
         for (i, &f) in faults.iter().enumerate().skip(start) {
             let (r, c) = self.scheme.coords(f.offset);
-            if i < MAX_MASK_FAULTS {
+            if i < MASK_BITS {
                 cache.masks[r] |= 1u128 << i;
                 cache.masks[self.scheme.rows() + c] |= 1u128 << i;
             }
@@ -477,7 +475,7 @@ impl RecoveryPolicy for RdisPolicy {
     ) -> bool {
         assert_eq!(faults.len(), wrong.len(), "split width mismatch");
         let cache = &scratch.pair_cache;
-        if !self.fast || faults.len() > MAX_MASK_FAULTS || !cache.matches(self.key, faults) {
+        if !self.fast || faults.len() > MASK_BITS || !cache.matches(self.key, faults) {
             return self.recoverable(faults, wrong);
         }
         let (row_masks, col_masks) = cache.masks.split_at(self.scheme.rows());

@@ -22,7 +22,7 @@
 use crate::cost::safer_overhead;
 use bitblock::BitBlock;
 use pcm_sim::codec::{StuckAtCodec, WriteReport};
-use pcm_sim::policy::{cache_key, CachedPair, PolicyScratch, RecoveryPolicy};
+use pcm_sim::policy::{cache_key, CachedPair, PairCache, PolicyScratch, RecoveryPolicy, MASK_BITS};
 use pcm_sim::{Fault, PcmBlock, UncorrectableError};
 
 /// How the codec looks for a collision-free partition vector.
@@ -401,8 +401,9 @@ pub struct SaferPolicy {
     /// so both cache modes of a given `(m, block_bits, search)` share it.
     key: u64,
     /// `vec_masks[p]`: bit `v` set iff full-length vector `v` contains
-    /// address bit `p`. Empty when more than 128 vectors exist (the u128
-    /// fast path is gated off and the recompute path is used instead).
+    /// address bit `p`. Empty when more than [`MASK_BITS`] vectors exist
+    /// (the `u128` fast path is gated off and the recompute path is used
+    /// instead).
     vec_masks: Vec<u128>,
     /// All-vectors mask: `(1 << vectors.len()) - 1` when the fast path is
     /// enabled, 0 otherwise.
@@ -420,26 +421,25 @@ impl SaferPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `m > 7` (the policy's occupancy masks support up to 128
-    /// groups — every configuration the paper simulates).
+    /// Panics if `m > 7` (the policy's occupancy masks support up to
+    /// [`MASK_BITS`] = 128 groups — every configuration the paper
+    /// simulates).
     #[must_use]
     pub fn with_search(m: usize, block_bits: usize, cache: bool, search: PartitionSearch) -> Self {
-        assert!(m <= 7, "SaferPolicy supports up to 128 groups (m <= 7)");
+        assert!(
+            m <= MASK_BITS.ilog2() as usize,
+            "SaferPolicy supports up to {MASK_BITS} groups (m <= 7)"
+        );
         let scheme = SaferScheme::new(m, block_bits);
         let vectors = scheme.all_vectors();
-        let (vec_masks, full_mask) = if vectors.len() <= 128 {
+        let (vec_masks, full_mask) = if vectors.len() <= MASK_BITS {
             let mut masks = vec![0u128; scheme.addr_bits()];
             for (v, positions) in vectors.iter().enumerate() {
                 for &p in positions {
                     masks[p] |= 1u128 << v;
                 }
             }
-            let full = if vectors.len() == 128 {
-                u128::MAX
-            } else {
-                (1u128 << vectors.len()) - 1
-            };
-            (masks, full)
+            (masks, u128::MAX >> (MASK_BITS - vectors.len()))
         } else {
             (Vec::new(), 0)
         };
@@ -460,13 +460,13 @@ impl SaferPolicy {
     }
 
     /// Whether a fixed partition handles the split. Group occupancy is kept
-    /// in two `u128` bitmasks (SAFER never exceeds 128 groups in the
-    /// paper's configurations), keeping the Monte Carlo hot path
+    /// in two `u128` bitmasks (SAFER never exceeds [`MASK_BITS`] groups in
+    /// the paper's configurations), keeping the Monte Carlo hot path
     /// allocation-free.
     fn partition_ok(&self, positions: &[usize], faults: &[Fault], wrong: &[bool]) -> bool {
         debug_assert!(
-            positions.len() <= 7,
-            "u128 occupancy supports <= 128 groups"
+            1 << positions.len() <= MASK_BITS,
+            "u128 occupancy supports <= {MASK_BITS} groups"
         );
         let mut has_w = 0u128;
         let mut has_r = 0u128;
@@ -514,7 +514,7 @@ impl SaferPolicy {
     /// Incremental (exhaustive search): for each *new* fault, the set of
     /// vectors under which it shares a group with each earlier fault — a
     /// pure function of the offset pair, cached once per pair.
-    fn absorb_pair_masks(&self, faults: &[Fault], cache: &mut pcm_sim::policy::PairCache) {
+    fn absorb_pair_masks(&self, faults: &[Fault], cache: &mut PairCache) {
         let start = cache.begin(self.key, faults);
         for j in start..faults.len() {
             let fj = faults[j];
@@ -542,44 +542,76 @@ impl SaferPolicy {
         }
     }
 
-    /// Incremental (published search): replay [`Self::incremental_vector`]'s
-    /// growth for the new suffix only, then keep per-fault groups current.
-    fn absorb_incremental_vector(&self, faults: &[Fault], cache: &mut pcm_sim::policy::PairCache) {
-        let start = cache.begin(self.key, faults);
-        if start == faults.len() {
+    /// Incremental (published search): replays [`Self::incremental_vector`]'s
+    /// growth for the new suffix only, over group masks of fault indices.
+    ///
+    /// `masks[g]` holds the covered faults in group `g` under the grown
+    /// `positions`, `groups[i]` fault `i`'s group and `all_mask` the faults
+    /// that share their group with another. The published walk visits the
+    /// earlier faults in index order and grows the vector on each visited
+    /// fault still co-grouped with the new one, so the next visit that can
+    /// matter is the lowest member of the new fault's group above the last
+    /// index visited; every other visit is a no-op skipped in one
+    /// `trailing_zeros`. A grown position regroups the covered faults by
+    /// one bit, at most `m` times per block. Past [`MASK_BITS`] faults
+    /// nothing is committed, so the cache stops matching and verdicts take
+    /// the cold path.
+    fn absorb_incremental_vector(&self, faults: &[Fault], cache: &mut PairCache) {
+        if faults.len() > MASK_BITS {
             return;
         }
-        let old_len = cache.positions.len();
+        let start = cache.begin(self.key, faults);
+        if cache.masks.len() != self.scheme.groups() {
+            cache.masks.clear();
+            cache.masks.resize(self.scheme.groups(), 0);
+        }
         for j in start..faults.len() {
-            let fj = faults[j];
-            for fi in &faults[..j] {
-                // Mirrors incremental_vector exactly: the length check sits
-                // before the group comparison on every pair visit.
-                if cache.positions.len() >= self.scheme.m {
+            let fj = faults[j].offset;
+            let mut visited = 0u128;
+            while cache.positions.len() < self.scheme.m {
+                let g = self.scheme.group_of(fj, &cache.positions);
+                let ahead = cache.masks[g] & !visited;
+                if ahead == 0 {
                     break;
                 }
-                if self.scheme.group_of(fj.offset, &cache.positions)
-                    == self.scheme.group_of(fi.offset, &cache.positions)
+                let i = ahead.trailing_zeros() as usize;
+                visited |= u128::MAX >> (MASK_BITS - 1 - i);
+                if let Some(bit) =
+                    self.scheme
+                        .distinguishing_bit(fj, faults[i].offset, &cache.positions)
                 {
-                    if let Some(bit) =
-                        self.scheme
-                            .distinguishing_bit(fj.offset, fi.offset, &cache.positions)
-                    {
-                        cache.positions.push(bit);
-                    }
+                    self.regroup(faults, bit, cache);
                 }
             }
-            cache.commit(fj);
+            let g = self.scheme.group_of(fj, &cache.positions);
+            let bit = 1u128 << j;
+            if cache.masks[g] != 0 {
+                cache.all_mask |= cache.masks[g] | bit;
+            }
+            cache.masks[g] |= bit;
+            cache.groups.push(g as u8);
+            cache.commit(faults[j]);
         }
-        let range = if cache.positions.len() == old_len {
-            start..faults.len()
-        } else {
-            cache.groups.clear();
-            0..faults.len()
-        };
-        for f in &faults[range] {
-            let g = self.scheme.group_of(f.offset, &cache.positions) as u8;
-            cache.groups.push(g);
+    }
+
+    /// Appends address bit `bit` to the cached vector and moves every
+    /// covered fault with that address bit set into the upper half of its
+    /// group's split.
+    ///
+    /// `all_mask` needs no update: while the vector has room, every arrival
+    /// that lands beside a fault grows the vector to separate the two, so
+    /// only faults with equal offsets share a group — and they move
+    /// together.
+    fn regroup(&self, faults: &[Fault], bit: usize, cache: &mut PairCache) {
+        let high = 1 << cache.positions.len();
+        cache.positions.push(bit);
+        for (i, f) in faults[..cache.groups.len()].iter().enumerate() {
+            if (f.offset >> bit) & 1 == 1 {
+                let g = &mut cache.groups[i];
+                cache.masks[*g as usize] &= !(1u128 << i);
+                *g |= high as u8;
+                cache.masks[*g as usize] |= 1u128 << i;
+            }
         }
     }
 }
@@ -644,21 +676,14 @@ impl RecoveryPolicy for SaferPolicy {
 
     /// Allocation-free twin of [`guaranteed`](RecoveryPolicy::guaranteed)
     /// for the incremental search: `absorb_incremental_vector` already
-    /// replayed the vector growth into the cache and keeps every fault's
-    /// group current, so injectivity is one duplicate scan over the cached
-    /// groups — no vector rebuild, no allocation.
+    /// replayed the vector growth into the cache, so the grown partition is
+    /// injective iff no fault shares its group — no vector rebuild, no
+    /// allocation.
     fn guaranteed_with(&self, faults: &[Fault], scratch: &mut PolicyScratch) -> bool {
         if self.search == PartitionSearch::Incremental
-            && self.scheme.m <= 7
             && scratch.pair_cache.matches(self.key, faults)
         {
-            let mut seen = 0u128;
-            return scratch.pair_cache.groups.iter().all(|&g| {
-                let bit = 1u128 << g;
-                let fresh = seen & bit == 0;
-                seen |= bit;
-                fresh
-            });
+            return scratch.pair_cache.all_mask == 0;
         }
         self.guaranteed(faults)
     }
@@ -713,23 +738,24 @@ impl RecoveryPolicy for SaferPolicy {
                 bad != self.full_mask
             }
             PartitionSearch::Incremental => {
-                // partition_ok over the cached per-fault groups, in the same
-                // fault order and with identical occupancy semantics.
-                let mut has_w = 0u128;
-                let mut has_r = 0u128;
-                for (&g, &is_wrong) in cache.groups.iter().zip(wrong) {
-                    let bit = 1u128 << g;
-                    if is_wrong {
-                        if has_r & bit != 0 || (!self.cache && has_w & bit != 0) {
-                            return false;
-                        }
-                        has_w |= bit;
-                    } else {
-                        if has_w & bit != 0 {
-                            return false;
-                        }
-                        has_r |= bit;
+                // partition_ok over the cached groups: without a fail cache
+                // a W fault must sit alone in its group; with one, only a
+                // group holding both a W and an R fault is fatal.
+                let w = wrong
+                    .iter()
+                    .enumerate()
+                    .fold(0u128, |m, (i, &is_wrong)| m | (u128::from(is_wrong) << i));
+                let mut shared_w = w & cache.all_mask;
+                if !self.cache {
+                    return shared_w == 0;
+                }
+                while shared_w != 0 {
+                    let members =
+                        cache.masks[cache.groups[shared_w.trailing_zeros() as usize] as usize];
+                    if members & !w != 0 {
+                        return false;
                     }
+                    shared_w &= !members;
                 }
                 true
             }

@@ -86,17 +86,25 @@ pub struct PairCache {
     covered: Vec<Fault>,
     /// Cached pairs in arrival order of the later fault.
     pub pairs: Vec<CachedPair>,
-    /// `u128` masks whose layout each owner defines: SAFER keeps one per
-    /// cached pair, parallel to `pairs` (the partition vectors the pair
-    /// rules out); Aegis one per covered fault (the slopes on which that
-    /// fault collides with any other); RDIS one per grid row, then one
-    /// per grid column (the indices of the faults on that line).
+    /// `u128` masks whose layout each owner defines: exhaustive SAFER
+    /// keeps one per cached pair, parallel to `pairs` (the partition
+    /// vectors the pair rules out); incremental SAFER one per group (the
+    /// indices of the faults in it); base Aegis on formations with at most
+    /// [`MASK_BITS`] slopes one per covered fault (the slopes on which that
+    /// fault collides with any other); RDIS one per grid row, then one per
+    /// grid column (the indices of the faults on that line).
     pub masks: Vec<u128>,
-    /// Per-tag pair counts (Aegis: colliding pairs per slope).
+    /// Per-tag pair counts (Aegis-rw/-rw-p, and base Aegis past
+    /// [`MASK_BITS`] slopes: colliding pairs per slope).
     pub counts: Vec<u32>,
-    /// Number of tags with a zero count (Aegis: slopes no pair collides on).
+    /// Number of tags with a zero count (the `counts` owners: slopes no
+    /// pair collides on).
     pub clean: usize,
-    /// Union of `masks` (SAFER: vectors hit by at least one pair).
+    /// A summary mask whose meaning each owner defines: exhaustive SAFER
+    /// the union of `masks` (vectors hit by at least one pair); incremental
+    /// SAFER the indices of the faults that share their group with
+    /// another; base Aegis the union of `masks` (slopes holding at least
+    /// one colliding pair).
     pub all_mask: u128,
     /// Grown partition state (SAFER incremental: the vector positions).
     pub positions: Vec<usize>,
@@ -220,13 +228,13 @@ pub struct PairCacheSnapshot {
     pub covered: Vec<Fault>,
     /// Cached pairs ([`PairCache::pairs`]).
     pub pairs: Vec<CachedPair>,
-    /// Per-pair masks ([`PairCache::masks`]).
+    /// Owner-defined masks ([`PairCache::masks`]).
     pub masks: Vec<u128>,
     /// Per-tag pair counts ([`PairCache::counts`]).
     pub counts: Vec<u32>,
     /// Zero-count tag total ([`PairCache::clean`]).
     pub clean: usize,
-    /// Mask union ([`PairCache::all_mask`]).
+    /// Owner-defined summary mask ([`PairCache::all_mask`]).
     pub all_mask: u128,
     /// Partition positions ([`PairCache::positions`]).
     pub positions: Vec<usize>,
@@ -457,6 +465,11 @@ pub fn guaranteed_splits_with<P: RecoveryPolicy + ?Sized>(
     scratch.split = wrong;
     verdict
 }
+
+/// Bits in one word-parallel policy mask (`u128`): the most faults,
+/// groups or slopes a policy can track as one bit each. Past it, a policy
+/// keeps no mask state and decides with its cold recompute instead.
+pub const MASK_BITS: usize = u128::BITS as usize;
 
 /// Largest fault count for which the default [`RecoveryPolicy::guaranteed`]
 /// enumerates every split exactly.

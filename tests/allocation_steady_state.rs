@@ -72,6 +72,8 @@ fn steady_state_evaluation_is_allocation_free() {
         (schemes::aegis_rw_p(4, 37, BITS, 2), "aegis-rw-p"),
         (schemes::ecp(4, BITS), "ecp"),
         (schemes::safer(5, BITS, false), "safer"),
+        (schemes::safer(7, BITS, false), "safer128"),
+        (schemes::safer(6, BITS, true), "safer64-cache"),
         (schemes::rdis3(BITS), "rdis"),
     ];
     let criteria = [
