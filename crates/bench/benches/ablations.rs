@@ -153,18 +153,18 @@ fn bench_fail_cache_capacity(c: &mut Bench) {
 }
 
 fn bench_payg(c: &mut Bench) {
-    // The PAYG extension at bench scale: chip-wide event loop with a
+    // The PAYG extension at bench scale: two page-major passes with a
     // shared pool, ECP1 vs Aegis local schemes.
-    use aegis_payg::run_payg_chip;
+    use aegis_payg::run_payg_chips;
     let opts = bench_options();
     let cfg = opts.sim_config(512);
     let ecp1 = schemes::ecp(1, 512);
     let aegis = schemes::aegis(23, 23, 512);
     // Directional check: the PAYG pool must extend ECP1's page lifetimes.
     let bare = pcm_sim::montecarlo::run_memory(ecp1.as_ref(), &cfg);
-    let pooled = run_payg_chip(ecp1.as_ref(), 512, &cfg);
+    let pooled = run_payg_chips(&[(ecp1.as_ref(), 512)], &cfg).remove(0);
     assert!(
-        pooled.outcome().mean_lifetime > 1.05 * pcm_sim::stats::mean(&bare.page_lifetimes),
+        pooled.chip.mean_lifetime() > 1.05 * pcm_sim::stats::mean(&bare.page_lifetimes),
         "the GEC pool should visibly extend ECP1 page lifetimes"
     );
 
@@ -172,7 +172,7 @@ fn bench_payg(c: &mut Bench) {
     group.sample_size(10);
     for (name, policy) in [("ecp1_lec", &ecp1), ("aegis23x23_lec", &aegis)] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run_payg_chip(policy.as_ref(), black_box(256), &cfg)));
+            b.iter(|| black_box(run_payg_chips(&[(policy.as_ref(), black_box(256))], &cfg)));
         });
     }
     group.finish();

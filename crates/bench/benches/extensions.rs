@@ -40,18 +40,24 @@ fn bench_wear_levelers(c: &mut Bench) {
 }
 
 fn bench_os_assist(c: &mut Bench) {
+    use aegis_os_assist::block_death_matrices;
     use aegis_os_assist::freep::run_freep;
     use aegis_os_assist::pairing::run_pairing;
     let opts = bench_options();
     let cfg = opts.sim_config(512);
     let policy = schemes::ecp(4, 512);
+    let matrix = || block_death_matrices(&[policy.as_ref()], &cfg).remove(0);
+    let deaths = matrix();
     let mut group = c.benchmark_group("os_assist");
     group.sample_size(10);
+    group.bench_function("death_matrix", |b| {
+        b.iter(|| black_box(matrix()));
+    });
     group.bench_function("freep_64_spares", |b| {
-        b.iter(|| black_box(run_freep(policy.as_ref(), 64, &cfg)));
+        b.iter(|| black_box(run_freep(policy.as_ref(), &deaths, 64, &cfg)));
     });
     group.bench_function("dynamic_pairing", |b| {
-        b.iter(|| black_box(run_pairing(policy.as_ref(), &cfg)));
+        b.iter(|| black_box(run_pairing(&deaths)));
     });
     group.finish();
 }

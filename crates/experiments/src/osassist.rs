@@ -10,8 +10,10 @@
 use crate::csvout::{self, fmt_f64};
 use crate::runner::RunOptions;
 use crate::schemes;
+use aegis_os_assist::block_death_matrices;
 use aegis_os_assist::freep::run_freep;
 use aegis_os_assist::pairing::run_pairing;
+use pcm_sim::policy::RecoveryPolicy;
 use pcm_sim::stats::mean;
 use std::io;
 use std::path::Path;
@@ -34,18 +36,22 @@ pub struct OsAssistRow {
 }
 
 /// Runs the study: {ECP2, ECP6, Aegis 9×61} × {bare, FREE-p 1%/4%,
-/// pairing}.
+/// pairing}, every mechanism reading the block-death matrices of one
+/// engine pass.
 #[must_use]
 pub fn run(opts: &RunOptions) -> Vec<OsAssistRow> {
     let cfg = opts.sim_config(512);
     let blocks = cfg.pages * cfg.blocks_per_page();
-    let mut rows = Vec::new();
-    for policy in [
+    let policies = [
         schemes::ecp(2, 512),
         schemes::ecp(6, 512),
         schemes::aegis(9, 61, 512),
-    ] {
-        let bare = run_freep(policy.as_ref(), 0, &cfg);
+    ];
+    let judged: Vec<&dyn RecoveryPolicy> = policies.iter().map(AsRef::as_ref).collect();
+    let matrices = block_death_matrices(&judged, &cfg);
+    let mut rows = Vec::new();
+    for (policy, matrix) in judged.into_iter().zip(&matrices) {
+        let bare = run_freep(policy, matrix, 0, &cfg);
         rows.push(OsAssistRow {
             scheme: policy.name(),
             mechanism: "bare retirement".to_owned(),
@@ -56,7 +62,7 @@ pub fn run(opts: &RunOptions) -> Vec<OsAssistRow> {
         });
         for percent in [1usize, 4] {
             let spares = blocks * percent / 100;
-            let freep = run_freep(policy.as_ref(), spares, &cfg);
+            let freep = run_freep(policy, matrix, spares, &cfg);
             rows.push(OsAssistRow {
                 scheme: policy.name(),
                 mechanism: format!("FREE-p {percent}% spares"),
@@ -66,7 +72,7 @@ pub fn run(opts: &RunOptions) -> Vec<OsAssistRow> {
                 half_capacity_time: 0.0,
             });
         }
-        let pairing = run_pairing(policy.as_ref(), &cfg);
+        let pairing = run_pairing(matrix);
         rows.push(OsAssistRow {
             scheme: policy.name(),
             mechanism: "dynamic pairing".to_owned(),

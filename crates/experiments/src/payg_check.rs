@@ -13,8 +13,9 @@ use crate::runner::RunOptions;
 use aegis_baselines::{cost, EcpPolicy, MaskingPolicy, PlbcPolicy};
 use aegis_core::{AegisPolicy, Rectangle};
 use aegis_payg::overhead::affordable_gec_entries;
-use aegis_payg::run_payg_chip;
-use pcm_sim::montecarlo::run_memory;
+use aegis_payg::run_payg_chips;
+use pcm_sim::montecarlo::{run_memory, MemoryRun};
+use pcm_sim::policy::RecoveryPolicy;
 use std::io;
 use std::path::Path;
 
@@ -43,82 +44,55 @@ pub const BUDGET_BITS_PER_BLOCK: usize = 61;
 pub fn run(opts: &RunOptions) -> Vec<PaygRow> {
     let cfg = opts.sim_config(512);
     let blocks = cfg.pages * cfg.blocks_per_page();
-    let mut rows = Vec::new();
-
+    let row = |name: String, lec_bits, gec_entries, chip: &MemoryRun, gec_used| PaygRow {
+        name,
+        lec_bits,
+        gec_entries,
+        mean_faults: chip.mean_faults_recovered(),
+        lifetime_improvement: chip.lifetime_improvement(),
+        gec_used,
+    };
     // Reference: the whole budget spent on dedicated per-block ECP6.
-    let ecp6 = EcpPolicy::new(6, 512);
-    let run = run_memory(&ecp6, &cfg);
-    rows.push(PaygRow {
-        name: "dedicated ECP6".to_owned(),
-        lec_bits: BUDGET_BITS_PER_BLOCK,
-        gec_entries: 0,
-        mean_faults: run.mean_faults_recovered(),
-        lifetime_improvement: run.lifetime_improvement(),
-        gec_used: 0,
-    });
+    let ecp6 = run_memory(&EcpPolicy::new(6, 512), &cfg);
+    let mut rows = vec![row(
+        "dedicated ECP6".to_owned(),
+        BUDGET_BITS_PER_BLOCK,
+        0,
+        &ecp6,
+        0,
+    )];
 
-    // PAYG with ECP1 as the local scheme (the original proposal).
-    let lec_ecp1 = EcpPolicy::new(1, 512);
-    let entries = affordable_gec_entries(BUDGET_BITS_PER_BLOCK, 11, blocks, 512);
-    let run = run_payg_chip(&lec_ecp1, entries, &cfg);
-    let outcome = run.outcome();
-    rows.push(PaygRow {
-        name: "PAYG: ECP1 + GEC".to_owned(),
-        lec_bits: 11,
-        gec_entries: entries,
-        mean_faults: outcome.mean_faults,
-        lifetime_improvement: outcome.lifetime_improvement,
-        gec_used: outcome.gec_used,
-    });
-
-    // PAYG with Aegis formations as the local scheme.
+    // PAYG with ECP1 as the local scheme (the original proposal), with
+    // Aegis formations, and with the information-theoretic families:
+    // Mask1 masks any single stuck cell in 10 bits (one bit under ECP1's
+    // 11), PLC1+1 adds one pointer repair on top for 20.
+    let mut lecs: Vec<(String, usize, Box<dyn RecoveryPolicy>)> =
+        vec![("ECP1".to_owned(), 11, Box::new(EcpPolicy::new(1, 512)))];
     for (a, b) in [(23usize, 23usize), (17, 31)] {
         let rect = Rectangle::new(a, b, 512).expect("valid formation");
         let lec_bits = aegis_core::cost::ceil_log2(rect.slopes()) + rect.groups();
-        let lec = AegisPolicy::new(rect);
-        let entries = affordable_gec_entries(BUDGET_BITS_PER_BLOCK, lec_bits, blocks, 512);
-        let run = run_payg_chip(&lec, entries, &cfg);
-        let outcome = run.outcome();
-        rows.push(PaygRow {
-            name: format!("PAYG: Aegis {a}x{b} + GEC"),
+        lecs.push((
+            format!("Aegis {a}x{b}"),
             lec_bits,
-            gec_entries: entries,
-            mean_faults: outcome.mean_faults,
-            lifetime_improvement: outcome.lifetime_improvement,
-            gec_used: outcome.gec_used,
-        });
+            Box::new(AegisPolicy::new(rect)),
+        ));
     }
-
-    // PAYG with the information-theoretic families as the local scheme:
-    // Mask1 masks any single stuck cell in 10 bits (one bit under ECP1's
-    // 11), PLC1+1 adds one pointer repair on top for 20.
-    let lec_mask1 = MaskingPolicy::new(1, 512);
-    let mask1_bits = cost::masking_overhead(1, 512);
-    let entries = affordable_gec_entries(BUDGET_BITS_PER_BLOCK, mask1_bits, blocks, 512);
-    let run = run_payg_chip(&lec_mask1, entries, &cfg);
-    let outcome = run.outcome();
-    rows.push(PaygRow {
-        name: "PAYG: Mask1 + GEC".to_owned(),
-        lec_bits: mask1_bits,
-        gec_entries: entries,
-        mean_faults: outcome.mean_faults,
-        lifetime_improvement: outcome.lifetime_improvement,
-        gec_used: outcome.gec_used,
-    });
-
-    let lec_plbc = PlbcPolicy::new(1, 1, 512);
-    let plbc_bits = cost::plbc_overhead(1, 1, 512);
-    let entries = affordable_gec_entries(BUDGET_BITS_PER_BLOCK, plbc_bits, blocks, 512);
-    let run = run_payg_chip(&lec_plbc, entries, &cfg);
-    let outcome = run.outcome();
-    rows.push(PaygRow {
-        name: "PAYG: PLC1+1 + GEC".to_owned(),
-        lec_bits: plbc_bits,
-        gec_entries: entries,
-        mean_faults: outcome.mean_faults,
-        lifetime_improvement: outcome.lifetime_improvement,
-        gec_used: outcome.gec_used,
-    });
+    let mask1 = Box::new(MaskingPolicy::new(1, 512));
+    lecs.push(("Mask1".to_owned(), cost::masking_overhead(1, 512), mask1));
+    let plc = Box::new(PlbcPolicy::new(1, 1, 512));
+    lecs.push(("PLC1+1".to_owned(), cost::plbc_overhead(1, 1, 512), plc));
+    let pools: Vec<(&dyn RecoveryPolicy, usize)> = lecs
+        .iter()
+        .map(|(_, bits, lec)| {
+            let entries = affordable_gec_entries(BUDGET_BITS_PER_BLOCK, *bits, blocks, 512);
+            (lec.as_ref(), entries)
+        })
+        .collect();
+    let runs = run_payg_chips(&pools, &cfg);
+    for (((name, bits, _), &(_, entries)), run) in lecs.iter().zip(&pools).zip(&runs) {
+        let name = format!("PAYG: {name} + GEC");
+        rows.push(row(name, *bits, entries, &run.chip, run.gec_used));
+    }
     rows
 }
 

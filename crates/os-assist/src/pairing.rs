@@ -11,10 +11,6 @@
 //! cascade; this module measures the capacity a pairing pool recovers on
 //! top of any in-block scheme.
 
-use crate::block_death_matrix;
-use pcm_sim::montecarlo::SimConfig;
-use pcm_sim::policy::RecoveryPolicy;
-
 /// One page's (or pair's) remaining usable life, per block offset.
 #[derive(Debug, Clone)]
 struct Member {
@@ -77,17 +73,20 @@ pub struct PairingRun {
     pub half_capacity_time: f64,
 }
 
-/// Simulates the retire-then-pair lifecycle for `policy` on the standard
-/// chip configuration.
+/// Simulates the retire-then-pair lifecycle of a chip from its block-death
+/// `matrix` ([`block_death_matrices`](crate::block_death_matrices)).
 ///
 /// Greedy first-fit pairing: when a page retires, it tries to pair with
 /// any pool page compatible *now*; pairs that later fail are dissolved
 /// back into the pool (their pages are usually too worn to re-pair, but
 /// first-fit gets a chance).
 #[must_use]
-pub fn run_pairing(policy: &dyn RecoveryPolicy, cfg: &SimConfig) -> PairingRun {
-    let matrix = block_death_matrix(policy, cfg);
-    let members: Vec<Member> = matrix.into_iter().map(|deaths| Member { deaths }).collect();
+pub fn run_pairing(matrix: &[Vec<f64>]) -> PairingRun {
+    let members: Vec<Member> = matrix
+        .iter()
+        .cloned()
+        .map(|deaths| Member { deaths })
+        .collect();
 
     // Event queue: every page's first death; then, dynamically, pair
     // deaths. Processed in time order.
@@ -172,9 +171,9 @@ pub fn run_pairing(policy: &dyn RecoveryPolicy, cfg: &SimConfig) -> PairingRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_death_matrix;
     use aegis_baselines::EcpPolicy;
-    use pcm_sim::montecarlo::half_lifetime;
-    use pcm_sim::montecarlo::run_memory;
+    use pcm_sim::montecarlo::{half_lifetime, run_memory, SimConfig};
 
     fn cfg(pages: usize) -> SimConfig {
         SimConfig::scaled(pages, 512, 17)
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn capacity_curve_starts_full_and_ends_empty() {
         let policy = EcpPolicy::new(4, 512);
-        let run = run_pairing(&policy, &cfg(16));
+        let run = run_pairing(&block_death_matrix(&policy, &cfg(16)));
         let first = run.curve.first().unwrap();
         assert_eq!(first.healthy, 16);
         assert_eq!(first.paired, 0);
@@ -197,7 +196,7 @@ mod tests {
     fn pairing_extends_half_capacity_beyond_plain_retirement() {
         let policy = EcpPolicy::new(4, 512);
         let configuration = cfg(32);
-        let run = run_pairing(&policy, &configuration);
+        let run = run_pairing(&block_death_matrix(&policy, &configuration));
         // Plain retirement halves capacity at the ordinary half lifetime.
         let plain = run_memory(&policy, &configuration);
         let plain_half = {

@@ -1,23 +1,19 @@
 //! Chip-wide event-driven evaluation of PAYG over any local scheme.
 
-use crate::pool::GlobalPool;
-use pcm_sim::montecarlo::{FailureCriterion, SimConfig};
-use pcm_sim::policy::RecoveryPolicy;
-use pcm_sim::timeline::TimelineSampler;
-use pcm_sim::{sample_split, Fault};
-use sim_rng::SeedableRng;
-use sim_rng::SmallRng;
+use pcm_sim::montecarlo::{map_pages, survives, FailureCriterion, MemoryRun, PassHooks, SimConfig};
+use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
+use pcm_sim::timeline::{FaultEvent, PageTimeline};
+use pcm_sim::Fault;
+use std::collections::BinaryHeap;
 
 /// One chip-wide PAYG run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PaygRun {
-    /// Per-page death times, in page writes (same meaning as
-    /// [`pcm_sim::montecarlo::MemoryRun::page_lifetimes`]).
-    pub page_lifetimes: Vec<f64>,
-    /// Per-page death times without any protection.
-    pub unprotected_lifetimes: Vec<f64>,
-    /// Faults recovered chip-wide before each page's death, per page.
-    pub faults_recovered: Vec<usize>,
+    /// Per-page lifetimes, unprotected lifetimes and recovered faults,
+    /// meaning what they mean for a chip without a pool. `capped_pages`
+    /// counts the pages that outlived the pool and every timeline, whose
+    /// lifetime is the chip's last event time.
+    pub chip: MemoryRun,
     /// GEC entries consumed by the end of the run.
     pub gec_used: usize,
     /// Global write count at which the pool first ran dry (`None` if it
@@ -25,149 +21,194 @@ pub struct PaygRun {
     pub pool_exhausted_at: Option<f64>,
 }
 
-/// Outcome summary helpers.
-#[derive(Debug, Clone, Copy)]
-pub struct PaygOutcome {
-    /// Mean page lifetime in page writes.
-    pub mean_lifetime: f64,
-    /// Mean lifetime improvement over the unprotected page.
-    pub lifetime_improvement: f64,
-    /// Mean recoverable faults per page.
-    pub mean_faults: f64,
-    /// GEC entries consumed.
-    pub gec_used: usize,
-}
-
-impl PaygRun {
-    /// Aggregates the run.
-    #[must_use]
-    pub fn outcome(&self) -> PaygOutcome {
-        PaygOutcome {
-            mean_lifetime: pcm_sim::stats::mean(&self.page_lifetimes),
-            lifetime_improvement: pcm_sim::stats::mean(&self.page_lifetimes)
-                / pcm_sim::stats::mean(&self.unprotected_lifetimes),
-            mean_faults: pcm_sim::stats::mean_usize(&self.faults_recovered),
-            gec_used: self.gec_used,
-        }
-    }
-}
-
-/// Chip-wide fault event, ready for time-ordered processing.
-struct ChipEvent {
-    time: f64,
-    page: usize,
-    block: usize,
-    fault: Fault,
-    split_seed: u64,
-}
-
-/// Runs PAYG: `local` protects every block; blocks whose fault population
-/// exceeds its capability draw permanent single-cell repairs from a GEC
-/// pool of `gec_entries`. A page dies at the first write its (possibly
-/// repaired) block cannot absorb.
+/// Runs PAYG for each `(local scheme, GEC entries)` pair of `lecs` on one
+/// chip, returning one run per pair in slice order: the local scheme
+/// protects every block, and a block whose population outgrows it draws
+/// permanent single-cell repairs from the pair's global pool. A page dies
+/// at the first write a block of it cannot absorb with the pool dry.
 ///
-/// When a write is infeasible, repairs are granted newest-fault-first
-/// until it becomes feasible (a simple, deterministic grant heuristic —
-/// the PAYG paper allocates eagerly per fault instead; newest-first is
-/// lazier and never wastes entries on populations the LEC still covers).
+/// An infeasible write is granted repairs newest-fault-first until it goes
+/// through (a simple, deterministic grant heuristic — the PAYG paper
+/// allocates eagerly per fault instead; newest-first is lazier and never
+/// wastes entries on populations the LEC still covers). The pool grants
+/// in chip-wide `(time, page, block, event index)` order and never frees
+/// an entry, and no page dies before it runs dry, so until then a block's
+/// demands depend on its own timeline alone. Two passes of [`map_pages`]
+/// judge every pair on each page:
+///
+/// 1. each block is walked as if the pool were unbounded; the pool runs
+///    dry at `T*`, the `(entries + 1)`-th demand in that order, found
+///    from each worker's `entries + 1` first;
+/// 2. a page dies at its first demand at or after `T*`, credited with its
+///    events before it. A page with no such demand, or with no `T*`, lives
+///    to the chip's last event time with every event credited.
 ///
 /// # Panics
 ///
-/// Panics if the policy's block width disagrees with the config.
+/// Panics if a policy's block width disagrees with the config.
 #[must_use]
-pub fn run_payg_chip(local: &dyn RecoveryPolicy, gec_entries: usize, cfg: &SimConfig) -> PaygRun {
-    assert_eq!(local.block_bits(), cfg.block_bits, "block width mismatch");
-    let sampler = TimelineSampler::paper_default(cfg.block_bits);
-    let blocks_per_page = cfg.blocks_per_page();
+pub fn run_payg_chips(lecs: &[(&dyn RecoveryPolicy, usize)], cfg: &SimConfig) -> Vec<PaygRun> {
+    for (local, _) in lecs {
+        assert_eq!(local.block_bits(), cfg.block_bits, "block width mismatch");
+    }
+    let hooks = PassHooks::default();
+    let lanes = || -> Vec<Lane> { lecs.iter().map(|_| Lane::default()).collect() };
+    let first = map_pages(
+        cfg,
+        0,
+        cfg.pages,
+        "payg.demands",
+        &hooks,
+        || (lanes(), vec![BinaryHeap::new(); lecs.len()]),
+        |(lanes, smallest), _, p, page| {
+            for b in 0..page.blocks.len() {
+                for (l, &(local, entries)) in lecs.iter().enumerate() {
+                    let heap = &mut smallest[l];
+                    walk_block(local, page, (p, b), cfg.criterion, &mut lanes[l], |k| {
+                        keep_smallest(heap, entries.saturating_add(1), k)
+                    });
+                }
+            }
+            let last = page.blocks.iter().filter_map(|b| b.events.last());
+            let horizon = last.map(|e| e.time).fold(0.0, f64::max);
+            (page.first_cell_death(), horizon, page.total_events())
+        },
+    );
+    let horizon = first.results.iter().map(|r| r.1).fold(0.0, f64::max);
+    let mut smallest: Vec<_> = first.scratches.into_iter().map(|(_, s)| s).collect();
+    // Each pair's `(gec_used, T*)` from the union of the workers' keys.
+    let exhaustion: Vec<(usize, Option<Key>)> = lecs
+        .iter()
+        .enumerate()
+        .map(|(l, &(_, entries))| {
+            let heaps = smallest.iter_mut().map(|s| std::mem::take(&mut s[l]));
+            let mut keys: Vec<Key> = heaps.flat_map(BinaryHeap::into_vec).collect();
+            if keys.len() <= entries {
+                return (keys.len(), None);
+            }
+            (entries, Some(*keys.select_nth_unstable(entries).1))
+        })
+        .collect();
+    drop(smallest);
 
-    // Sample every page timeline (identical to what run_memory sees for
-    // the same seed) and merge the events chip-wide in time order.
-    let mut events: Vec<ChipEvent> = Vec::new();
-    let mut unprotected = Vec::with_capacity(cfg.pages);
-    for page in 0..cfg.pages {
-        let mut rng = TimelineSampler::page_rng(cfg.seed, page as u64);
-        let timeline = sampler.sample_page(&mut rng, blocks_per_page);
-        unprotected.push(timeline.first_cell_death());
-        for (block, bt) in timeline.blocks.iter().enumerate() {
-            for event in &bt.events {
-                events.push(ChipEvent {
-                    time: event.time,
-                    page,
-                    block,
-                    fault: event.fault,
-                    split_seed: event.split_seed,
+    let deaths = |lanes: &mut Vec<Lane>, _: Option<&mut _>, p: usize, page: &PageTimeline| {
+        let walks = lecs.iter().zip(lanes.iter_mut()).zip(&exhaustion);
+        let deaths = walks.map(|((&(local, _), lane), &(_, t_star))| {
+            let t_star = t_star?;
+            let mut death = Key::MAX;
+            for b in 0..page.blocks.len() {
+                walk_block(local, page, (p, b), cfg.criterion, lane, |k| {
+                    if k >= t_star {
+                        death = death.min(k);
+                    }
+                    k < t_star
                 });
             }
-        }
-    }
-    events.sort_by(|a, b| a.time.total_cmp(&b.time));
-
-    let mut pool = GlobalPool::new(gec_entries);
-    let mut faults: Vec<Vec<Fault>> = vec![Vec::new(); cfg.pages * blocks_per_page];
-    let mut page_death = vec![f64::INFINITY; cfg.pages];
-    let mut recovered_per_page = vec![0usize; cfg.pages];
-    let mut pool_exhausted_at = None;
-
-    let samples = match cfg.criterion {
-        FailureCriterion::PerEventSplit { samples } => samples,
-        FailureCriterion::GuaranteedAllData => 0,
+            let credited = page.blocks.iter().enumerate().map(|(b, block)| {
+                let events = block.events.iter().enumerate();
+                events.take_while(|&(i, e)| key(e, p, b, i) < death).count()
+            });
+            (death < Key::MAX).then(|| (key_time(death), credited.sum()))
+        });
+        deaths.collect::<Vec<Option<(f64, usize)>>>()
     };
+    let second = map_pages(cfg, 0, cfg.pages, "payg.deaths", &hooks, lanes, deaths).results;
 
-    for event in &events {
-        if page_death[event.page].is_finite() {
-            continue; // page already retired
-        }
-        let block_id = (event.page * blocks_per_page + event.block) as u64;
-        let active = &mut faults[block_id as usize];
-        active.push(event.fault);
-
-        let feasible = |active: &[Fault], seed: u64| -> bool {
-            if samples == 0 {
-                local.guaranteed(active)
-            } else {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                (0..samples).all(|_| {
-                    let wrong = sample_split(&mut rng, active.len());
-                    local.recoverable(active, &wrong)
-                })
+    let unprotected: Vec<f64> = first.results.iter().map(|r| r.0).collect();
+    let runs = exhaustion
+        .iter()
+        .enumerate()
+        .map(|(l, &(gec_used, t_star))| {
+            let mut chip = MemoryRun {
+                unprotected_lifetimes: unprotected.clone(),
+                ..MemoryRun::default()
+            };
+            for (deaths, &(_, _, events)) in second.iter().zip(&first.results) {
+                let (lifetime, faults) = deaths[l].unwrap_or((horizon, events));
+                chip.page_lifetimes.push(lifetime);
+                chip.faults_recovered.push(faults);
+                chip.capped_pages += usize::from(deaths[l].is_none());
             }
-        };
+            PaygRun {
+                chip,
+                gec_used,
+                pool_exhausted_at: t_star.map(key_time),
+            }
+        });
+    runs.collect()
+}
 
-        // Grant repairs newest-first until the write goes through.
-        while !feasible(active, event.split_seed) {
-            let Some(&victim) = active.last() else { break };
-            if !pool.grant(block_id, victim) {
-                if pool_exhausted_at.is_none() {
-                    pool_exhausted_at = Some(event.time);
-                }
-                page_death[event.page] = event.time;
+/// A repair demand's place in the chip-wide time order, the order the
+/// pool grants in: `(time, page, block, event index)` packed so that
+/// integer order is that order (fault times are non-negative, so their
+/// bit patterns order like the times).
+type Key = u128;
+
+fn key(event: &FaultEvent, page: usize, block: usize, index: usize) -> Key {
+    debug_assert!(event.time >= 0.0 && page >> 32 == 0 && block >> 16 == 0 && index >> 16 == 0);
+    u128::from(event.time.to_bits()) << 64 | (page << 32 | block << 16 | index) as u128
+}
+
+#[allow(clippy::cast_possible_truncation)]
+fn key_time(key: Key) -> f64 {
+    f64::from_bits((key >> 64) as u64)
+}
+
+/// Keeps `key` if it is among the `limit` smallest offered to `heap` (a
+/// max-heap) so far, and says whether it did.
+fn keep_smallest(heap: &mut BinaryHeap<Key>, limit: usize, key: Key) -> bool {
+    if heap.len() < limit {
+        if heap.len() == heap.capacity() {
+            heap.reserve_exact(heap.len().max(16).min(limit - heap.len()));
+        }
+        heap.push(key);
+        return true;
+    }
+    match heap.peek_mut() {
+        Some(mut largest) if key < *largest => {
+            *largest = key;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// One local scheme's walk state on a worker: its scratch and the live
+/// (unrepaired) faults of the block under walk.
+type Lane = (PolicyScratch, Vec<Fault>);
+
+/// Walks block `b` of page `p` (`page`) with a pool that never runs dry:
+/// each event's population is judged by [`survives`], and while it fails
+/// the newest live fault is repaired. `grant` gets each repair's [`Key`]
+/// first and stops the walk by returning `false`; a block's keys only
+/// grow, so a refused key means every later one would be refused too.
+fn walk_block(
+    local: &dyn RecoveryPolicy,
+    page: &PageTimeline,
+    (p, b): (usize, usize),
+    criterion: FailureCriterion,
+    (scratch, faults): &mut Lane,
+    mut grant: impl FnMut(Key) -> bool,
+) {
+    faults.clear();
+    local.forget_block(scratch);
+    for (i, event) in page.blocks[b].events.iter().enumerate() {
+        faults.push(event.fault);
+        local.observe_fault(faults, scratch);
+        while !survives(local, faults, event.split_seed, criterion, scratch) {
+            if faults.is_empty() {
                 break;
             }
-            active.pop();
+            if !grant(key(event, p, b, i)) {
+                return;
+            }
+            // The shorter population is no extension of the cached one.
+            faults.pop();
+            local.forget_block(scratch);
+            if !faults.is_empty() {
+                local.observe_fault(faults, scratch);
+            }
         }
-        if page_death[event.page].is_infinite() {
-            // Chronological processing makes this exactly "events strictly
-            // before the page's death", matching run_memory's accounting.
-            recovered_per_page[event.page] += 1;
-        }
-    }
-
-    // Pages whose every block outlived its (truncated) timeline: credit
-    // them with the last tracked time (the Monte Carlo cap; loud in the
-    // paper-scale configs only if the cap is set too low).
-    let horizon = events.last().map_or(0.0, |e| e.time);
-    for death in &mut page_death {
-        if death.is_infinite() {
-            *death = horizon;
-        }
-    }
-
-    PaygRun {
-        page_lifetimes: page_death,
-        unprotected_lifetimes: unprotected,
-        faults_recovered: recovered_per_page,
-        gec_used: pool.used(),
-        pool_exhausted_at,
     }
 }
 
@@ -175,6 +216,10 @@ pub fn run_payg_chip(local: &dyn RecoveryPolicy, gec_entries: usize, cfg: &SimCo
 mod tests {
     use super::*;
     use aegis_baselines::EcpPolicy;
+
+    fn run_payg_chip(local: &dyn RecoveryPolicy, entries: usize, cfg: &SimConfig) -> PaygRun {
+        run_payg_chips(&[(local, entries)], cfg).remove(0)
+    }
     use aegis_core::{AegisPolicy, Rectangle};
 
     fn cfg(pages: usize, seed: u64) -> SimConfig {
@@ -194,8 +239,8 @@ mod tests {
         let local = EcpPolicy::new(2, 512);
         let payg = run_payg_chip(&local, 0, &cfg(3, 5));
         let bare = pcm_sim::montecarlo::run_memory(&local, &cfg(3, 5));
-        assert_eq!(payg.page_lifetimes, bare.page_lifetimes);
-        assert_eq!(payg.faults_recovered, bare.faults_recovered);
+        assert_eq!(payg.chip.page_lifetimes, bare.page_lifetimes);
+        assert_eq!(payg.chip.faults_recovered, bare.faults_recovered);
         assert_eq!(payg.gec_used, 0);
     }
 
@@ -206,7 +251,7 @@ mod tests {
         let mut prev = 0.0;
         for entries in [0usize, 64, 512] {
             let run = run_payg_chip(&local, entries, &config);
-            let mean = pcm_sim::stats::mean(&run.page_lifetimes);
+            let mean = pcm_sim::stats::mean(&run.chip.page_lifetimes);
             assert!(
                 mean >= prev,
                 "more GEC entries must not shorten life ({entries}: {mean} < {prev})"
@@ -236,10 +281,10 @@ mod tests {
         // pool, so compare what the pool *buys*: pages live longer and the
         // pool lasts longer behind the stronger local scheme.
         assert!(
-            aegis.outcome().mean_lifetime > ecp.outcome().mean_lifetime,
+            aegis.chip.mean_lifetime() > ecp.chip.mean_lifetime(),
             "Aegis LEC should stretch page lifetime ({} vs {})",
-            aegis.outcome().mean_lifetime,
-            ecp.outcome().mean_lifetime
+            aegis.chip.mean_lifetime(),
+            ecp.chip.mean_lifetime()
         );
         assert!(
             aegis.pool_exhausted_at.unwrap_or(f64::INFINITY)

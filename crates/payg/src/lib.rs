@@ -10,12 +10,11 @@
 //! capability and its space efficiency"; this crate makes that claim
 //! executable:
 //!
-//! - [`GlobalPool`] — the GEC pool: tagged repair entries that permanently
-//!   patch one cell each;
-//! - [`run_payg_chip`] — chip-wide event-driven evaluation: any
+//! - [`run_payg_chips`] — chip-wide event-driven evaluation: any
 //!   [`RecoveryPolicy`](pcm_sim::policy::RecoveryPolicy) acts as the LEC,
-//!   and blocks that outgrow it consume pool entries (a granted entry
-//!   erases that fault for good);
+//!   and blocks that outgrow it consume entries of a global pool (a
+//!   granted entry permanently patches that cell), all on the engine's
+//!   page-major sampler;
 //! - [`overhead`] — budget accounting, so configurations can be compared
 //!   at *matched total overhead* (the `experiments payg` command does
 //!   exactly that against dedicated ECP6).
@@ -25,7 +24,11 @@
 
 mod chip;
 pub mod overhead;
-mod pool;
 
-pub use chip::{run_payg_chip, PaygOutcome, PaygRun};
-pub use pool::GlobalPool;
+pub use chip::{run_payg_chips, PaygRun};
+
+// The chronological PAYG reference and its pool: test oracles only.
+#[cfg(test)]
+mod pool;
+#[cfg(test)]
+mod reference;

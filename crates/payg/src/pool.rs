@@ -1,4 +1,5 @@
-//! The global error-correction (GEC) pool.
+//! The global error-correction (GEC) pool of the chronological PAYG
+//! reference.
 
 use pcm_sim::Fault;
 
@@ -7,20 +8,6 @@ use pcm_sim::Fault;
 /// Each entry behaves like one ECP correction entry hoisted out of the
 /// block: once granted, it permanently replaces one failed cell, erasing
 /// that fault from its block's effective population for every later write.
-///
-/// # Examples
-///
-/// ```
-/// use aegis_payg::GlobalPool;
-/// use pcm_sim::Fault;
-///
-/// let mut pool = GlobalPool::new(2);
-/// assert!(pool.grant(7, Fault::new(3, true)));
-/// assert!(pool.grant(9, Fault::new(0, false)));
-/// assert!(!pool.grant(9, Fault::new(1, false))); // exhausted
-/// assert_eq!(pool.remaining(), 0);
-/// assert!(pool.is_repaired(7, 3));
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct GlobalPool {
     capacity: usize,
@@ -36,12 +23,6 @@ impl GlobalPool {
             capacity,
             grants: Vec::new(),
         }
-    }
-
-    /// Total entries provisioned.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Entries still available.
@@ -108,6 +89,16 @@ mod tests {
         assert!(!pool.is_repaired(2, 5));
         assert_eq!(pool.granted_to(1), 1);
         assert_eq!(pool.granted_to(2), 0);
+    }
+
+    #[test]
+    fn grants_are_tagged_and_refused_once_exhausted() {
+        let mut pool = GlobalPool::new(2);
+        assert!(pool.grant(7, Fault::new(3, true)));
+        assert!(pool.grant(9, Fault::new(0, false)));
+        assert!(!pool.grant(9, Fault::new(1, false))); // exhausted
+        assert_eq!(pool.remaining(), 0);
+        assert!(pool.is_repaired(7, 3));
     }
 
     #[test]

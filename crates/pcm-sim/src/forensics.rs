@@ -14,9 +14,9 @@
 //! replayed outcome against the engine's.
 
 use crate::fault::{sample_split_for_into, Fault, Stuckness};
-use crate::montecarlo::{BlockOutcome, FailureCriterion};
+use crate::montecarlo::{chip_page, BlockOutcome, FailureCriterion, SimConfig};
 use crate::policy::{PolicyScratch, RecoveryPolicy};
-use crate::timeline::{BlockTimeline, TimelineSampler};
+use crate::timeline::BlockTimeline;
 use sim_rng::SeedableRng;
 use sim_rng::SmallRng;
 
@@ -62,13 +62,17 @@ pub fn derive_block_timeline(cfg: &BlockTraceConfig) -> Result<BlockTimeline, St
             cfg.block, cfg.page_bits, blocks_per_page, cfg.block_bits
         ));
     }
-    let sampler = TimelineSampler::paper_default(cfg.block_bits).with_partial_mix(
-        cfg.partial_fraction,
-        crate::timeline::DEFAULT_WEAK_SUCCESS_Q8,
-    );
-    let mut rng = TimelineSampler::page_rng(cfg.seed, cfg.page as u64);
-    let page = sampler.sample_page(&mut rng, blocks_per_page);
-    page.blocks
+    let chip = SimConfig {
+        pages: cfg.page + 1,
+        page_bits: cfg.page_bits,
+        block_bits: cfg.block_bits,
+        criterion: cfg.criterion,
+        seed: cfg.seed,
+        threads: None,
+        partial_fraction: cfg.partial_fraction,
+    };
+    chip_page(&chip, cfg.page)
+        .blocks
         .into_iter()
         .nth(cfg.block)
         .ok_or_else(|| "sampled page has too few blocks".to_owned())
@@ -274,6 +278,7 @@ impl BlockTrace {
 mod tests {
     use super::*;
     use crate::montecarlo::evaluate_block;
+    use crate::timeline::TimelineSampler;
 
     /// Tolerates up to `cap` stuck-at-Wrong faults, with narration.
     struct WrongCap {

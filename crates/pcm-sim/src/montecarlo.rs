@@ -410,6 +410,32 @@ fn step_lane(
     survivable
 }
 
+/// Whether `policy` survives the write that made its block's population
+/// `faults`, judged as the engine judges a fault event: `samples` W/R
+/// splits of `faults` drawn from `split_seed` (or the guarantee), each
+/// decided by [`RecoveryPolicy::recoverable_with`] on `scratch`. The
+/// splits are drawn afresh, so a driver that edits a population (and calls
+/// [`RecoveryPolicy::forget_block`] when it does) judges it here.
+pub fn survives(
+    policy: &dyn RecoveryPolicy,
+    faults: &[Fault],
+    split_seed: u64,
+    criterion: FailureCriterion,
+    scratch: &mut PolicyScratch,
+) -> bool {
+    let FailureCriterion::PerEventSplit { samples } = criterion else {
+        return policy.guaranteed_with(faults, scratch);
+    };
+    let mut rng = SmallRng::seed_from_u64(split_seed);
+    let mut wrong = std::mem::take(&mut scratch.split);
+    let verdict = (0..samples).all(|_| {
+        crate::fault::sample_split_for_into(&mut rng, faults, &mut wrong);
+        policy.recoverable_with(faults, &wrong, scratch)
+    });
+    scratch.split = wrong;
+    verdict
+}
+
 /// Steps one policy through a block's events, from a clean arena, until it
 /// dies or runs out of events, reading splits from `tape` (which holds
 /// this block's splits so far, or none). Feeds the block's telemetry: fault
@@ -480,8 +506,8 @@ impl PageArena {
     }
 
     /// Every policy's outcome on one block, in slice order, read off one
-    /// shared tape.
-    fn block_outcomes(
+    /// shared tape: what [`evaluate_block`] yields for each alone.
+    pub fn block_outcomes(
         &mut self,
         policies: &[&dyn RecoveryPolicy],
         block: &BlockTimeline,
@@ -799,16 +825,13 @@ pub fn run_memory_range_with(
 /// one simulated chip in a single page-major pass, returning one
 /// [`MemoryRun`] per policy in slice order.
 ///
-/// A worker samples page `p` once and judges every policy on it with
-/// [`evaluate_page_pass`], so the policies share the page's timeline and
-/// each block's W/R splits, and nothing outlives the page. Pages are scheduled dynamically over
-/// `cfg.threads` workers by [`sim_pool::run_indexed`]: page lifetimes vary
-/// ~10×, so workers pull small index batches from a shared counter instead
-/// of owning static chunks. Each page's randomness is derived from
-/// `(cfg.seed, page_idx)` and every run is folded in page order, so the
-/// thread count, the stealing order and the other policies of the pass
-/// never change a run: run `i` is what [`run_memory_range_with`] returns
-/// for `policies[i]` alone, and so are its `hooks.telemetry[i]` counters.
+/// [`map_pages`] hands each page to a worker once, and the worker judges
+/// every policy on it with [`evaluate_page_pass`], so the policies share
+/// the page's timeline and each block's W/R splits, and nothing outlives
+/// the page. Every run is folded in page order, so the thread count, the
+/// stealing order and the other policies of the pass never change a run:
+/// run `i` is what [`run_memory_range_with`] returns for `policies[i]`
+/// alone, and so are its `hooks.telemetry[i]` counters.
 ///
 /// # Panics
 ///
@@ -833,20 +856,6 @@ pub fn run_memory_pass(
             cfg.block_bits
         );
     }
-    assert!(
-        start <= end && end <= cfg.pages,
-        "page range {start}..{end} out of bounds for {} pages",
-        cfg.pages
-    );
-    let count = end - start;
-    // A zero partial fraction skips the kind draw entirely, so legacy
-    // configs keep their historical timelines bit for bit.
-    let sampler = TimelineSampler::paper_default(cfg.block_bits).with_partial_mix(
-        cfg.partial_fraction,
-        crate::timeline::DEFAULT_WEAK_SUCCESS_Q8,
-    );
-    let blocks_per_page = cfg.blocks_per_page();
-    let threads = sim_pool::resolve_threads(cfg.threads);
     let done = AtomicUsize::new(0);
     let spans: Vec<String> = policies
         .iter()
@@ -862,40 +871,26 @@ pub fn run_memory_pass(
         status.begin_phase(&phase_name, policies.len() as u64);
     }
 
-    // The identical per-page body runs under every scheduling variant, so
-    // tracing can only add spans around it, never change what it computes.
-    let eval_page =
-        |arena: &mut PageArena, mut trace: Option<&mut WorkerTracer>, page_idx: usize| {
-            let span = trace.as_mut().map(|t| t.begin("page"));
-            let page = match hooks.timelines {
-                Some(cache) => {
-                    cache.get_or_sample(&sampler, cfg.seed, page_idx as u64, blocks_per_page)
-                }
-                None => {
-                    let mut rng = TimelineSampler::page_rng(cfg.seed, page_idx as u64);
-                    Arc::new(sampler.sample_page(&mut rng, blocks_per_page))
-                }
-            };
+    let pass = map_pages(
+        cfg,
+        start,
+        end,
+        &phase_name,
+        hooks,
+        PageArena::new,
+        |arena, trace, _, page| {
             // One policy's share is the whole page span already; several
             // get a child span each, laid end to end from here.
             let timed = trace.is_some() && policies.len() > 1;
             let evaluating = trace.as_ref().map_or(0, |t| t.now_ns());
-            let outcomes: Box<[PageOutcome]> = page_pass(
-                policies,
-                &page,
-                cfg.criterion,
-                hooks.telemetry,
-                arena,
-                timed,
-            )
-            .into();
-            if let (Some(trace), Some(span)) = (trace, span) {
+            let outcomes: Box<[PageOutcome]> =
+                page_pass(policies, page, cfg.criterion, hooks.telemetry, arena, timed).into();
+            if let Some(trace) = trace {
                 let mut at = evaluating;
                 for (name, &ns) in spans.iter().zip(&arena.policy_ns) {
                     trace.record(name, at, ns);
                     at += ns;
                 }
-                trace.end(span);
             }
             // Advance completion unconditionally so the count can never
             // disagree with the telemetry pages counters, then report it.
@@ -909,67 +904,24 @@ pub fn run_memory_pass(
                 status.phase_progress((finished * policies.len()) as u64);
             }
             (page.first_cell_death(), outcomes)
-        };
-
-    let tracer = hooks.tracer.filter(|t| t.is_enabled());
-    let (results, stats) = match (tracer, status) {
-        (None, None) => sim_pool::run_indexed(threads, count, PageArena::new, |arena, idx| {
-            eval_page(arena, None, start + idx)
-        }),
-        // Status heartbeats without tracing still need the timed pool
-        // variant for the worker busy fraction; results are identical.
-        (None, Some(status)) => {
-            let (results, stats, workers) =
-                sim_pool::run_indexed_stats(threads, count, PageArena::new, |arena, idx| {
-                    eval_page(arena, None, start + idx)
-                });
-            status.set_busy(sim_pool::busy_fraction(&workers));
-            (results, stats)
-        }
-        (Some(tracer), _) => {
-            let phase = tracer.span(&phase_name);
-            let parent = Some(phase.id());
-            let (results, stats, workers) = sim_pool::run_indexed_stats(
-                threads,
-                count,
-                || (PageArena::new(), tracer.worker(parent)),
-                |(arena, trace), idx| eval_page(arena, Some(trace), start + idx),
-            );
-            drop(phase);
-            if let Some(status) = status {
-                status.set_busy(sim_pool::busy_fraction(&workers));
-            }
-            let utils: Vec<PoolWorkerUtil> = workers
-                .into_iter()
-                .map(|w| PoolWorkerUtil {
-                    worker: w.worker,
-                    tasks: w.tasks,
-                    batches: w.batches,
-                    busy_ns: w.busy_ns,
-                    idle_ns: w.idle_ns,
-                    pull_ns: w.pull_ns,
-                })
-                .collect();
-            tracer.record_pool(&phase_name, utils);
-            (results, stats)
-        }
-    };
-    debug_assert_eq!(done.load(Ordering::Relaxed), count);
+        },
+    );
+    debug_assert_eq!(done.load(Ordering::Relaxed), end - start);
     for telemetry in hooks.telemetry {
-        telemetry.record_pool(&stats);
+        telemetry.record_pool(&pass.stats);
     }
 
     let mut runs: Vec<MemoryRun> = policies
         .iter()
         .map(|_| MemoryRun {
-            page_lifetimes: Vec::with_capacity(count),
-            unprotected_lifetimes: Vec::with_capacity(count),
-            faults_recovered: Vec::with_capacity(count),
+            page_lifetimes: Vec::with_capacity(end - start),
+            unprotected_lifetimes: Vec::with_capacity(end - start),
+            faults_recovered: Vec::with_capacity(end - start),
             capped_pages: 0,
         })
         .collect();
     // Fold in page order, whatever order the workers finished in.
-    for (unprotected, outcomes) in results {
+    for (unprotected, outcomes) in pass.results {
         for (run, outcome) in runs.iter_mut().zip(outcomes.iter()) {
             run.page_lifetimes.push(outcome.death_time);
             run.unprotected_lifetimes.push(unprotected);
@@ -978,6 +930,109 @@ pub fn run_memory_pass(
         }
     }
     runs
+}
+
+/// Page `page` of the chip `cfg` describes, exactly as every chip run
+/// samples it: from `(cfg.seed, page)` alone, so no RNG state crosses
+/// page boundaries. A zero `cfg.partial_fraction` skips the kind draw, so
+/// classic configs keep their historical timelines bit for bit.
+#[must_use]
+pub fn chip_page(cfg: &SimConfig, page: usize) -> PageTimeline {
+    let mut rng = TimelineSampler::page_rng(cfg.seed, page as u64);
+    chip_sampler(cfg).sample_page(&mut rng, cfg.blocks_per_page())
+}
+
+/// The sampler of the chip `cfg` describes.
+fn chip_sampler(cfg: &SimConfig) -> TimelineSampler {
+    TimelineSampler::paper_default(cfg.block_bits).with_partial_mix(
+        cfg.partial_fraction,
+        crate::timeline::DEFAULT_WEAK_SUCCESS_Q8,
+    )
+}
+
+/// Hands every page of `start..end` to `visit` on a pool worker: the one
+/// page sampler under every chip run ([`run_memory_pass`] and the PAYG
+/// and OS-assist extensions).
+///
+/// Page `p` is the [`chip_page`] of `p` (or comes from `hooks.timelines`),
+/// sampled once on the worker that runs it. Pages are scheduled over
+/// `cfg.threads` workers by [`sim_pool::run_indexed_scratch`], since page
+/// costs vary ~10×. Each worker builds one state with `init` for all its
+/// pages, and `visit(state, trace, p, page)` yields page `p`'s result. The
+/// run holds the results in page order, whatever the thread count and the
+/// stealing order, and each worker's final state, which only an
+/// order-independent fold may read.
+///
+/// Of `hooks`, only `tracer`, `status` and `timelines` apply: a traced run
+/// opens a `phase` span, hands `visit` its worker's tracer inside a `page`
+/// span per page and records the pool's utilization under `phase`; a
+/// status writer gets the pool's busy fraction.
+///
+/// # Panics
+///
+/// Panics if the page range is out of bounds for `cfg.pages`.
+pub fn map_pages<S: Send, R: Send>(
+    cfg: &SimConfig,
+    start: usize,
+    end: usize,
+    phase: &str,
+    hooks: &PassHooks<'_>,
+    init: impl Fn() -> S + Sync,
+    visit: impl Fn(&mut S, Option<&mut WorkerTracer>, usize, &PageTimeline) -> R + Sync,
+) -> sim_pool::PoolRun<R, S> {
+    assert!(
+        start <= end && end <= cfg.pages,
+        "page range {start}..{end} out of bounds for {} pages",
+        cfg.pages
+    );
+    let status = hooks.status.filter(|s| s.is_enabled());
+    let tracer = hooks.tracer.filter(|t| t.is_enabled());
+    let span = tracer.map(|t| t.span(phase));
+    let parent = span.as_ref().map(sim_telemetry::TraceSpan::id);
+    // Status heartbeats without tracing still need the timed pool variant
+    // for the busy fraction; tracing only adds spans around each page.
+    // Neither changes what `visit` computes.
+    let run = sim_pool::run_indexed_scratch(
+        sim_pool::resolve_threads(cfg.threads),
+        end - start,
+        tracer.is_some() || status.is_some(),
+        || (init(), tracer.map(|t| t.worker(parent))),
+        |(state, trace), idx| {
+            let span = trace.as_mut().map(|t| t.begin("page"));
+            let p = start + idx;
+            let page = match hooks.timelines {
+                Some(cache) => cache.get_or_sample(
+                    &chip_sampler(cfg),
+                    cfg.seed,
+                    p as u64,
+                    cfg.blocks_per_page(),
+                ),
+                None => Arc::new(chip_page(cfg, p)),
+            };
+            let result = visit(state, trace.as_mut(), p, &page);
+            if let (Some(trace), Some(span)) = (trace, span) {
+                trace.end(span);
+            }
+            result
+        },
+        |(state, _)| state,
+    );
+    drop(span);
+    if let Some(status) = status {
+        status.set_busy(sim_pool::busy_fraction(&run.workers));
+    }
+    if let Some(tracer) = tracer {
+        let utils = run.workers.iter().map(|w| PoolWorkerUtil {
+            worker: w.worker,
+            tasks: w.tasks,
+            batches: w.batches,
+            busy_ns: w.busy_ns,
+            idle_ns: w.idle_ns,
+            pull_ns: w.pull_ns.clone(),
+        });
+        tracer.record_pool(phase, utils.collect());
+    }
+    run
 }
 
 /// Survival curve of a chip under perfect wear leveling over *live* pages.

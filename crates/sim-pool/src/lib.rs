@@ -180,8 +180,8 @@ where
     MS: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    let (out, stats, _) = run_indexed_impl::<false, _, _, _, _>(threads, tasks, make_scratch, work);
-    (out, stats)
+    let run = run_indexed_impl::<false, _, _, _, _, _, _>(threads, tasks, make_scratch, work, drop);
+    (run.results, run.stats)
 }
 
 /// Like [`run_indexed`], but additionally measures per-worker wall-clock
@@ -204,19 +204,71 @@ where
     MS: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    run_indexed_impl::<true, _, _, _, _>(threads, tasks, make_scratch, work)
+    let run = run_indexed_impl::<true, _, _, _, _, _, _>(threads, tasks, make_scratch, work, drop);
+    (run.results, run.stats, run.workers)
 }
 
-fn run_indexed_impl<const TIMED: bool, T, S, MS, W>(
+/// Everything one pool run leaves behind (see [`run_indexed_scratch`]).
+#[derive(Debug)]
+pub struct PoolRun<T, S> {
+    /// Task results in index order.
+    pub results: Vec<T>,
+    /// Scheduling statistics.
+    pub stats: PoolStats,
+    /// Per-worker utilization, ascending worker index; empty unless the
+    /// run was timed.
+    pub workers: Vec<WorkerStats>,
+    /// Each worker's folded final scratch, ascending worker index (none
+    /// for an empty task range).
+    pub scratches: Vec<S>,
+}
+
+/// [`run_indexed`] (or, when `timed`, [`run_indexed_stats`]) that also
+/// hands back what each worker's final scratch folds to: `finish` runs on
+/// the worker's thread once its last task is done, so a caller can keep
+/// per-worker accumulators and drop the rest. Which tasks a worker ran is
+/// scheduling-dependent, so only an order-independent fold of
+/// [`PoolRun::scratches`] is deterministic.
+///
+/// # Panics
+/// As [`run_indexed`].
+pub fn run_indexed_scratch<T, S, K, MS, W, F>(
+    threads: usize,
+    tasks: usize,
+    timed: bool,
+    make_scratch: MS,
+    work: W,
+    finish: F,
+) -> PoolRun<T, K>
+where
+    T: Send,
+    K: Send,
+    MS: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(S) -> K + Sync,
+{
+    if timed {
+        run_indexed_impl::<true, _, _, _, _, _, _>(threads, tasks, make_scratch, work, finish)
+    } else {
+        run_indexed_impl::<false, _, _, _, _, _, _>(threads, tasks, make_scratch, work, finish)
+    }
+}
+
+/// The pool body; each worker hands its final scratch to `finish` and the
+/// run collects what `finish` returns.
+fn run_indexed_impl<const TIMED: bool, T, S, K, MS, W, F>(
     threads: usize,
     tasks: usize,
     make_scratch: MS,
     work: W,
-) -> (Vec<T>, PoolStats, Vec<WorkerStats>)
+    finish: F,
+) -> PoolRun<T, K>
 where
     T: Send,
+    K: Send,
     MS: Fn() -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(S) -> K + Sync,
 {
     let threads = threads.max(1).min(tasks.max(1));
     let mut stats = PoolStats {
@@ -226,7 +278,12 @@ where
         stolen: 0,
     };
     if tasks == 0 {
-        return (Vec::new(), stats, Vec::new());
+        return PoolRun {
+            results: Vec::new(),
+            stats,
+            workers: Vec::new(),
+            scratches: Vec::new(),
+        };
     }
     let chunk = batch_size(tasks, threads);
 
@@ -249,18 +306,24 @@ where
             }],
             None => Vec::new(),
         };
-        return (out, stats, workers);
+        return PoolRun {
+            results: out,
+            stats,
+            workers,
+            scratches: vec![finish(scratch)],
+        };
     }
 
     let next = AtomicUsize::new(0);
     let fair_share = tasks.div_ceil(threads);
-    let mut per_worker: Vec<(WorkerStats, Vec<(usize, T)>)> = Vec::with_capacity(threads);
+    let mut per_worker = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let next = &next;
             let make_scratch = &make_scratch;
             let work = &work;
+            let finish = &finish;
             handles.push(scope.spawn(move || {
                 let spawned = TIMED.then(Instant::now);
                 let mut scratch = make_scratch();
@@ -292,7 +355,7 @@ where
                 if let Some(spawned) = spawned {
                     timing.idle_ns = nanos(spawned).saturating_sub(timing.busy_ns);
                 }
-                (timing, local)
+                (timing, local, finish(scratch))
             }));
         }
         for handle in handles {
@@ -303,7 +366,9 @@ where
     let mut slots: Vec<Option<T>> = Vec::with_capacity(tasks);
     slots.resize_with(tasks, || None);
     let mut workers = Vec::with_capacity(if TIMED { threads } else { 0 });
-    for (timing, local) in per_worker {
+    let mut scratches = Vec::with_capacity(threads);
+    for (timing, local, scratch) in per_worker {
+        scratches.push(scratch);
         stats.batches += timing.batches;
         stats.stolen += (local.len().saturating_sub(fair_share)) as u64;
         if TIMED {
@@ -320,7 +385,12 @@ where
         .enumerate()
         .map(|(idx, slot)| slot.unwrap_or_else(|| panic!("task {idx} was never executed")))
         .collect();
-    (out, stats, workers)
+    PoolRun {
+        results: out,
+        stats,
+        workers,
+        scratches,
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +476,31 @@ mod tests {
         );
         assert_eq!(got[127], 254);
         assert!(stats.batches as usize >= stats.threads.min(128 / batch_size(128, stats.threads)));
+    }
+
+    #[test]
+    fn scratch_run_hands_back_every_worker_fold() {
+        for threads in [1, 3] {
+            for timed in [false, true] {
+                let run = run_indexed_scratch(
+                    threads,
+                    50,
+                    timed,
+                    || (0usize, String::from("dropped")),
+                    |(count, _), i| {
+                        *count += 1;
+                        i * 3
+                    },
+                    |(count, _)| count,
+                );
+                assert_eq!(run.results, (0..50).map(|i| i * 3).collect::<Vec<_>>());
+                assert_eq!(run.scratches.len(), run.stats.threads);
+                assert_eq!(run.scratches.iter().sum::<usize>(), 50);
+                assert_eq!(run.workers.len(), if timed { threads } else { 0 });
+            }
+        }
+        let empty = run_indexed_scratch(2, 0, false, || 1, |_, i| i, |s| s);
+        assert!(empty.results.is_empty() && empty.scratches.is_empty());
     }
 
     #[test]

@@ -140,12 +140,16 @@ rm -rf "$fig8_out"
 # changes these CSVs. fig5/fig8/fig9 --full pin the page-major chip pass
 # at paper scale: each page sampled once, every scheme judged on it with
 # one shared split tape. fig11 --full (fig11-13) pins the base-Aegis
-# verdicts across formations.
+# verdicts across formations. payg --full and osassist --full pin the
+# PAYG and OS-assist extensions, which run on the same page-major
+# sampler; table1 and wearlevel pin the cost table and the wear-leveling
+# check.
 codec_out="${TMPDIR:-/tmp}/aegis-verify-codec-csvs"
 rm -rf "$codec_out"
-echo "==> results/{writecost,biasstudy,cachestudy,failcdf,fig10,fig5-7,fig8,fig9,fig11-13}.csv match a default-seed run"
-for cmd in writecost biasstudy cachestudy "failcdf --full" "fig10 --full" \
-           "fig5 --full" "fig8 --full" "fig9 --full" "fig11 --full"; do
+echo "==> results/{table1,wearlevel,writecost,biasstudy,cachestudy,failcdf,fig10,fig5-7,fig8,fig9,fig11-13,payg,osassist}.csv match a default-seed run"
+for cmd in table1 wearlevel writecost biasstudy cachestudy "failcdf --full" \
+           "fig10 --full" "fig5 --full" "fig8 --full" "fig9 --full" \
+           "fig11 --full" "payg --full" "osassist --full"; do
     name="${cmd%% *}"
     case "$name" in
         fig5) csvs="fig5 fig6 fig7" ;;
@@ -174,6 +178,16 @@ fig5_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
 echo "fig5 --full peak RSS: $fig5_rss MB"
 awk -v mb="$fig5_rss" 'BEGIN { exit !(mb < 100) }' \
     || { echo "fig5 --full peaked at $fig5_rss MB (ceiling 100 MB)" >&2; exit 1; }
+rm -rf "$rss_out"
+
+# PAYG keeps each worker's smallest pool-demand keys per local scheme,
+# not the chip's ~12.6 M fault events, so it shares the ceiling.
+echo "==> payg --full peak RSS under 100 MB"
+payg_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
+    payg --full --quiet --out "$rss_out")
+echo "payg --full peak RSS: $payg_rss MB"
+awk -v mb="$payg_rss" 'BEGIN { exit !(mb < 100) }' \
+    || { echo "payg --full peaked at $payg_rss MB (ceiling 100 MB)" >&2; exit 1; }
 rm -rf "$rss_out"
 
 # The checkpointed campaign runs page-major chunks too: no campaign

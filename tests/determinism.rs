@@ -1366,3 +1366,27 @@ fn resume_inside_the_second_width_keeps_repeated_labels_apart() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The PAYG and OS-assist extensions sample pages on the engine's pool,
+/// and both fold the workers' results order-independently: their rows
+/// are byte-identical at one and two worker threads, and another seed
+/// changes them.
+#[test]
+fn payg_and_osassist_are_thread_count_independent() {
+    use aegis_experiments::{osassist, payg_check};
+    let opts = |seed, threads| RunOptions {
+        pages: 3,
+        seed,
+        threads: Some(threads),
+        ..RunOptions::default()
+    };
+    let rows = |seed, threads| {
+        let opts = opts(seed, threads);
+        let payg = payg_check::run(&opts);
+        let os = osassist::run(&opts);
+        format!("{payg:?}\n{os:?}")
+    };
+    let one = rows(13, 1);
+    assert_eq!(one, rows(13, 2), "threads=2 must replay threads=1");
+    assert_ne!(one, rows(14, 2), "another seed must change the rows");
+}

@@ -299,3 +299,51 @@ fn primes_infrastructure_is_sound() {
         assert!(p >= n && is_prime(p));
     }
 }
+
+/// The counting bound (Kim & Kumar, arXiv:1304.4821): a scheme with `r`
+/// overhead bits cannot guarantee more than `r` fully stuck faults in a
+/// block, because its `2^k` data words need `2^k ≤ 2^(k−f+r)` encodings
+/// once `f` cells are stuck. A fully stuck population grown greedily
+/// while the guarantee holds — every offset tried once, in a random
+/// order, with a random stuck value — stays within `overhead_bits()` for
+/// every scheme the figures and extensions judge: fig5 at both widths,
+/// fig8, the §3.3 variants and the PAYG local schemes.
+#[test]
+fn counting_bound_caps_every_guaranteed_population() {
+    use aegis_experiments::schemes;
+    use aegis_pcm::pcm::policy::PolicyScratch;
+    let mut judged = schemes::fig5_schemes(512);
+    judged.extend(schemes::fig5_schemes(256));
+    judged.extend(schemes::fig8_schemes());
+    judged.extend(schemes::variant_schemes());
+    judged.extend([
+        schemes::ecp(1, 512),
+        schemes::aegis(23, 23, 512),
+        schemes::aegis(17, 31, 512),
+        schemes::masking(1, 512),
+        schemes::plbc(1, 1, 512),
+    ]);
+    let mut rng = SmallRng::seed_from_u64(0xB0_0D);
+    for policy in &judged {
+        let r = policy.overhead_bits();
+        let mut offsets: Vec<usize> = (0..policy.block_bits()).collect();
+        for i in (1..offsets.len()).rev() {
+            offsets.swap(i, rng.random_range(0..=i));
+        }
+        let mut scratch = PolicyScratch::new();
+        let mut faults: Vec<Fault> = Vec::new();
+        for offset in offsets {
+            faults.push(Fault::new(offset, rng.random()));
+            policy.forget_block(&mut scratch);
+            if !policy.guaranteed_with(&faults, &mut scratch) {
+                faults.pop();
+            }
+            assert!(
+                faults.len() <= r,
+                "{} guarantees {} stuck faults with {r} overhead bits: {faults:?}",
+                policy.name(),
+                faults.len()
+            );
+        }
+    }
+}
