@@ -81,23 +81,21 @@ impl Unit<'_> {
 /// The fig5/6/7 campaign's unit specs, in unit order: the 256-bit set,
 /// then the 512-bit set.
 #[must_use]
-pub fn fig567_unit_specs(opts: &RunOptions, scalar: bool) -> Vec<UnitSpec> {
+pub fn fig567_unit_specs(opts: &RunOptions) -> Vec<UnitSpec> {
     [256, 512]
         .into_iter()
-        .flat_map(|bits| {
-            let cfg = opts.sim_config(bits);
-            let set = if scalar {
-                schemes::fig5_schemes_scalar(bits)
-            } else {
-                schemes::fig5_schemes(bits)
-            };
-            set.into_iter().map(move |policy| UnitSpec {
-                label: policy.name(),
-                cfg,
-                policy,
-            })
-        })
+        .flat_map(|bits| specs_for(schemes::fig5_schemes(bits), opts.sim_config(bits)))
         .collect()
+}
+
+/// One unit per policy of `set` over the chip `cfg`, each labeled by its
+/// policy's name.
+pub(crate) fn specs_for(set: Vec<Policy>, cfg: SimConfig) -> impl Iterator<Item = UnitSpec> {
+    set.into_iter().map(move |policy| UnitSpec {
+        label: policy.name(),
+        cfg,
+        policy,
+    })
 }
 
 /// The fig8 campaign's unit specs, in unit order (fraction major).
@@ -124,6 +122,17 @@ pub fn run(
     execute(units, pages, observer, None)
         .expect("a run without snapshots does no I/O")
         .expect("only a checkpointed run stops early")
+}
+
+/// [`run`] over every page of `specs`' chips, returning each unit's run
+/// in spec order.
+#[must_use]
+pub fn run_specs(specs: &[UnitSpec], pages: usize, observer: &RunObserver<'_>) -> Vec<MemoryRun> {
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    run(&units, 0..pages, observer)
+        .into_iter()
+        .map(|unit| unit.run)
+        .collect()
 }
 
 /// Runs `units` over the global pages `pages` and returns each unit's

@@ -1,6 +1,7 @@
-//! Deterministic checkpoint/resume for the fig5/6/7 and fig8 Monte Carlo
-//! campaigns: the snapshot format and the control block of a checkpointed
-//! run. The chunk loop itself is [`crate::campaign::execute`].
+//! Deterministic checkpoint/resume for the chip-figure Monte Carlo
+//! campaigns (fig5/6/7, fig8, fig9, fig11/12/13): the snapshot format and
+//! the control block of a checkpointed run. The chunk loop itself is
+//! [`crate::campaign::execute`].
 //!
 //! A checkpoint is a serializable engine snapshot taken at a chunk
 //! barrier: the per-unit page high-water marks, the partial per-scheme
@@ -25,7 +26,7 @@ use crate::campaign::{self, Unit};
 use crate::runner::RunObserver;
 use pcm_sim::montecarlo::MemoryRun;
 use sim_telemetry::{escape, HistogramSnapshot, Json, Registry, SeriesCursor, HISTOGRAM_BUCKETS};
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 
@@ -57,8 +58,8 @@ pub struct Checkpoint {
     /// so a bare `--resume` continues with the original cadence.
     pub every: usize,
     /// Run configuration the snapshot belongs to, as `(key, value)` pairs
-    /// in a fixed order (see [`Checkpoint::fingerprint_keys`]). Resume
-    /// refuses a checkpoint whose fingerprint disagrees with the CLI.
+    /// in a fixed order. Resume refuses a checkpoint whose fingerprint
+    /// disagrees with the CLI.
     pub fingerprint: Vec<(String, String)>,
     /// Deterministic counters at the snapshot barrier.
     pub counters: Vec<(String, u64)>,
@@ -78,20 +79,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The fingerprint keys every checkpoint records, in order.
-    #[must_use]
-    pub fn fingerprint_keys() -> &'static [&'static str] {
-        &[
-            "command",
-            "seed",
-            "pages",
-            "trials",
-            "page_bytes",
-            "criterion",
-            "predicate_mode",
-        ]
-    }
-
     /// Looks up one fingerprint value.
     #[must_use]
     pub fn fingerprint_value(&self, key: &str) -> Option<&str> {
@@ -251,19 +238,30 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically writes the checkpoint to `path` (temp file + rename, so
-    /// a crash mid-write can never leave a torn snapshot behind).
+    /// Atomically and durably writes the checkpoint to `path`: the temp
+    /// file's data is synced before it is renamed over `path`, and the
+    /// directory after, so a crash at any instant leaves either the
+    /// previous snapshot or this one, never a torn or lost file.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn store(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
+        let dir = match path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => parent,
+            _ => Path::new("."),
+        };
+        std::fs::create_dir_all(dir)?;
         let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_json().as_bytes())?;
+        file.sync_data()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        // The rename lives in the directory; only Unix can open one to sync.
+        #[cfg(unix)]
+        std::fs::File::open(dir)?.sync_all()?;
+        Ok(())
     }
 
     /// Replays the snapshot's metrics, each into the registry `route`
@@ -432,7 +430,7 @@ fn parse_unit(value: &Json) -> Result<UnitProgress, String> {
     })
 }
 
-/// Control block for a checkpointed fig5/6/7 or fig8 run.
+/// Control block for a checkpointed campaign run.
 pub struct CheckpointCtl<'a> {
     /// Where snapshots are written (`<telemetry-dir>/<run-id>.ckpt.json`).
     pub path: std::path::PathBuf,
@@ -673,7 +671,7 @@ mod tests {
             seed: 11,
             ..RunOptions::default()
         };
-        let specs = campaign::fig567_unit_specs(&opts, false);
+        let specs = campaign::fig567_unit_specs(&opts);
         assert_chunked_matches_straight(&specs, opts.pages, "aegis-ckpt-chunk-test");
     }
 
@@ -715,7 +713,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("aegis-ckpt-ragged-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let specs = campaign::fig567_unit_specs(&opts, false);
+        let specs = campaign::fig567_unit_specs(&opts);
         let reference = straight(&specs, opts.pages);
         assert!(reference.iter().all(|unit| unit.run.capped_pages == 0));
         let units: Vec<UnitProgress> = reference

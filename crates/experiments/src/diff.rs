@@ -23,7 +23,7 @@
 //! - [`DiffMode::Threshold`]: the legacy heuristic — every compared
 //!   quantity is judged against a relative tolerance (0 = exact), so the
 //!   tool doubles as a strict byte-level gate between runs that must
-//!   agree exactly (e.g. scalar vs kernel predicate modes).
+//!   agree exactly (e.g. one seed at two thread counts).
 //!
 //! Volatile lines ([`Event::Volatile`], [`Event::SeriesVolatile`]) are
 //! stripped before comparison: they carry scheduling-dependent values and

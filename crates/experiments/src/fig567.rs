@@ -25,22 +25,8 @@ pub fn run(opts: &RunOptions) -> Fig567 {
 /// [`run`] with telemetry/progress observation.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig567 {
-    run_with_mode(opts, observer, false)
-}
-
-/// [`run_with`], selecting between the ROM-kernel scheme set (default) and
-/// the scalar reference set (`scalar = true`, the `--scalar` CLI flag).
-/// Both modes must produce byte-identical results and telemetry — pinned
-/// by `tests/determinism.rs` and the cross-process CLI test.
-#[must_use]
-pub fn run_with_mode(opts: &RunOptions, observer: &RunObserver<'_>, scalar: bool) -> Fig567 {
-    let specs = fig567_unit_specs(opts, scalar);
-    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
-    let runs: Vec<MemoryRun> = campaign::run(&units, 0..opts.pages, observer)
-        .into_iter()
-        .map(|unit| unit.run)
-        .collect();
-    assemble(&specs, &runs)
+    let specs = fig567_unit_specs(opts);
+    assemble(&specs, &campaign::run_specs(&specs, opts.pages, observer))
 }
 
 /// Folds per-unit runs (in [`fig567_unit_specs`] order) into the figure
@@ -194,23 +180,6 @@ mod tests {
         assert_eq!(results.by_block.len(), 2);
         assert_eq!(results.by_block[0].0, 256);
         assert_eq!(results.by_block[1].0, 512);
-    }
-
-    #[test]
-    fn scalar_mode_reproduces_kernel_results_exactly() {
-        let opts = tiny_opts();
-        let observer = RunObserver::default();
-        let kernel = run_with_mode(&opts, &observer, false);
-        let scalar = run_with_mode(&opts, &observer, true);
-        for ((kb, ks), (sb, ss)) in kernel.by_block.iter().zip(&scalar.by_block) {
-            assert_eq!(kb, sb);
-            assert_eq!(ks.len(), ss.len());
-            for (k, s) in ks.iter().zip(ss) {
-                assert_eq!(k.name, s.name);
-                assert_eq!(k.mean_faults_recovered, s.mean_faults_recovered);
-                assert_eq!(k.lifetime_improvement, s.lifetime_improvement);
-            }
-        }
     }
 
     #[test]

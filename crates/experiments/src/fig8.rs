@@ -20,7 +20,7 @@
 //! `shard`/`merge` byte-identically — pinned in `tests/determinism.rs`
 //! and the CLI suite.
 
-use crate::campaign::{self, fig8_unit_specs, UnitSpec};
+use crate::campaign::{self, fig8_unit_specs};
 use crate::csvout;
 use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use crate::schemes::{self, Policy};
@@ -94,13 +94,11 @@ pub fn run(opts: &RunOptions) -> Fig8 {
 /// sampled once per fraction and judged by the whole scheme set.
 #[must_use]
 pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Fig8 {
-    let specs = fig8_unit_specs(opts);
-    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
-    let runs: Vec<MemoryRun> = campaign::run(&units, 0..opts.pages, observer)
-        .into_iter()
-        .map(|unit| unit.run)
-        .collect();
-    assemble(&runs)
+    assemble(&campaign::run_specs(
+        &fig8_unit_specs(opts),
+        opts.pages,
+        observer,
+    ))
 }
 
 /// Renders the sweep as one table per partially-stuck fraction.

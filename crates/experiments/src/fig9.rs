@@ -1,11 +1,11 @@
 //! Figure 9: page survival rate under continuous writes, and the
 //! half-lifetime metric.
 
+use crate::campaign::{self, specs_for, UnitSpec};
 use crate::csvout;
-use crate::runner::{run_policies, RunObserver, RunOptions};
+use crate::runner::{RunObserver, RunOptions};
 use crate::schemes;
-use pcm_sim::montecarlo::{half_lifetime, survival_curve};
-use pcm_sim::policy::RecoveryPolicy;
+use pcm_sim::montecarlo::{half_lifetime, survival_curve, MemoryRun};
 use std::io;
 use std::path::Path;
 
@@ -20,30 +20,38 @@ pub struct SchemeSurvival {
     pub half_lifetime: f64,
 }
 
-/// Runs the Figure 9 simulation on 512-bit blocks (the block-failure-CDF
-/// scheme set plus the unprotected baseline).
+/// The Figure 9 campaign's unit specs: the block-failure-CDF scheme set
+/// plus the unprotected baseline, on 512-bit blocks.
 #[must_use]
-pub fn run(opts: &RunOptions) -> Vec<SchemeSurvival> {
-    run_with(opts, &RunObserver::default())
-}
-
-/// [`run`] with telemetry/progress observation.
-///
-/// One page-major pass judges every scheme on each sampled page.
-#[must_use]
-pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Vec<SchemeSurvival> {
+pub fn unit_specs(opts: &RunOptions) -> Vec<UnitSpec> {
     let mut set = schemes::failcdf_schemes();
     set.push(schemes::unprotected(512));
-    let policies: Vec<&dyn RecoveryPolicy> = set.iter().map(AsRef::as_ref).collect();
-    run_policies(&policies, &opts.sim_config(512), observer)
-        .into_iter()
-        .zip(&policies)
-        .map(|(run, policy)| SchemeSurvival {
-            name: policy.name(),
+    specs_for(set, opts.sim_config(512)).collect()
+}
+
+/// Folds per-unit runs (in [`unit_specs`] order) into survival curves.
+#[must_use]
+pub fn assemble(specs: &[UnitSpec], runs: &[MemoryRun]) -> Vec<SchemeSurvival> {
+    specs
+        .iter()
+        .zip(runs)
+        .map(|(spec, run)| SchemeSurvival {
+            name: spec.policy.name(),
             curve: survival_curve(&run.page_lifetimes),
             half_lifetime: half_lifetime(&run.page_lifetimes),
         })
         .collect()
+}
+
+/// Runs the Figure 9 simulation: one page-major pass judges every scheme
+/// on each sampled page.
+#[must_use]
+pub fn run(opts: &RunOptions) -> Vec<SchemeSurvival> {
+    let specs = unit_specs(opts);
+    assemble(
+        &specs,
+        &campaign::run_specs(&specs, opts.pages, &RunObserver::default()),
+    )
 }
 
 /// Renders the half-lifetime summary (the figure's key comparison) plus a

@@ -14,7 +14,9 @@ use aegis_experiments::{
 };
 use pcm_sim::forensics;
 use pcm_sim::montecarlo::{FailureCriterion, MemoryRun};
-use sim_telemetry::{RunState, RunTelemetry, SeriesWriter, Span, StatusWriter, TraceSpan, Tracer};
+use sim_telemetry::{
+    RunState, RunTelemetry, SeriesCursor, SeriesWriter, Span, StatusWriter, TraceSpan, Tracer,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -47,11 +49,12 @@ Commands:
                      <run-id>.chrome.json (chrome://tracing), and
                      <run-id>.analysis.json next to the run
   shard FIG --shards K --shard-id I
-                     Run shard I of a K-way fig5/fig6/fig7/fig8 campaign: the
-                     contiguous stripe [I*P/K, (I+1)*P/K) of global page
-                     indices under the master seed (each page is its own
-                     seed-disjoint substream). Writes telemetry plus a
-                     <run-id>.shard.json raw-results sidecar; no CSVs
+                     Run shard I of a K-way chip-figure campaign (fig5-fig9,
+                     fig11-fig13): the contiguous stripe [I*P/K, (I+1)*P/K)
+                     of global page indices under the master seed (each
+                     page is its own seed-disjoint substream). Writes
+                     telemetry plus a <run-id>.shard.json raw-results
+                     sidecar; no CSVs
   merge ID [ID...]   Merge finished shards (listed by run id, any order)
                      into the campaign's reports, CSVs and telemetry —
                      byte-identical to the unsharded run after stripping
@@ -86,10 +89,6 @@ Options:
                   then available parallelism; results are identical at any
                   thread count)
   --guaranteed    Use the strict all-data failure criterion
-  --scalar        fig5/6/7 only: evaluate the Aegis bars with the scalar
-                  reference predicates instead of the ROM kernels (results
-                  and telemetry must be identical; used by the differential
-                  determinism checks)
   --full          Paper scale: --pages 2048 --trials 20000
   --out DIR       CSV output directory (default results/)
   --telemetry     Record counters/histograms/spans to OUT/telemetry/<run-id>.jsonl
@@ -123,21 +122,23 @@ Options:
                   the relative-tolerance heuristic — every counter,
                   histogram bucket and series sample is judged against X
                   (0 = exact byte-level gate)
-  --target-rse X  fig5/fig6/fig7/fig8 only: deterministic early stopping —
+  --target-rse X  Chip figures only (fig5-fig9, fig11-fig13): deterministic
+                  early stopping —
                   stop a unit at the first checkpoint barrier where the
                   lifetime estimate's relative standard error is ≤ X
                   (implies --checkpoint-every pages/8 when not set
                   explicitly; the stopped stream is byte-identical at any
                   thread count and across SIGINT + --resume)
   --checkpoint-every N
-                  fig5/fig6/fig7/fig8 only: snapshot engine state to
-                  OUT/telemetry/<run-id>.ckpt.json after every N-page chunk
-                  of a block width (fig8: of a fraction), whose schemes
-                  advance together (implies --telemetry). SIGINT then stops
+                  Chip figures only (fig5-fig9, fig11-fig13): snapshot
+                  engine state to OUT/telemetry/<run-id>.ckpt.json after
+                  every N-page chunk of a chip configuration (a block width;
+                  fig8: a fraction), whose schemes advance together
+                  (implies --telemetry). SIGINT then stops
                   the run at the next snapshot barrier with exit code 130
                   instead of killing it; the snapshot is removed when the
                   run completes
-  --resume RUN_ID fig5/fig6/fig7/fig8 only: continue RUN_ID from its snapshot to
+  --resume RUN_ID Chip figures only: continue RUN_ID from its snapshot to
                   output byte-identical to an uninterrupted run (implies
                   --telemetry; adopts the snapshot's recorded configuration
                   and refuses explicit conflicting options)
@@ -156,7 +157,6 @@ struct Cli {
     run_id: Option<String>,
     progress: bool,
     quiet: bool,
-    scalar: bool,
     trace: bool,
     trace_block: Option<(usize, usize)>,
     top: usize,
@@ -186,7 +186,6 @@ fn parse_args() -> Result<Cli, String> {
         run_id: None,
         progress: false,
         quiet: false,
-        scalar: false,
         trace: false,
         trace_block: None,
         top: 10,
@@ -314,7 +313,6 @@ fn parse_args() -> Result<Cli, String> {
             "--shard-id" => cli.shard_id = Some(parsed!("--shard-id")),
             "--progress" => cli.progress = true,
             "--quiet" => cli.quiet = true,
-            "--scalar" => cli.scalar = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option '{other}'\n\n{USAGE}"))
             }
@@ -339,7 +337,6 @@ struct Ctx<'a> {
     tel: &'a RunTelemetry,
     tracer: &'a Tracer,
     progress_fn: Option<&'a runner::SchemeProgressFn<'a>>,
-    scalar: bool,
     ckpt: Option<&'a CheckpointCtl<'a>>,
     series: &'a SeriesWriter,
     status_w: &'a StatusWriter,
@@ -370,14 +367,20 @@ impl Ctx<'_> {
         }
     }
 
-    /// Runs a fig5/6/7 or fig8 campaign over the whole chip — straight,
-    /// or in snapshotted chunks under `--checkpoint-every`/`--resume`/
-    /// `--target-rse` — then prints and writes what `command` asks for. A
-    /// SIGINT that stops it surfaces as
+    /// Runs the chip-figure campaign `figure` over the whole chip —
+    /// straight, or in snapshotted chunks under `--checkpoint-every`/
+    /// `--resume`/`--target-rse` — then prints the reports `command` asks
+    /// for and writes the figure's CSVs. `None` when `figure` is no
+    /// campaign. A SIGINT that stops the run surfaces as
     /// [`std::io::ErrorKind::Interrupted`].
-    fn campaign(&self, command: &str) -> std::io::Result<()> {
-        let (specs, runs) = {
-            let (specs, span) = campaign_specs(command, self.opts, self.scalar);
+    fn campaign(&self, figure: &str, command: &str) -> Option<std::io::Result<()>> {
+        let (specs, span, emit) = campaign_specs(figure, self.opts)?;
+        self.status(&format!(
+            "[{figure}] simulating {} pages for each of {} units…",
+            self.opts.pages,
+            specs.len()
+        ));
+        let runs = || -> std::io::Result<Vec<MemoryRun>> {
             let _span = self.span(span)?;
             let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
             let done = campaign::execute(&units, 0..self.opts.pages, &self.observer(), self.ckpt)?;
@@ -388,10 +391,9 @@ impl Ctx<'_> {
                     format!("checkpoint written to {}", path.unwrap_or_default()),
                 )
             })?;
-            let runs: Vec<MemoryRun> = done.into_iter().map(|unit| unit.run).collect();
-            (specs, runs)
+            Ok(done.into_iter().map(|unit| unit.run).collect())
         };
-        emit_campaign(command, &specs, &runs, self.out)
+        Some(runs().and_then(|runs| emit(&specs, &runs, command, self.out)))
     }
 
     fn span(&self, name: &str) -> std::io::Result<PhaseSpan<'_>> {
@@ -414,58 +416,83 @@ fn run_table1(ctx: &Ctx) -> std::io::Result<()> {
     table1::write_csv(&table, ctx.out)
 }
 
-/// A fig5/6/7 or fig8 campaign's unit specs and its stream span name.
-fn campaign_specs(command: &str, opts: &RunOptions, scalar: bool) -> (Vec<UnitSpec>, &'static str) {
-    if command == "fig8" {
-        (campaign::fig8_unit_specs(opts), "fig8.montecarlo")
-    } else {
-        (
-            campaign::fig567_unit_specs(opts, scalar),
+/// Prints the reports `command` asks for from a campaign's unit runs, in
+/// spec order, and writes the figure's CSVs.
+type Emit = fn(&[UnitSpec], &[MemoryRun], &str, &Path) -> std::io::Result<()>;
+
+/// The chip-figure campaigns: each figure command's unit specs, the stream
+/// span its Monte Carlo run records under, and its [`Emit`]. Every other
+/// command is `None`; only these commands checkpoint, resume, stop early,
+/// shard and merge.
+fn campaign_specs(command: &str, opts: &RunOptions) -> Option<(Vec<UnitSpec>, &'static str, Emit)> {
+    Some(match command {
+        "fig5" | "fig6" | "fig7" => (
+            campaign::fig567_unit_specs(opts),
             "fig567.montecarlo",
-        )
-    }
+            |specs, runs, command, out| {
+                let results = fig567::assemble(specs, runs);
+                print_reports(
+                    command,
+                    &results,
+                    [
+                        ("fig5", fig567::report_fig5),
+                        ("fig6", fig567::report_fig6),
+                        ("fig7", fig567::report_fig7),
+                    ],
+                );
+                fig567::write_csvs(&results, out)
+            },
+        ),
+        "fig8" => (
+            campaign::fig8_unit_specs(opts),
+            "fig8.montecarlo",
+            |_, runs, _, out| {
+                let results = fig8::assemble(runs);
+                println!("{}", fig8::report(&results));
+                fig8::write_csv(&results, out)
+            },
+        ),
+        "fig9" => (
+            fig9::unit_specs(opts),
+            "fig9.montecarlo",
+            |specs, runs, _, out| {
+                let results = fig9::assemble(specs, runs);
+                println!("{}", fig9::report(&results));
+                fig9::write_csv(&results, out)
+            },
+        ),
+        "fig11" | "fig12" | "fig13" => (
+            variants::unit_specs(opts),
+            "variants.montecarlo",
+            |specs, runs, command, out| {
+                let results = variants::assemble(specs, runs);
+                print_reports(
+                    command,
+                    &results,
+                    [
+                        ("fig11", variants::report_fig11),
+                        ("fig12", variants::report_fig12),
+                        ("fig13", variants::report_fig13),
+                    ],
+                );
+                variants::write_csvs(&results, out)
+            },
+        ),
+        _ => return None,
+    })
 }
 
-/// Prints the reports `command` asks for from a fig5/6/7 or fig8
-/// campaign's unit runs and writes the figure's CSVs.
-fn emit_campaign(
-    command: &str,
-    specs: &[UnitSpec],
-    runs: &[MemoryRun],
-    out: &Path,
-) -> std::io::Result<()> {
-    if command == "fig8" {
-        let results = fig8::assemble(runs);
-        println!("{}", fig8::report(&results));
-        return fig8::write_csv(&results, out);
-    }
-    let results = fig567::assemble(specs, runs);
-    if matches!(command, "fig5" | "all") {
-        println!("{}", fig567::report_fig5(&results));
-    }
-    if matches!(command, "fig6" | "all") {
-        println!("{}", fig567::report_fig6(&results));
-    }
-    if matches!(command, "fig7" | "all") {
-        println!("{}", fig567::report_fig7(&results));
-    }
-    fig567::write_csvs(&results, out)
-}
+/// One figure of a multi-figure campaign and the report that renders it.
+type Report<T> = (&'static str, fn(&T) -> String);
 
-fn run_fig567(command: &str, ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig5-7] simulating {} pages per block size…",
-        ctx.opts.pages
-    ));
-    ctx.campaign(command)
-}
-
-fn run_fig8(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig8] sweeping partially-stuck fractions over {} pages per unit…",
-        ctx.opts.pages
-    ));
-    ctx.campaign("fig8")
+/// Prints each of a campaign's reports that `command` asks for (`all`
+/// asks for every one).
+fn print_reports<T>(command: &str, results: &T, reports: [Report<T>; 3]) {
+    for (figure, report) in reports {
+        if command == figure || command == "all" {
+            println!("{}", report(results));
+        }
+    }
 }
 
 fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
@@ -481,19 +508,6 @@ fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
     failcdf::write_csv(&results, ctx.out)
 }
 
-fn run_fig9(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig9] simulating {} pages per scheme…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("fig9.montecarlo")?;
-        fig9::run_with(ctx.opts, &ctx.observer())
-    };
-    println!("{}", fig9::report(&results));
-    fig9::write_csv(&results, ctx.out)
-}
-
 fn run_fig10(ctx: &Ctx) -> std::io::Result<()> {
     ctx.status(&format!(
         "[fig10] sweeping pointer counts over {} blocks…",
@@ -505,24 +519,6 @@ fn run_fig10(ctx: &Ctx) -> std::io::Result<()> {
     };
     println!("{}", fig10::report(&results));
     fig10::write_csv(&results, ctx.out)
-}
-
-fn run_variants(command: &str, ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!("[fig11-13] simulating {} pages…", ctx.opts.pages));
-    let results = {
-        let _span = ctx.span("variants.montecarlo")?;
-        variants::run_with(ctx.opts, &ctx.observer())
-    };
-    if matches!(command, "fig11" | "all") {
-        println!("{}", variants::report_fig11(&results));
-    }
-    if matches!(command, "fig12" | "all") {
-        println!("{}", variants::report_fig12(&results));
-    }
-    if matches!(command, "fig13" | "all") {
-        println!("{}", variants::report_fig13(&results));
-    }
-    variants::write_csvs(&results, ctx.out)
 }
 
 fn run_wearlevel(ctx: &Ctx) -> std::io::Result<()> {
@@ -596,35 +592,37 @@ fn run_biasstudy(ctx: &Ctx) -> std::io::Result<()> {
     biasstudy::write_csv(&results, ctx.out)
 }
 
-fn dispatch(command: &str, ctx: &Ctx) -> Result<std::io::Result<()>, ()> {
-    Ok(match command {
+/// Runs `command`, printing the reports `shown` asks for (`all` prints
+/// every report of a campaign); `None` for an unknown command.
+fn dispatch(command: &str, shown: &str, ctx: &Ctx) -> Option<std::io::Result<()>> {
+    Some(match command {
         "table1" => run_table1(ctx),
-        "fig5" | "fig6" | "fig7" => run_fig567(command, ctx),
-        "fig8" => run_fig8(ctx),
         "failcdf" => run_failcdf(ctx),
-        "fig9" => run_fig9(ctx),
         "fig10" => run_fig10(ctx),
-        "fig11" | "fig12" | "fig13" => run_variants(command, ctx),
         "wearlevel" => run_wearlevel(ctx),
         "payg" => run_payg(ctx),
         "cachestudy" => run_cachestudy(ctx),
         "osassist" => run_osassist(ctx),
         "writecost" => run_writecost(ctx),
         "biasstudy" => run_biasstudy(ctx),
-        "all" => run_table1(ctx)
-            .and_then(|()| run_fig567("all", ctx))
-            .and_then(|()| run_fig8(ctx))
-            .and_then(|()| run_failcdf(ctx))
-            .and_then(|()| run_fig9(ctx))
-            .and_then(|()| run_fig10(ctx))
-            .and_then(|()| run_variants("all", ctx))
-            .and_then(|()| run_wearlevel(ctx))
-            .and_then(|()| run_payg(ctx))
-            .and_then(|()| run_cachestudy(ctx))
-            .and_then(|()| run_osassist(ctx))
-            .and_then(|()| run_writecost(ctx))
-            .and_then(|()| run_biasstudy(ctx)),
-        _ => return Err(()),
+        "all" => [
+            "table1",
+            "fig5",
+            "fig8",
+            "failcdf",
+            "fig9",
+            "fig10",
+            "fig11",
+            "wearlevel",
+            "payg",
+            "cachestudy",
+            "osassist",
+            "writecost",
+            "biasstudy",
+        ]
+        .into_iter()
+        .try_for_each(|command| dispatch(command, "all", ctx).expect("a known command")),
+        figure => return ctx.campaign(figure, shown),
     })
 }
 
@@ -684,7 +682,7 @@ fn criterion_label(criterion: FailureCriterion) -> String {
 }
 
 /// The configuration fingerprint stored in checkpoints and cross-checked
-/// on `--resume` (key order matches [`Checkpoint::fingerprint_keys`]).
+/// on `--resume`.
 fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
     vec![
         ("command".to_owned(), command.to_owned()),
@@ -693,10 +691,6 @@ fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
         ("trials".to_owned(), cli.opts.trials.to_string()),
         ("page_bytes".to_owned(), cli.opts.page_bytes.to_string()),
         ("criterion".to_owned(), criterion_label(cli.opts.criterion)),
-        (
-            "predicate_mode".to_owned(),
-            if cli.scalar { "scalar" } else { "kernel" }.to_owned(),
-        ),
         (
             "target_rse".to_owned(),
             cli.target_rse
@@ -774,23 +768,8 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
             FailureCriterion::PerEventSplit { samples }
         }
     };
-    let mode = stored("predicate_mode")?;
-    match (mode, cli.scalar) {
-        ("scalar", _) => cli.scalar = true,
-        ("kernel", false) => {}
-        ("kernel", true) => {
-            return Err(
-                "checkpoint was taken in kernel predicate mode but --scalar was passed; \
-                 drop the conflicting option or start a fresh run"
-                    .to_owned(),
-            )
-        }
-        (other, _) => {
-            return Err(format!(
-                "checkpoint fingerprint predicate_mode '{other}' is malformed"
-            ))
-        }
-    }
+    // Snapshots taken before the reference mode left the CLI also carry
+    // `predicate_mode`; both modes gave identical output, so it is ignored.
     // Early-stop target. Checkpoints written before the key existed mean
     // "no early stopping" — treat a missing key as "none", not an error.
     let stored_target = ckpt.fingerprint_value("target_rse").unwrap_or("none");
@@ -821,10 +800,6 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
     tel.set_meta("trials", &cli.opts.trials.to_string());
     tel.set_meta("page_bytes", &cli.opts.page_bytes.to_string());
     tel.set_meta("criterion", &criterion_label(cli.opts.criterion));
-    tel.set_meta(
-        "predicate_mode",
-        if cli.scalar { "scalar" } else { "kernel" },
-    );
     // The resolved worker count is replay metadata, not stream data: the
     // event stream stays identical at any thread count.
     tel.set_meta(
@@ -835,8 +810,54 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
     tel.set_meta("trace", if cli.trace { "on" } else { "off" });
 }
 
+/// Opens `run_id`'s telemetry stream (only when `telemetry`) and its series
+/// and status sidecars (as `cli` asks) under the output directory, and
+/// records the run's metadata. The heartbeat counts `total_pages` when it
+/// is known, and a series resumed from a snapshot continues at
+/// `resume_series`. Failures are printed and returned as the exit code.
+fn open_sidecars(
+    cli: &Cli,
+    command: &str,
+    run_id: &str,
+    telemetry: bool,
+    total_pages: Option<usize>,
+    resume_series: Option<SeriesCursor>,
+) -> Result<(RunTelemetry, SeriesWriter, StatusWriter), ExitCode> {
+    let dir = telemetry::dir(&cli.out_dir);
+    let fail = |what: &'static str| {
+        move |err: std::io::Error| {
+            eprintln!("{what}: {err}");
+            ExitCode::FAILURE
+        }
+    };
+    let tel = if telemetry {
+        RunTelemetry::create(run_id, &dir).map_err(fail("telemetry"))?
+    } else {
+        RunTelemetry::disabled()
+    };
+    set_run_meta(&tel, command, cli);
+    let series = match resume_series.filter(|cursor| cursor.seq > 0) {
+        _ if !cli.series => Ok(SeriesWriter::disabled()),
+        Some(cursor) => SeriesWriter::resume(run_id, &dir, cli.series_every, cursor),
+        None => SeriesWriter::create(run_id, &dir, cli.series_every),
+    };
+    let series = series.map_err(fail("series"))?;
+    let status = if cli.status {
+        StatusWriter::create(run_id, &dir).map_err(fail("status"))?
+    } else {
+        StatusWriter::disabled()
+    };
+    if let Some(target) = cli.target_rse {
+        status.set_target_rse(target);
+    }
+    if let Some(total) = total_pages {
+        status.set_total_pages(total as u64);
+    }
+    Ok((tel, series, status))
+}
+
 /// `experiments shard FIG --shards K --shard-id I`: run one stripe of a
-/// fig5/6/7 campaign and leave its telemetry + raw-results sidecar for
+/// chip-figure campaign and leave its telemetry + raw-results sidecar for
 /// `merge`. No reports or CSVs — those are the merged campaign's.
 fn run_shard(cli: &Cli) -> ExitCode {
     let usage_error = |msg: &str| {
@@ -844,13 +865,13 @@ fn run_shard(cli: &Cli) -> ExitCode {
         ExitCode::from(USAGE_ERROR)
     };
     let Some(figure) = cli.positionals.first() else {
-        return usage_error("expects a figure command (fig5, fig6, fig7 or fig8)");
+        return usage_error("expects a chip-figure command (fig5-fig9, fig11-fig13)");
     };
-    if !matches!(figure.as_str(), "fig5" | "fig6" | "fig7" | "fig8") {
+    let Some((specs, span_name, _)) = campaign_specs(figure, &cli.opts) else {
         return usage_error(&format!(
-            "'{figure}' cannot be sharded (only fig5, fig6, fig7 and fig8 can)"
+            "'{figure}' cannot be sharded (only the chip figures fig5-fig9 and fig11-fig13 can)"
         ));
-    }
+    };
     let (Some(shards), Some(shard_id)) = (cli.shards, cli.shard_id) else {
         return usage_error("--shards and --shard-id are required");
     };
@@ -878,54 +899,25 @@ fn run_shard(cli: &Cli) -> ExitCode {
         .run_id
         .clone()
         .unwrap_or_else(|| shardmerge::shard_run_id(figure, cli.opts.seed, shards, shard_id));
-    let tel = match RunTelemetry::create(&run_id, &telemetry::dir(&cli.out_dir)) {
-        Ok(tel) => tel,
-        Err(err) => {
-            eprintln!("telemetry: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    set_run_meta(&tel, figure, cli);
+    let total_pages = specs.len() * (hi - lo);
+    let (tel, series, status) =
+        match open_sidecars(cli, figure, &run_id, true, Some(total_pages), None) {
+            Ok(sidecars) => sidecars,
+            Err(code) => return code,
+        };
     tel.set_meta("shards", &shards.to_string());
     tel.set_meta("shard_id", &shard_id.to_string());
     tel.set_meta("page_lo", &lo.to_string());
     tel.set_meta("page_hi", &hi.to_string());
+    status.set_shard(shard_id as u64, shards as u64);
     if !cli.quiet {
         eprintln!(
             "[shard] {figure} shard {shard_id}/{shards}: pages {lo}..{hi} of {}",
             cli.opts.pages
         );
     }
-    let registry = tel.registry();
-    let series = if cli.series {
-        match SeriesWriter::create(&run_id, &telemetry::dir(&cli.out_dir), cli.series_every) {
-            Ok(series) => series,
-            Err(err) => {
-                eprintln!("series: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        SeriesWriter::disabled()
-    };
-    let status = if cli.status {
-        match StatusWriter::create(&run_id, &telemetry::dir(&cli.out_dir)) {
-            Ok(status) => status,
-            Err(err) => {
-                eprintln!("status: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        StatusWriter::disabled()
-    };
-    let (specs, span_name) = campaign_specs(figure, &cli.opts, cli.scalar);
-    if status.is_enabled() {
-        status.set_total_pages((specs.len() * (hi - lo)) as u64);
-        status.set_shard(shard_id as u64, shards as u64);
-    }
     let observer = runner::RunObserver {
-        registry: Some(registry),
+        registry: Some(tel.registry()),
         series: series.is_enabled().then_some(&series),
         status: status.is_enabled().then_some(&status),
         ..runner::RunObserver::default()
@@ -1004,7 +996,6 @@ fn run_merge(cli: &Cli) -> ExitCode {
     }
     let option = |key: &str| inputs[0].manifest.options.get(key).cloned();
     let command = option("command").unwrap_or_default();
-    let scalar = option("predicate_mode").as_deref() == Some("scalar");
     let Some(seed) = option("seed").and_then(|v| v.parse::<u64>().ok()) else {
         eprintln!("merge: shard manifests carry a non-numeric 'seed' option");
         return ExitCode::from(USAGE_ERROR);
@@ -1018,7 +1009,10 @@ fn run_merge(cli: &Cli) -> ExitCode {
             .unwrap_or(RunOptions::default().pages),
         ..RunOptions::default()
     };
-    let (specs, span_name) = campaign_specs(&command, &merge_opts, scalar);
+    let Some((specs, span_name, emit)) = campaign_specs(&command, &merge_opts) else {
+        eprintln!("merge: shards record command '{command}', which is no chip-figure campaign");
+        return ExitCode::from(USAGE_ERROR);
+    };
     let runs = match shardmerge::merge_units(&inputs, &specs) {
         Ok(runs) => runs,
         Err(msg) => {
@@ -1055,7 +1049,6 @@ fn run_merge(cli: &Cli) -> ExitCode {
         "trials",
         "page_bytes",
         "criterion",
-        "predicate_mode",
     ] {
         if let Some(value) = option(key) {
             tel.set_meta(key, &value);
@@ -1076,7 +1069,7 @@ fn run_merge(cli: &Cli) -> ExitCode {
             let _span = tel.span("codec-probe")?;
             telemetry::codec_probe(tel.registry(), seed);
         }
-        emit_campaign(&command, &specs, &runs, &cli.out_dir)?;
+        emit(&specs, &runs, &command, &cli.out_dir)?;
         tel.finish().map(drop)
     };
     match emit() {
@@ -1252,12 +1245,7 @@ fn run_trace_block(cli: &Cli, page: usize, block: usize) -> ExitCode {
             return ExitCode::from(USAGE_ERROR);
         }
     };
-    let policies = if cli.scalar {
-        schemes::fig5_schemes_scalar(BLOCK_BITS)
-    } else {
-        schemes::fig5_schemes(BLOCK_BITS)
-    };
-    for (i, policy) in policies.iter().enumerate() {
+    for (i, policy) in schemes::fig5_schemes(BLOCK_BITS).iter().enumerate() {
         if i > 0 {
             println!();
         }
@@ -1329,12 +1317,18 @@ fn main() -> ExitCode {
     // Checkpoint/resume setup. Resume first adopts the snapshot's recorded
     // configuration (so a bare `--resume ID` needs no other options), then
     // the adopted CLI state produces the fingerprint new snapshots carry.
+    // Only the chip-figure campaigns checkpoint, and only they count unit
+    // pages on the status heartbeat: one lookup decides both.
     let checkpointing =
         cli.checkpoint_every.is_some() || cli.resume.is_some() || cli.target_rse.is_some();
-    if checkpointing && !matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7" | "fig8") {
+    let campaign_units = (checkpointing || cli.status)
+        .then(|| campaign_specs(&cli.command, &cli.opts).map(|(specs, ..)| specs.len()))
+        .flatten();
+    if checkpointing && campaign_units.is_none() {
         eprintln!(
-            "--checkpoint-every/--resume/--target-rse only apply to fig5, fig6, fig7 \
-             and fig8\n\n{USAGE}"
+            "--checkpoint-every/--resume/--target-rse only apply to the chip-figure \
+             campaigns (fig5-fig9, fig11-fig13), not '{}'\n\n{USAGE}",
+            cli.command
         );
         return ExitCode::from(USAGE_ERROR);
     }
@@ -1375,56 +1369,18 @@ fn main() -> ExitCode {
         .run_id
         .clone()
         .unwrap_or_else(|| telemetry::default_run_id(&cli.command, cli.opts.seed));
-    let tel = if cli.telemetry {
-        match RunTelemetry::create(&run_id, &telemetry::dir(&cli.out_dir)) {
-            Ok(tel) => tel,
-            Err(err) => {
-                eprintln!("telemetry: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        RunTelemetry::disabled()
+    let total_pages = campaign_units.map(|units| units * cli.opts.pages);
+    let (tel, series, status_w) = match open_sidecars(
+        &cli,
+        &cli.command,
+        &run_id,
+        cli.telemetry,
+        total_pages,
+        resume_series,
+    ) {
+        Ok(sidecars) => sidecars,
+        Err(code) => return code,
     };
-    set_run_meta(&tel, &cli.command, &cli);
-
-    let series = if cli.series {
-        let dir = telemetry::dir(&cli.out_dir);
-        let result = match resume_series.filter(|cursor| cursor.seq > 0) {
-            Some(cursor) => SeriesWriter::resume(&run_id, &dir, cli.series_every, cursor),
-            None => SeriesWriter::create(&run_id, &dir, cli.series_every),
-        };
-        match result {
-            Ok(series) => series,
-            Err(err) => {
-                eprintln!("series: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        SeriesWriter::disabled()
-    };
-    let status_w = if cli.status {
-        match StatusWriter::create(&run_id, &telemetry::dir(&cli.out_dir)) {
-            Ok(status) => status,
-            Err(err) => {
-                eprintln!("status: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        StatusWriter::disabled()
-    };
-    if let Some(target) = cli.target_rse {
-        status_w.set_target_rse(target);
-    }
-    if status_w.is_enabled() && matches!(cli.command.as_str(), "fig5" | "fig6" | "fig7") {
-        let units = campaign::fig567_unit_specs(&cli.opts, cli.scalar).len();
-        status_w.set_total_pages((units * cli.opts.pages) as u64);
-    }
-    if status_w.is_enabled() && cli.command == "fig8" {
-        status_w.set_total_pages((fig8::units().len() * cli.opts.pages) as u64);
-    }
 
     let ckpt_ctl = if checkpointing {
         sigint::install();
@@ -1472,7 +1428,6 @@ fn main() -> ExitCode {
         tel: &tel,
         tracer: &tracer,
         progress_fn: (cli.progress && !cli.quiet).then_some(&report_progress),
-        scalar: cli.scalar,
         ckpt: ckpt_ctl.as_ref(),
         series: &series,
         status_w: &status_w,
@@ -1480,8 +1435,8 @@ fn main() -> ExitCode {
 
     let outcome = {
         let _run_span = tracer.span("run");
-        let outcome = dispatch(&cli.command, &ctx);
-        if matches!(outcome, Ok(Ok(()))) && tel.is_enabled() {
+        let outcome = dispatch(&cli.command, &cli.command, &ctx);
+        if matches!(outcome, Some(Ok(()))) && tel.is_enabled() {
             // The figure paths exercise analytic policies; the codec probe
             // feeds the codec.<scheme>.* counters through the shared
             // WriteTelemetry path so every run's report covers both layers.
@@ -1495,13 +1450,13 @@ fn main() -> ExitCode {
     // --resume reopens it at the checkpoint's cursor and continues it
     // byte-for-byte; the status file was already marked interrupted.
     let interrupted =
-        matches!(&outcome, Ok(Err(err)) if err.kind() == std::io::ErrorKind::Interrupted);
+        matches!(&outcome, Some(Err(err)) if err.kind() == std::io::ErrorKind::Interrupted);
     if !interrupted {
         if let Err(err) = series.finish() {
             eprintln!("series: {err}");
             return ExitCode::FAILURE;
         }
-        if matches!(&outcome, Ok(Ok(()))) {
+        if matches!(&outcome, Some(Ok(()))) {
             status_w.mark(RunState::Done);
         }
     }
@@ -1540,21 +1495,21 @@ fn main() -> ExitCode {
     }
 
     match outcome {
-        Ok(Ok(())) => {
+        Some(Ok(())) => {
             if !cli.quiet {
                 eprintln!("CSV written to {}", cli.out_dir.display());
             }
             ExitCode::SUCCESS
         }
-        Ok(Err(err)) if err.kind() == std::io::ErrorKind::Interrupted => {
+        Some(Err(err)) if err.kind() == std::io::ErrorKind::Interrupted => {
             eprintln!("interrupted: {err}; rerun with --resume {run_id} to continue",);
             ExitCode::from(INTERRUPTED_EXIT)
         }
-        Ok(Err(err)) => {
+        Some(Err(err)) => {
             eprintln!("I/O error: {err}");
             ExitCode::FAILURE
         }
-        Err(()) => {
+        None => {
             eprintln!("unknown command '{}'\n\n{USAGE}", cli.command);
             ExitCode::from(USAGE_ERROR)
         }

@@ -254,18 +254,8 @@ impl<'a> RunObserver<'a> {
     }
 }
 
-/// Runs every policy over the same simulated chip (identical timelines) and
-/// summarizes each.
-#[must_use]
-pub fn summarize_schemes(
-    policies: &[Policy],
-    block_bits: usize,
-    opts: &RunOptions,
-) -> Vec<SchemeSummary> {
-    summarize_schemes_with(policies, block_bits, opts, &RunObserver::default())
-}
-
-/// [`summarize_schemes`] with telemetry/progress observation.
+/// Runs every policy over the same simulated chip (identical timelines),
+/// observed by `observer`, and summarizes each.
 #[must_use]
 pub fn summarize_schemes_with(
     policies: &[Policy],
@@ -300,13 +290,7 @@ pub(crate) fn run_policies(
         .collect()
 }
 
-/// Runs one policy and returns the raw chip run (for survival curves).
-#[must_use]
-pub fn run_chip(policy: &Policy, block_bits: usize, opts: &RunOptions) -> MemoryRun {
-    run_chip_with(policy, block_bits, opts, &RunObserver::default())
-}
-
-/// [`run_chip`] with telemetry/progress observation.
+/// Runs one policy and returns the raw chip run.
 #[must_use]
 pub fn run_chip_with(
     policy: &Policy,
@@ -335,8 +319,9 @@ mod tests {
             threads: None,
         };
         let policies = vec![schemes::ecp(6, 512), schemes::aegis(23, 23, 512)];
-        let a = summarize_schemes(&policies, 512, &opts);
-        let b = summarize_schemes(&policies, 512, &opts);
+        let observer = RunObserver::default();
+        let a = summarize_schemes_with(&policies, 512, &opts, &observer);
+        let b = summarize_schemes_with(&policies, 512, &opts, &observer);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.mean_faults_recovered, y.mean_faults_recovered);

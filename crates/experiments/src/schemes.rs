@@ -125,13 +125,6 @@ pub fn masking(t: usize, block_bits: usize) -> Policy {
     Box::new(MaskingPolicy::new(t, block_bits))
 }
 
-/// [`masking`] in reference (scalar) mode: per-bit Gaussian elimination
-/// instead of the packed-column basis kernel.
-#[must_use]
-pub fn masking_scalar(t: usize, block_bits: usize) -> Policy {
-    Box::new(MaskingPolicy::scalar(t, block_bits))
-}
-
 /// Partitioned linear code with `t_mask` masking row-blocks and `t_ecc`
 /// pointer repairs (arXiv:1305.3289).
 #[must_use]
@@ -139,55 +132,10 @@ pub fn plbc(t_mask: usize, t_ecc: usize, block_bits: usize) -> Policy {
     Box::new(PlbcPolicy::new(t_mask, t_ecc, block_bits))
 }
 
-/// [`plbc`] in reference (scalar) mode: flip-subset enumeration over the
-/// per-bit consistency check.
-#[must_use]
-pub fn plbc_scalar(t_mask: usize, t_ecc: usize, block_bits: usize) -> Policy {
-    Box::new(PlbcPolicy::scalar(t_mask, t_ecc, block_bits))
-}
-
 /// The unprotected baseline.
 #[must_use]
 pub fn unprotected(block_bits: usize) -> Policy {
     Box::new(UnprotectedPolicy::new(block_bits))
-}
-
-/// Base Aegis in reference (scalar) mode: decisions use the original
-/// per-pair `Rectangle` arithmetic instead of the precomputed ROM kernels.
-///
-/// # Panics
-///
-/// Panics if the formation is invalid for the block size.
-#[must_use]
-pub fn aegis_scalar(a: usize, b: usize, block_bits: usize) -> Policy {
-    Box::new(AegisPolicy::scalar(
-        Rectangle::new(a, b, block_bits).expect("valid formation"),
-    ))
-}
-
-/// Aegis-rw in reference (scalar) mode.
-///
-/// # Panics
-///
-/// Panics if the formation is invalid for the block size.
-#[must_use]
-pub fn aegis_rw_scalar(a: usize, b: usize, block_bits: usize) -> Policy {
-    Box::new(AegisRwPolicy::scalar(
-        Rectangle::new(a, b, block_bits).expect("valid formation"),
-    ))
-}
-
-/// Aegis-rw-p in reference (scalar) mode.
-///
-/// # Panics
-///
-/// Panics if the formation is invalid for the block size.
-#[must_use]
-pub fn aegis_rw_p_scalar(a: usize, b: usize, block_bits: usize, p: usize) -> Policy {
-    Box::new(AegisRwPPolicy::scalar(
-        Rectangle::new(a, b, block_bits).expect("valid formation"),
-        p,
-    ))
 }
 
 /// Figure 5/6/7 scheme set for one block size (the bars of the paper's
@@ -198,29 +146,6 @@ pub fn aegis_rw_p_scalar(a: usize, b: usize, block_bits: usize, p: usize) -> Pol
 /// Panics on an unsupported block size (the paper evaluates 256 and 512).
 #[must_use]
 pub fn fig5_schemes(block_bits: usize) -> Vec<Policy> {
-    fig5_schemes_mode(block_bits, false)
-}
-
-/// [`fig5_schemes`] with the Aegis bars built in reference (scalar) mode —
-/// same names, same decisions, no ROM kernels. Used by `--scalar` runs to
-/// pin kernel/scalar telemetry equality end to end.
-///
-/// # Panics
-///
-/// Panics on an unsupported block size.
-#[must_use]
-pub fn fig5_schemes_scalar(block_bits: usize) -> Vec<Policy> {
-    fig5_schemes_mode(block_bits, true)
-}
-
-fn fig5_schemes_mode(block_bits: usize, scalar: bool) -> Vec<Policy> {
-    let aegis = |a, b, bits| {
-        if scalar {
-            aegis_scalar(a, b, bits)
-        } else {
-            aegis(a, b, bits)
-        }
-    };
     match block_bits {
         512 => vec![
             ecp(4, 512),
@@ -352,19 +277,5 @@ mod tests {
     #[test]
     fn variant_set_is_three_per_formation() {
         assert_eq!(variant_schemes().len(), 12);
-    }
-
-    #[test]
-    fn scalar_fig5_set_mirrors_the_kernel_set() {
-        for bits in [256usize, 512] {
-            let kernel = fig5_schemes(bits);
-            let scalar = fig5_schemes_scalar(bits);
-            assert_eq!(kernel.len(), scalar.len());
-            for (k, s) in kernel.iter().zip(&scalar) {
-                assert_eq!(k.name(), s.name());
-                assert_eq!(k.overhead_bits(), s.overhead_bits());
-                assert_eq!(k.block_bits(), s.block_bits());
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Seed-disjoint sharding and byte-deterministic merging of fig5/6/7 and
-//! fig8 Monte Carlo campaigns.
+//! Seed-disjoint sharding and byte-deterministic merging of the
+//! chip-figure Monte Carlo campaigns (fig5/6/7, fig8, fig9, fig11/12/13).
 //!
 //! A shard runs the contiguous stripe of global page indices
 //! `[i·P/K, (i+1)·P/K)` with the campaign's master seed, as the page range
@@ -90,7 +90,6 @@ const SHARED_OPTION_KEYS: &[&str] = &[
     "trials",
     "page_bytes",
     "criterion",
-    "predicate_mode",
     "shards",
 ];
 
@@ -316,7 +315,7 @@ mod tests {
             seed: 9,
             ..RunOptions::default()
         };
-        let specs = campaign::fig567_unit_specs(&opts, false);
+        let specs = campaign::fig567_unit_specs(&opts);
         let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
         let observer = RunObserver::default();
         let full = campaign::run(&units, 0..opts.pages, &observer);

@@ -2,9 +2,11 @@
 //! Aegis-rw-p) on the four 512-bit formations — one run powers all three
 //! figures.
 
+use crate::campaign::{self, specs_for, UnitSpec};
 use crate::csvout::{self, fmt_f64};
-use crate::runner::{summarize_schemes_with, RunObserver, RunOptions, SchemeSummary};
+use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use crate::schemes;
+use pcm_sim::montecarlo::MemoryRun;
 use std::io;
 use std::path::Path;
 
@@ -15,18 +17,31 @@ pub struct Variants {
     pub summaries: Vec<SchemeSummary>,
 }
 
+/// The Figure 11/12/13 campaign's unit specs, on 512-bit blocks.
+#[must_use]
+pub fn unit_specs(opts: &RunOptions) -> Vec<UnitSpec> {
+    specs_for(schemes::variant_schemes(), opts.sim_config(512)).collect()
+}
+
+/// Folds per-unit runs (in [`unit_specs`] order) into the figure results.
+#[must_use]
+pub fn assemble(specs: &[UnitSpec], runs: &[MemoryRun]) -> Variants {
+    let summaries = specs.iter().zip(runs);
+    Variants {
+        summaries: summaries
+            .map(|(spec, run)| SchemeSummary::from_run(spec.policy.as_ref(), run))
+            .collect(),
+    }
+}
+
 /// Runs the Figure 11/12/13 scheme set.
 #[must_use]
 pub fn run(opts: &RunOptions) -> Variants {
-    run_with(opts, &RunObserver::default())
-}
-
-/// [`run`] with telemetry/progress observation.
-#[must_use]
-pub fn run_with(opts: &RunOptions, observer: &RunObserver<'_>) -> Variants {
-    Variants {
-        summaries: summarize_schemes_with(&schemes::variant_schemes(), 512, opts, observer),
-    }
+    let specs = unit_specs(opts);
+    assemble(
+        &specs,
+        &campaign::run_specs(&specs, opts.pages, &RunObserver::default()),
+    )
 }
 
 /// Figure 11: recoverable faults per 4 KB page.

@@ -272,41 +272,18 @@ fn telemetry_streams_are_byte_identical_across_processes() {
     let _ = std::fs::remove_dir_all(dir_b);
 }
 
+/// The scalar reference predicates live in the test suites, not on the
+/// CLI: `--scalar` is an unknown option (their byte-identity with the
+/// kernels is pinned in-process by `tests/determinism.rs`).
 #[test]
 fn scalar_mode_telemetry_is_byte_identical_to_kernel_mode() {
-    let dir_kernel = std::env::temp_dir().join("aegis-cli-scalar-kernel");
-    let dir_scalar = std::env::temp_dir().join("aegis-cli-scalar-scalar");
-    for (dir, extra) in [(&dir_kernel, None), (&dir_scalar, Some("--scalar"))] {
-        let _ = std::fs::remove_dir_all(dir);
-        let mut cmd = experiments();
-        cmd.args([
-            "fig5", "--pages", "2", "--seed", "9", "--run-id", "mode", "--quiet",
-        ]);
-        if let Some(flag) = extra {
-            cmd.arg(flag);
-        }
-        let output = cmd.arg("--out").arg(dir).output().expect("binary runs");
-        assert!(
-            output.status.success(),
-            "{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-    }
-    let kernel = std::fs::read_to_string(dir_kernel.join("telemetry/mode.jsonl")).unwrap();
-    let scalar = std::fs::read_to_string(dir_scalar.join("telemetry/mode.jsonl")).unwrap();
-    assert_eq!(
-        sim_telemetry::strip_volatile(&kernel),
-        sim_telemetry::strip_volatile(&scalar),
-        "--scalar must replay the kernel path's event stream byte for byte"
-    );
-    let kernel_csv = std::fs::read(dir_kernel.join("fig5.csv")).unwrap();
-    let scalar_csv = std::fs::read(dir_scalar.join("fig5.csv")).unwrap();
-    assert_eq!(
-        kernel_csv, scalar_csv,
-        "fig5.csv must not depend on the mode"
-    );
-    let _ = std::fs::remove_dir_all(dir_kernel);
-    let _ = std::fs::remove_dir_all(dir_scalar);
+    let output = experiments()
+        .args(["fig5", "--pages", "2", "--scalar"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown option '--scalar'"), "{stderr}");
 }
 
 /// The engine has no SIMD backend, so neither the run manifest nor the
@@ -733,8 +710,10 @@ fn checkpoint_flags_only_apply_to_the_checkpointable_figures() {
         .output()
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        String::from_utf8_lossy(&output.stderr).contains("only apply to fig5, fig6, fig7 and fig8")
+        stderr.contains("only apply to the chip-figure campaigns") && stderr.contains("'table1'"),
+        "{stderr}"
     );
     let zero = experiments()
         .args(["fig5", "--checkpoint-every", "0"])
@@ -928,12 +907,12 @@ fn shard_rejects_bad_usage() {
     assert_eq!(no_figure.status.code(), Some(2));
 
     let bad_figure = experiments()
-        .args(["shard", "fig9", "--shards", "2", "--shard-id", "0"])
+        .args(["shard", "failcdf", "--shards", "2", "--shard-id", "0"])
         .output()
         .expect("binary runs");
     assert_eq!(bad_figure.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_figure.stderr)
-        .contains("cannot be sharded (only fig5, fig6, fig7 and fig8 can)"));
+        .contains("'failcdf' cannot be sharded (only the chip figures"));
 
     let out_of_range = experiments()
         .args(["shard", "fig5", "--shards", "2", "--shard-id", "2"])
@@ -1521,4 +1500,323 @@ fn target_rse_stops_early_and_replays_across_thread_counts() {
     );
     let _ = std::fs::remove_dir_all(dir_1);
     let _ = std::fs::remove_dir_all(dir_2);
+}
+
+/// The fig9 and fig11 campaigns and the CSVs each writes: the chip
+/// figures that joined fig5–8 on the checkpoint, shard and early-stop
+/// paths.
+const CAMPAIGNS: [(&str, &[&str]); 2] = [
+    ("fig9", &["fig9.csv", "fig9_half_lifetime.csv"]),
+    ("fig11", &["fig11.csv", "fig12.csv", "fig13.csv"]),
+];
+
+/// Runs the binary with `args` plus `--quiet --out dir`, asserts success
+/// and returns stdout.
+fn run_ok(args: &[&str], dir: &std::path::Path) -> Vec<u8> {
+    let output = experiments()
+        .args(args)
+        .arg("--quiet")
+        .arg("--out")
+        .arg(dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        output.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    output.stdout
+}
+
+/// `dir/telemetry/file` with its volatile lines stripped.
+fn stripped(dir: &std::path::Path, file: &str) -> String {
+    let path = dir.join("telemetry").join(file);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|err| panic!("{path:?}: {err}"));
+    sim_telemetry::strip_volatile(&text)
+}
+
+/// Asserts that two runs wrote the same CSVs and, per `streams`, the same
+/// stripped telemetry files.
+fn assert_same_outputs(
+    a: &std::path::Path,
+    b: &std::path::Path,
+    csvs: &[&str],
+    streams: &[&str],
+    what: &str,
+) {
+    for csv in csvs {
+        assert_eq!(
+            std::fs::read(a.join(csv)).unwrap(),
+            std::fs::read(b.join(csv)).unwrap(),
+            "{what}: {csv} differs"
+        );
+    }
+    for file in streams {
+        assert_eq!(
+            stripped(a, file),
+            stripped(b, file),
+            "{what}: {file} differs"
+        );
+    }
+}
+
+/// fig9 and fig11 run in `--checkpoint-every 3` chunks reproduce the
+/// straight run: report, CSVs, stripped stream and series sidecar.
+#[test]
+fn fig9_and_fig11_checkpointed_runs_match_the_straight_run() {
+    for (figure, csvs) in CAMPAIGNS {
+        let root = std::env::temp_dir().join(format!("aegis-cli-chunked-{figure}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let base = [
+            figure, "--pages", "8", "--seed", "9", "--series", "--run-id", "c",
+        ];
+        let straight = run_ok(&base, &root.join("straight"));
+        let chunked = run_ok(
+            &[&base[..], &["--checkpoint-every", "3"]].concat(),
+            &root.join("chunked"),
+        );
+        assert_eq!(straight, chunked, "{figure}: report differs");
+        assert!(
+            !root.join("chunked/telemetry/c.ckpt.json").exists(),
+            "{figure}: completion must remove the snapshot"
+        );
+        assert_same_outputs(
+            &root.join("straight"),
+            &root.join("chunked"),
+            csvs,
+            &["c.jsonl", "c.series.jsonl"],
+            figure,
+        );
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// SIGINT after the first fig9/fig11 snapshot stops the run with exit
+/// 130, and `--resume` finishes it to the straight run's outputs.
+#[cfg(unix)]
+#[test]
+fn fig9_and_fig11_sigint_and_resume_replay_the_straight_run() {
+    for (figure, csvs) in CAMPAIGNS {
+        let root = std::env::temp_dir().join(format!("aegis-cli-sigint-{figure}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let base = [
+            figure, "--pages", "8", "--seed", "9", "--series", "--run-id", "ck",
+        ];
+        let reference = run_ok(&base, &root.join("ref"));
+        let dir_int = root.join("int");
+        let mut child = experiments()
+            .args(base)
+            .args(["--checkpoint-every", "1", "--quiet", "--out"])
+            .arg(&dir_int)
+            .spawn()
+            .expect("binary starts");
+        let ckpt_path = dir_int.join("telemetry/ck.ckpt.json");
+        for _ in 0..600 {
+            if ckpt_path.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        assert!(
+            ckpt_path.exists(),
+            "{figure}: first snapshot never appeared"
+        );
+        let kill = std::process::Command::new("kill")
+            .arg("-INT")
+            .arg(child.id().to_string())
+            .status()
+            .expect("kill runs");
+        assert!(kill.success());
+        let status = child.wait().expect("child exits");
+        assert_eq!(
+            status.code(),
+            Some(130),
+            "{figure}: interrupted run must exit 130"
+        );
+        assert!(
+            ckpt_path.exists(),
+            "{figure}: interruption must leave the snapshot"
+        );
+        let resumed = run_ok(&[figure, "--resume", "ck"], &dir_int);
+        assert!(
+            !ckpt_path.exists(),
+            "{figure}: completion must remove the snapshot"
+        );
+        assert_eq!(reference, resumed, "{figure}: resumed report differs");
+        assert_same_outputs(
+            &root.join("ref"),
+            &dir_int,
+            csvs,
+            &["ck.jsonl", "ck.series.jsonl"],
+            figure,
+        );
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// A 2-shard fig9/fig11 campaign merges to the unsharded run. The fig11
+/// shard manifests carry the `predicate_mode` option that runs recorded
+/// before the reference mode left the CLI; merge ignores it.
+#[test]
+fn fig9_and_fig11_shards_merge_to_the_unsharded_run() {
+    for (figure, csvs) in CAMPAIGNS {
+        let root = std::env::temp_dir().join(format!("aegis-cli-shards-{figure}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let common = ["--pages", "8", "--seed", "9"];
+        let reference = run_ok(
+            &[&[figure, "--telemetry"], &common[..]].concat(),
+            &root.join("ref"),
+        );
+        let dir_sh = root.join("sh");
+        let mut ids = Vec::new();
+        for shard_id in ["1", "0"] {
+            let args = [
+                &["shard", figure, "--shards", "2", "--shard-id", shard_id],
+                &common[..],
+            ];
+            run_ok(&args.concat(), &dir_sh);
+            let id = format!("{figure}-s9-shard{shard_id}of2");
+            if figure == "fig11" {
+                let manifest = dir_sh.join(format!("telemetry/{id}.manifest.json"));
+                let text = std::fs::read_to_string(&manifest).unwrap();
+                assert!(!text.contains("predicate_mode"), "{text}");
+                let old = text.replacen(
+                    "\"options\": {",
+                    "\"options\": {\n    \"predicate_mode\": \"kernel\",",
+                    1,
+                );
+                std::fs::write(&manifest, old).unwrap();
+            }
+            ids.push(id);
+        }
+        let merged = run_ok(&["merge", &ids[0], &ids[1]], &dir_sh);
+        assert_eq!(reference, merged, "{figure}: merged report differs");
+        let stream = format!("{figure}-s9.jsonl");
+        assert_same_outputs(&root.join("ref"), &dir_sh, csvs, &[&stream], figure);
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// `--target-rse` stops fig9 and fig11 early with the same bytes at one
+/// and two worker threads.
+#[test]
+fn fig9_and_fig11_target_rse_stops_identically_across_thread_counts() {
+    for (figure, csvs) in CAMPAIGNS {
+        let root = std::env::temp_dir().join(format!("aegis-cli-rse-{figure}"));
+        let _ = std::fs::remove_dir_all(&root);
+        for threads in ["1", "2"] {
+            run_ok(
+                &[
+                    figure,
+                    "--pages",
+                    "8",
+                    "--seed",
+                    "9",
+                    "--series",
+                    "--status",
+                    "--target-rse",
+                    "0.5",
+                    "--checkpoint-every",
+                    "1",
+                    "--threads",
+                    threads,
+                    "--run-id",
+                    "es",
+                ],
+                &root.join(threads),
+            );
+        }
+        let status = std::fs::read_to_string(root.join("1/telemetry/es.status.json")).unwrap();
+        let record = sim_telemetry::StatusRecord::parse(&status).expect("status parses");
+        assert!(
+            record.pages_done < record.pages_total,
+            "{figure}: a loose target must stop early ({} of {} pages)",
+            record.pages_done,
+            record.pages_total
+        );
+        assert_same_outputs(
+            &root.join("1"),
+            &root.join("2"),
+            csvs,
+            &["es.jsonl", "es.series.jsonl"],
+            figure,
+        );
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// A snapshot written before the reference mode left the CLI carries
+/// `"predicate_mode": "scalar"`; it resumes like any other, and a stale
+/// temp file from an interrupted store beside it is ignored.
+#[test]
+fn old_scalar_snapshot_resumes_beside_a_stale_temp_file() {
+    use aegis_experiments::campaign::{self, UnitSpec};
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
+    use aegis_experiments::fig9;
+    use aegis_experiments::runner::{RunObserver, RunOptions};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let root = std::env::temp_dir().join("aegis-cli-old-snapshot");
+    let _ = std::fs::remove_dir_all(&root);
+    let reference = run_ok(
+        &["fig9", "--pages", "8", "--seed", "9", "--run-id", "old"],
+        &root.join("ref"),
+    );
+
+    // Stop an in-process fig9 campaign after its first 3-page chunk.
+    let dir = root.join("old");
+    let path = dir.join("telemetry/old.ckpt.json");
+    let opts = RunOptions {
+        pages: 8,
+        seed: 9,
+        ..RunOptions::default()
+    };
+    let fingerprint = [
+        ("command", "fig9"),
+        ("seed", "9"),
+        ("pages", "8"),
+        ("trials", "4000"),
+        ("page_bytes", "4096"),
+        ("criterion", "per-event-split:1"),
+        ("predicate_mode", "scalar"),
+        ("target_rse", "none"),
+    ];
+    let interrupted = AtomicBool::new(false);
+    let ctl = CheckpointCtl {
+        path: path.clone(),
+        every: 3,
+        interrupted: &interrupted,
+        resume: None,
+        fingerprint: fingerprint
+            .iter()
+            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+            .collect(),
+        target_rse: None,
+    };
+    let registry = sim_telemetry::Registry::new();
+    let stop = |_: &str, _: usize, _: usize| interrupted.store(true, Ordering::SeqCst);
+    let observer = RunObserver {
+        progress: Some(&stop),
+        ..RunObserver::with_registry(&registry)
+    };
+    let specs = fig9::unit_specs(&opts);
+    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+    let stopped = campaign::execute(&units, 0..opts.pages, &observer, Some(&ctl)).expect("store");
+    assert!(stopped.is_none(), "the progress hook interrupts the run");
+    let snapshot = Checkpoint::load(&path).expect("snapshot loads");
+    assert!(snapshot.units.iter().all(|unit| unit.pages_done == 3));
+    assert_eq!(snapshot.fingerprint_value("predicate_mode"), Some("scalar"));
+    std::fs::write(path.with_extension("json.tmp"), "{\"torn\": ").unwrap();
+
+    let resumed = run_ok(&["fig9", "--resume", "old"], &dir);
+    assert_eq!(reference, resumed, "resumed report differs");
+    assert!(!path.exists(), "completion must remove the snapshot");
+    assert_same_outputs(
+        &root.join("ref"),
+        &dir,
+        &["fig9.csv", "fig9_half_lifetime.csv"],
+        &["old.jsonl"],
+        "old snapshot",
+    );
+    let _ = std::fs::remove_dir_all(root);
 }

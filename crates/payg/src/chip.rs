@@ -5,6 +5,7 @@ use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
 use pcm_sim::timeline::{FaultEvent, PageTimeline};
 use pcm_sim::Fault;
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// One chip-wide PAYG run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -37,8 +38,10 @@ pub struct PaygRun {
 /// judge every pair on each page:
 ///
 /// 1. each block is walked as if the pool were unbounded; the pool runs
-///    dry at `T*`, the `(entries + 1)`-th demand in that order, found
-///    from each worker's `entries + 1` first;
+///    dry at `T*`, the `(entries + 1)`-th demand in that order. The chip's
+///    `entries + 1` first demands live in one heap per pair, which each
+///    worker merges its page's demands into once per page; a worker stops
+///    a block's walk at a demand past the bound it last saw there;
 /// 2. a page dies at its first demand at or after `T*`, credited with its
 ///    events before it. A page with no such demand, or with no `T*`, lives
 ///    to the chip's last event time with every event credited.
@@ -53,20 +56,40 @@ pub fn run_payg_chips(lecs: &[(&dyn RecoveryPolicy, usize)], cfg: &SimConfig) ->
     }
     let hooks = PassHooks::default();
     let lanes = || -> Vec<Lane> { lecs.iter().map(|_| Lane::default()).collect() };
+    // Per pair, shared by every worker: the chip's `entries + 1` smallest
+    // demands so far. A worker holds its page's demands and the heap's
+    // largest as last seen (once full): no demand above it can join.
+    let smallest: Vec<Mutex<BinaryHeap<Key>>> = lecs.iter().map(|_| Mutex::default()).collect();
     let first = map_pages(
         cfg,
         0,
         cfg.pages,
         "payg.demands",
         &hooks,
-        || (lanes(), vec![BinaryHeap::new(); lecs.len()]),
-        |(lanes, smallest), _, p, page| {
+        || (lanes(), vec![(Key::MAX, Vec::new()); lecs.len()]),
+        |(lanes, pending), _, p, page| {
             for b in 0..page.blocks.len() {
-                for (l, &(local, entries)) in lecs.iter().enumerate() {
-                    let heap = &mut smallest[l];
+                for (l, &(local, _)) in lecs.iter().enumerate() {
+                    let (bound, keys) = &mut pending[l];
                     walk_block(local, page, (p, b), cfg.criterion, &mut lanes[l], |k| {
-                        keep_smallest(heap, entries.saturating_add(1), k)
+                        let kept = k < *bound;
+                        if kept {
+                            keys.push(k);
+                        }
+                        kept
                     });
+                }
+            }
+            for ((bound, keys), (heap, &(_, entries))) in
+                pending.iter_mut().zip(smallest.iter().zip(lecs))
+            {
+                let mut heap = heap.lock().expect("no worker panics holding the heap");
+                let limit = entries.saturating_add(1);
+                for k in keys.drain(..) {
+                    keep_smallest(&mut heap, limit, k);
+                }
+                if heap.len() == limit {
+                    *bound = *heap.peek().expect("a full heap");
                 }
             }
             let last = page.blocks.iter().filter_map(|b| b.events.last());
@@ -75,21 +98,19 @@ pub fn run_payg_chips(lecs: &[(&dyn RecoveryPolicy, usize)], cfg: &SimConfig) ->
         },
     );
     let horizon = first.results.iter().map(|r| r.1).fold(0.0, f64::max);
-    let mut smallest: Vec<_> = first.scratches.into_iter().map(|(_, s)| s).collect();
-    // Each pair's `(gec_used, T*)` from the union of the workers' keys.
-    let exhaustion: Vec<(usize, Option<Key>)> = lecs
-        .iter()
-        .enumerate()
-        .map(|(l, &(_, entries))| {
-            let heaps = smallest.iter_mut().map(|s| std::mem::take(&mut s[l]));
-            let mut keys: Vec<Key> = heaps.flat_map(BinaryHeap::into_vec).collect();
-            if keys.len() <= entries {
-                return (keys.len(), None);
+    // Each pair's `(gec_used, T*)`: `T*` is the largest kept demand once
+    // the heap holds `entries + 1`.
+    let exhaustion: Vec<(usize, Option<Key>)> = smallest
+        .into_iter()
+        .zip(lecs)
+        .map(|(heap, &(_, entries))| {
+            let heap = heap.into_inner().expect("no worker panicked");
+            match heap.len() {
+                used if used <= entries => (used, None),
+                _ => (entries, heap.peek().copied()),
             }
-            (entries, Some(*keys.select_nth_unstable(entries).1))
         })
         .collect();
-    drop(smallest);
 
     let deaths = |lanes: &mut Vec<Lane>, _: Option<&mut _>, p: usize, page: &PageTimeline| {
         let walks = lecs.iter().zip(lanes.iter_mut()).zip(&exhaustion);
@@ -155,21 +176,17 @@ fn key_time(key: Key) -> f64 {
 }
 
 /// Keeps `key` if it is among the `limit` smallest offered to `heap` (a
-/// max-heap) so far, and says whether it did.
-fn keep_smallest(heap: &mut BinaryHeap<Key>, limit: usize, key: Key) -> bool {
+/// max-heap) so far.
+fn keep_smallest(heap: &mut BinaryHeap<Key>, limit: usize, key: Key) {
     if heap.len() < limit {
         if heap.len() == heap.capacity() {
             heap.reserve_exact(heap.len().max(16).min(limit - heap.len()));
         }
         heap.push(key);
-        return true;
-    }
-    match heap.peek_mut() {
-        Some(mut largest) if key < *largest => {
+    } else if let Some(mut largest) = heap.peek_mut() {
+        if key < *largest {
             *largest = key;
-            true
         }
-        _ => false,
     }
 }
 

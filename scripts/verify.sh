@@ -130,6 +130,44 @@ cmp "$fig8_out/ref/fig8.csv" "$fig8_out/sh/fig8.csv" \
     || { echo "merged fig8.csv differs from the unsharded run" >&2; exit 1; }
 rm -rf "$fig8_out"
 
+# fig9 and fig11 (fig11-13) smoke: the other chip-figure campaigns shard
+# and merge the same way — same report, CSVs and stripped stream as the
+# unsharded run.
+for fig in fig9 fig11; do
+    case "$fig" in
+        fig9) csvs="fig9 fig9_half_lifetime" ;;
+        fig11) csvs="fig11 fig12 fig13" ;;
+    esac
+    fig_out="${TMPDIR:-/tmp}/aegis-verify-$fig"
+    rm -rf "$fig_out"
+    mkdir -p "$fig_out/ref" "$fig_out/sh"
+    echo "==> experiments $fig shard/merge smoke (2 shards vs unsharded)"
+    cargo run --release --offline -p aegis-experiments -- \
+        "$fig" --pages 8 --seed 7 --telemetry --quiet --out "$fig_out/ref" \
+        >"$fig_out/ref-report.txt"
+    for i in 0 1; do
+        cargo run --release --offline -p aegis-experiments -- \
+            shard "$fig" --pages 8 --seed 7 --shards 2 --shard-id "$i" \
+            --quiet --out "$fig_out/sh" >/dev/null
+    done
+    cargo run --release --offline -p aegis-experiments -- \
+        merge "$fig-s7-shard1of2" "$fig-s7-shard0of2" --quiet --out "$fig_out/sh" \
+        >"$fig_out/sh-report.txt"
+    cmp "$fig_out/ref-report.txt" "$fig_out/sh-report.txt" \
+        || { echo "merged $fig report differs from the unsharded run" >&2; exit 1; }
+    for csv in $csvs; do
+        cmp "$fig_out/ref/$csv.csv" "$fig_out/sh/$csv.csv" \
+            || { echo "merged $csv.csv differs from the unsharded run" >&2; exit 1; }
+    done
+    for side in ref sh; do
+        grep -v '"event": "volatile"' "$fig_out/$side/telemetry/$fig-s7.jsonl" \
+            >"$fig_out/$side-stream.jsonl"
+    done
+    cmp "$fig_out/ref-stream.jsonl" "$fig_out/sh-stream.jsonl" \
+        || { echo "merged $fig telemetry stream differs from the unsharded run" >&2; exit 1; }
+    rm -rf "$fig_out"
+done
+
 # Committed-artifact freshness: the functional-codec extension CSVs in
 # results/ must equal what `experiments <cmd>` writes at the default
 # seed, so a change to a codec or to its sweep cannot leave them stale.
@@ -180,15 +218,19 @@ awk -v mb="$fig5_rss" 'BEGIN { exit !(mb < 100) }' \
     || { echo "fig5 --full peaked at $fig5_rss MB (ceiling 100 MB)" >&2; exit 1; }
 rm -rf "$rss_out"
 
-# PAYG keeps each worker's smallest pool-demand keys per local scheme,
-# not the chip's ~12.6 M fault events, so it shares the ceiling.
-echo "==> payg --full peak RSS under 100 MB"
-payg_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
-    payg --full --quiet --out "$rss_out")
-echo "payg --full peak RSS: $payg_rss MB"
-awk -v mb="$payg_rss" 'BEGIN { exit !(mb < 100) }' \
-    || { echo "payg --full peaked at $payg_rss MB (ceiling 100 MB)" >&2; exit 1; }
-rm -rf "$rss_out"
+# PAYG keeps the chip's smallest pool-demand keys per local scheme in one
+# heap all workers share, not the chip's ~12.6 M fault events nor a heap
+# per worker, so it shares the ceiling at any worker count.
+for threads in "" "--threads 4"; do
+    echo "==> payg --full $threads peak RSS under 100 MB"
+    # shellcheck disable=SC2086 # $threads is empty or a flag and its value
+    payg_rss=$(python3 scripts/peak_rss.py ./target/release/experiments \
+        payg --full $threads --quiet --out "$rss_out")
+    echo "payg --full $threads peak RSS: $payg_rss MB"
+    awk -v mb="$payg_rss" 'BEGIN { exit !(mb < 100) }' \
+        || { echo "payg --full $threads peaked at $payg_rss MB (ceiling 100 MB)" >&2; exit 1; }
+    rm -rf "$rss_out"
+done
 
 # The checkpointed campaign runs page-major chunks too: no campaign
 # timeline cache, the same ceiling, and the committed fig5-7 CSVs.
@@ -201,6 +243,17 @@ awk -v mb="$ckpt_rss" 'BEGIN { exit !(mb < 100) }' \
 for csv in fig5 fig6 fig7; do
     cmp "results/$csv.csv" "$rss_out/$csv.csv" \
         || { echo "checkpointed fig5 --full changed results/$csv.csv" >&2; exit 1; }
+done
+rm -rf "$rss_out"
+
+# fig9 checkpoints like fig5: its chunked paper-scale run must reproduce
+# the committed survival curves.
+echo "==> fig9 --full --checkpoint-every 512 matches results/"
+./target/release/experiments fig9 --full --checkpoint-every 512 --quiet \
+    --out "$rss_out" >/dev/null
+for csv in fig9 fig9_half_lifetime; do
+    cmp "results/$csv.csv" "$rss_out/$csv.csv" \
+        || { echo "checkpointed fig9 --full changed results/$csv.csv" >&2; exit 1; }
 done
 rm -rf "$rss_out"
 

@@ -28,7 +28,7 @@ fn fig567_checkpointed(
     observer: &RunObserver<'_>,
     ctl: &aegis_experiments::checkpoint::CheckpointCtl<'_>,
 ) -> Option<aegis_experiments::fig567::Fig567> {
-    let specs = campaign::fig567_unit_specs(opts, false);
+    let specs = campaign::fig567_unit_specs(opts);
     Some(aegis_experiments::fig567::assemble(
         &specs,
         &checkpointed_runs(&specs, opts, observer, ctl)?,
@@ -170,17 +170,16 @@ fn monte_carlo_runs_replay_byte_identically() {
 /// Runs fig5's 512-bit scheme sweep with telemetry attached and returns
 /// the raw JSONL event stream.
 fn telemetry_stream(seed: u64) -> String {
-    telemetry_stream_mode(seed, false)
+    telemetry_stream_of(seed, &schemes::fig5_schemes(512), None)
 }
 
-/// [`telemetry_stream`] selecting the kernel (default) or scalar scheme
-/// set.
-fn telemetry_stream_mode(seed: u64, scalar: bool) -> String {
-    telemetry_stream_with(seed, scalar, None)
+/// [`telemetry_stream`] with an explicit worker-thread count.
+fn telemetry_stream_with(seed: u64, threads: Option<usize>) -> String {
+    telemetry_stream_of(seed, &schemes::fig5_schemes(512), threads)
 }
 
-/// [`telemetry_stream_mode`] with an explicit worker-thread count.
-fn telemetry_stream_with(seed: u64, scalar: bool, threads: Option<usize>) -> String {
+/// The JSONL event stream of `set` swept over a 3-page 512-bit chip.
+fn telemetry_stream_of(seed: u64, set: &[schemes::Policy], threads: Option<usize>) -> String {
     let buf = SharedBuf::new();
     let run = RunTelemetry::with_buffer("det-check", buf.clone()).expect("buffer sink");
     let opts = RunOptions {
@@ -190,25 +189,98 @@ fn telemetry_stream_with(seed: u64, scalar: bool, threads: Option<usize>) -> Str
         ..RunOptions::default()
     };
     let observer = RunObserver::with_registry(run.registry());
-    let set = if scalar {
-        schemes::fig5_schemes_scalar(512)
-    } else {
-        schemes::fig5_schemes(512)
-    };
-    let _ = summarize_schemes_with(&set, 512, &opts, &observer);
+    let _ = summarize_schemes_with(set, 512, &opts, &observer);
     run.finish().expect("finish");
     buf.text()
+}
+
+/// The fig5 scheme set of `bits` with every Aegis bar rebuilt in its
+/// scalar reference mode (per-pair `Rectangle` arithmetic instead of the
+/// ROM kernels) on the same formation.
+fn scalar_fig5_schemes(bits: usize) -> Vec<schemes::Policy> {
+    let scalar = |name: &str| {
+        let (a, b) = name.strip_prefix("Aegis ")?.split_once('x')?;
+        let rect = Rectangle::new(a.parse().ok()?, b.parse().ok()?, bits).ok()?;
+        Some(Box::new(AegisPolicy::scalar(rect)) as schemes::Policy)
+    };
+    schemes::fig5_schemes(bits)
+        .into_iter()
+        .map(|policy| scalar(&policy.name()).unwrap_or(policy))
+        .collect()
+}
+
+/// The scalar fig5 set differs from the kernel set in its Aegis bars
+/// only: every bar keeps its name, overhead and block size.
+#[test]
+fn scalar_fig5_set_mirrors_the_kernel_set() {
+    for bits in [256usize, 512] {
+        let kernel = schemes::fig5_schemes(bits);
+        let scalar = scalar_fig5_schemes(bits);
+        assert_eq!(kernel.len(), scalar.len());
+        for (k, s) in kernel.iter().zip(&scalar) {
+            assert_eq!(k.name(), s.name());
+            assert_eq!(k.overhead_bits(), s.overhead_bits());
+            assert_eq!(k.block_bits(), s.block_bits());
+        }
+    }
+}
+
+/// The fig5/6/7 CSVs at both block widths are byte-identical whether the
+/// Aegis bars decide with the ROM kernels or the scalar references.
+#[test]
+fn scalar_mode_reproduces_kernel_results_exactly() {
+    use aegis_experiments::fig567;
+    let opts = RunOptions {
+        pages: 4,
+        seed: 3,
+        ..RunOptions::default()
+    };
+    let csvs = |scalar: bool, dir: &std::path::Path| {
+        let specs: Vec<UnitSpec> = [256, 512]
+            .into_iter()
+            .flat_map(|bits| {
+                let set = if scalar {
+                    scalar_fig5_schemes(bits)
+                } else {
+                    schemes::fig5_schemes(bits)
+                };
+                set.into_iter().map(move |policy| UnitSpec {
+                    label: policy.name(),
+                    cfg: opts.sim_config(bits),
+                    policy,
+                })
+            })
+            .collect();
+        let runs = campaign::run_specs(&specs, opts.pages, &RunObserver::default());
+        let _ = std::fs::remove_dir_all(dir);
+        fig567::write_csvs(&fig567::assemble(&specs, &runs), dir).expect("write CSVs");
+        ["fig5.csv", "fig6.csv", "fig7.csv"].map(|csv| std::fs::read(dir.join(csv)).unwrap())
+    };
+    let root = std::env::temp_dir().join("aegis-det-scalar-csvs");
+    let kernel = csvs(false, &root.join("kernel"));
+    let scalar = csvs(true, &root.join("scalar"));
+    for (csv, (k, s)) in ["fig5", "fig6", "fig7"]
+        .iter()
+        .zip(kernel.iter().zip(&scalar))
+    {
+        let text = String::from_utf8_lossy(k);
+        assert!(
+            text.contains("\n256,") && text.contains("\n512,"),
+            "{csv}: a width is missing"
+        );
+        assert_eq!(k, s, "{csv}.csv must not depend on the predicate mode");
+    }
+    let _ = std::fs::remove_dir_all(root);
 }
 
 /// The ROM-kernel predicates and their scalar references are one
 /// implementation as far as the determinism contract is concerned: the
 /// whole fig5 sweep run through both must serialize byte-identical
-/// telemetry (the cross-process twin of this check lives in the
-/// experiments crate's CLI tests, driven by `--scalar`).
+/// telemetry.
 #[test]
 fn kernel_and_scalar_paths_serialize_identical_telemetry() {
-    let kernel = telemetry_stream_mode(11, false);
-    let scalar = telemetry_stream_mode(11, true);
+    let kernel = telemetry_stream(11);
+    let scalar = telemetry_stream_of(11, &scalar_fig5_schemes(512), None);
     assert_eq!(
         strip_volatile(&kernel),
         strip_volatile(&scalar),
@@ -269,9 +341,9 @@ fn telemetry_streams_round_trip_through_the_report_parser() {
 /// dropping the declared-volatile pool counters) identical telemetry.
 #[test]
 fn thread_count_does_not_perturb_results_or_telemetry() {
-    let single = telemetry_stream_with(11, false, Some(1));
+    let single = telemetry_stream_with(11, Some(1));
     for threads in [2usize, 8] {
-        let pooled = telemetry_stream_with(11, false, Some(threads));
+        let pooled = telemetry_stream_with(11, Some(threads));
         assert_eq!(
             strip_volatile(&single),
             strip_volatile(&pooled),
@@ -349,7 +421,7 @@ fn telemetry_stream_traced(seed: u64, threads: Option<usize>) -> String {
 /// trace sidecar, never in the stream.
 #[test]
 fn tracing_does_not_perturb_the_deterministic_stream() {
-    let plain = telemetry_stream_with(11, false, Some(2));
+    let plain = telemetry_stream_with(11, Some(2));
     let traced = telemetry_stream_traced(11, Some(2));
     assert_eq!(
         strip_volatile(&plain),
@@ -797,7 +869,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
         let buf = SharedBuf::new();
         let run = RunTelemetry::with_buffer("ck-det", buf.clone()).expect("buffer sink");
         let observer = RunObserver::with_registry(run.registry());
-        let _ = fig567::run_with_mode(&opts, &observer, false);
+        let _ = fig567::run_with(&opts, &observer);
         run.finish().expect("finish");
         buf.text()
     };
@@ -857,7 +929,7 @@ fn checkpoint_interrupt_and_resume_replays_the_straight_run() {
 
     let straight = {
         let observer = RunObserver::default();
-        fig567::run_with_mode(&opts, &observer, false)
+        fig567::run_with(&opts, &observer)
     };
     assert_eq!(resumed.by_block.len(), straight.by_block.len());
     for ((rb, rs), (sb, ss)) in resumed.by_block.iter().zip(&straight.by_block) {
@@ -1059,6 +1131,82 @@ fn fig8_checkpoint_interrupt_and_resume_replays_the_straight_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// fig9 and the fig11–13 variants run through the same checkpointed
+/// campaign path: stopped after their first chunk and resumed, each
+/// replays its straight run's per-page results and deterministic stream.
+#[test]
+fn fig9_and_variant_campaigns_resume_to_the_straight_run() {
+    use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
+    use aegis_experiments::{fig9, variants};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let opts = RunOptions {
+        pages: 5,
+        seed: 21,
+        ..RunOptions::default()
+    };
+    let dir = std::env::temp_dir().join("aegis-det-chip-figures-resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("chip.ckpt.json");
+    // Runs `specs` to completion or interruption, from `resume` if given;
+    // `stop` raises the interrupt flag on the first page's progress report.
+    let leg = |specs: &[UnitSpec], resume: Option<Checkpoint>, stop: bool| {
+        let interrupted = AtomicBool::new(false);
+        let ctl = CheckpointCtl {
+            path: path.clone(),
+            every: 2,
+            interrupted: &interrupted,
+            resume,
+            fingerprint: Vec::new(),
+            target_rse: None,
+        };
+        let raise = |_: &str, _: usize, _: usize| interrupted.store(stop, Ordering::SeqCst);
+        let buf = SharedBuf::new();
+        let run = RunTelemetry::with_buffer("chip-det", buf.clone()).expect("buffer sink");
+        let observer = RunObserver {
+            progress: Some(&raise),
+            ..RunObserver::with_registry(run.registry())
+        };
+        let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+        let done = campaign::execute(&units, 0..opts.pages, &observer, Some(&ctl)).expect("run");
+        run.finish().expect("finish");
+        (done, buf.text())
+    };
+    for (figure, specs) in [
+        ("fig9", fig9::unit_specs(&opts)),
+        ("variants", variants::unit_specs(&opts)),
+    ] {
+        let (straight, straight_stream) = leg(&specs, None, false);
+        let straight = straight.expect("nothing interrupts the straight run");
+        let (stopped, _) = leg(&specs, None, true);
+        assert!(
+            stopped.is_none(),
+            "{figure}: the interrupt must stop the run"
+        );
+        let snapshot = Checkpoint::load(&path).expect("snapshot loads");
+        assert!(
+            snapshot.units.iter().all(|unit| unit.pages_done == 2),
+            "{figure}: the snapshot follows the first chunk"
+        );
+        let (resumed, resumed_stream) = leg(&specs, Some(snapshot), false);
+        assert!(
+            !path.exists(),
+            "{figure}: completion must remove the snapshot"
+        );
+        assert_eq!(
+            resumed.expect("nothing interrupts the resumed leg"),
+            straight,
+            "{figure}: resumed per-page results differ"
+        );
+        assert_eq!(
+            strip_volatile(&resumed_stream),
+            strip_volatile(&straight_stream),
+            "{figure}: resume must replay the straight run's stream"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// fig8 shard stripes tile the page space and glue back into the full
 /// sweep bit for bit — the library-level half of the `shard`/`merge` CLI
 /// contract for the new figure.
@@ -1130,7 +1278,7 @@ fn shard_stripes_tile_and_reproduce_the_full_run() {
         assert_eq!(pair[0].1, pair[1].0, "stripes must tile without gaps");
     }
 
-    let specs = campaign::fig567_unit_specs(&opts, false);
+    let specs = campaign::fig567_unit_specs(&opts);
     let full = stripe(&specs, 0, opts.pages);
     let parts: Vec<_> = edges
         .iter()
@@ -1297,7 +1445,7 @@ fn resume_inside_the_second_width_keeps_repeated_labels_apart() {
             series: Some(&series),
             ..RunObserver::default()
         };
-        let _ = aegis_experiments::fig567::run_with_mode(&opts, &observer, false);
+        let _ = aegis_experiments::fig567::run_with(&opts, &observer);
         series.finish().expect("series finish");
         run.finish().expect("finish");
         buf.text()
