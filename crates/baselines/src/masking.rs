@@ -20,9 +20,11 @@
 //! dependency among the fault columns `{h_i}` carries an even number of
 //! stuck-at-Wrong cells. That parity form is what the Monte Carlo kernel
 //! evaluates: a reduced column basis is grown incrementally per fault
-//! (`u64` column lanes, `u128` contributor masks), dependencies fall out
-//! of columns that reduce to zero, and each split check is a handful of
-//! `u128` AND/popcount operations. A per-bit Gaussian-elimination
+//! (`u64` column lanes, `u128` contributor masks, a 64-entry pivot
+//! table), dependencies fall out of columns that reduce to zero, each
+//! fault keeps a `u128` column of the dependencies it lies in, and each
+//! split check XORs the stuck-at-Wrong faults' columns into a syndrome
+//! that must be zero. A per-bit Gaussian-elimination
 //! reference is retained and selectable ([`MaskingPolicy::scalar`]),
 //! mirroring the SAFER kernel/scalar discipline.
 //!
@@ -139,30 +141,34 @@ impl MaskMatrix {
     }
 }
 
-/// Incrementally reduced column basis of a fault population — the kernel
-/// data structure shared by the masking and PLBC policies.
+/// Incrementally reduced column basis of a fault population — the cold
+/// twin of the cache [`absorb_columns`] grows for the masking and PLBC
+/// incremental paths, sharing its reduction step.
 ///
-/// Faults are absorbed in arrival order. For fault `k` the structure
-/// stores the column reduced against the prior basis (`reduced[k]`,
-/// nonzero ⟺ the fault extends the basis) and the `u128` index mask of
-/// the faults that combined into it (`masks[k]`). A column that reduces
-/// to zero yields a *dependency*: `masks[k]` is the support of a linear
-/// relation among the fault columns, and the `f − rank` dependencies
-/// found this way form a basis of the full dependency space (each
-/// contains its own arrival index, which no other dependency can).
+/// Faults are absorbed in arrival order. Fault `k`'s column is reduced
+/// against the pivot rows so far, carrying the `u128` index mask of the
+/// faults that combined into it (bit `k` included). A column that stays
+/// nonzero becomes a new pivot row; one that reduces to zero yields a
+/// *dependency*: its mask is the support of a linear relation among the
+/// fault columns, and the `f − rank` dependencies found this way form a
+/// basis of the full dependency space (each contains its own arrival
+/// index, which no earlier dependency can).
 #[derive(Debug, Clone)]
 pub struct MaskSystem {
-    reduced: Vec<u64>,
-    masks: Vec<u128>,
-    /// `pivots[b]` = index+1 of the basis entry whose leading bit is `b`.
+    /// Pivot rows in the order they were found: reduced column and
+    /// contributor mask.
+    rows: Vec<(u64, u128)>,
+    /// Dependency supports in the order they were found.
+    dependencies: Vec<u128>,
+    /// `pivots[b]` = index+1 of the row whose leading bit is `b`.
     pivots: [u8; 64],
 }
 
 impl Default for MaskSystem {
     fn default() -> Self {
         Self {
-            reduced: Vec::new(),
-            masks: Vec::new(),
+            rows: Vec::new(),
+            dependencies: Vec::new(),
             pivots: [0; 64],
         }
     }
@@ -177,21 +183,21 @@ impl MaskSystem {
 
     /// Drops all absorbed columns.
     pub fn clear(&mut self) {
-        self.reduced.clear();
-        self.masks.clear();
+        self.rows.clear();
+        self.dependencies.clear();
         self.pivots = [0; 64];
     }
 
     /// Number of absorbed faults.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reduced.len()
+        self.rows.len() + self.dependencies.len()
     }
 
     /// Whether no fault has been absorbed yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.reduced.is_empty()
+        self.len() == 0
     }
 
     /// Absorbs the next fault's column, reducing it against the basis.
@@ -200,52 +206,31 @@ impl MaskSystem {
     ///
     /// Panics beyond [`MAX_MASK_FAULTS`] faults.
     pub fn absorb(&mut self, column: u64) {
-        let k = self.reduced.len();
-        assert!(
-            k < MAX_MASK_FAULTS,
-            "mask kernel supports at most {MAX_MASK_FAULTS} concurrent faults"
-        );
-        let mut value = column;
-        let mut mask = 1u128 << k;
-        while value != 0 {
-            let bit = 63 - value.leading_zeros() as usize;
-            match self.pivots[bit] {
-                0 => break,
-                entry => {
-                    let j = entry as usize - 1;
-                    value ^= self.reduced[j];
-                    mask ^= self.masks[j];
-                }
-            }
+        let (value, mask) = reduce(column, self.len(), &self.pivots, |j| self.rows[j]);
+        if value == 0 {
+            self.dependencies.push(mask);
+        } else {
+            self.pivots[leading_bit(value)] = pivot_entry(self.rows.len());
+            self.rows.push((value, mask));
         }
-        if value != 0 {
-            let bit = 63 - value.leading_zeros() as usize;
-            self.pivots[bit] = u8::try_from(k + 1).expect("bounded by MAX_MASK_FAULTS");
-        }
-        self.reduced.push(value);
-        self.masks.push(mask);
     }
 
     /// Rank of the absorbed columns.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.reduced.iter().filter(|&&v| v != 0).count()
+        self.rows.len()
     }
 
     /// Whether the absorbed columns are linearly independent — the exact
     /// "maskable for every data word" criterion.
     #[must_use]
     pub fn is_full_rank(&self) -> bool {
-        self.reduced.iter().all(|&v| v != 0)
+        self.dependencies.is_empty()
     }
 
     /// The dependency supports, as `u128` fault-index masks.
     pub fn dependencies(&self) -> impl Iterator<Item = u128> + '_ {
-        self.reduced
-            .iter()
-            .zip(&self.masks)
-            .filter(|&(&value, _)| value == 0)
-            .map(|(_, &mask)| mask)
+        self.dependencies.iter().copied()
     }
 
     /// Whether the system `a·h_i = c_i` is consistent for the wrongness
@@ -256,6 +241,46 @@ impl MaskSystem {
         self.dependencies()
             .all(|dep| (dep & wrong_mask).count_ones().is_multiple_of(2))
     }
+}
+
+/// The reduction step [`MaskSystem`] and [`absorb_columns`] share: reduces
+/// fault `k`'s `column` against a basis whose pivot table maps a leading
+/// bit `b` to `pivots[b]` = index+1 of the row with that leading bit (0:
+/// none), reading row `j`'s reduced column and contributor mask through
+/// `row`. Returns the reduced column (zero iff the column depends on the
+/// basis) and the mask of the faults that combined into it.
+///
+/// # Panics
+///
+/// Panics if `k` reaches [`MAX_MASK_FAULTS`].
+fn reduce(column: u64, k: usize, pivots: &[u8], row: impl Fn(usize) -> (u64, u128)) -> (u64, u128) {
+    assert!(
+        k < MAX_MASK_FAULTS,
+        "mask kernel supports at most {MAX_MASK_FAULTS} concurrent faults"
+    );
+    let mut value = column;
+    let mut mask = 1u128 << k;
+    while value != 0 {
+        match pivots[leading_bit(value)] {
+            0 => break,
+            entry => {
+                let (pivot, pivot_mask) = row(usize::from(entry) - 1);
+                value ^= pivot;
+                mask ^= pivot_mask;
+            }
+        }
+    }
+    (value, mask)
+}
+
+/// Index of the highest set bit of a nonzero column.
+fn leading_bit(value: u64) -> usize {
+    63 - value.leading_zeros() as usize
+}
+
+/// The pivot-table entry of row `index`.
+fn pivot_entry(index: usize) -> u8 {
+    u8::try_from(index + 1).expect("a u64 basis has at most 64 rows")
 }
 
 /// Packs a W/R split slice into a `u128` index mask.
@@ -390,14 +415,17 @@ pub(crate) fn solve_coefficients(
     Some(coefficients)
 }
 
-/// Grows the cached reduced basis in `cache` to cover `faults`
-/// (the [`PairCache`] mirror of [`MaskSystem`], shared by the masking
-/// and PLBC incremental paths).
+/// Grows the cached reduced basis in `cache` to cover `faults` (the
+/// [`PairCache`] mirror of [`MaskSystem`], shared by the masking and PLBC
+/// incremental paths), keeping each fault's dependency column up to date.
 ///
-/// Cache fields used: `coords[k]` holds fault `k`'s reduced column split
-/// into `(low32, high32)` words, `masks[k]` its contributor/dependency
-/// mask, `clean` counts dependencies, and `all_mask` unions their
-/// supports. Content is a pure function of `(owner, covered)`, so the
+/// Cache fields used: `groups` is the 64-entry pivot table, `coords[j]`
+/// and `masks[j]` hold pivot row `j`'s reduced column (split into
+/// `(low32, high32)` words) and contributor mask, `columns[i]` is fault
+/// `i`'s dependency column, `clean` counts the dependencies and `all_mask`
+/// unions their supports. A fault whose column reduces to zero opens
+/// dependency `d = clean` and sets bit `d` in the column of every fault of
+/// its support. Content is a pure function of `(owner, covered)`, so the
 /// self-healing prefix discipline applies unchanged.
 pub(crate) fn absorb_columns(
     matrix: &MaskMatrix,
@@ -406,55 +434,52 @@ pub(crate) fn absorb_columns(
     cache: &mut PairCache,
 ) {
     let start = cache.begin(key, faults);
+    if start == 0 {
+        cache.groups.clear();
+        cache.groups.resize(64, 0);
+    }
     for (k, &fault) in faults.iter().enumerate().skip(start) {
-        assert!(
-            k < MAX_MASK_FAULTS,
-            "mask kernel supports at most {MAX_MASK_FAULTS} concurrent faults"
-        );
-        let mut value = matrix.column(fault.offset);
-        let mut mask = 1u128 << k;
-        while value != 0 {
-            let bit = 63 - value.leading_zeros() as usize;
-            let Some(j) = (0..k).find(|&j| {
-                let v = cached_column(cache, j);
-                v != 0 && 63 - v.leading_zeros() as usize == bit
-            }) else {
-                break;
-            };
-            value ^= cached_column(cache, j);
-            mask ^= cache.masks[j];
-        }
+        let (value, mask) = reduce(matrix.column(fault.offset), k, &cache.groups, |j| {
+            let (low, high) = cache.coords[j];
+            (u64::from(low) | (u64::from(high) << 32), cache.masks[j])
+        });
+        cache.columns.push(0);
         if value == 0 {
+            // Fault columns are never zero, so some fault is independent
+            // and at most 127 dependencies fit the u128 columns.
+            let dependency = 1u128 << cache.clean;
+            let mut support = mask;
+            while support != 0 {
+                cache.columns[support.trailing_zeros() as usize] |= dependency;
+                support &= support - 1;
+            }
             cache.clean += 1;
             cache.all_mask |= mask;
+        } else {
+            cache.groups[leading_bit(value)] = pivot_entry(cache.coords.len());
+            #[allow(clippy::cast_possible_truncation)]
+            cache.coords.push((value as u32, (value >> 32) as u32));
+            cache.masks.push(mask);
         }
-        #[allow(clippy::cast_possible_truncation)]
-        cache.coords.push((value as u32, (value >> 32) as u32));
-        cache.masks.push(mask);
         cache.commit(fault);
     }
 }
 
-/// Fault `j`'s cached reduced column (see [`absorb_columns`]).
+/// Syndrome of a W/R split over the cached dependency columns (see
+/// [`absorb_columns`]): the XOR of the stuck-at-Wrong faults' columns, so
+/// bit `d` is the stuck-at-Wrong parity of dependency `d`. Only faults in
+/// some dependency's support have a nonzero column, so only those are
+/// read.
 #[must_use]
-pub(crate) fn cached_column(cache: &PairCache, j: usize) -> u64 {
-    let (low, high) = cache.coords[j];
-    u64::from(low) | (u64::from(high) << 32)
-}
-
-/// Dependency parity check over the cached basis: `true` iff every
-/// dependency carries an even number of stuck-at-Wrong faults.
-#[must_use]
-pub(crate) fn cached_consistent(cache: &PairCache, wrong_mask: u128) -> bool {
-    if cache.clean == 0 {
-        return true;
+pub(crate) fn cached_syndrome(cache: &PairCache, wrong: &[bool]) -> u128 {
+    let mut support = cache.all_mask;
+    let mut sigma = 0u128;
+    while support != 0 {
+        let i = support.trailing_zeros() as usize;
+        sigma ^= cache.columns[i] & 0u128.wrapping_sub(u128::from(wrong[i]));
+        support &= support - 1;
     }
-    cache
-        .coords
-        .iter()
-        .zip(&cache.masks)
-        .filter(|&(&(low, high), _)| low == 0 && high == 0)
-        .all(|(_, &dep)| (dep & wrong_mask).count_ones().is_multiple_of(2))
+    sigma
 }
 
 /// The additive-masking Monte Carlo policy (`Mask⟨t⟩`).
@@ -554,7 +579,8 @@ impl RecoveryPolicy for MaskingPolicy {
         if self.scalar || !scratch.pair_cache.matches(self.key, faults) {
             return self.recoverable(faults, wrong);
         }
-        cached_consistent(&scratch.pair_cache, pack_wrong(wrong))
+        // Consistent iff every dependency has even stuck-at-Wrong parity.
+        cached_syndrome(&scratch.pair_cache, wrong) == 0
     }
 
     fn observe_fault(&self, faults: &[Fault], scratch: &mut PolicyScratch) {
@@ -615,6 +641,25 @@ impl RecoveryPolicy for MaskingPolicy {
             return true; // BCH design distance
         }
         self.system_for(faults).is_full_rank()
+    }
+
+    /// The same exact test, read off a warm cache when it covers `faults`:
+    /// the columns are independent iff no dependency was cached.
+    fn guaranteed_with(&self, faults: &[Fault], scratch: &mut PolicyScratch) -> bool {
+        if self.scalar {
+            return self.guaranteed(faults);
+        }
+        if faults.len() > self.matrix.rows() {
+            return false;
+        }
+        if faults.len() <= 2 * self.matrix.t() {
+            return true;
+        }
+        let cache = &scratch.pair_cache;
+        if cache.matches(self.key, faults) {
+            return cache.clean == 0;
+        }
+        self.guaranteed(faults)
     }
 }
 

@@ -21,7 +21,8 @@
 //! dependency parities a pure mask cannot satisfy.
 //!
 //! The kernel path reuses [`MaskSystem`]'s `u64`-column basis and checks
-//! the coset condition over `u128` dependency columns; the retained
+//! the coset condition over `u128` dependency columns, which the
+//! incremental path keeps per fault as dependencies appear; the retained
 //! scalar reference ([`PlbcPolicy::scalar`]) instead enumerates every
 //! flip subset of size ≤ `t_ecc` and re-runs the per-bit Gaussian
 //! consistency check — a deliberately independent formulation of the
@@ -30,18 +31,16 @@
 
 use crate::cost::plbc_overhead;
 use crate::masking::{
-    absorb_columns, cached_column, pack_wrong, scalar_consistent, solve_coefficients, MaskMatrix,
+    absorb_columns, cached_syndrome, pack_wrong, scalar_consistent, solve_coefficients, MaskMatrix,
     MaskSystem,
 };
 use crate::safer::combinations;
 use bitblock::BitBlock;
 use pcm_sim::codec::{StuckAtCodec, WriteReport};
 use pcm_sim::policy::{
-    cache_key, guaranteed_splits_with, PolicyScratch, RecoveryPolicy, EXHAUSTIVE_SPLIT_LIMIT,
-    SAMPLED_GUARANTEE_SPLITS,
+    cache_key, guaranteed_splits, guaranteed_splits_with, PolicyScratch, RecoveryPolicy,
 };
-use pcm_sim::{sample_split, Fault, PcmBlock, Stuckness, UncorrectableError};
-use sim_rng::{SeedableRng, SmallRng};
+use pcm_sim::{Fault, PcmBlock, UncorrectableError};
 
 /// Largest pointer budget the subset search supports (`C(f, 3)` stays
 /// cheap at the workspace's 128-fault cap; the paper-matched
@@ -256,23 +255,8 @@ impl RecoveryPolicy for PlbcPolicy {
         if self.scalar || !cache.matches(self.key, faults) {
             return self.recoverable(faults, wrong);
         }
-        if cache.clean == 0 {
-            return true; // no dependencies cached
-        }
-        let wrong_mask = pack_wrong(wrong);
-        let dependencies: Vec<u128> = (0..faults.len())
-            .filter(|&k| cached_column(cache, k) == 0)
-            .map(|k| cache.masks[k])
-            .collect();
-        let sigma = syndrome(&dependencies, wrong_mask);
-        if sigma == 0 {
-            return true;
-        }
-        coset_fixable(
-            &dependency_columns(faults.len(), &dependencies),
-            sigma,
-            self.t_ecc,
-        )
+        let sigma = cached_syndrome(cache, wrong);
+        sigma == 0 || coset_fixable(&cache.columns, sigma, self.t_ecc)
     }
 
     fn observe_fault(&self, faults: &[Fault], scratch: &mut PolicyScratch) {
@@ -331,37 +315,13 @@ impl RecoveryPolicy for PlbcPolicy {
         if faults.len() <= 2 * self.matrix.t() {
             return true;
         }
-        // Beyond it, fall back to the trait's enumeration discipline
-        // (exhaustive up to EXHAUSTIVE_SPLIT_LIMIT faults, then the same
-        // deterministic sampled approximation as the default).
-        let f = faults.len();
-        if f <= EXHAUSTIVE_SPLIT_LIMIT {
-            let mut wrong = vec![false; f];
-            (0u64..(1 << f)).all(|pattern| {
-                for (i, w) in wrong.iter_mut().enumerate() {
-                    *w = (pattern >> i) & 1 == 1;
-                }
-                self.recoverable(faults, &wrong)
-            })
-        } else {
-            let seed = faults.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, fa| {
-                let mut x = (fa.offset as u64) ^ ((fa.stuck as u64) << 32);
-                if let Stuckness::Partial { weak_success_q8 } = fa.kind {
-                    x ^= (u64::from(weak_success_q8) | 0x100) << 33;
-                }
-                (h ^ x).wrapping_mul(0x1000_0000_01b3)
-            });
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..SAMPLED_GUARANTEE_SPLITS).all(|_| {
-                let wrong = sample_split(&mut rng, f);
-                self.recoverable(faults, &wrong)
-            })
-        }
+        // Beyond it, the shared enumeration discipline (exhaustive up to
+        // EXHAUSTIVE_SPLIT_LIMIT faults, then deterministic samples).
+        guaranteed_splits(self, faults)
     }
 
-    /// Same closed-form bound, then the shared arena-backed enumeration
-    /// (identical split stream to [`guaranteed`](Self::guaranteed) above,
-    /// so the verdicts agree).
+    /// Same closed-form bound, then the arena-backed twin of the same
+    /// enumeration (identical split stream, so the verdicts agree).
     fn guaranteed_with(&self, faults: &[Fault], scratch: &mut PolicyScratch) -> bool {
         if faults.len() <= 2 * self.matrix.t() {
             return true;
@@ -621,6 +581,39 @@ mod tests {
         let policy = PlbcPolicy::new(2, 1, 64);
         let faults: Vec<Fault> = (0..4).map(|o| Fault::new(o * 7, false)).collect();
         assert!(policy.guaranteed(&faults)); // 4 = 2·t_mask
+    }
+
+    #[test]
+    fn sampled_guarantee_agrees_between_forms_past_the_exhaustive_limit() {
+        // 15–20 faults: past EXHAUSTIVE_SPLIT_LIMIT, so both forms sample
+        // the same seeded split stream, cold and through a warm cache.
+        let mut rng = SmallRng::seed_from_u64(1514);
+        let policy = PlbcPolicy::new(2, 1, 64);
+        let mut warm = PolicyScratch::new();
+        let mut verdicts = [0usize; 2];
+        for _ in 0..12 {
+            policy.forget_block(&mut warm);
+            let count = rng.random_range(15..=20);
+            let mut faults: Vec<Fault> = Vec::new();
+            while faults.len() < count {
+                let offset: usize = rng.random_range(0..64);
+                if !faults.iter().any(|f| f.offset == offset) {
+                    faults.push(Fault::new(offset, rng.random()));
+                    policy.observe_fault(&faults, &mut warm);
+                }
+            }
+            let cold = policy.guaranteed(&faults);
+            assert_eq!(
+                policy.guaranteed_with(&faults, &mut warm),
+                cold,
+                "{faults:?}"
+            );
+            verdicts[usize::from(cold)] += 1;
+        }
+        assert!(
+            verdicts[0] > 0 && verdicts[1] > 0,
+            "the populations must both pass and fail the guarantee"
+        );
     }
 
     #[test]

@@ -92,27 +92,39 @@ pub struct PairCache {
     /// indices of the faults in it); base Aegis on formations with at most
     /// [`MASK_BITS`] slopes one per covered fault (the slopes on which that
     /// fault collides with any other); RDIS one per grid row, then one per
-    /// grid column (the indices of the faults on that line).
+    /// grid column (the indices of the faults on that line); masking and
+    /// PLBC one per pivot row of the reduced column basis, parallel to
+    /// `coords` (the indices of the faults that combined into that row).
     pub masks: Vec<u128>,
     /// Per-tag pair counts (Aegis-rw/-rw-p, and base Aegis past
     /// [`MASK_BITS`] slopes: colliding pairs per slope).
     pub counts: Vec<u32>,
     /// Number of tags with a zero count (the `counts` owners: slopes no
-    /// pair collides on).
+    /// pair collides on); masking and PLBC count their dependencies here.
     pub clean: usize,
     /// A summary mask whose meaning each owner defines: exhaustive SAFER
     /// the union of `masks` (vectors hit by at least one pair); incremental
     /// SAFER the indices of the faults that share their group with
     /// another; base Aegis the union of `masks` (slopes holding at least
-    /// one colliding pair).
+    /// one colliding pair); masking and PLBC the union of the dependency
+    /// supports (the faults whose `columns` entry is nonzero).
     pub all_mask: u128,
     /// Grown partition state (SAFER incremental: the vector positions).
     pub positions: Vec<usize>,
-    /// Per-covered-fault group under `positions` (SAFER incremental).
+    /// Per-covered-fault group under `positions` (SAFER incremental); for
+    /// masking and PLBC, the 64-entry pivot table (leading bit of a
+    /// reduced column → index + 1 of its row in `coords`/`masks`, 0 for
+    /// none).
     pub groups: Vec<u8>,
-    /// Per-covered-fault geometric coordinates; only RDIS fills it, with
-    /// each fault's `(row, col)`.
+    /// Per-covered-fault geometric coordinates for RDIS, each fault's
+    /// `(row, col)`; for masking and PLBC, the pivot rows' reduced `u64`
+    /// columns split into `(low32, high32)` words.
     pub coords: Vec<(u32, u32)>,
+    /// Per-covered-fault `u128` columns whose layout each owner defines:
+    /// masking and PLBC keep each fault's dependency column (bit `d` set
+    /// iff the fault lies in the support of dependency `d`, numbered in
+    /// the order the dependencies were found).
+    pub columns: Vec<u128>,
 }
 
 impl PairCache {
@@ -167,81 +179,8 @@ impl PairCache {
         self.positions.clear();
         self.groups.clear();
         self.coords.clear();
+        self.columns.clear();
     }
-
-    /// Captures a point-in-time copy of the full cache state.
-    ///
-    /// Together with [`restore`](PairCache::restore) this makes scratch
-    /// state serializable for engine snapshots. Note that checkpoints taken
-    /// at page boundaries never *need* a non-empty snapshot: the cache is
-    /// self-healing (its content is a pure function of `(owner, covered)`),
-    /// and every block evaluation re-derives it from the block's own fault
-    /// prefix, so a restored-empty cache is semantically identical to a
-    /// warm one. The snapshot exists so mid-block suspension (and tests)
-    /// can round-trip the exact incremental state.
-    #[must_use]
-    pub fn snapshot(&self) -> PairCacheSnapshot {
-        PairCacheSnapshot {
-            owner: self.owner,
-            covered: self.covered.clone(),
-            pairs: self.pairs.clone(),
-            masks: self.masks.clone(),
-            counts: self.counts.clone(),
-            clean: self.clean,
-            all_mask: self.all_mask,
-            positions: self.positions.clone(),
-            groups: self.groups.clone(),
-            coords: self.coords.clone(),
-        }
-    }
-
-    /// Restores the cache to a previously captured snapshot, replacing all
-    /// current state. A restored cache behaves exactly as the snapshotted
-    /// one did: [`matches`](PairCache::matches) succeeds for the same
-    /// `(owner, faults)` and [`begin`](PairCache::begin) resumes from the
-    /// same covered prefix.
-    pub fn restore(&mut self, snap: &PairCacheSnapshot) {
-        self.owner = snap.owner;
-        self.covered.clone_from(&snap.covered);
-        self.pairs.clone_from(&snap.pairs);
-        self.masks.clone_from(&snap.masks);
-        self.counts.clone_from(&snap.counts);
-        self.clean = snap.clean;
-        self.all_mask = snap.all_mask;
-        self.positions.clone_from(&snap.positions);
-        self.groups.clone_from(&snap.groups);
-        self.coords.clone_from(&snap.coords);
-    }
-}
-
-/// A point-in-time copy of a [`PairCache`], captured by
-/// [`PairCache::snapshot`] and replayed by [`PairCache::restore`].
-///
-/// Field-for-field mirror of the cache (the `covered` fault prefix is
-/// exposed here even though the live cache keeps it private, so snapshots
-/// can be serialized and compared by engine-state checkpointing).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PairCacheSnapshot {
-    /// [`PairCache::owner`] at capture time.
-    pub owner: u64,
-    /// The covered fault prefix ([`PairCache::covered`]).
-    pub covered: Vec<Fault>,
-    /// Cached pairs ([`PairCache::pairs`]).
-    pub pairs: Vec<CachedPair>,
-    /// Owner-defined masks ([`PairCache::masks`]).
-    pub masks: Vec<u128>,
-    /// Per-tag pair counts ([`PairCache::counts`]).
-    pub counts: Vec<u32>,
-    /// Zero-count tag total ([`PairCache::clean`]).
-    pub clean: usize,
-    /// Owner-defined summary mask ([`PairCache::all_mask`]).
-    pub all_mask: u128,
-    /// Partition positions ([`PairCache::positions`]).
-    pub positions: Vec<usize>,
-    /// Per-fault groups ([`PairCache::groups`]).
-    pub groups: Vec<u8>,
-    /// Per-fault coordinates ([`PairCache::coords`]).
-    pub coords: Vec<(u32, u32)>,
 }
 
 /// Hashes a policy configuration into a [`PairCache`] owner key.
@@ -374,26 +313,7 @@ pub trait RecoveryPolicy: Sync {
     /// documented approximation; schemes with a closed-form guarantee —
     /// ECP, base Aegis, SAFER — override this with an exact test).
     fn guaranteed(&self, faults: &[Fault]) -> bool {
-        let f = faults.len();
-        if f <= EXHAUSTIVE_SPLIT_LIMIT {
-            let mut wrong = vec![false; f];
-            (0u64..(1 << f)).all(|pattern| {
-                for (i, w) in wrong.iter_mut().enumerate() {
-                    *w = (pattern >> i) & 1 == 1;
-                }
-                self.recoverable(faults, &wrong)
-            })
-        } else {
-            let mut rng = SmallRng::seed_from_u64(guarantee_sample_seed(faults));
-            // One reused buffer for all sampled splits; `sample_split_into`
-            // consumes exactly the entropy the allocating form did, so the
-            // verdict stream is unchanged.
-            let mut wrong = Vec::with_capacity(f);
-            (0..SAMPLED_GUARANTEE_SPLITS).all(|_| {
-                sample_split_into(&mut rng, f, &mut wrong);
-                self.recoverable(faults, &wrong)
-            })
-        }
+        guaranteed_splits(self, faults)
     }
 
     /// [`guaranteed`](Self::guaranteed) with caller-provided working
@@ -413,9 +333,8 @@ pub trait RecoveryPolicy: Sync {
     }
 }
 
-/// Seed for the sampled branch of the default
-/// [`RecoveryPolicy::guaranteed`]: a deterministic hash of the fault set,
-/// so repeated queries agree. The guarantee criterion treats a partially
+/// Seed for the sampled branch of [`guaranteed_splits`]: a deterministic
+/// hash of the fault set, so repeated queries agree. The guarantee criterion treats a partially
 /// stuck cell as its fully stuck worst case, but the kind still feeds the
 /// seed (only when non-default, so all-Full populations keep their
 /// historical hashes).
@@ -429,41 +348,63 @@ fn guarantee_sample_seed(faults: &[Fault]) -> u64 {
     })
 }
 
-/// The default [`RecoveryPolicy::guaranteed`] enumeration discipline with
-/// caller-provided working memory: the same split stream (exhaustive up to
-/// [`EXHAUSTIVE_SPLIT_LIMIT`] faults, then [`SAMPLED_GUARANTEE_SPLITS`]
-/// deterministic samples from the same seed), but the split buffer lives
-/// in the arena and each split is decided through
-/// [`recoverable_with`](RecoveryPolicy::recoverable_with) — contractually
-/// identical to `recoverable`, so the verdict is unchanged while the
-/// policy's incremental pair state gets to serve every enumerated split.
+/// The default [`RecoveryPolicy::guaranteed`] enumeration discipline:
+/// every one of the `2^f` W/R splits up to [`EXHAUSTIVE_SPLIT_LIMIT`]
+/// faults, then [`SAMPLED_GUARANTEE_SPLITS`] samples seeded by a
+/// deterministic hash of the fault set, each decided by
+/// [`recoverable`](RecoveryPolicy::recoverable). Policies that narrow the
+/// question first (a closed-form bound) call it for the rest.
+pub fn guaranteed_splits<P: RecoveryPolicy + ?Sized>(policy: &P, faults: &[Fault]) -> bool {
+    enumerate_splits(faults, &mut Vec::new(), |wrong| {
+        policy.recoverable(faults, wrong)
+    })
+}
+
+/// [`guaranteed_splits`] with caller-provided working memory: the same
+/// split stream, but the split buffer lives in the arena and each split is
+/// decided through [`recoverable_with`](RecoveryPolicy::recoverable_with) —
+/// contractually identical to `recoverable`, so the verdict is unchanged
+/// while the policy's incremental pair state gets to serve every
+/// enumerated split.
 pub fn guaranteed_splits_with<P: RecoveryPolicy + ?Sized>(
     policy: &P,
     faults: &[Fault],
     scratch: &mut PolicyScratch,
 ) -> bool {
-    let f = faults.len();
     // Detach the driver-owned split buffer so the policy can borrow the
     // arena's own fields during each decision.
     let mut wrong = std::mem::take(&mut scratch.split);
-    let verdict = if f <= EXHAUSTIVE_SPLIT_LIMIT {
+    let verdict = enumerate_splits(faults, &mut wrong, |wrong| {
+        policy.recoverable_with(faults, wrong, scratch)
+    });
+    scratch.split = wrong;
+    verdict
+}
+
+/// Whether `decide` accepts every split of the guarantee enumeration over
+/// `faults`, built one at a time in `wrong`.
+fn enumerate_splits(
+    faults: &[Fault],
+    wrong: &mut Vec<bool>,
+    mut decide: impl FnMut(&[bool]) -> bool,
+) -> bool {
+    let f = faults.len();
+    if f <= EXHAUSTIVE_SPLIT_LIMIT {
         wrong.clear();
         wrong.resize(f, false);
         (0u64..(1 << f)).all(|pattern| {
             for (i, w) in wrong.iter_mut().enumerate() {
                 *w = (pattern >> i) & 1 == 1;
             }
-            policy.recoverable_with(faults, &wrong, scratch)
+            decide(wrong)
         })
     } else {
         let mut rng = SmallRng::seed_from_u64(guarantee_sample_seed(faults));
         (0..SAMPLED_GUARANTEE_SPLITS).all(|_| {
-            sample_split_into(&mut rng, f, &mut wrong);
-            policy.recoverable_with(faults, &wrong, scratch)
+            sample_split_into(&mut rng, f, wrong);
+            decide(wrong)
         })
-    };
-    scratch.split = wrong;
-    verdict
+    }
 }
 
 /// Bits in one word-parallel policy mask (`u128`): the most faults,
@@ -624,43 +565,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
-    }
-
-    #[test]
-    fn pair_cache_snapshot_round_trips() {
-        let mut cache = PairCache::default();
-        let key = cache_key(&[1, 9, 61]);
-        let fs = faults(3);
-        cache.begin(key, &fs);
-        for &f in &fs {
-            cache.commit(f);
-        }
-        cache.pairs.push(CachedPair { a: 0, b: 2, tag: 5 });
-        cache
-            .masks
-            .push(0xdead_beef_dead_beef_dead_beef_dead_beefu128);
-        cache.counts = vec![0, 1, 0];
-        cache.clean = 2;
-        cache.all_mask = 0xffu128 << 96;
-        cache.positions = vec![3, 1, 4];
-        cache.groups = vec![0, 1, 1];
-        cache.coords = vec![(0, 7), (1, 3), (2, 9)];
-
-        let snap = cache.snapshot();
-        let mut restored = PairCache::default();
-        restored.begin(cache_key(&[9, 9, 9]), &fs[..1]);
-        restored.restore(&snap);
-
-        // The restored cache is indistinguishable from the original: same
-        // ownership guard, same covered prefix, same derived state, and a
-        // re-snapshot is equal to the one it came from.
-        assert!(restored.matches(key, &fs));
-        assert_eq!(restored.begin(key, &fs), fs.len());
-        assert_eq!(restored.snapshot(), snap);
-
-        // An empty snapshot restores to the default (self-healing) state.
-        restored.restore(&PairCacheSnapshot::default());
-        assert_eq!(restored.begin(key, &fs), 0);
-        assert!(restored.pairs.is_empty());
     }
 }

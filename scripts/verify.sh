@@ -101,34 +101,41 @@ cmp "$shard_out/ref-stream.jsonl" "$shard_out/sh-stream.jsonl" \
     || { echo "merged telemetry stream differs from the unsharded run" >&2; exit 1; }
 rm -rf "$shard_out"
 
-# fig8 smoke (PR 8): the matched-overhead masking sweep split into two
-# page shards and merged back must reproduce the unsharded run — same
-# report, same fig8.csv — and the sweep must cover all three
-# partially-stuck fractions.
-fig8_out="${TMPDIR:-/tmp}/aegis-verify-fig8"
-rm -rf "$fig8_out"
-mkdir -p "$fig8_out/ref" "$fig8_out/sh"
-echo "==> experiments fig8 shard/merge smoke (2 shards vs unsharded)"
-cargo run --release --offline -p aegis-experiments -- \
-    fig8 --pages 4 --seed 7 --quiet --out "$fig8_out/ref" \
-    >"$fig8_out/ref-report.txt"
-for pct in 0 25 50; do
-    grep -q "^$pct," "$fig8_out/ref/fig8.csv" \
-        || { echo "fig8.csv missing the $pct% partially-stuck fraction" >&2; exit 1; }
-done
-for i in 0 1; do
+# fig8 smoke: the matched-overhead masking sweep split into two page
+# shards and merged back must reproduce the unsharded run — same report,
+# same fig8.csv — under the default criterion, `--samples 3` and
+# `--guaranteed`, and the sweep must cover all three partially-stuck
+# fractions.
+for crit in default "--samples 3" --guaranteed; do
+    flags=""
+    [ "$crit" = default ] || flags="$crit"
+    fig8_out="${TMPDIR:-/tmp}/aegis-verify-fig8"
+    rm -rf "$fig8_out"
+    mkdir -p "$fig8_out/ref" "$fig8_out/sh"
+    echo "==> experiments fig8 shard/merge smoke, $crit criterion (2 shards vs unsharded)"
+    # shellcheck disable=SC2086  # $flags is zero or more words
     cargo run --release --offline -p aegis-experiments -- \
-        shard fig8 --pages 4 --seed 7 --shards 2 --shard-id "$i" \
-        --quiet --out "$fig8_out/sh" >/dev/null
+        fig8 --pages 4 --seed 7 $flags --quiet --out "$fig8_out/ref" \
+        >"$fig8_out/ref-report.txt"
+    for pct in 0 25 50; do
+        grep -q "^$pct," "$fig8_out/ref/fig8.csv" \
+            || { echo "fig8.csv missing the $pct% partially-stuck fraction" >&2; exit 1; }
+    done
+    for i in 0 1; do
+        # shellcheck disable=SC2086
+        cargo run --release --offline -p aegis-experiments -- \
+            shard fig8 --pages 4 --seed 7 $flags --shards 2 --shard-id "$i" \
+            --quiet --out "$fig8_out/sh" >/dev/null
+    done
+    cargo run --release --offline -p aegis-experiments -- \
+        merge fig8-s7-shard1of2 fig8-s7-shard0of2 --quiet --out "$fig8_out/sh" \
+        >"$fig8_out/sh-report.txt"
+    cmp "$fig8_out/ref-report.txt" "$fig8_out/sh-report.txt" \
+        || { echo "merged fig8 report ($crit) differs from the unsharded run" >&2; exit 1; }
+    cmp "$fig8_out/ref/fig8.csv" "$fig8_out/sh/fig8.csv" \
+        || { echo "merged fig8.csv ($crit) differs from the unsharded run" >&2; exit 1; }
+    rm -rf "$fig8_out"
 done
-cargo run --release --offline -p aegis-experiments -- \
-    merge fig8-s7-shard1of2 fig8-s7-shard0of2 --quiet --out "$fig8_out/sh" \
-    >"$fig8_out/sh-report.txt"
-cmp "$fig8_out/ref-report.txt" "$fig8_out/sh-report.txt" \
-    || { echo "merged fig8 report differs from the unsharded run" >&2; exit 1; }
-cmp "$fig8_out/ref/fig8.csv" "$fig8_out/sh/fig8.csv" \
-    || { echo "merged fig8.csv differs from the unsharded run" >&2; exit 1; }
-rm -rf "$fig8_out"
 
 # fig9 and fig11 (fig11-13) smoke: the other chip-figure campaigns shard
 # and merge the same way — same report, CSVs and stripped stream as the

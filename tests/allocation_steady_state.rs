@@ -75,6 +75,8 @@ fn steady_state_evaluation_is_allocation_free() {
         (schemes::safer(7, BITS, false), "safer128"),
         (schemes::safer(6, BITS, true), "safer64-cache"),
         (schemes::rdis3(BITS), "rdis"),
+        (schemes::masking(2, BITS), "masking"),
+        (schemes::plbc(2, 1, BITS), "plbc"),
     ];
     let criteria = [
         FailureCriterion::PerEventSplit { samples: 1 },

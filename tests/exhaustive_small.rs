@@ -5,13 +5,16 @@
 //! against an independently written brute-force oracle (straight from the
 //! paper's §2.2/§2.4 prose), and the codecs against the predicates, with
 //! no sampling anywhere. RDIS-3's word-parallel verdict is held to its set
-//! construction on every fault subset of small grids the same way.
+//! construction on every fault subset of small grids the same way, and the
+//! incremental SAFER, masking and PLBC verdicts to their cold or scalar
+//! references on every fault subset of a 15- or 16-bit block.
 
 use aegis_pcm::aegis::{
     AegisCodec, AegisPolicy, AegisRwCodec, AegisRwPPolicy, AegisRwPolicy, Rectangle,
 };
 use aegis_pcm::baselines::{
-    combinations, MaskingCodec, PartitionSearch, PlbcCodec, RdisPolicy, RdisScheme, SaferPolicy,
+    combinations, MaskingCodec, MaskingPolicy, PartitionSearch, PlbcCodec, PlbcPolicy, RdisPolicy,
+    RdisScheme, SaferPolicy,
 };
 use aegis_pcm::bitblock::BitBlock;
 use aegis_pcm::codec::StuckAtCodec;
@@ -312,6 +315,132 @@ fn safer_incremental_verdicts_match_the_cold_replay_on_every_subset_at_m2() {
 #[test]
 fn safer_incremental_verdicts_match_the_cold_replay_on_every_subset_at_m3() {
     check_safer_incremental_on_every_subset(3);
+}
+
+/// The W/R splits the masking and PLBC pins try on `f` faults: every
+/// split up to 3 faults; past that, the all-R and all-W splits and, with
+/// `single_w`, every split with exactly one W fault (whose syndrome is that
+/// fault's own dependency column). The per-bit scalar references solve
+/// one linear system per split — PLBC's one per flip set — so a debug
+/// build affords only a few splits per subset on all `2^15` subsets.
+fn masking_pin_splits(f: usize, single_w: bool) -> Vec<u32> {
+    if f <= 3 {
+        return (0..1 << f).collect();
+    }
+    let mut splits = vec![0, u32::MAX >> (32 - f)];
+    if single_w {
+        splits.extend((0..f).map(|i| 1u32 << i));
+    }
+    splits
+}
+
+/// Masking's and PLBC's incremental verdicts — dependency columns grown one
+/// arrival at a time — equal the per-bit scalar reference on every fault
+/// subset of a 15-bit block (one full GF(2^4) field), fed in offset order:
+/// the warm verdict equals the reference's under [`masking_pin_splits`],
+/// and the warm guarantee the reference's on every population of at most
+/// `guarantee_faults` faults.
+fn check_masking_family_on_every_subset(
+    policy: &dyn RecoveryPolicy,
+    reference: &dyn RecoveryPolicy,
+    guarantee_faults: usize,
+    single_w: bool,
+) {
+    const BITS: usize = 15;
+    let name = policy.name();
+    assert_eq!(name, reference.name());
+    let mut scratch = PolicyScratch::new();
+    let mut faults = Vec::with_capacity(BITS);
+    let mut wrong = Vec::with_capacity(BITS);
+    let (mut recovered, mut died) = (0usize, 0usize);
+    for subset in 0u32..1 << BITS {
+        policy.forget_block(&mut scratch);
+        faults.clear();
+        for offset in (0..BITS).filter(|&o| subset >> o & 1 == 1) {
+            faults.push(Fault::new(offset, false));
+            policy.observe_fault(&faults, &mut scratch);
+        }
+        assert_eq!(scratch.pair_cache.covered(), &faults[..]);
+        if faults.len() <= guarantee_faults {
+            assert_eq!(
+                policy.guaranteed_with(&faults, &mut scratch),
+                reference.guaranteed(&faults),
+                "{name}/{BITS} guarantee: {faults:?}"
+            );
+        }
+        for split in masking_pin_splits(faults.len(), single_w) {
+            wrong.clear();
+            wrong.extend((0..faults.len()).map(|i| split >> i & 1 == 1));
+            let want = reference.recoverable(&faults, &wrong);
+            assert_eq!(
+                policy.recoverable_with(&faults, &wrong, &mut scratch),
+                want,
+                "{name}/{BITS}: {faults:?} {wrong:?}"
+            );
+            if want {
+                recovered += 1;
+            } else {
+                died += 1;
+            }
+        }
+    }
+    assert!(
+        recovered > 0 && died > 0,
+        "{name}/{BITS} never changes its verdict"
+    );
+}
+
+/// The masking pin at `t = 1`, with the guarantee on every subset (the
+/// reference's is a rank test) and every single-W split.
+#[test]
+fn masking_incremental_verdicts_match_the_scalar_reference_on_every_subset_at_t1() {
+    check_masking_family_on_every_subset(
+        &MaskingPolicy::new(1, 15),
+        &MaskingPolicy::scalar(1, 15),
+        15,
+        true,
+    );
+}
+
+/// The masking pin at `t = 2`.
+#[test]
+fn masking_incremental_verdicts_match_the_scalar_reference_on_every_subset_at_t2() {
+    check_masking_family_on_every_subset(
+        &MaskingPolicy::new(2, 15),
+        &MaskingPolicy::scalar(2, 15),
+        15,
+        true,
+    );
+}
+
+/// The PLBC pin at `t = 1`, `e = 1, 2`. The reference's guarantee
+/// enumerates `2^f` scalar splits, so it is pinned up to 4 faults (past the
+/// rank of `t = 1`'s 4-row matrix, so some populations carry a
+/// dependency); a single W fault is always within a pointer's reach, so
+/// only the all-R and all-W splits run past 3 faults.
+#[test]
+fn plbc_incremental_verdicts_match_the_scalar_reference_on_every_subset_at_t1() {
+    for e in [1, 2] {
+        check_masking_family_on_every_subset(
+            &PlbcPolicy::new(1, e, 15),
+            &PlbcPolicy::scalar(1, e, 15),
+            4,
+            false,
+        );
+    }
+}
+
+/// The PLBC pin at `t = 2`, `e = 1, 2`.
+#[test]
+fn plbc_incremental_verdicts_match_the_scalar_reference_on_every_subset_at_t2() {
+    for e in [1, 2] {
+        check_masking_family_on_every_subset(
+            &PlbcPolicy::new(2, e, 15),
+            &PlbcPolicy::scalar(2, e, 15),
+            5,
+            false,
+        );
+    }
 }
 
 #[test]

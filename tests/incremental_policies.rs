@@ -1,6 +1,6 @@
-//! Differential property suite for the PR 4 incremental predicates: for
+//! Differential property suite for the incremental predicates: for
 //! every policy family (Aegis, Aegis-rw, Aegis-rw-p, SAFER in both search
-//! and cache modes, RDIS, ECP), a warm [`PolicyScratch`] fed one fault at a
+//! and cache modes, RDIS, ECP, masking, PLBC), a warm [`PolicyScratch`] fed one fault at a
 //! time through `observe_fault` must produce `recoverable_with` verdicts
 //! identical to a cold-scratch recompute and to the stateless
 //! `recoverable` reference — across random fault arrival orders, random
@@ -26,7 +26,10 @@ use sim_rng::{prop_assert_eq, Rng, SeedableRng, SmallRng};
 /// the Aegis, RDIS and two incremental-SAFER configurations go to 130 so
 /// their `u128` masks set bits at and past 64 and 128 (RDIS and SAFER fall
 /// back past 128 faults, and a formation's slope masks only fill once
-/// every slope has a colliding pair).
+/// every slope has a colliding pair). The masking and PLBC kernels go to
+/// 128 (`MAX_MASK_FAULTS`, past which they panic), far past the `t·m`
+/// columns at which their rank saturates, so their `u128` dependency
+/// columns fill well past bit 64.
 const CONFIGS: &[(&str, usize, usize)] = &[
     ("aegis-9x61", 512, 130),
     ("aegis-rw-9x61", 512, 130),
@@ -40,10 +43,10 @@ const CONFIGS: &[(&str, usize, usize)] = &[
     ("rdis3-512", 512, 130),
     ("rdis3-64", 64, 64),
     ("ecp6", 512, 8),
-    ("mask2-512", 512, 8),
+    ("mask2-512", 512, 128),
     ("mask2-scalar-512", 512, 8),
     ("mask1-64", 64, 8),
-    ("plbc2+2-512", 512, 8),
+    ("plbc2+2-512", 512, 128),
     ("plbc2+2-scalar-512", 512, 8),
     ("plbc1+1-64", 64, 8),
     ("rdis3-256", 256, 130),
@@ -51,6 +54,9 @@ const CONFIGS: &[(&str, usize, usize)] = &[
     ("aegis-4x131", 512, 130),
     ("safer128", 512, 130),
     ("safer64-cache", 256, 130),
+    ("mask6-512", 512, 128),
+    ("plbc4+2-512", 512, 128),
+    ("plbc5+1-512", 512, 128),
 ];
 
 fn build_policy(config: usize, pointers: usize) -> Box<dyn RecoveryPolicy> {
@@ -120,6 +126,9 @@ fn build_policy(config: usize, pointers: usize) -> Box<dyn RecoveryPolicy> {
             true,
             PartitionSearch::Incremental,
         )),
+        23 => Box::new(MaskingPolicy::new(6, 512)),
+        24 => Box::new(PlbcPolicy::new(4, 2, 512)),
+        25 => Box::new(PlbcPolicy::new(5, 1, 512)),
         _ => unreachable!("generator stays within CONFIGS"),
     }
 }
@@ -207,11 +216,19 @@ fn shrink_case(case: &Case) -> Vec<Case> {
 
 /// The W/R split of `len` faults drawn from `seed`. Every fourth seed
 /// marks only about one fault in 64 W: with many faults, the sparse
-/// splits are the ones Aegis and RDIS can still recover.
+/// splits are the ones Aegis and RDIS can still recover. Another fourth
+/// marks W only among the 4 newest faults, so a late arrival's own
+/// dependency column — past bit 64 once a masking or PLBC rank has
+/// saturated long before — decides the verdict alone.
 fn split_for(seed: u64, len: usize) -> Vec<bool> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let w_rate = if seed % 4 == 3 { 1.0 / 64.0 } else { 0.5 };
-    (0..len).map(|_| rng.random_bool(w_rate)).collect()
+    match seed % 4 {
+        3 => (0..len).map(|_| rng.random_bool(1.0 / 64.0)).collect(),
+        2 => (0..len)
+            .map(|i| i + 4 >= len && rng.random_bool(0.5))
+            .collect(),
+        _ => (0..len).map(|_| rng.random_bool(0.5)).collect(),
+    }
 }
 
 /// The tentpole contract: warm incremental scratch ≡ cold recompute ≡
