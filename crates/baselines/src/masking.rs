@@ -142,7 +142,7 @@ impl MaskMatrix {
 }
 
 /// Incrementally reduced column basis of a fault population — the cold
-/// twin of the cache [`absorb_columns`] grows for the masking and PLBC
+/// twin of the cache `absorb_columns` grows for the masking and PLBC
 /// incremental paths, sharing its reduction step.
 ///
 /// Faults are absorbed in arrival order. Fault `k`'s column is reduced

@@ -13,7 +13,7 @@
 //!   SAFER32-ideal, whose recompute walks all 126 partition vectors while
 //!   the warm path ORs cached pair masks.
 //! - `page_eval_512_9x61` — a full Monte Carlo page evaluation (64
-//!   blocks) through `evaluate_page_with_scratch` (incremental engine) vs
+//!   blocks) through `evaluate_block_with_scratch` on each block (incremental engine) vs
 //!   a hand-rolled replica of the PR 3 event loop (no observation, full
 //!   recompute per split) over the identical pre-sampled timeline.
 //! - `scaling_512_9x61` — a scaled chip run through the sim-pool with one
@@ -30,8 +30,7 @@ use aegis_baselines::{PartitionSearch, SaferPolicy};
 use aegis_bench::faulty_block;
 use aegis_core::{AegisPolicy, Rectangle};
 use pcm_sim::montecarlo::{
-    evaluate_block_with_scratch, evaluate_page_with_scratch, run_memory, BlockOutcome,
-    FailureCriterion, SimConfig,
+    evaluate_block_with_scratch, run_memory, BlockOutcome, FailureCriterion, SimConfig,
 };
 use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
 use pcm_sim::timeline::{PageTimeline, TimelineSampler};
@@ -178,13 +177,15 @@ fn bench_page_eval(c: &mut Bench) {
     let mut scratch = PolicyScratch::new();
     group.bench_function("incremental", |b| {
         b.iter(|| {
-            black_box(evaluate_page_with_scratch(
-                &policy,
-                black_box(&page),
-                criterion,
-                None,
-                &mut scratch,
-            ))
+            for block in &black_box(&page).blocks {
+                black_box(evaluate_block_with_scratch(
+                    &policy,
+                    block,
+                    criterion,
+                    None,
+                    &mut scratch,
+                ));
+            }
         });
     });
 

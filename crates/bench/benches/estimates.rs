@@ -6,8 +6,8 @@
 //! throttled shared runner (see `series.rs` for the full argument), so
 //! the group times the *denominator* and the *added work* separately:
 //!
-//! - `unit` — one bare scaled chip run (`runner::run_chip_with`, one
-//!   worker, registry-only observer): what a `(block_bits, scheme)`
+//! - `unit` — one bare scaled chip run (`campaign::run_specs` over one
+//!   unit spec, one worker, registry-only observer): what a `(block_bits, scheme)`
 //!   unit costs before any estimate work.
 //! - `per_unit_overhead` — exactly the recurring work PR 10 adds at a
 //!   unit barrier: folding the finished unit's per-page lifetimes and
@@ -32,7 +32,8 @@
 //! `bench-gate` binary alongside the PR 3/4/5/7/9 documents.
 
 use aegis_core::{AegisPolicy, Rectangle};
-use aegis_experiments::runner::{self, unit_estimates, RunObserver, RunOptions};
+use aegis_experiments::campaign::{self, UnitSpec};
+use aegis_experiments::runner::{unit_estimates, RunObserver, RunOptions};
 use aegis_experiments::schemes::Policy;
 use sim_rng::bench::{Bench, Record};
 use sim_rng::bench_group;
@@ -67,25 +68,36 @@ fn options() -> RunOptions {
     }
 }
 
+/// The one 512-bit campaign unit of [`policy`] over the chip of `opts`.
+fn unit(opts: &RunOptions) -> UnitSpec {
+    let policy = policy();
+    UnitSpec {
+        label: policy.name(),
+        cfg: opts.sim_config(512),
+        policy,
+    }
+}
+
 fn bench_estimate_overhead(c: &mut Bench) {
     let mut group = c.benchmark_group("estimate_overhead_512_9x61");
     group.sample_size(20);
-    let policy = policy();
     let opts = options();
     let pages = opts.pages as u64;
+    let unit = [unit(&opts)];
 
     // Denominator: the bare unit, registry-only observer.
     let registry = Registry::new();
     group.bench_function("unit", |b| {
         b.iter(|| {
             let observer = RunObserver::with_registry(&registry);
-            black_box(runner::run_chip_with(&policy, 512, &opts, &observer));
+            black_box(campaign::run_specs(&unit, opts.pages, &observer));
         });
     });
 
     // One finished unit to fold estimates from — the same per-page
     // result vectors every real barrier snapshot reads.
-    let run = runner::run_chip_with(&policy, 512, &opts, &RunObserver::with_registry(&registry));
+    let run =
+        campaign::run_specs(&unit, opts.pages, &RunObserver::with_registry(&registry)).remove(0);
 
     // Numerator: the recurring estimate work a `--series --status` run
     // adds at each unit barrier on top of the PR 7 sidecar costs.

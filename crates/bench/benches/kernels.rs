@@ -26,7 +26,7 @@
 use aegis_bench::{faulty_block, random_data};
 use aegis_core::{AegisCodec, AegisPolicy, Rectangle};
 use pcm_sim::codec::StuckAtCodec;
-use pcm_sim::montecarlo::{evaluate_page_with_scratch, FailureCriterion};
+use pcm_sim::montecarlo::{evaluate_block_with_scratch, FailureCriterion};
 use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
 use pcm_sim::timeline::TimelineSampler;
 use sim_rng::bench::Bench;
@@ -169,13 +169,15 @@ fn bench_fig5_page(c: &mut Bench) {
     let mut scratch = PolicyScratch::new();
     group.bench_function("kernel", |b| {
         b.iter(|| {
-            black_box(evaluate_page_with_scratch(
-                &kernel,
-                black_box(&page),
-                criterion,
-                None,
-                &mut scratch,
-            ))
+            for block in &black_box(&page).blocks {
+                black_box(evaluate_block_with_scratch(
+                    &kernel,
+                    block,
+                    criterion,
+                    None,
+                    &mut scratch,
+                ));
+            }
         });
     });
 
@@ -183,13 +185,15 @@ fn bench_fig5_page(c: &mut Bench) {
     let mut scratch = PolicyScratch::new();
     group.bench_function("scalar", |b| {
         b.iter(|| {
-            black_box(evaluate_page_with_scratch(
-                &scalar,
-                black_box(&page),
-                criterion,
-                None,
-                &mut scratch,
-            ))
+            for block in &black_box(&page).blocks {
+                black_box(evaluate_block_with_scratch(
+                    &scalar,
+                    block,
+                    criterion,
+                    None,
+                    &mut scratch,
+                ));
+            }
         });
     });
     group.finish();

@@ -8,8 +8,8 @@
 //! direction regardless of the true overhead. Instead the group times
 //! the *denominator* and the *added work* separately:
 //!
-//! - `unit` — one bare scaled chip run (`runner::run_chip_with`, one
-//!   worker, a registry-only observer): what a `(block_bits, scheme)`
+//! - `unit` — one bare scaled chip run (`campaign::run_specs` over one
+//!   unit spec, one worker, a registry-only observer): what a `(block_bits, scheme)`
 //!   unit costs with telemetry on and sidecars off.
 //! - `per_unit_overhead` — exactly the recurring instrumentation a
 //!   `--series --status` run adds to that unit: `begin_phase` (forced
@@ -39,7 +39,8 @@
 //! `bench-gate` binary alongside the PR 3/4/5 documents.
 
 use aegis_core::{AegisPolicy, Rectangle};
-use aegis_experiments::runner::{self, RunObserver, RunOptions};
+use aegis_experiments::campaign::{self, UnitSpec};
+use aegis_experiments::runner::{RunObserver, RunOptions};
 use aegis_experiments::schemes::Policy;
 use sim_rng::bench::{Bench, Record};
 use sim_rng::bench_group;
@@ -79,12 +80,22 @@ fn options() -> RunOptions {
     }
 }
 
+/// The one 512-bit campaign unit of [`policy`] over the chip of `opts`.
+fn unit(opts: &RunOptions) -> UnitSpec {
+    let policy = policy();
+    UnitSpec {
+        label: policy.name(),
+        cfg: opts.sim_config(512),
+        policy,
+    }
+}
+
 fn bench_series_overhead(c: &mut Bench) {
     let mut group = c.benchmark_group("series_overhead_512_9x61");
     group.sample_size(20);
-    let policy = policy();
     let opts = options();
     let pages = opts.pages as u64;
+    let unit = [unit(&opts)];
 
     // Denominator: the bare unit, registry-only observer — the plain
     // `--telemetry` path exactly as every pre-PR 7 run paid it.
@@ -92,7 +103,7 @@ fn bench_series_overhead(c: &mut Bench) {
     group.bench_function("unit", |b| {
         b.iter(|| {
             let observer = RunObserver::with_registry(&registry);
-            black_box(runner::run_chip_with(&policy, 512, &opts, &observer));
+            black_box(campaign::run_specs(&unit, opts.pages, &observer));
         });
     });
     // The registry now carries the mc.* counters a real run accumulates,

@@ -2,7 +2,7 @@
 //! untraced engine it wraps.
 //!
 //! One benchmark group, `tracing_overhead_512_9x61`, times three legs of
-//! the same scaled chip run (`run_memory_with`, two pool workers) in the
+//! the same scaled chip run (`run_memory_pass`, two pool workers) in the
 //! same process:
 //!
 //! - `off` — no tracer handed to the hooks; the engine takes the plain
@@ -25,7 +25,7 @@
 //! against the PR 4 record this PR must stay within 2% of.
 
 use aegis_core::{AegisPolicy, Rectangle};
-use pcm_sim::montecarlo::{run_memory_with, RunHooks, SimConfig};
+use pcm_sim::montecarlo::{run_memory_pass, MemoryRun, PassHooks, SimConfig};
 use sim_rng::bench::{Bench, Record};
 use sim_rng::bench_group;
 use sim_telemetry::{escape, Tracer};
@@ -57,24 +57,29 @@ fn config() -> SimConfig {
     }
 }
 
+/// The chip run of `config` for `policy` under `hooks`.
+fn run(policy: &AegisPolicy, hooks: &PassHooks<'_>) -> MemoryRun {
+    let cfg = config();
+    run_memory_pass(&[policy], &cfg, 0, cfg.pages, hooks).remove(0)
+}
+
 fn bench_tracing_overhead(c: &mut Bench) {
     let mut group = c.benchmark_group("tracing_overhead_512_9x61");
     group.sample_size(20);
     let policy = policy();
-    let cfg = config();
 
     group.bench_function("off", |b| {
-        b.iter(|| black_box(run_memory_with(&policy, &cfg, &RunHooks::default())));
+        b.iter(|| black_box(run(&policy, &PassHooks::default())));
     });
 
     let disabled = Tracer::disabled();
     group.bench_function("disabled", |b| {
         b.iter(|| {
-            let hooks = RunHooks {
+            let hooks = PassHooks {
                 tracer: Some(&disabled),
-                ..RunHooks::default()
+                ..PassHooks::default()
             };
-            black_box(run_memory_with(&policy, &cfg, &hooks))
+            black_box(run(&policy, &hooks))
         });
     });
 
@@ -84,13 +89,13 @@ fn bench_tracing_overhead(c: &mut Bench) {
             // cost an instrumented `--trace` invocation pays: ring
             // allocation, span recording, and the closing drain.
             let tracer = Tracer::with_default_capacity();
-            let hooks = RunHooks {
+            let hooks = PassHooks {
                 tracer: Some(&tracer),
-                ..RunHooks::default()
+                ..PassHooks::default()
             };
-            let run = run_memory_with(&policy, &cfg, &hooks);
+            let traced = run(&policy, &hooks);
             black_box(tracer.finish("bench"));
-            black_box(run)
+            black_box(traced)
         });
     });
     group.finish();
@@ -112,14 +117,12 @@ fn leg_median(records: &[Record], name: &str) -> f64 {
 /// the bench document carries worker-level occupancy next to the
 /// overhead ratios.
 fn worker_utilization_json() -> String {
-    let policy = policy();
-    let cfg = config();
     let tracer = Tracer::with_default_capacity();
-    let hooks = RunHooks {
+    let hooks = PassHooks {
         tracer: Some(&tracer),
-        ..RunHooks::default()
+        ..PassHooks::default()
     };
-    let _ = run_memory_with(&policy, &cfg, &hooks);
+    let _ = run(&policy(), &hooks);
     let log = tracer
         .finish("bench-BENCH_pr5")
         .expect("enabled tracer yields a log");

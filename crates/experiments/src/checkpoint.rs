@@ -168,7 +168,8 @@ impl Checkpoint {
     ///
     /// Returns a message naming the malformed field.
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        let value = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let value =
+            Json::parse(text).map_err(|e| format!("invalid JSON: {}", e.locate(text, 0)))?;
         let version = value
             .u64_field("version")
             .ok_or("missing 'version' field")?;

@@ -2,7 +2,8 @@
 //!
 //! Exit codes: `0` success, `1` runtime (I/O) failure, `2` usage error
 //! (unknown command/option or a malformed value — the offending token is
-//! echoed with the usage text).
+//! echoed with the usage text — or a malformed input file, named with
+//! its offending line).
 
 use aegis_experiments::campaign::{self, UnitSpec};
 use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
@@ -148,6 +149,7 @@ Options:
   --quiet         Suppress progress/status output (for CI); reports still print
 ";
 
+#[derive(Default)]
 struct Cli {
     command: String,
     positionals: Vec<String>,
@@ -179,28 +181,10 @@ fn parse_args() -> Result<Cli, String> {
     let command = args.next().ok_or_else(|| USAGE.to_owned())?;
     let mut cli = Cli {
         command,
-        positionals: Vec::new(),
-        opts: RunOptions::default(),
         out_dir: PathBuf::from("results"),
-        telemetry: false,
-        run_id: None,
-        progress: false,
-        quiet: false,
-        trace: false,
-        trace_block: None,
         top: 10,
-        checkpoint_every: None,
-        resume: None,
-        shards: None,
-        shard_id: None,
-        series: false,
-        series_every: 0,
-        status: false,
-        once: false,
-        json: false,
         interval: 2,
-        threshold: None,
-        target_rse: None,
+        ..Cli::default()
     };
     let mut samples = 1u32;
     let mut guaranteed = false;
@@ -402,18 +386,28 @@ impl Ctx<'_> {
             _trace: self.tracer.span(name),
         })
     }
-}
 
-fn run_table1(ctx: &Ctx) -> std::io::Result<()> {
-    let table = {
-        let _span = ctx.span("table1.analytic")?;
-        table1::run(512)
-    };
-    println!("{}", table1::report(&table));
-    for note in table1::diff_against_paper(&table) {
-        println!("note: {note} (documented in EXPERIMENTS.md)");
+    /// Runs a study outside the campaign driver: prints its `status` line,
+    /// runs it inside the stream span `span`, prints its report and writes
+    /// its CSV.
+    fn study<T: std::borrow::Borrow<R>, R: ?Sized>(
+        &self,
+        status: Option<String>,
+        span: &str,
+        run: impl FnOnce() -> T,
+        report: fn(&R) -> String,
+        csv: fn(&R, &Path) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        if let Some(line) = status {
+            self.status(&line);
+        }
+        let results = {
+            let _span = self.span(span)?;
+            run()
+        };
+        println!("{}", report(results.borrow()));
+        csv(results.borrow(), self.out)
     }
-    table1::write_csv(&table, ctx.out)
 }
 
 /// Prints the reports `command` asks for from a campaign's unit runs, in
@@ -495,135 +489,173 @@ fn print_reports<T>(command: &str, results: &T, reports: [Report<T>; 3]) {
     }
 }
 
-fn run_failcdf(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[failcdf] simulating {} blocks per scheme…",
-        ctx.opts.trials
-    ));
-    let results = {
-        let _span = ctx.span("failcdf.montecarlo")?;
-        failcdf::run(ctx.opts)
-    };
-    println!("{}", failcdf::report(&results));
-    failcdf::write_csv(&results, ctx.out)
+/// How [`dispatch`] runs a simulation command.
+#[derive(Clone, Copy)]
+enum Runs {
+    /// A chip-figure campaign ([`campaign_specs`]).
+    Campaign,
+    /// Another figure of the campaign listed before it; `all` runs that
+    /// campaign once.
+    SameCampaign,
+    /// A study outside the campaign driver, run through [`Ctx::study`].
+    Study(fn(&Ctx) -> std::io::Result<()>),
 }
 
-fn run_fig10(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[fig10] sweeping pointer counts over {} blocks…",
-        ctx.opts.trials
-    ));
-    let results = {
-        let _span = ctx.span("fig10.montecarlo")?;
-        fig10::run(ctx.opts)
-    };
-    println!("{}", fig10::report(&results));
-    fig10::write_csv(&results, ctx.out)
-}
-
-fn run_wearlevel(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status("[wearlevel] leveling skewed write streams…");
-    let results = {
-        let _span = ctx.span("wearlevel.sim")?;
-        wearlevel_check::run(256, 2_000_000, ctx.opts.seed)
-    };
-    println!("{}", wearlevel_check::report(&results));
-    wearlevel_check::write_csv(&results, ctx.out)
-}
-
-fn run_payg(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[payg] matched-budget PAYG comparison over {} pages…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("payg.montecarlo")?;
-        payg_check::run(ctx.opts)
-    };
-    println!("{}", payg_check::report(&results));
-    payg_check::write_csv(&results, ctx.out)
-}
-
-fn run_cachestudy(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status("[cachestudy] wearing out functional Aegis-rw blocks…");
-    let results = {
-        let _span = ctx.span("cachestudy.sim")?;
-        cachestudy::run(16, ctx.opts.seed)
-    };
-    println!("{}", cachestudy::report(&results));
-    cachestudy::write_csv(&results, ctx.out)
-}
-
-fn run_osassist(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status(&format!(
-        "[osassist] FREE-p and pairing over {} pages…",
-        ctx.opts.pages
-    ));
-    let results = {
-        let _span = ctx.span("osassist.montecarlo")?;
-        osassist::run(ctx.opts)
-    };
-    println!("{}", osassist::report(&results));
-    osassist::write_csv(&results, ctx.out)
-}
-
-fn run_writecost(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status("[writecost] sweeping fault counts over functional codecs…");
-    let results = {
-        let _span = ctx.span("writecost.codecs")?;
-        writecost::run_with(
-            24,
-            16,
-            ctx.opts.seed,
-            ctx.tel.is_enabled().then(|| ctx.tel.registry()),
-        )
-    };
-    println!("{}", writecost::report(&results));
-    writecost::write_csv(&results, ctx.out)
-}
-
-fn run_biasstudy(ctx: &Ctx) -> std::io::Result<()> {
-    ctx.status("[biasstudy] sweeping data / stuck-value skew…");
-    let results = {
-        let _span = ctx.span("biasstudy.sim")?;
-        biasstudy::run(200, ctx.opts.seed)
-    };
-    println!("{}", biasstudy::report(&results));
-    biasstudy::write_csv(&results, ctx.out)
-}
+/// Every simulation command, in the order `all` runs them.
+const COMMANDS: &[(&str, Runs)] = &[
+    (
+        "table1",
+        Runs::Study(|ctx| {
+            let report = |table: &table1::Table1| {
+                let mut text = table1::report(table);
+                for note in table1::diff_against_paper(table) {
+                    text += &format!("\nnote: {note} (documented in EXPERIMENTS.md)");
+                }
+                text
+            };
+            ctx.study(
+                None,
+                "table1.analytic",
+                || table1::run(512),
+                report,
+                table1::write_csv,
+            )
+        }),
+    ),
+    ("fig5", Runs::Campaign),
+    ("fig6", Runs::SameCampaign),
+    ("fig7", Runs::SameCampaign),
+    ("fig8", Runs::Campaign),
+    (
+        "failcdf",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some(format!(
+                    "[failcdf] simulating {} blocks per scheme…",
+                    ctx.opts.trials
+                )),
+                "failcdf.montecarlo",
+                || failcdf::run(ctx.opts),
+                failcdf::report,
+                failcdf::write_csv,
+            )
+        }),
+    ),
+    ("fig9", Runs::Campaign),
+    (
+        "fig10",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some(format!(
+                    "[fig10] sweeping pointer counts over {} blocks…",
+                    ctx.opts.trials
+                )),
+                "fig10.montecarlo",
+                || fig10::run(ctx.opts),
+                fig10::report,
+                fig10::write_csv,
+            )
+        }),
+    ),
+    ("fig11", Runs::Campaign),
+    ("fig12", Runs::SameCampaign),
+    ("fig13", Runs::SameCampaign),
+    (
+        "wearlevel",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some("[wearlevel] leveling skewed write streams…".to_owned()),
+                "wearlevel.sim",
+                || wearlevel_check::run(256, 2_000_000, ctx.opts.seed),
+                wearlevel_check::report,
+                wearlevel_check::write_csv,
+            )
+        }),
+    ),
+    (
+        "payg",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some(format!(
+                    "[payg] matched-budget PAYG comparison over {} pages…",
+                    ctx.opts.pages
+                )),
+                "payg.montecarlo",
+                || payg_check::run(ctx.opts),
+                payg_check::report,
+                payg_check::write_csv,
+            )
+        }),
+    ),
+    (
+        "cachestudy",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some("[cachestudy] wearing out functional Aegis-rw blocks…".to_owned()),
+                "cachestudy.sim",
+                || cachestudy::run(16, ctx.opts.seed),
+                cachestudy::report,
+                cachestudy::write_csv,
+            )
+        }),
+    ),
+    (
+        "osassist",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some(format!(
+                    "[osassist] FREE-p and pairing over {} pages…",
+                    ctx.opts.pages
+                )),
+                "osassist.montecarlo",
+                || osassist::run(ctx.opts),
+                osassist::report,
+                osassist::write_csv,
+            )
+        }),
+    ),
+    (
+        "writecost",
+        Runs::Study(|ctx| {
+            let registry = ctx.tel.is_enabled().then(|| ctx.tel.registry());
+            ctx.study(
+                Some("[writecost] sweeping fault counts over functional codecs…".to_owned()),
+                "writecost.codecs",
+                || writecost::run_with(24, 16, ctx.opts.seed, registry),
+                writecost::report,
+                writecost::write_csv,
+            )
+        }),
+    ),
+    (
+        "biasstudy",
+        Runs::Study(|ctx| {
+            ctx.study(
+                Some("[biasstudy] sweeping data / stuck-value skew…".to_owned()),
+                "biasstudy.sim",
+                || biasstudy::run(200, ctx.opts.seed),
+                biasstudy::report,
+                biasstudy::write_csv,
+            )
+        }),
+    ),
+];
 
 /// Runs `command`, printing the reports `shown` asks for (`all` prints
 /// every report of a campaign); `None` for an unknown command.
 fn dispatch(command: &str, shown: &str, ctx: &Ctx) -> Option<std::io::Result<()>> {
-    Some(match command {
-        "table1" => run_table1(ctx),
-        "failcdf" => run_failcdf(ctx),
-        "fig10" => run_fig10(ctx),
-        "wearlevel" => run_wearlevel(ctx),
-        "payg" => run_payg(ctx),
-        "cachestudy" => run_cachestudy(ctx),
-        "osassist" => run_osassist(ctx),
-        "writecost" => run_writecost(ctx),
-        "biasstudy" => run_biasstudy(ctx),
-        "all" => [
-            "table1",
-            "fig5",
-            "fig8",
-            "failcdf",
-            "fig9",
-            "fig10",
-            "fig11",
-            "wearlevel",
-            "payg",
-            "cachestudy",
-            "osassist",
-            "writecost",
-            "biasstudy",
-        ]
-        .into_iter()
-        .try_for_each(|command| dispatch(command, "all", ctx).expect("a known command")),
-        figure => return ctx.campaign(figure, shown),
-    })
+    if command == "all" {
+        return Some(
+            COMMANDS
+                .iter()
+                .filter(|(_, runs)| !matches!(runs, Runs::SameCampaign))
+                .try_for_each(|&(name, _)| dispatch(name, "all", ctx).expect("a known command")),
+        );
+    }
+    match COMMANDS.iter().find(|&&(name, _)| name == command)?.1 {
+        Runs::Study(run) => Some(run(ctx)),
+        Runs::Campaign | Runs::SameCampaign => ctx.campaign(command, shown),
+    }
 }
 
 const USAGE_ERROR: u8 = 2;
@@ -674,13 +706,6 @@ mod sigint {
     pub fn install() {}
 }
 
-fn criterion_label(criterion: FailureCriterion) -> String {
-    match criterion {
-        FailureCriterion::PerEventSplit { samples } => format!("per-event-split:{samples}"),
-        FailureCriterion::GuaranteedAllData => "guaranteed-all-data".to_owned(),
-    }
-}
-
 /// The configuration fingerprint stored in checkpoints and cross-checked
 /// on `--resume`.
 fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
@@ -690,7 +715,7 @@ fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
         ("pages".to_owned(), cli.opts.pages.to_string()),
         ("trials".to_owned(), cli.opts.trials.to_string()),
         ("page_bytes".to_owned(), cli.opts.page_bytes.to_string()),
-        ("criterion".to_owned(), criterion_label(cli.opts.criterion)),
+        ("criterion".to_owned(), cli.opts.criterion.to_string()),
         (
             "target_rse".to_owned(),
             cli.target_rse
@@ -748,26 +773,12 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
         cli.opts.page_bytes,
         defaults.page_bytes,
     )?;
-    let criterion = stored("criterion")?;
-    let current_label = criterion_label(cli.opts.criterion);
-    if current_label != criterion && current_label != criterion_label(defaults.criterion) {
-        return Err(format!(
-            "checkpoint was taken with criterion={criterion} but the command line says \
-             criterion={current_label}; drop the conflicting option or start a fresh run"
-        ));
-    }
-    cli.opts.criterion = match criterion {
-        "guaranteed-all-data" => FailureCriterion::GuaranteedAllData,
-        label => {
-            let samples = label
-                .strip_prefix("per-event-split:")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    format!("checkpoint fingerprint criterion '{label}' is malformed")
-                })?;
-            FailureCriterion::PerEventSplit { samples }
-        }
-    };
+    cli.opts.criterion = adopt(
+        "criterion",
+        stored("criterion")?,
+        cli.opts.criterion,
+        defaults.criterion,
+    )?;
     // Snapshots taken before the reference mode left the CLI also carry
     // `predicate_mode`; both modes gave identical output, so it is ignored.
     // Early-stop target. Checkpoints written before the key existed mean
@@ -799,7 +810,7 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
     tel.set_meta("pages", &cli.opts.pages.to_string());
     tel.set_meta("trials", &cli.opts.trials.to_string());
     tel.set_meta("page_bytes", &cli.opts.page_bytes.to_string());
-    tel.set_meta("criterion", &criterion_label(cli.opts.criterion));
+    tel.set_meta("criterion", &cli.opts.criterion.to_string());
     // The resolved worker count is replay metadata, not stream data: the
     // event stream stays identical at any thread count.
     tel.set_meta(
@@ -986,7 +997,13 @@ fn run_merge(cli: &Cli) -> ExitCode {
             Ok(input) => inputs.push(input),
             Err(err) => {
                 eprintln!("merge: shard '{id}': {err}");
-                return ExitCode::FAILURE;
+                // A malformed shard file is bad input; a missing one is
+                // an I/O failure.
+                return if err.kind() == std::io::ErrorKind::InvalidData {
+                    ExitCode::from(USAGE_ERROR)
+                } else {
+                    ExitCode::FAILURE
+                };
             }
         }
     }
@@ -1263,45 +1280,19 @@ fn main() -> ExitCode {
             return ExitCode::from(USAGE_ERROR);
         }
     };
-    if cli.command == "telemetry-report" {
-        return run_telemetry_report(&cli);
+    let tool: Option<fn(&Cli) -> ExitCode> = match cli.command.as_str() {
+        "telemetry-report" => Some(run_telemetry_report),
+        "telemetry-analyze" => Some(run_telemetry_analyze),
+        "shard" => Some(run_shard),
+        "merge" => Some(run_merge),
+        "monitor" => Some(run_monitor),
+        "telemetry-diff" => Some(run_telemetry_diff),
+        _ => None,
+    };
+    if let Some(tool) = tool {
+        return tool(&cli);
     }
-    if cli.command == "telemetry-analyze" {
-        return run_telemetry_analyze(&cli);
-    }
-    if cli.command == "shard" {
-        return run_shard(&cli);
-    }
-    if cli.command == "merge" {
-        return run_merge(&cli);
-    }
-    if cli.command == "monitor" {
-        return run_monitor(&cli);
-    }
-    if cli.command == "telemetry-diff" {
-        return run_telemetry_diff(&cli);
-    }
-    const COMMANDS: &[&str] = &[
-        "table1",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "failcdf",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "wearlevel",
-        "payg",
-        "cachestudy",
-        "osassist",
-        "writecost",
-        "biasstudy",
-        "all",
-    ];
-    if !COMMANDS.contains(&cli.command.as_str()) {
+    if cli.command != "all" && !COMMANDS.iter().any(|&(name, _)| name == cli.command) {
         // Reject before any telemetry files are created for a bogus run.
         eprintln!("unknown command '{}'\n\n{USAGE}", cli.command);
         return ExitCode::from(USAGE_ERROR);

@@ -226,21 +226,18 @@ impl<'a> RunObserver<'a> {
         }
     }
 
-    /// Marks one Monte Carlo unit of `pages` pages complete: samples the
-    /// time-series sidecar from the registry and folds the pages into the
-    /// status heartbeat's base count. The campaign executor calls it at
-    /// every unit barrier, in unit order, once the unit's last chunk lands,
-    /// keeping the sidecars identical however the run is chunked.
-    pub fn unit_barrier(&self, pages: u64) {
-        self.unit_barrier_with(pages, &[]);
-    }
-
-    /// [`unit_barrier`](Self::unit_barrier) carrying the completed unit's
-    /// statistical estimates: they ride into the series sidecar (one
-    /// `series_estimate` line per metric, before the volatile tail) and
-    /// replace the status heartbeat's estimate table. The deterministic
-    /// event stream is never touched — estimates live only in sidecars,
-    /// so enabling them cannot perturb the byte-identity contract.
+    /// Marks one Monte Carlo unit of `pages` pages complete, carrying its
+    /// statistical estimates. The campaign executor calls it at every unit
+    /// barrier, in unit order, once the unit's last chunk lands, keeping
+    /// the sidecars identical however the run is chunked:
+    /// - the time-series sidecar is sampled from the registry, with one
+    ///   `series_estimate` line per estimate before the volatile tail;
+    /// - the status heartbeat folds the pages into its base count, and
+    ///   the estimates replace its estimate table.
+    ///
+    /// The deterministic event stream is never touched — estimates live
+    /// only in sidecars, so enabling them cannot perturb the byte-identity
+    /// contract.
     pub fn unit_barrier_with(&self, pages: u64, estimates: &[UnitEstimate]) {
         if let (Some(series), Some(registry)) = (self.series, self.registry) {
             let _ = series.advance_with(registry, pages, estimates);
@@ -288,19 +285,6 @@ pub(crate) fn run_policies(
         .into_iter()
         .map(|unit| unit.run)
         .collect()
-}
-
-/// Runs one policy and returns the raw chip run.
-#[must_use]
-pub fn run_chip_with(
-    policy: &Policy,
-    block_bits: usize,
-    opts: &RunOptions,
-    observer: &RunObserver<'_>,
-) -> MemoryRun {
-    run_policies(&[policy.as_ref()], &opts.sim_config(block_bits), observer)
-        .pop()
-        .expect("a campaign returns one run per unit")
 }
 
 #[cfg(test)]

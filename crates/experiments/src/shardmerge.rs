@@ -59,7 +59,7 @@ pub struct ShardInput {
 /// # Errors
 ///
 /// I/O errors pass through; malformed documents surface as
-/// [`io::ErrorKind::InvalidData`].
+/// [`io::ErrorKind::InvalidData`], naming the file and the offending line.
 pub fn read_shard(telemetry_dir: &Path, run_id: &str) -> io::Result<ShardInput> {
     let invalid = |path: &Path, msg: String| {
         io::Error::new(
@@ -68,8 +68,9 @@ pub fn read_shard(telemetry_dir: &Path, run_id: &str) -> io::Result<ShardInput> 
         )
     };
     let manifest_path = telemetry_dir.join(format!("{run_id}.manifest.json"));
-    let manifest = RunManifest::parse(&std::fs::read_to_string(&manifest_path)?)
-        .map_err(|e| invalid(&manifest_path, e.to_string()))?;
+    let text = std::fs::read_to_string(&manifest_path)?;
+    let manifest = RunManifest::parse(&text)
+        .map_err(|e| invalid(&manifest_path, e.locate(&text, 0).to_string()))?;
     let stream_path = telemetry_dir.join(format!("{run_id}.jsonl"));
     let events = Event::parse_stream(&std::fs::read_to_string(&stream_path)?)
         .map_err(|e| invalid(&stream_path, e.to_string()))?;

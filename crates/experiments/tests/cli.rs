@@ -899,6 +899,88 @@ fn merge_refuses_mismatched_or_missing_shards() {
 }
 
 #[test]
+fn merge_names_the_malformed_line_of_a_shard_file() {
+    let dir = std::env::temp_dir().join("aegis-cli-merge-malformed");
+    let _ = std::fs::remove_dir_all(&dir);
+    for shard_id in ["0", "1"] {
+        let shard = experiments()
+            .args([
+                "shard", "fig5", "--pages", "2", "--seed", "3", "--shards", "2",
+            ])
+            .args(["--shard-id", shard_id, "--run-id", &format!("s{shard_id}")])
+            .args(["--quiet", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        assert!(
+            shard.status.success(),
+            "{}",
+            String::from_utf8_lossy(&shard.stderr)
+        );
+    }
+    let tel = dir.join("telemetry");
+    let merge = || {
+        experiments()
+            .args(["merge", "s0", "s1", "--quiet", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    // Line 5 of the stream loses the quotes of its "event" key.
+    let stream = std::fs::read_to_string(tel.join("s1.jsonl")).expect("shard stream");
+    let line_start: usize = stream.lines().take(4).map(|l| l.len() + 1).sum();
+    let line = stream.lines().nth(4).expect("a fifth line");
+    let bad_line = line.replacen("\"event\"", "event", 1);
+    let column = bad_line.find("event").expect("key kept");
+    let corrupt = stream.replacen(line, &bad_line, 1);
+    // The shard's result sidecar and manifest, each cut short.
+    let sidecar = std::fs::read_to_string(tel.join("s1.shard.json")).expect("sidecar");
+    let manifest = std::fs::read_to_string(tel.join("s1.manifest.json")).expect("manifest");
+    for (file, original, broken, located) in [
+        (
+            "s1.jsonl",
+            &stream,
+            corrupt,
+            format!("line 5 (byte {})", line_start + column),
+        ),
+        (
+            "s1.shard.json",
+            &sidecar,
+            sidecar[..sidecar.len() / 2].to_owned(),
+            format!(
+                "line {}",
+                1 + sidecar[..sidecar.len() / 2].matches('\n').count()
+            ),
+        ),
+        (
+            "s1.manifest.json",
+            &manifest,
+            manifest[..manifest.len() / 2].to_owned(),
+            format!(
+                "line {}",
+                1 + manifest[..manifest.len() / 2].matches('\n').count()
+            ),
+        ),
+    ] {
+        std::fs::write(tel.join(file), broken).expect("corrupt the file");
+        let output = merge();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "a malformed {file} is bad input: {stderr}"
+        );
+        assert!(
+            stderr.contains(file) && stderr.contains(&located),
+            "{file}: expected '{located}' in: {stderr}"
+        );
+        std::fs::write(tel.join(file), original).expect("restore the file");
+    }
+    assert!(merge().status.success(), "the restored shards merge");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn shard_rejects_bad_usage() {
     let no_figure = experiments()
         .args(["shard", "--shards", "2", "--shard-id", "0"])

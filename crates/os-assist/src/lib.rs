@@ -14,10 +14,10 @@
 //!
 //! Both read the block-death times [`block_death_matrices`] computes in one
 //! pass of the main Monte Carlo engine, so their interplay with any
-//! [`RecoveryPolicy`](pcm_sim::policy::RecoveryPolicy) — including Aegis —
-//! is directly measurable: the paper's claim that strong in-block
-//! recovery "substantially delays" both the re-direction and the page
-//! loss becomes a number (see `experiments osassist`).
+//! [`RecoveryPolicy`] — including Aegis — is directly measurable: the
+//! paper's claim that strong in-block recovery "substantially delays"
+//! both the re-direction and the page loss becomes a number (see
+//! `experiments osassist`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

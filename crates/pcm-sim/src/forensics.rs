@@ -5,20 +5,20 @@
 //! page_idx)` alone, so any single block's entire history — each fault's
 //! arrival time, position, and stuck value, every sampled W/R split, and
 //! every policy verdict — can be re-derived after the fact without
-//! storing anything during the run. This module performs that replay with
-//! the *identical* entropy consumption as
+//! storing anything during the run. This module replays it through the
+//! engine's own event judge (the one [`survives`](crate::montecarlo::survives)
+//! runs), so each event's splits are the draws
 //! [`evaluate_block_with_scratch`](crate::montecarlo::evaluate_block_with_scratch)
-//! (same per-event split seeding, same short-circuit on the first failed
-//! sample), annotates each decision via [`RecoveryPolicy::explain`], and
-//! renders a deterministic text report. A differential test pins the
-//! replayed outcome against the engine's.
+//! makes, decided in the same order with the same short-circuit on the
+//! first failed split. It annotates each decision via
+//! [`RecoveryPolicy::explain`] and renders a deterministic text report. A
+//! differential test pins the replayed splits and outcome against the
+//! engine's.
 
-use crate::fault::{sample_split_for_into, Fault, Stuckness};
-use crate::montecarlo::{chip_page, BlockOutcome, FailureCriterion, SimConfig};
+use crate::fault::{Fault, Stuckness};
+use crate::montecarlo::{chip_page, judge_event, BlockOutcome, FailureCriterion, SimConfig};
 use crate::policy::{PolicyScratch, RecoveryPolicy};
 use crate::timeline::BlockTimeline;
-use sim_rng::SeedableRng;
-use sim_rng::SmallRng;
 
 /// Identifies one block of one simulated chip run.
 #[derive(Debug, Clone, Copy)]
@@ -122,9 +122,8 @@ pub struct BlockTrace {
 
 /// Replays `policy` over `timeline`, annotating every decision.
 ///
-/// Consumes entropy identically to the engine's block loop: one
-/// [`SmallRng`] seeded from each event's `split_seed`, one split drawn per
-/// sample, stopping at the first failure.
+/// Each arrival is judged by the engine's event judge, so the replay
+/// draws, decides and short-circuits exactly as the engine's block loop.
 #[must_use]
 pub fn trace_block(
     policy: &dyn RecoveryPolicy,
@@ -133,7 +132,6 @@ pub fn trace_block(
 ) -> BlockTrace {
     let mut scratch = PolicyScratch::new();
     let mut faults: Vec<Fault> = Vec::new();
-    let mut wrong: Vec<bool> = Vec::new();
     policy.forget_block(&mut scratch);
     let mut events = Vec::new();
     let mut outcome = BlockOutcome {
@@ -144,35 +142,26 @@ pub fn trace_block(
         faults.push(event.fault);
         policy.observe_fault(&faults, &mut scratch);
         let mut splits = Vec::new();
-        let survivable = match criterion {
-            FailureCriterion::PerEventSplit { samples } => {
-                let mut rng = SmallRng::seed_from_u64(event.split_seed);
-                let mut all_ok = true;
-                for _ in 0..samples {
-                    sample_split_for_into(&mut rng, &faults, &mut wrong);
-                    let ok = policy.recoverable_with(&faults, &wrong, &mut scratch);
-                    splits.push(SplitTrace {
-                        wrong: wrong.clone(),
-                        survivable: ok,
-                        note: policy.explain(&faults, &wrong),
-                    });
-                    if !ok {
-                        all_ok = false;
-                        break;
-                    }
-                }
-                all_ok
-            }
-            FailureCriterion::GuaranteedAllData => {
-                let ok = policy.guaranteed(&faults);
+        let survivable = judge_event(
+            policy,
+            &faults,
+            event.split_seed,
+            criterion,
+            &mut scratch,
+            |wrong, survivable| {
                 splits.push(SplitTrace {
-                    wrong: Vec::new(),
-                    survivable: ok,
-                    note: None,
+                    wrong: wrong.to_vec(),
+                    survivable,
+                    // The guarantee covers every data word: no split to
+                    // narrate.
+                    note: if wrong.is_empty() {
+                        None
+                    } else {
+                        policy.explain(&faults, wrong)
+                    },
                 });
-                ok
-            }
-        };
+            },
+        );
         events.push(EventTrace {
             index: i,
             time: event.time,
@@ -196,13 +185,6 @@ pub fn trace_block(
     }
 }
 
-fn criterion_label(criterion: FailureCriterion) -> String {
-    match criterion {
-        FailureCriterion::PerEventSplit { samples } => format!("per-event-split x{samples}"),
-        FailureCriterion::GuaranteedAllData => "guaranteed-all-data".to_owned(),
-    }
-}
-
 fn classes(wrong: &[bool]) -> String {
     wrong.iter().map(|&w| if w { 'W' } else { 'R' }).collect()
 }
@@ -218,7 +200,7 @@ impl BlockTrace {
             "target:    page {} block {} (seed {})\n",
             cfg.page, cfg.block, cfg.seed
         ));
-        out.push_str(&format!("criterion: {}\n", criterion_label(self.criterion)));
+        out.push_str(&format!("criterion: {}\n", self.criterion));
         out.push_str(&format!(
             "events:    {} fault arrival(s) replayed\n\n",
             self.events.len()
@@ -277,7 +259,7 @@ impl BlockTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::evaluate_block;
+    use crate::montecarlo::{evaluate_block, SplitTape};
     use crate::timeline::TimelineSampler;
 
     /// Tolerates up to `cap` stuck-at-Wrong faults, with narration.
@@ -346,21 +328,69 @@ mod tests {
 
     #[test]
     fn replay_outcome_matches_the_engine() {
-        let cfg = cfg();
-        let timeline = derive_block_timeline(&cfg).unwrap();
-        for cap in [0, 2, 5, 100] {
-            let policy = WrongCap { cap };
-            let trace = trace_block(&policy, &timeline, cfg.criterion);
-            let engine = evaluate_block(&policy, &timeline, cfg.criterion);
-            assert_eq!(trace.outcome, engine, "cap={cap}");
-            // The trace narrates exactly the arrivals the engine consumed.
-            let consumed = match engine.death_time {
-                Some(_) => engine.events_survived + 1,
-                None => engine.events_survived,
-            };
-            assert_eq!(trace.events.len(), consumed);
-            if let Some(last) = trace.events.last() {
-                assert_eq!(last.died, engine.death_time.is_some());
+        let criteria = [
+            FailureCriterion::default(),
+            FailureCriterion::PerEventSplit { samples: 3 },
+            FailureCriterion::GuaranteedAllData,
+        ];
+        for partial_fraction in [0.0, 0.5] {
+            let timeline = derive_block_timeline(&BlockTraceConfig {
+                partial_fraction,
+                ..cfg()
+            })
+            .unwrap();
+            for (criterion, cap) in criteria
+                .into_iter()
+                .flat_map(|c| [0, 2, 5, 100].map(|k| (c, k)))
+            {
+                let policy = WrongCap { cap };
+                let case = format!("partial={partial_fraction} {criterion} cap={cap}");
+                let trace = trace_block(&policy, &timeline, criterion);
+                let engine = evaluate_block(&policy, &timeline, criterion);
+                assert_eq!(trace.outcome, engine, "{case}");
+                // The trace narrates exactly the arrivals the engine consumed.
+                let consumed = match engine.death_time {
+                    Some(_) => engine.events_survived + 1,
+                    None => engine.events_survived,
+                };
+                assert_eq!(trace.events.len(), consumed, "{case}");
+                if let Some(last) = trace.events.last() {
+                    assert_eq!(last.died, engine.death_time.is_some(), "{case}");
+                }
+                // Each traced split is the one the engine's tape drew for
+                // that event, decided up to the first failure.
+                let mut tape = SplitTape::default();
+                for (j, event) in trace.events.iter().enumerate() {
+                    let faults: Vec<Fault> =
+                        timeline.events[..=j].iter().map(|e| e.fault).collect();
+                    let FailureCriterion::PerEventSplit { samples } = criterion else {
+                        assert_eq!(event.splits.len(), 1, "{case} event {j}");
+                        assert!(event.splits[0].wrong.is_empty(), "{case} event {j}");
+                        continue;
+                    };
+                    let drawn =
+                        tape.splits(timeline.events[j].split_seed, &faults, samples as usize);
+                    let decided = event.splits.len();
+                    assert!(
+                        decided >= 1 && decided <= samples as usize,
+                        "{case} event {j}"
+                    );
+                    for (split, tape_split) in
+                        event.splits.iter().zip(drawn.chunks_exact(faults.len()))
+                    {
+                        assert_eq!(split.wrong, tape_split, "{case} event {j}");
+                        assert_eq!(split.survivable, policy.recoverable(&faults, tape_split));
+                    }
+                    assert!(event.splits[..decided - 1].iter().all(|s| s.survivable));
+                    assert_eq!(
+                        event.splits[decided - 1].survivable,
+                        !event.died,
+                        "{case} event {j}"
+                    );
+                    if !event.died {
+                        assert_eq!(decided, samples as usize, "{case} event {j}");
+                    }
+                }
             }
         }
     }

@@ -51,10 +51,39 @@ impl Default for FailureCriterion {
     }
 }
 
-/// Progress callback: `(pages_done, pages_total)`. Called from worker
-/// threads, so implementations must be `Sync`; page completion order is
-/// nondeterministic but the final call always reports `(total, total)`.
-pub type ProgressFn<'a> = dyn Fn(usize, usize) + Sync + 'a;
+/// The criterion's one label, `per-event-split:<samples>` or
+/// `guaranteed-all-data`: run manifests, checkpoint fingerprints and
+/// forensics reports record it, and [`FromStr`](std::str::FromStr) parses
+/// it back.
+impl std::fmt::Display for FailureCriterion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::PerEventSplit { samples } => write!(f, "{SPLIT_LABEL}{samples}"),
+            Self::GuaranteedAllData => f.write_str(GUARANTEED_LABEL),
+        }
+    }
+}
+
+impl std::str::FromStr for FailureCriterion {
+    type Err = String;
+
+    /// Parses a criterion's [`Display`](std::fmt::Display) label.
+    fn from_str(label: &str) -> Result<Self, String> {
+        if label == GUARANTEED_LABEL {
+            return Ok(Self::GuaranteedAllData);
+        }
+        label
+            .strip_prefix(SPLIT_LABEL)
+            .and_then(|samples| samples.parse().ok())
+            .map(|samples| Self::PerEventSplit { samples })
+            .ok_or_else(|| format!("malformed failure criterion '{label}'"))
+    }
+}
+
+/// Label prefix of [`FailureCriterion::PerEventSplit`].
+const SPLIT_LABEL: &str = "per-event-split:";
+/// Label of [`FailureCriterion::GuaranteedAllData`].
+const GUARANTEED_LABEL: &str = "guaranteed-all-data";
 
 /// Telemetry handles for the Monte Carlo layer, named
 /// `mc.<scheme>.<metric>`. All handles are no-ops when built from a
@@ -116,23 +145,10 @@ impl McTelemetry {
 /// `(total, total)`.
 pub type PassProgressFn<'a> = dyn Fn(usize, usize, usize) + Sync + 'a;
 
-/// Optional observation hooks for a one-policy chip run
-/// ([`run_memory_with`]); the default observes nothing and adds no work.
-/// A pass over several policies takes [`PassHooks`] instead.
-#[derive(Default)]
-pub struct RunHooks<'a> {
-    /// Metric handles to feed (usually [`McTelemetry::for_scheme`]).
-    pub telemetry: Option<McTelemetry>,
-    /// Called after each page completes.
-    pub progress: Option<&'a ProgressFn<'a>>,
-    /// Wall-clock span collector; see [`PassHooks::tracer`].
-    pub tracer: Option<&'a Tracer>,
-    /// Live heartbeat sink; see [`PassHooks::status`].
-    pub status: Option<&'a StatusWriter>,
-}
-
-/// Optional observation hooks for a page-major pass
-/// ([`run_memory_pass`]); the default observes nothing and adds no work.
+/// Optional observation hooks for a chip run ([`run_memory_pass`],
+/// [`map_pages`]); the default observes nothing and adds no work. The
+/// hooks never influence the simulation: results are byte-identical with
+/// hooks on or off (telemetry totals are order-independent sums).
 #[derive(Default, Clone, Copy)]
 pub struct PassHooks<'a> {
     /// Metric handles, one per policy in policy order; empty observes
@@ -228,27 +244,6 @@ pub struct PageOutcome {
     /// `death_time` a lower bound. Should never happen with the default
     /// event cap; surfaced loudly rather than silently.
     pub capped: bool,
-}
-
-/// Evaluates `policy` over a page timeline, reusing a caller-provided
-/// [`PolicyScratch`] across all of the page's blocks (see
-/// [`evaluate_block_with_scratch`]). Telemetry additionally records the
-/// page count, the page's total fault arrivals, and its lifetime (in
-/// whole page writes) into the `mc.<scheme>.*` histograms.
-pub fn evaluate_page_with_scratch(
-    policy: &dyn RecoveryPolicy,
-    page: &PageTimeline,
-    criterion: FailureCriterion,
-    telemetry: Option<&McTelemetry>,
-    scratch: &mut PolicyScratch,
-) -> PageOutcome {
-    let mut fold = PageFold::OPEN;
-    for block in &page.blocks {
-        fold.add(evaluate_block_with_scratch(
-            policy, block, criterion, telemetry, scratch,
-        ));
-    }
-    fold.close(page, telemetry)
 }
 
 /// A page's block outcomes folded so far.
@@ -350,7 +345,7 @@ impl SplitTape {
     /// The `samples` splits of the event whose arrival made the population
     /// `faults` (event `faults.len() - 1`), drawn from `split_seed` if no
     /// policy reached that event before.
-    fn splits(&mut self, split_seed: u64, faults: &[Fault], samples: usize) -> &[bool] {
+    pub(crate) fn splits(&mut self, split_seed: u64, faults: &[Fault], samples: usize) -> &[bool] {
         let j = faults.len() - 1;
         if j == self.drawn {
             let mut rng = SmallRng::seed_from_u64(split_seed);
@@ -375,7 +370,7 @@ impl SplitTape {
 
 /// Advances one policy by one fault event; returns whether the block
 /// survived it. This is the engine's one per-event body: single blocks,
-/// single pages, page-major passes and block trials all run it.
+/// page-major passes and block trials all run it.
 fn step_lane(
     policy: &dyn RecoveryPolicy,
     event: &FaultEvent,
@@ -423,14 +418,35 @@ pub fn survives(
     criterion: FailureCriterion,
     scratch: &mut PolicyScratch,
 ) -> bool {
+    judge_event(policy, faults, split_seed, criterion, scratch, |_, _| {})
+}
+
+/// The engine's event judge: `samples` W/R splits of `faults` drawn from
+/// `split_seed`, the draws a [`SplitTape`] makes for the event, each
+/// decided by [`RecoveryPolicy::recoverable_with`] on `scratch` until one
+/// fails; or, under [`FailureCriterion::GuaranteedAllData`],
+/// [`RecoveryPolicy::guaranteed_with`]. `on_split(wrong, verdict)` sees
+/// every decided split in order, and an empty `wrong` for the guarantee.
+pub(crate) fn judge_event(
+    policy: &dyn RecoveryPolicy,
+    faults: &[Fault],
+    split_seed: u64,
+    criterion: FailureCriterion,
+    scratch: &mut PolicyScratch,
+    mut on_split: impl FnMut(&[bool], bool),
+) -> bool {
     let FailureCriterion::PerEventSplit { samples } = criterion else {
-        return policy.guaranteed_with(faults, scratch);
+        let verdict = policy.guaranteed_with(faults, scratch);
+        on_split(&[], verdict);
+        return verdict;
     };
     let mut rng = SmallRng::seed_from_u64(split_seed);
     let mut wrong = std::mem::take(&mut scratch.split);
     let verdict = (0..samples).all(|_| {
         crate::fault::sample_split_for_into(&mut rng, faults, &mut wrong);
-        policy.recoverable_with(faults, &wrong, scratch)
+        let recoverable = policy.recoverable_with(faults, &wrong, scratch);
+        on_split(&wrong, recoverable);
+        recoverable
     });
     scratch.split = wrong;
     verdict
@@ -540,8 +556,9 @@ impl PageArena {
 /// reach the event — then every policy runs over it in slice order through
 /// the engine's per-event body, on its own [`PolicyScratch`] and reading
 /// the block's splits off the tape. Outcome `i`, and the `telemetry[i]`
-/// counters when given, are exactly what [`evaluate_page_with_scratch`]
-/// yields for `policies[i]` alone.
+/// counters when given, are exactly what [`evaluate_block_with_scratch`]
+/// yields for `policies[i]` alone on each block, folded into the page's
+/// earliest block death.
 ///
 /// # Panics
 ///
@@ -759,64 +776,14 @@ impl MemoryRun {
     }
 }
 
-/// Runs `policy` over a simulated chip, in parallel across pages.
+/// Runs `policy` over a simulated chip, in parallel across pages: the
+/// one-policy [`run_memory_pass`] over every page, with no hooks.
 ///
 /// Timelines are derived deterministically from `cfg.seed` and the page
 /// index, so runs with different policies (or thread counts) see identical
 /// randomness.
 pub fn run_memory(policy: &dyn RecoveryPolicy, cfg: &SimConfig) -> MemoryRun {
-    run_memory_with(policy, cfg, &RunHooks::default())
-}
-
-/// [`run_memory`] with observation [`RunHooks`]: telemetry counters flow
-/// into `hooks.telemetry` and `hooks.progress` is called as pages finish.
-///
-/// The hooks never influence the simulation — results are byte-identical
-/// with hooks on or off (telemetry totals are order-independent sums).
-pub fn run_memory_with(
-    policy: &dyn RecoveryPolicy,
-    cfg: &SimConfig,
-    hooks: &RunHooks<'_>,
-) -> MemoryRun {
-    run_memory_range_with(policy, cfg, 0, cfg.pages, hooks)
-}
-
-/// [`run_memory_with`] restricted to the global pages `start..end`: the
-/// one-policy case of [`run_memory_pass`].
-///
-/// Because every page's randomness is the `substream_seed(cfg.seed,
-/// page_idx)` substream (see [`TimelineSampler::page_rng`]), evaluating a
-/// sub-range produces exactly the per-page results the full run would
-/// produce for those indices — no RNG state crosses page boundaries. This
-/// is the property both checkpoint/resume (a resumed run continues
-/// from the page high-water mark) and sharding (shard `i` of `K` runs the
-/// stripe `[i·P/K, (i+1)·P/K)`) build on; concatenating the ranges in
-/// index order is byte-identical to one uninterrupted call over
-/// `0..cfg.pages`.
-///
-/// `cfg.pages` stays the *global* page count: progress reports and
-/// telemetry denominators describe positions in the full run, so a resumed
-/// run reports `start+1..=end` of `cfg.pages`.
-pub fn run_memory_range_with(
-    policy: &dyn RecoveryPolicy,
-    cfg: &SimConfig,
-    start: usize,
-    end: usize,
-    hooks: &RunHooks<'_>,
-) -> MemoryRun {
-    let forward = |_: usize, done: usize, total: usize| {
-        if let Some(report) = hooks.progress {
-            report(done, total);
-        }
-    };
-    let pass = PassHooks {
-        telemetry: hooks.telemetry.as_slice(),
-        progress: hooks.progress.map(|_| &forward as &PassProgressFn<'_>),
-        tracer: hooks.tracer,
-        status: hooks.status,
-        timelines: None,
-    };
-    run_memory_pass(&[policy], cfg, start, end, &pass)
+    run_memory_pass(&[policy], cfg, 0, cfg.pages, &PassHooks::default())
         .pop()
         .expect("a pass returns one run per policy")
 }
@@ -830,8 +797,18 @@ pub fn run_memory_range_with(
 /// the page's timeline and each block's W/R splits, and nothing outlives
 /// the page. Every run is folded in page order, so the thread count, the
 /// stealing order and the other policies of the pass never change a run:
-/// run `i` is what [`run_memory_range_with`] returns for `policies[i]`
-/// alone, and so are its `hooks.telemetry[i]` counters.
+/// run `i` is what a one-policy pass over `start..end` returns for
+/// `policies[i]`, and so are its `hooks.telemetry[i]` counters.
+///
+/// Because every page's randomness is the `substream_seed(cfg.seed,
+/// page_idx)` substream (see [`TimelineSampler::page_rng`]), a sub-range
+/// yields exactly the per-page results the full run yields for those
+/// indices; no RNG state crosses page boundaries. Checkpoint/resume (a
+/// resumed run continues from the page high-water mark) and sharding
+/// (shard `i` of `K` runs the stripe `[i·P/K, (i+1)·P/K)`) build on this:
+/// concatenating the ranges in index order is byte-identical to one pass
+/// over `0..cfg.pages`. `cfg.pages` stays the *global* page count, so
+/// progress reports describe positions in the full run.
 ///
 /// # Panics
 ///
@@ -1114,11 +1091,12 @@ const ROUND_OUTCOMES: usize = 1 << 14;
 /// [`TimelineSampler::page_rng`]`(seed, i)`, and runs each policy over it
 /// in slice order through the engine's per-event body, each on its own
 /// [`PolicyScratch`] of the worker's [`PageArena`] and all reading the
-/// block's W/R splits off one shared tape. `visit` then sees the trial's outcomes, one per policy in slice order,
-/// on the caller's thread and in trial order. Trials run on `threads`
-/// workers (`None` defers to `SIM_THREADS`, then available parallelism)
-/// in rounds of at most [`ROUND_OUTCOMES`] outcomes, so neither the
-/// thread count nor the round size changes what `visit` sees.
+/// block's W/R splits off one shared tape. `visit` then sees the trial's
+/// outcomes, one per policy in slice order, on the caller's thread and in
+/// trial order. Trials run on `threads` workers (`None` defers to
+/// `SIM_THREADS`, then available parallelism) in rounds of at most
+/// 2¹⁴ outcomes, so neither the thread count nor the round size changes
+/// what `visit` sees.
 ///
 /// # Panics
 ///
@@ -1288,13 +1266,13 @@ mod tests {
         let page = PageTimeline {
             blocks: vec![timeline(&[5.0, 50.0]), timeline(&[7.0, 9.0])],
         };
-        let outcome = evaluate_page_with_scratch(
-            &policy,
+        let outcome = evaluate_page_pass(
+            &[&policy],
             &page,
             FailureCriterion::default(),
-            None,
-            &mut PolicyScratch::new(),
-        );
+            &[],
+            &mut PageArena::new(),
+        )[0];
         // Block 1 dies at 9.0, block 0 at 50.0 => page dies at 9.0 having
         // recovered the faults at 5.0 and 7.0.
         assert_eq!(outcome.death_time, 9.0);
@@ -1333,6 +1311,24 @@ mod tests {
         let fm = run.faults_moments();
         assert_eq!(fm.count(), 3);
         assert_eq!(fm.mean(), 2.0);
+    }
+
+    #[test]
+    fn criterion_labels_round_trip() {
+        for (criterion, label) in [
+            (FailureCriterion::default(), "per-event-split:1"),
+            (
+                FailureCriterion::PerEventSplit { samples: 3 },
+                "per-event-split:3",
+            ),
+            (FailureCriterion::GuaranteedAllData, "guaranteed-all-data"),
+        ] {
+            assert_eq!(criterion.to_string(), label);
+            assert_eq!(label.parse::<FailureCriterion>(), Ok(criterion));
+        }
+        for bad in ["", "per-event-split:", "per-event-split:x", "guaranteed"] {
+            assert!(bad.parse::<FailureCriterion>().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -1391,15 +1387,17 @@ mod tests {
 
         let registry = Registry::new();
         let progress = std::sync::Mutex::new(Vec::new());
-        let record = |done: usize, total: usize| {
+        let record = |policy: usize, done: usize, total: usize| {
+            assert_eq!(policy, 0, "a one-policy pass reports policy 0");
             progress.lock().unwrap().push((done, total));
         };
-        let hooks = RunHooks {
-            telemetry: Some(McTelemetry::for_scheme(&registry, &policy.name())),
+        let telemetry = [McTelemetry::for_scheme(&registry, &policy.name())];
+        let hooks = PassHooks {
+            telemetry: &telemetry,
             progress: Some(&record),
-            ..RunHooks::default()
+            ..PassHooks::default()
         };
-        let observed = run_memory_with(&policy, &cfg, &hooks);
+        let observed = run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks).remove(0);
 
         assert_eq!(plain.page_lifetimes, observed.page_lifetimes);
         assert_eq!(plain.faults_recovered, observed.faults_recovered);
@@ -1464,11 +1462,12 @@ mod tests {
             partial_fraction: 0.0,
         };
         let registry = Registry::new();
-        let hooks = RunHooks {
-            telemetry: Some(McTelemetry::for_scheme(&registry, "cap4")),
-            ..RunHooks::default()
+        let telemetry = [McTelemetry::for_scheme(&registry, "cap4")];
+        let hooks = PassHooks {
+            telemetry: &telemetry,
+            ..PassHooks::default()
         };
-        run_memory_with(&policy, &cfg, &hooks);
+        run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks);
         let volatile: std::collections::BTreeMap<String, u64> =
             registry.volatile_counters().into_iter().collect();
         assert!(volatile.contains_key("pool.cap4.pages_stolen"));
@@ -1513,11 +1512,11 @@ mod tests {
         let plain = run_memory(&policy, &cfg);
 
         let tracer = Tracer::new(1024);
-        let hooks = RunHooks {
+        let hooks = PassHooks {
             tracer: Some(&tracer),
-            ..RunHooks::default()
+            ..PassHooks::default()
         };
-        let traced = run_memory_with(&policy, &cfg, &hooks);
+        let traced = run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks).remove(0);
         assert_eq!(plain.page_lifetimes, traced.page_lifetimes);
         assert_eq!(plain.faults_recovered, traced.faults_recovered);
 
@@ -1557,11 +1556,11 @@ mod tests {
         let status =
             StatusWriter::with_interval("engine", &dir, std::time::Duration::ZERO).unwrap();
         status.set_total_pages(6);
-        let hooks = RunHooks {
+        let hooks = PassHooks {
             status: Some(&status),
-            ..RunHooks::default()
+            ..PassHooks::default()
         };
-        let observed = run_memory_with(&policy, &cfg, &hooks);
+        let observed = run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks).remove(0);
         assert_eq!(plain.page_lifetimes, observed.page_lifetimes);
         assert_eq!(plain.faults_recovered, observed.faults_recovered);
 
@@ -1647,15 +1646,20 @@ mod tests {
             let alone = Registry::new();
             for (&policy, outcome) in refs.iter().zip(&got) {
                 let t = McTelemetry::for_scheme(&alone, &policy.name());
-                assert_eq!(
-                    *outcome,
-                    evaluate_page_with_scratch(
+                let mut scratch = PolicyScratch::new();
+                let mut fold = PageFold::OPEN;
+                for block in &page.blocks {
+                    fold.add(evaluate_block_with_scratch(
                         policy,
-                        &page,
+                        block,
                         criterion,
                         Some(&t),
-                        &mut PolicyScratch::new()
-                    ),
+                        &mut scratch,
+                    ));
+                }
+                assert_eq!(
+                    *outcome,
+                    fold.close(&page, Some(&t)),
                     "{} {criterion:?}",
                     policy.name()
                 );

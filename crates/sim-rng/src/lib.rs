@@ -14,7 +14,7 @@
 //! * [`prop`] — a minimal property-test harness: seeded case generation,
 //!   greedy shrinking on failure, and failure-seed reporting so a red run
 //!   can be replayed exactly.
-//! * [`bench`] — a wall-clock bench harness: warmup, calibrated iteration
+//! * [`bench`](mod@bench) — a wall-clock bench harness: warmup, calibrated iteration
 //!   counts, median/p95 statistics, JSON output under `results/bench/`.
 //!
 //! # Example

@@ -135,6 +135,48 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl JsonError {
+    /// Places this error, raised while parsing `text[start..]`, in the
+    /// whole of `text`.
+    #[must_use]
+    pub fn locate(self, text: &str, start: usize) -> LocatedError {
+        let pos = (start + self.pos).min(text.len());
+        let line = 1 + text.as_bytes()[..pos]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        LocatedError {
+            line,
+            pos,
+            message: self.message,
+        }
+    }
+}
+
+/// A [`JsonError`] placed in a multi-line document, such as a JSONL stream
+/// or a checkpoint file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocatedError {
+    /// 1-based line of the document.
+    pub line: usize,
+    /// Byte offset from the start of the document.
+    pub pos: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for LocatedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "line {} (byte {}): {}",
+            self.line, self.pos, self.message
+        )
+    }
+}
+
+impl std::error::Error for LocatedError {}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

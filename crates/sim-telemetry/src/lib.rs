@@ -57,7 +57,7 @@ pub mod trace;
 pub use estimate::{
     wilson_interval, Convergence, Moments, UnitEstimate, DISPLAY_TARGET_RSE, MIN_SAMPLES, Z95,
 };
-pub use json::{escape, Json, JsonError};
+pub use json::{escape, Json, JsonError, LocatedError};
 pub use manifest::{git_describe, unix_millis, RunManifest};
 pub use profile::{chrome_trace, collapsed_stack, NameStats, ProfileNode, SpanTree};
 pub use registry::{

@@ -18,7 +18,7 @@
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{escape, Json, JsonError};
+use crate::json::{escape, Json, JsonError, LocatedError};
 use crate::registry::HistogramSnapshot;
 
 /// One line of the telemetry event stream.
@@ -387,16 +387,26 @@ impl Event {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on any malformed line or a seq gap.
-    pub fn parse_stream(text: &str) -> Result<Vec<Event>, JsonError> {
+    /// Returns the first malformed line or seq gap, located by its 1-based
+    /// line number and its byte offset in `text`.
+    pub fn parse_stream(text: &str) -> Result<Vec<Event>, LocatedError> {
         let mut events = Vec::new();
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let (seq, event) = Event::parse_line(line)?;
+        let mut start = 0;
+        for raw in text.split_inclusive('\n') {
+            let line_start = start;
+            start += raw.len();
+            let line = raw.strip_suffix('\n').unwrap_or(raw);
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            if line.trim().is_empty() {
+                continue;
+            }
+            let (seq, event) = Event::parse_line(line).map_err(|e| e.locate(text, line_start))?;
             if seq != events.len() as u64 {
-                return Err(JsonError {
+                let gap = JsonError {
                     pos: 0,
                     message: format!("seq gap: expected {}, got {seq}", events.len()),
-                });
+                };
+                return Err(gap.locate(text, line_start));
             }
             events.push(event);
         }
@@ -541,7 +551,15 @@ mod tests {
         }
         .to_json(0);
         let gap = Event::RunEnd { events: 2 }.to_json(5);
-        assert!(Event::parse_stream(&format!("{good}\n{gap}\n")).is_err());
+        let err = Event::parse_stream(&format!("{good}\n\n{gap}\n")).unwrap_err();
+        assert_eq!((err.line, err.pos), (3, good.len() + 2), "{err}");
+        assert!(err.message.contains("seq gap"), "{err}");
+        let err = Event::parse_stream(&format!("{good}\r\n{{\"seq\": 1, \"ev\n")).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(
+            err.pos > good.len() + 2,
+            "the offset is inside line 2: {err}"
+        );
         assert!(Event::parse_stream("not json\n").is_err());
         assert!(Event::parse_line("{\"seq\": 0, \"event\": \"mystery\"}").is_err());
     }

@@ -26,6 +26,9 @@ SIM_THREADS=2 run cargo test -q --offline --workspace
 # Style and lint gates.
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Documentation gate: every intra-doc link must resolve, so deleting or
+# privatizing an item cannot leave a dangling reference in the docs.
+RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 
 # Telemetry smoke: a tiny instrumented fig5 run (with tracing on) must
 # emit a parseable event stream, a manifest sidecar and a trace sidecar;

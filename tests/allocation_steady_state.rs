@@ -7,7 +7,7 @@
 //! *same* pages once to warm every arena (first-touch growth is expected
 //! and amortized), then replays them again and asserts the allocation
 //! count did not move — for every policy family the Monte Carlo engine
-//! ships, on the single-policy path and on the page-major pass that
+//! ships, on the single-policy block path and on the page-major pass that
 //! judges all of them on one page and one split tape.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can bleed
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aegis_experiments::schemes;
 use aegis_pcm::pcm::montecarlo::{
-    evaluate_page_pass, evaluate_page_with_scratch, FailureCriterion, PageArena,
+    evaluate_block_with_scratch, evaluate_page_pass, FailureCriterion, PageArena,
 };
 use aegis_pcm::pcm::policy::{PolicyScratch, RecoveryPolicy};
 use aegis_pcm::pcm::timeline::{PageTimeline, TimelineSampler};
@@ -107,27 +107,22 @@ fn steady_state_evaluation_is_allocation_free() {
         }
         for (policy, name) in &families {
             for criterion in criteria {
-                // Sequential path.
+                // Sequential path: one policy, block after block.
                 let mut scratch = PolicyScratch::new();
-                for page in &pages {
-                    evaluate_page_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut scratch,
-                    );
-                }
+                let evaluate = |scratch: &mut PolicyScratch| {
+                    for block in pages.iter().flat_map(|page| &page.blocks) {
+                        evaluate_block_with_scratch(
+                            policy.as_ref(),
+                            block,
+                            criterion,
+                            None,
+                            scratch,
+                        );
+                    }
+                };
+                evaluate(&mut scratch);
                 let warm = ALLOCATIONS.load(Ordering::Relaxed);
-                for page in &pages {
-                    evaluate_page_with_scratch(
-                        policy.as_ref(),
-                        page,
-                        criterion,
-                        None,
-                        &mut scratch,
-                    );
-                }
+                evaluate(&mut scratch);
                 let after = ALLOCATIONS.load(Ordering::Relaxed);
                 assert_eq!(
                     after - warm,

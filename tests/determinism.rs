@@ -813,15 +813,17 @@ fn dispatch_does_not_shift_streams() {
 /// This is the property checkpoint chunks and campaign shards build on.
 #[test]
 fn page_ranges_concatenate_to_the_full_run() {
-    use aegis_pcm::pcm::montecarlo::{run_memory_range_with, RunHooks};
+    use aegis_pcm::pcm::montecarlo::{run_memory_pass, MemoryRun, PassHooks};
 
     let cfg = SimConfig::scaled(5, 512, 21);
     let policy = AegisPolicy::new(Rectangle::new(9, 61, 512).unwrap());
-    let hooks = RunHooks::default();
-    let full = run_memory_range_with(&policy, &cfg, 0, cfg.pages, &hooks);
+    let range = |start: usize, end: usize| -> MemoryRun {
+        run_memory_pass(&[&policy], &cfg, start, end, &PassHooks::default()).remove(0)
+    };
+    let full = range(0, cfg.pages);
     for split in 0..=cfg.pages {
-        let head = run_memory_range_with(&policy, &cfg, 0, split, &hooks);
-        let tail = run_memory_range_with(&policy, &cfg, split, cfg.pages, &hooks);
+        let head = range(0, split);
+        let tail = range(split, cfg.pages);
         let glue =
             |a: &[f64], b: &[f64]| -> Vec<u64> { a.iter().chain(b).map(|v| v.to_bits()).collect() };
         assert_eq!(
