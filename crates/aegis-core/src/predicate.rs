@@ -392,10 +392,6 @@ impl RecoveryPolicy for AegisPolicy {
         }
     }
 
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
-    }
-
     /// Exact data-independent guarantee: some slope puts every fault in its
     /// own group (then any data word is writable).
     fn guaranteed(&self, faults: &[Fault]) -> bool {
@@ -532,10 +528,6 @@ impl RecoveryPolicy for AegisRwPolicy {
                 &mut scratch.pair_cache,
             );
         }
-    }
-
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
     }
 
     /// The mixed-pair guarantee has no closed form (whether a pair is W–R
@@ -750,10 +742,6 @@ impl RecoveryPolicy for AegisRwPPolicy {
                 &mut scratch.pair_cache,
             );
         }
-    }
-
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
     }
 
     /// The mixed-pair guarantee has no closed form (whether a pair is W–R

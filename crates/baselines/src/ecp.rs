@@ -8,7 +8,7 @@
 
 use bitblock::BitBlock;
 use pcm_sim::codec::{StuckAtCodec, WriteReport};
-use pcm_sim::policy::{PolicyScratch, RecoveryPolicy};
+use pcm_sim::policy::RecoveryPolicy;
 use pcm_sim::{Fault, PcmBlock, UncorrectableError};
 
 /// The ECP-N codec.
@@ -181,13 +181,6 @@ impl RecoveryPolicy for EcpPolicy {
     fn guaranteed(&self, faults: &[Fault]) -> bool {
         faults.len() <= self.capacity
     }
-
-    /// Deliberate no-op: the predicate is `faults.len() <= capacity`, an
-    /// O(1) check with nothing worth caching per block.
-    fn observe_fault(&self, _faults: &[Fault], _scratch: &mut PolicyScratch) {}
-
-    /// Deliberate no-op: nothing is cached, so nothing needs forgetting.
-    fn forget_block(&self, _scratch: &mut PolicyScratch) {}
 }
 
 #[cfg(test)]

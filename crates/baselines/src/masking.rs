@@ -425,8 +425,8 @@ pub(crate) fn solve_coefficients(
 /// `i`'s dependency column, `clean` counts the dependencies and `all_mask`
 /// unions their supports. A fault whose column reduces to zero opens
 /// dependency `d = clean` and sets bit `d` in the column of every fault of
-/// its support. Content is a pure function of `(owner, covered)`, so the
-/// self-healing prefix discipline applies unchanged.
+/// its support. Only the suffix past the cached length is absorbed, so the
+/// driver contract of [`PairCache`] applies unchanged.
 pub(crate) fn absorb_columns(
     matrix: &MaskMatrix,
     key: u64,
@@ -587,10 +587,6 @@ impl RecoveryPolicy for MaskingPolicy {
         if !self.scalar {
             absorb_columns(&self.matrix, self.key, faults, &mut scratch.pair_cache);
         }
-    }
-
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
     }
 
     fn explain(&self, faults: &[Fault], wrong: &[bool]) -> Option<String> {

@@ -28,6 +28,12 @@
 //! consistency check — a deliberately independent formulation of the
 //! same predicate. [`PlbcCodec`] consults the block's fault oracle
 //! (encoder side information), like [`MaskingCodec`].
+//!
+//! The kernel's guarantee (recoverable for every data word) is exact at
+//! any fault count: the split → syndrome map is onto the dependency
+//! space, so it asks whether every syndrome is a XOR of at most `t_ecc`
+//! dependency columns. The scalar reference keeps the trait's split
+//! enumeration, which samples past 14 faults.
 
 use crate::cost::plbc_overhead;
 use crate::masking::{
@@ -118,6 +124,72 @@ fn syndrome(dependencies: &[u128], wrong_mask: u128) -> u128 {
         .fold(0u128, |acc, (d, &dep)| {
             acc | (u128::from((dep & wrong_mask).count_ones() % 2 == 1) << d)
         })
+}
+
+/// Whether every split of a population is fixable: the exact PLBC
+/// guarantee over its `dependencies` (independent supports) and the
+/// per-fault dependency `columns`.
+///
+/// Independent supports make the split → syndrome map onto `F2^d`, so
+/// the guarantee holds iff every `σ ∈ F2^d` is a XOR of at most `budget`
+/// columns. Zero columns add nothing, so with `n` nonzero columns it fails
+/// at once when `Σ_{i ≤ budget} C(n, i) < 2^d`; otherwise the XORs of
+/// every such subset are marked in a `2^d`-entry table (`marks`, reused)
+/// until all are reached.
+fn every_syndrome_fixable(
+    columns: &[u128],
+    dependencies: usize,
+    budget: usize,
+    marks: &mut Vec<bool>,
+) -> bool {
+    if dependencies == 0 {
+        return true;
+    }
+    let nonzero = columns.iter().filter(|&&column| column != 0).count() as u64;
+    let (mut subsets, mut size) = (1u64, 1u64);
+    for i in 0..budget as u64 {
+        size = size * nonzero.saturating_sub(i) / (i + 1);
+        subsets += size;
+    }
+    if dependencies >= 64 || subsets < 1 << dependencies {
+        return false;
+    }
+    let syndromes = 1usize << dependencies;
+    marks.clear();
+    marks.resize(syndromes, false);
+    marks[0] = true;
+    let mut unmarked = syndromes - 1;
+    mark_xors(columns, 0, budget, marks, &mut unmarked);
+    unmarked == 0
+}
+
+/// Marks `sigma` XOR every nonempty subset of at most `budget` nonzero
+/// `columns`, counting down `unmarked`; stops once it reaches zero.
+fn mark_xors(
+    columns: &[u128],
+    sigma: u128,
+    budget: usize,
+    marks: &mut [bool],
+    unmarked: &mut usize,
+) {
+    for (i, &column) in columns.iter().enumerate() {
+        if *unmarked == 0 {
+            return;
+        }
+        if column == 0 {
+            continue;
+        }
+        let next = sigma ^ column;
+        #[allow(clippy::cast_possible_truncation)]
+        let mark = &mut marks[next as usize];
+        if !*mark {
+            *mark = true;
+            *unmarked -= 1;
+        }
+        if budget > 1 {
+            mark_xors(&columns[i + 1..], next, budget - 1, marks, unmarked);
+        }
+    }
 }
 
 /// The PLBC Monte Carlo policy (`PLC⟨t_mask⟩+⟨t_ecc⟩`).
@@ -265,10 +337,6 @@ impl RecoveryPolicy for PlbcPolicy {
         }
     }
 
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
-    }
-
     fn explain(&self, faults: &[Fault], wrong: &[bool]) -> Option<String> {
         let name = self.name();
         let count = faults.len();
@@ -315,18 +383,40 @@ impl RecoveryPolicy for PlbcPolicy {
         if faults.len() <= 2 * self.matrix.t() {
             return true;
         }
-        // Beyond it, the shared enumeration discipline (exhaustive up to
-        // EXHAUSTIVE_SPLIT_LIMIT faults, then deterministic samples).
-        guaranteed_splits(self, faults)
+        // The per-bit reference keeps the shared enumeration discipline
+        // (exhaustive up to EXHAUSTIVE_SPLIT_LIMIT faults, then
+        // deterministic samples) as an independent formulation.
+        if self.scalar {
+            return guaranteed_splits(self, faults);
+        }
+        let system = self.system_for(faults);
+        let dependencies: Vec<u128> = system.dependencies().collect();
+        every_syndrome_fixable(
+            &dependency_columns(faults.len(), &dependencies),
+            dependencies.len(),
+            self.t_ecc,
+            &mut Vec::new(),
+        )
     }
 
-    /// Same closed-form bound, then the arena-backed twin of the same
-    /// enumeration (identical split stream, so the verdicts agree).
+    /// The same exact test read off a warm cache when it covers `faults`
+    /// (its dependency columns and count), marking syndromes in
+    /// `scratch.flags`; the reference replays its enumeration out of the
+    /// arena.
     fn guaranteed_with(&self, faults: &[Fault], scratch: &mut PolicyScratch) -> bool {
         if faults.len() <= 2 * self.matrix.t() {
             return true;
         }
-        guaranteed_splits_with(self, faults, scratch)
+        if self.scalar {
+            return guaranteed_splits_with(self, faults, scratch);
+        }
+        let PolicyScratch {
+            flags, pair_cache, ..
+        } = scratch;
+        if !pair_cache.matches(self.key, faults) {
+            return self.guaranteed(faults);
+        }
+        every_syndrome_fixable(&pair_cache.columns, pair_cache.clean, self.t_ecc, flags)
     }
 }
 
@@ -584,9 +674,10 @@ mod tests {
     }
 
     #[test]
-    fn sampled_guarantee_agrees_between_forms_past_the_exhaustive_limit() {
-        // 15–20 faults: past EXHAUSTIVE_SPLIT_LIMIT, so both forms sample
-        // the same seeded split stream, cold and through a warm cache.
+    fn exact_guarantee_agrees_between_forms_past_the_exhaustive_limit() {
+        // 15–20 faults: past EXHAUSTIVE_SPLIT_LIMIT, where the split
+        // enumeration would sample; both forms stay exact, cold from a
+        // fresh basis and through a warm cache.
         let mut rng = SmallRng::seed_from_u64(1514);
         let policy = PlbcPolicy::new(2, 1, 64);
         let mut warm = PolicyScratch::new();

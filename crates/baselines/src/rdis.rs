@@ -442,10 +442,6 @@ impl RecoveryPolicy for RdisPolicy {
         }
     }
 
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
-    }
-
     /// RDIS has no closed-form guarantee (whether the removal fixed point
     /// converges depends on the split), so it uses the trait's enumeration
     /// discipline; this override replays it with arena-backed splits so

@@ -701,10 +701,6 @@ impl RecoveryPolicy for SaferPolicy {
         }
     }
 
-    fn forget_block(&self, scratch: &mut PolicyScratch) {
-        scratch.pair_cache.reset();
-    }
-
     fn recoverable_with(
         &self,
         faults: &[Fault],

@@ -252,8 +252,12 @@ pub fn analyze(run_id: &str, telemetry_dir: &Path, top: usize) -> io::Result<Ana
             artifacts: Vec::new(),
         });
     }
-    let log = TraceLog::parse(&fs::read_to_string(&trace_path)?)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let log = TraceLog::parse(&fs::read_to_string(&trace_path)?).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", trace_path.display()),
+        )
+    })?;
     let tree = SpanTree::build(&log);
     let stats = tree.name_stats();
     let dropped = log.total_dropped();

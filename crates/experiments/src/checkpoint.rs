@@ -16,11 +16,9 @@
 //!
 //! Worker scratch state ([`pcm_sim::policy::PairCache`]) is deliberately
 //! *not* serialized: checkpoints are taken at page boundaries, where the
-//! self-healing cache is semantically empty (its content is a pure
-//! function of `(owner, covered-fault-prefix)` and every block
-//! evaluation re-derives it from the block's own faults). The
-//! `PairCache::snapshot`/`restore` API exists for mid-block suspension
-//! and is round-trip tested in `pcm-sim`; see DESIGN.md §12.
+//! cache is semantically empty (the engine calls `forget_block` before
+//! every block, and each block re-derives the cache from its own faults);
+//! see DESIGN.md §12.
 
 use crate::campaign::{self, Unit};
 use crate::runner::RunObserver;

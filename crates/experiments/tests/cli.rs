@@ -379,6 +379,46 @@ fn telemetry_report_skips_malformed_lines_and_exits_2() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A corrupted line in a `--trace` sidecar makes `telemetry-analyze`, the
+/// command that reads it, fail with the sidecar's path and the line.
+#[test]
+fn corrupt_trace_sidecar_is_named_by_file_and_line() {
+    let dir = std::env::temp_dir().join("aegis-cli-corrupt-trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = experiments()
+        .args([
+            "fig5", "--pages", "1", "--seed", "9", "--trace", "--run-id", "badtrace", "--quiet",
+            "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let path = dir.join("telemetry").join("badtrace.trace.jsonl");
+    let text = std::fs::read_to_string(&path).expect("sidecar");
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() > 3, "{text}");
+    lines[2] = "{\"event\": \"span\", \"id\": ";
+    std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite sidecar");
+
+    let analyzed = experiments()
+        .args(["telemetry-analyze", "badtrace", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(!analyzed.status.success());
+    let stderr = String::from_utf8_lossy(&analyzed.stderr);
+    assert!(
+        stderr.contains("badtrace.trace.jsonl: line 3 (byte "),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn traced_run_supports_telemetry_analyze_end_to_end() {
     let dir = std::env::temp_dir().join("aegis-cli-analyze");

@@ -37,10 +37,10 @@ pub struct PolicyScratch {
     pub(crate) split: Vec<bool>,
     /// Fault-population buffer owned by the Monte Carlo driver.
     pub(crate) faults: Vec<Fault>,
-    /// Split tape of the single-policy entry points
-    /// ([`evaluate_block_with_scratch`](crate::montecarlo::evaluate_block_with_scratch)
-    /// and its page form). A page-major pass shares one tape across its
-    /// policies instead and leaves this one empty.
+    /// Split tape of the single-policy entry point,
+    /// [`evaluate_block_with_scratch`](crate::montecarlo::evaluate_block_with_scratch).
+    /// A page-major pass shares one tape across its policies instead and
+    /// leaves this one empty.
     pub(crate) tape: crate::montecarlo::SplitTape,
 }
 
@@ -66,13 +66,18 @@ pub struct CachedPair {
 /// pairs are computed — while the per-event split check walks the cached
 /// entries.
 ///
-/// The cache is *self-healing*: every consumer calls
-/// [`begin`](PairCache::begin) with its owner key and the current fault
-/// slice. If the cache belongs to another policy, or the covered faults are
-/// not a prefix of the current population, the cache resets and is rebuilt
-/// from scratch; otherwise only the suffix of unseen faults is absorbed.
-/// Correctness therefore never depends on `forget_block` being called —
-/// the cached content is a pure function of `(owner, covered)`.
+/// The cache trusts its driver: between two resets, every population a
+/// driver hands the policy must extend the one before it (the same block,
+/// one more arrival). A driver that moves to a population that is not such
+/// an extension — a new block, or a population it edited — first calls
+/// [`RecoveryPolicy::forget_block`], whose default resets this cache. So
+/// [`begin`](PairCache::begin) and [`matches`](PairCache::matches) compare
+/// only the owner key and the covered length, in `O(1)`: a foreign owner
+/// resets the cache, and a cache shorter than the population (a skipped
+/// observation) falls back to the cold recompute. Debug builds also keep
+/// the covered faults and assert, at every guard that passes, that they
+/// are a prefix of the population, so a driver that breaks the contract
+/// panics there instead of deciding from stale state.
 ///
 /// The field set is a deliberately generic union of what the workspace's
 /// schemes need (mirroring the `flags`/`bytes`/`counts` design of
@@ -82,7 +87,10 @@ pub struct PairCache {
     /// Key identifying the policy configuration that built this cache; see
     /// [`cache_key`].
     pub owner: u64,
-    /// The exact fault prefix the cached state describes.
+    /// Length of the fault prefix the cached state describes.
+    len: usize,
+    /// That prefix itself, kept only to check the driver contract.
+    #[cfg(debug_assertions)]
     covered: Vec<Fault>,
     /// Cached pairs in arrival order of the later fault.
     pub pairs: Vec<CachedPair>,
@@ -131,45 +139,55 @@ impl PairCache {
     /// Whether the cache was built by `owner` for exactly `faults`.
     ///
     /// This is the fast-path guard `recoverable_with` uses before trusting
-    /// cached state; the comparison is `O(f)` on fault count.
+    /// cached state: `O(1)`, since the driver contract makes a cache of
+    /// the population's length a cache of the population itself.
     #[must_use]
     pub fn matches(&self, owner: u64, faults: &[Fault]) -> bool {
-        self.owner == owner && self.covered == faults
+        let hit = self.owner == owner && self.len == faults.len();
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            !hit || self.covered == faults,
+            "PairCache: population is not the cached one (missing forget_block)"
+        );
+        hit
     }
 
     /// Synchronises ownership with `owner`/`faults` and returns the number
     /// of leading faults whose pair state is already cached.
     ///
-    /// If the cache belongs to a different owner, or its covered faults are
-    /// not a prefix of `faults`, all cached state is dropped and 0 is
-    /// returned; the caller then absorbs every fault. Otherwise the caller
-    /// only absorbs `faults[start..]`, committing each with
+    /// If the cache belongs to a different owner, or covers more faults
+    /// than `faults` holds, all cached state is dropped and 0 is returned;
+    /// the caller then absorbs every fault. Otherwise the caller only
+    /// absorbs `faults[start..]`, committing each with
     /// [`commit`](PairCache::commit).
     pub fn begin(&mut self, owner: u64, faults: &[Fault]) -> usize {
-        let prefix_ok = self.owner == owner
-            && self.covered.len() <= faults.len()
-            && self.covered == faults[..self.covered.len()];
-        if !prefix_ok {
+        if self.owner == owner && self.len <= faults.len() {
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                self.covered == faults[..self.len],
+                "PairCache: population does not extend the cached one (missing forget_block)"
+            );
+        } else {
             self.reset();
             self.owner = owner;
         }
-        self.covered.len()
+        self.len
     }
 
     /// Records that the pair state for `fault` is now cached.
     pub fn commit(&mut self, fault: Fault) {
+        self.len += 1;
+        #[cfg(debug_assertions)]
         self.covered.push(fault);
-    }
-
-    /// The faults whose pair state is cached.
-    #[must_use]
-    pub fn covered(&self) -> &[Fault] {
-        &self.covered
+        #[cfg(not(debug_assertions))]
+        let _ = fault;
     }
 
     /// Drops all cached state (including ownership).
     pub fn reset(&mut self) {
         self.owner = 0;
+        self.len = 0;
+        #[cfg(debug_assertions)]
         self.covered.clear();
         self.pairs.clear();
         self.masks.clear();
@@ -269,25 +287,30 @@ pub trait RecoveryPolicy: Sync {
     /// Notifies the policy that the last entry of `faults` just arrived, so
     /// it can extend incremental per-block state in `scratch.pair_cache`.
     ///
-    /// The Monte Carlo engine calls this once per fault arrival, *before*
-    /// the per-event [`recoverable_with`](Self::recoverable_with) calls for
-    /// that population. The default is a no-op: policies without an
+    /// Drivers call this once per fault arrival, *before* the per-event
+    /// [`recoverable_with`](Self::recoverable_with) calls for that
+    /// population, and `faults` must extend the population of the previous
+    /// call unless [`forget_block`](Self::forget_block) came in between
+    /// (see [`PairCache`]). The default is a no-op: policies without an
     /// incremental path simply keep recomputing, and `recoverable_with`
-    /// implementations must treat a non-matching cache as "recompute"
-    /// (the cache is advisory, never load-bearing for correctness).
+    /// implementations must treat a non-matching cache (a foreign owner,
+    /// or one that missed an arrival) as "recompute".
     fn observe_fault(&self, faults: &[Fault], scratch: &mut PolicyScratch) {
         let _ = (faults, scratch);
     }
 
-    /// Notifies the policy that the block under evaluation changed, so any
+    /// Notifies the policy that the next population is not an extension
+    /// of the last one — a new block, or one the driver edited — so any
     /// per-block incremental state in `scratch` is stale.
     ///
-    /// Called by the engine before each block's event loop. Because
-    /// [`PairCache::begin`] self-heals on owner/prefix mismatch this is an
-    /// optimisation hint (drop state eagerly) rather than a correctness
-    /// requirement; the default is a no-op.
+    /// Every driver calls this at exactly those points: the engine before
+    /// each block's event loop, forensics before its replay, and payg's
+    /// walk at block start and after each repair. It is what lets
+    /// [`PairCache`]'s guards compare lengths instead of fault slices, so
+    /// a driver that skips it breaks the contract (debug builds panic).
+    /// The default resets `scratch.pair_cache`.
     fn forget_block(&self, scratch: &mut PolicyScratch) {
-        let _ = scratch;
+        scratch.pair_cache.reset();
     }
 
     /// Human-readable account of how the scheme handles (or fails) the
@@ -501,12 +524,19 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_forget_default_to_noops() {
+    fn observe_defaults_to_a_noop_and_forget_resets_the_cache() {
         let p = AtMostWrong { cap: 1 };
+        let key = cache_key(&[1, 9, 61]);
+        let fs = faults(2);
         let mut scratch = PolicyScratch::new();
-        p.observe_fault(&faults(2), &mut scratch);
+        scratch.pair_cache.begin(key, &fs);
+        scratch.pair_cache.commit(fs[0]);
+        scratch.pair_cache.commit(fs[1]);
+        p.observe_fault(&fs, &mut scratch);
+        assert!(scratch.pair_cache.matches(key, &fs));
         p.forget_block(&mut scratch);
-        assert!(scratch.pair_cache.covered().is_empty());
+        assert!(!scratch.pair_cache.matches(key, &fs));
+        assert_eq!(scratch.pair_cache.owner, 0);
     }
 
     #[test]
@@ -529,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_cache_resets_on_owner_or_prefix_mismatch() {
+    fn pair_cache_resets_on_owner_or_length_mismatch() {
         let mut cache = PairCache::default();
         let key_a = cache_key(&[1, 9, 61]);
         let key_b = cache_key(&[2, 9, 61]);
@@ -549,12 +579,55 @@ mod tests {
         assert_eq!(cache.clean, 0);
         assert!(!cache.matches(key_a, &fs));
 
-        // Same owner but a different block's faults (not a prefix): reset.
+        // Same owner, but a population shorter than the cache: reset.
         cache.commit(fs[0]);
         cache.commit(fs[1]);
+        assert_eq!(cache.begin(key_b, &fs[..1]), 0);
+        assert!(!cache.matches(key_b, &fs));
+
+        // A skipped observation leaves the cache short: no match, and the
+        // next `begin` absorbs only the missing suffix.
+        cache.commit(fs[0]);
+        assert!(!cache.matches(key_b, &fs));
+        assert_eq!(cache.begin(key_b, &fs), 1);
+
+        // Another block after a reset starts from nothing.
+        cache.reset();
         let other = vec![Fault::new(5, true)];
         assert_eq!(cache.begin(key_b, &other), 0);
-        assert!(cache.covered().is_empty());
+        assert!(!cache.matches(key_b, &other));
+    }
+
+    /// A same-owner, same-length population that is not the cached one,
+    /// reached without a reset, breaks the driver contract: debug builds
+    /// catch it at the verdict guard.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "missing forget_block")]
+    fn matches_asserts_the_cached_population_in_debug_builds() {
+        let mut cache = PairCache::default();
+        let key = cache_key(&[1, 9, 61]);
+        let fs = faults(2);
+        cache.begin(key, &fs);
+        cache.commit(fs[0]);
+        cache.commit(fs[1]);
+        let other = vec![Fault::new(5, true), Fault::new(6, false)];
+        let _ = cache.matches(key, &other);
+    }
+
+    /// The same contract breach at the absorb guard: a longer population
+    /// whose head is not the cached prefix.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "missing forget_block")]
+    fn begin_asserts_the_cached_prefix_in_debug_builds() {
+        let mut cache = PairCache::default();
+        let key = cache_key(&[1, 9, 61]);
+        let fs = faults(2);
+        cache.begin(key, &fs[..1]);
+        cache.commit(fs[0]);
+        let other = vec![Fault::new(5, true), Fault::new(6, false)];
+        cache.begin(key, &other);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::{escape, Json, JsonError};
+use crate::json::{escape, Json, JsonError, LocatedError};
 
 /// Default per-collector ring capacity (records). At ~100 bytes per
 /// record this bounds each collector near 6 MB; a paper-scale fig5 sweep
@@ -559,10 +559,11 @@ impl TraceLog {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed lines, unknown event tags, or a
-    /// `trace_end` whose totals disagree with the parsed records.
-    pub fn parse(text: &str) -> Result<TraceLog, JsonError> {
-        let fail = |message: String| JsonError { pos: 0, message };
+    /// Returns the first malformed line, unknown event tag, or a
+    /// `trace_end` whose totals disagree with the parsed records, located
+    /// by its 1-based line number and its byte offset in `text` (a missing
+    /// `trace_end` is placed at the end of `text`).
+    pub fn parse(text: &str) -> Result<TraceLog, LocatedError> {
         let mut log = TraceLog {
             run_id: String::new(),
             capacity: 0,
@@ -571,100 +572,121 @@ impl TraceLog {
             pool: Vec::new(),
         };
         let mut saw_end = false;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let value = Json::parse(line)?;
-            let kind = value
-                .str_field("event")
-                .ok_or_else(|| fail("missing event tag".to_owned()))?;
-            let u64_of = |key: &str| {
-                value
-                    .u64_field(key)
-                    .ok_or_else(|| fail(format!("missing {key}")))
-            };
-            #[allow(clippy::cast_possible_truncation)]
-            match kind {
-                "trace_start" => {
-                    log.run_id = value
-                        .str_field("run_id")
-                        .ok_or_else(|| fail("missing run_id".to_owned()))?
-                        .to_owned();
-                    log.capacity = u64_of("capacity")? as usize;
-                }
-                "span" => {
-                    let parent = match value.get("parent") {
-                        Some(Json::Null) | None => None,
-                        Some(v) => {
-                            Some(v.as_u64().ok_or_else(|| fail("bad parent".to_owned()))? as u32)
-                        }
-                    };
-                    log.spans.push(TraceRecord {
-                        id: u64_of("id")? as u32,
-                        parent,
-                        name: value
-                            .str_field("name")
-                            .ok_or_else(|| fail("missing name".to_owned()))?
-                            .to_owned(),
-                        worker: u64_of("worker")? as u32,
-                        start_ns: u64_of("start_ns")?,
-                        dur_ns: u64_of("dur_ns")?,
-                    });
-                }
-                "worker_drops" => {
-                    log.drops
-                        .push((u64_of("worker")? as u32, u64_of("dropped")?));
-                }
-                "pool_phase" => {
-                    let workers = value
-                        .get("workers")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| fail("missing workers".to_owned()))?
-                        .iter()
-                        .map(|w| {
-                            let get = |key: &str| {
-                                w.u64_field(key)
-                                    .ok_or_else(|| fail(format!("missing {key}")))
-                            };
-                            let pull_ns = w
-                                .get("pull_ns")
-                                .and_then(Json::as_arr)
-                                .ok_or_else(|| fail("missing pull_ns".to_owned()))?
-                                .iter()
-                                .map(|p| p.as_u64().ok_or_else(|| fail("bad pull_ns".to_owned())))
-                                .collect::<Result<Vec<_>, _>>()?;
-                            Ok(PoolWorkerUtil {
-                                worker: get("worker")? as usize,
-                                tasks: get("tasks")? as usize,
-                                batches: get("batches")?,
-                                busy_ns: get("busy_ns")?,
-                                idle_ns: get("idle_ns")?,
-                                pull_ns,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, JsonError>>()?;
-                    log.pool.push(PoolPhase {
-                        phase: value
-                            .str_field("phase")
-                            .ok_or_else(|| fail("missing phase".to_owned()))?
-                            .to_owned(),
-                        workers,
-                    });
-                }
-                "trace_end" => {
-                    if u64_of("spans")? != log.spans.len() as u64 {
-                        return Err(fail("trace_end span count mismatch".to_owned()));
-                    }
-                    if u64_of("dropped")? != log.total_dropped() {
-                        return Err(fail("trace_end drop count mismatch".to_owned()));
-                    }
-                    saw_end = true;
-                }
-                other => return Err(fail(format!("unknown trace event '{other}'"))),
+        let mut start = 0;
+        for raw in text.split_inclusive('\n') {
+            let line_start = start;
+            start += raw.len();
+            let line = raw.strip_suffix('\n').unwrap_or(raw);
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            if line.trim().is_empty() {
+                continue;
             }
+            log.absorb_line(line, &mut saw_end)
+                .map_err(|e| e.locate(text, line_start))?;
         }
         if !saw_end {
-            return Err(fail("trace stream has no trace_end line".to_owned()));
+            let missing = JsonError {
+                pos: 0,
+                message: "trace stream has no trace_end line".to_owned(),
+            };
+            return Err(missing.locate(text, text.len()));
         }
         Ok(log)
+    }
+
+    /// Adds one sidecar line's record to `self`, setting `saw_end` at the
+    /// `trace_end` line.
+    fn absorb_line(&mut self, line: &str, saw_end: &mut bool) -> Result<(), JsonError> {
+        let fail = |message: String| JsonError { pos: 0, message };
+        let value = Json::parse(line)?;
+        let kind = value
+            .str_field("event")
+            .ok_or_else(|| fail("missing event tag".to_owned()))?;
+        let u64_of = |key: &str| {
+            value
+                .u64_field(key)
+                .ok_or_else(|| fail(format!("missing {key}")))
+        };
+        #[allow(clippy::cast_possible_truncation)]
+        match kind {
+            "trace_start" => {
+                self.run_id = value
+                    .str_field("run_id")
+                    .ok_or_else(|| fail("missing run_id".to_owned()))?
+                    .to_owned();
+                self.capacity = u64_of("capacity")? as usize;
+            }
+            "span" => {
+                let parent = match value.get("parent") {
+                    Some(Json::Null) | None => None,
+                    Some(v) => {
+                        Some(v.as_u64().ok_or_else(|| fail("bad parent".to_owned()))? as u32)
+                    }
+                };
+                self.spans.push(TraceRecord {
+                    id: u64_of("id")? as u32,
+                    parent,
+                    name: value
+                        .str_field("name")
+                        .ok_or_else(|| fail("missing name".to_owned()))?
+                        .to_owned(),
+                    worker: u64_of("worker")? as u32,
+                    start_ns: u64_of("start_ns")?,
+                    dur_ns: u64_of("dur_ns")?,
+                });
+            }
+            "worker_drops" => {
+                self.drops
+                    .push((u64_of("worker")? as u32, u64_of("dropped")?));
+            }
+            "pool_phase" => {
+                let workers = value
+                    .get("workers")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| fail("missing workers".to_owned()))?
+                    .iter()
+                    .map(|w| {
+                        let get = |key: &str| {
+                            w.u64_field(key)
+                                .ok_or_else(|| fail(format!("missing {key}")))
+                        };
+                        let pull_ns = w
+                            .get("pull_ns")
+                            .and_then(Json::as_arr)
+                            .ok_or_else(|| fail("missing pull_ns".to_owned()))?
+                            .iter()
+                            .map(|p| p.as_u64().ok_or_else(|| fail("bad pull_ns".to_owned())))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        Ok(PoolWorkerUtil {
+                            worker: get("worker")? as usize,
+                            tasks: get("tasks")? as usize,
+                            batches: get("batches")?,
+                            busy_ns: get("busy_ns")?,
+                            idle_ns: get("idle_ns")?,
+                            pull_ns,
+                        })
+                    })
+                    .collect::<Result<Vec<_>, JsonError>>()?;
+                self.pool.push(PoolPhase {
+                    phase: value
+                        .str_field("phase")
+                        .ok_or_else(|| fail("missing phase".to_owned()))?
+                        .to_owned(),
+                    workers,
+                });
+            }
+            "trace_end" => {
+                if u64_of("spans")? != self.spans.len() as u64 {
+                    return Err(fail("trace_end span count mismatch".to_owned()));
+                }
+                if u64_of("dropped")? != self.total_dropped() {
+                    return Err(fail("trace_end drop count mismatch".to_owned()));
+                }
+                *saw_end = true;
+            }
+            other => return Err(fail(format!("unknown trace event '{other}'"))),
+        }
+        Ok(())
     }
 }
 
@@ -790,6 +812,32 @@ mod tests {
         // A tampered span count is caught by the trailer check.
         let tampered = text.replace("\"spans\": 1", "\"spans\": 7");
         assert!(TraceLog::parse(&tampered).is_err());
+    }
+
+    #[test]
+    fn parser_errors_carry_the_line_and_the_byte_offset_in_the_file() {
+        let tracer = Tracer::new(8);
+        let _ = tracer.span("s");
+        let text = tracer.finish("t").unwrap().to_jsonl();
+        let second = text.find('\n').unwrap() + 1;
+        // A syntax error inside line 2: the offset counts from the file.
+        let broken = format!("{}{{\"event\": ]\n{}", &text[..second], &text[second..]);
+        let err = TraceLog::parse(&broken).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.pos, second + "{\"event\": ".len());
+        // A semantic error names its line, at the line's start.
+        let unknown = format!(
+            "{}{{\"event\": \"mystery\"}}\n{}",
+            &text[..second],
+            &text[second..]
+        );
+        let err = TraceLog::parse(&unknown).unwrap_err();
+        assert_eq!((err.line, err.pos), (2, second));
+        assert!(err.message.contains("mystery"), "{err}");
+        // A stream with no trailer is placed at its end.
+        let cut = &text[..text.find("{\"event\": \"trace_end\"").unwrap()];
+        let err = TraceLog::parse(cut).unwrap_err();
+        assert_eq!((err.line, err.pos), (cut.lines().count() + 1, cut.len()));
     }
 
     #[test]

@@ -30,6 +30,25 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 # privatizing an item cannot leave a dangling reference in the docs.
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 
+# Driver-contract smoke: a release build with debug assertions on keeps
+# the PairCache's covered faults and asserts, at every cache guard, that
+# each population extends the cached one unless the driver called
+# forget_block first. Every real driver runs once under it: the engine
+# (fig5, and fig8 under the guarantee), block trials (failcdf), payg's
+# walk with its repair pops, and block-death forensics.
+da_target=target/debug-assertions
+da_out="${TMPDIR:-/tmp}/aegis-verify-debug-assertions"
+rm -rf "$da_out"
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true run cargo build --release --offline \
+    -p aegis-experiments --target-dir "$da_target"
+for cmd in "fig5 --pages 8" "fig8 --pages 8 --guaranteed" "payg --pages 8" \
+           "failcdf --trials 500" "fig5 --pages 2 --trace-block 0,0"; do
+    echo "==> experiments $cmd (debug assertions)"
+    # shellcheck disable=SC2086 # $cmd carries the command's flags
+    "$da_target/release/experiments" $cmd --quiet --out "$da_out" >/dev/null
+done
+rm -rf "$da_out"
+
 # Telemetry smoke: a tiny instrumented fig5 run (with tracing on) must
 # emit a parseable event stream, a manifest sidecar and a trace sidecar;
 # the report and the profiler must read them back, and the profiler must

@@ -5,7 +5,10 @@
 //! identical to a cold-scratch recompute and to the stateless
 //! `recoverable` reference — across random fault arrival orders, random
 //! W/R splits, and deliberate cache abuse (skipped observations, stale
-//! scratch reuse across policies).
+//! scratch reuse across policies). Debug builds also pin the driver
+//! contract itself: a same-owner population of the cached length that is
+//! not the cached one, reached without `forget_block`, trips the
+//! `PairCache` assertion.
 //!
 //! Failures shrink toward fewer faults and fewer splits via the in-tree
 //! `sim_rng::prop` harness; CI runs the suite with `SIM_PROP_CASES=10000`
@@ -322,10 +325,17 @@ fn foreign_config(config: usize) -> usize {
     }
 }
 
-/// Cache abuse: observations may be skipped entirely (a fault arrives that
-/// the scratch never saw) or the scratch may be left warm from a different
-/// policy. Both must self-heal — via the owner/prefix check — to the
-/// reference verdict, never to a stale one.
+/// Cache abuse within the driver contract (the population only grows and
+/// no `forget_block` is needed): observations may be skipped entirely (a
+/// fault arrives that the scratch never saw) or the scratch may be left
+/// warm from a different policy. Both must still give the reference
+/// verdict, never a stale one: a foreign owner resets the cache at the
+/// next `observe_fault` and fails the verdict guard before it, and a
+/// cache that missed an arrival is shorter than the population, so the
+/// length check sends the verdict down the cold path. A foreign policy
+/// that shares the owner key (Aegis-rw and rw-p, SAFER's two cache modes)
+/// sees the same block width, so its decoy is the population itself and
+/// its content stays a valid prefix.
 #[test]
 fn skipped_observations_and_foreign_scratch_self_heal() {
     Runner::new("skipped_observations_and_foreign_scratch_self_heal")
@@ -350,7 +360,7 @@ fn skipped_observations_and_foreign_scratch_self_heal() {
                     for f in &seen {
                         let offset = f.offset % bits;
                         if !decoy.iter().any(|d: &Fault| d.offset == offset) {
-                            decoy.push(Fault::new(offset, f.stuck));
+                            decoy.push(Fault { offset, ..*f });
                         }
                     }
                     foreign.observe_fault(&decoy, &mut warm);
@@ -370,4 +380,73 @@ fn skipped_observations_and_foreign_scratch_self_heal() {
             }
             Ok(())
         });
+}
+
+/// Two equal-length, disjoint populations of `config`'s block width.
+fn disjoint_populations(config: usize, len: usize) -> (Vec<Fault>, Vec<Fault>) {
+    let bits = CONFIGS[config].1;
+    let step = bits / (2 * len);
+    let first = (0..len).map(|i| Fault::new(2 * i * step, false)).collect();
+    let second = (0..len)
+        .map(|i| Fault::new((2 * i + 1) * step, true))
+        .collect();
+    (first, second)
+}
+
+/// The driver contract, broken: Aegis observes one block, then a
+/// same-length population of another block arrives without
+/// `forget_block`. The absorb guard must catch it in a debug build.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "missing forget_block")]
+fn unforgotten_foreign_population_trips_the_debug_assertion() {
+    let policy = build_policy(0, 1);
+    let (first, second) = disjoint_populations(0, 6);
+    let mut warm = PolicyScratch::new();
+    policy.forget_block(&mut warm);
+    for n in 1..=first.len() {
+        policy.observe_fault(&first[..n], &mut warm);
+    }
+    policy.observe_fault(&second, &mut warm);
+}
+
+/// The same breach at the verdict guard, for every configuration with an
+/// incremental cache: after observing one population, a verdict on a
+/// same-length population of another block panics in a debug build
+/// instead of reading the first block's state; after `forget_block` it
+/// is the reference verdict.
+#[cfg(debug_assertions)]
+#[test]
+fn every_cached_family_asserts_the_population_at_its_verdict_guard() {
+    let mut cached = 0;
+    for (config, &(label, _, _)) in CONFIGS.iter().enumerate() {
+        let policy = build_policy(config, 2);
+        let (first, second) = disjoint_populations(config, 6);
+        let mut warm = PolicyScratch::new();
+        policy.forget_block(&mut warm);
+        for n in 1..=first.len() {
+            policy.observe_fault(&first[..n], &mut warm);
+        }
+        let cache = &warm.pair_cache;
+        if cache.owner == 0 || !cache.matches(cache.owner, &first) {
+            continue; // no incremental path (ECP, the scalar references)
+        }
+        cached += 1;
+        let wrong = vec![true; second.len()];
+        let breach = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            policy.recoverable_with(&second, &wrong, &mut warm)
+        }));
+        assert!(breach.is_err(), "{label} decided a foreign population");
+        let mut warm = PolicyScratch::new();
+        for n in 1..=first.len() {
+            policy.observe_fault(&first[..n], &mut warm);
+        }
+        policy.forget_block(&mut warm);
+        assert_eq!(
+            policy.recoverable_with(&second, &wrong, &mut warm),
+            policy.recoverable(&second, &wrong),
+            "{label}"
+        );
+    }
+    assert_eq!(cached, 23, "every non-scalar, non-ECP configuration caches");
 }

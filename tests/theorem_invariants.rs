@@ -8,7 +8,7 @@ use aegis_pcm::aegis::{AegisCodec, AegisRwPolicy, Rectangle};
 use aegis_pcm::baselines::{MaskingPolicy, PlbcPolicy};
 use aegis_pcm::bitblock::BitBlock;
 use aegis_pcm::codec::StuckAtCodec;
-use aegis_pcm::pcm::policy::RecoveryPolicy;
+use aegis_pcm::pcm::policy::{guaranteed_splits, PolicyScratch, RecoveryPolicy};
 use aegis_pcm::pcm::{sample_split_for, Fault, PcmBlock, Stuckness};
 use sim_rng::prop::{shrink, Runner};
 use sim_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
@@ -256,6 +256,90 @@ fn masking_redundancy_is_monotone_at_any_partially_stuck_fraction() {
         });
 }
 
+/// PLBC configurations of the exact-guarantee pin, `(t_mask, t_ecc,
+/// block_bits)`: fig8's PLC4+2 and PLC5+1, then short blocks whose few
+/// rows put dependencies — and so guarantee failures — within 14 faults.
+const PLBC_GUARANTEE_CONFIGS: &[(usize, usize, usize)] = &[
+    (4, 2, 512),
+    (5, 1, 512),
+    (1, 1, 64),
+    (1, 2, 64),
+    (1, 3, 64),
+    (2, 2, 64),
+    (1, 1, 15),
+];
+
+/// Generator: a PLBC configuration and a population of at most 14 faults
+/// (the exhaustive limit of the split enumeration) on its block.
+fn plbc_guarantee_case(rng: &mut SmallRng) -> (usize, Vec<Fault>) {
+    let config = rng.random_range(0..PLBC_GUARANTEE_CONFIGS.len());
+    let bits = PLBC_GUARANTEE_CONFIGS[config].2;
+    let count = rng.random_range(0..=14usize.min(bits));
+    let mut faults: Vec<Fault> = Vec::with_capacity(count);
+    while faults.len() < count {
+        let offset = rng.random_range(0..bits);
+        if !faults.iter().any(|f| f.offset == offset) {
+            faults.push(if rng.random_bool(0.25) {
+                Fault::partial(offset, rng.random(), rng.random())
+            } else {
+                Fault::new(offset, rng.random())
+            });
+        }
+    }
+    (config, faults)
+}
+
+/// PLBC's guarantee is exact: whether every syndrome of the dependency
+/// space is a XOR of at most `t_ecc` fault columns. Cold and read off a
+/// warm cache, it must give the verdict of enumerating every W/R split
+/// through the stateless predicate, on every population of at most 14
+/// faults.
+#[test]
+fn plbc_exact_guarantee_matches_the_split_enumeration() {
+    Runner::new("plbc_exact_guarantee_matches_the_split_enumeration")
+        .cases(96)
+        .run(
+            plbc_guarantee_case,
+            |(config, faults)| {
+                shrink::vec(faults, shrink::none)
+                    .into_iter()
+                    .map(|faults| (*config, faults))
+                    .collect()
+            },
+            |(config, faults)| {
+                let (t_mask, t_ecc, bits) = PLBC_GUARANTEE_CONFIGS[*config];
+                let policy = PlbcPolicy::new(t_mask, t_ecc, bits);
+                let want = guaranteed_splits(&policy, faults);
+                prop_assert_eq!(policy.guaranteed(faults), want, "cold {faults:?}");
+                let mut warm = PolicyScratch::new();
+                policy.forget_block(&mut warm);
+                for n in 1..=faults.len() {
+                    policy.observe_fault(&faults[..n], &mut warm);
+                }
+                prop_assert_eq!(
+                    policy.guaranteed_with(faults, &mut warm),
+                    want,
+                    "warm {faults:?}"
+                );
+                Ok(())
+            },
+        );
+}
+
+/// The pin above is not vacuous: on the short blocks, populations within
+/// 14 faults both pass and fail the guarantee.
+#[test]
+fn plbc_guarantee_pin_sees_both_verdicts() {
+    let mut rng = SmallRng::seed_from_u64(0x91BC);
+    let mut seen = [false; 2];
+    for _ in 0..64 {
+        let (config, faults) = plbc_guarantee_case(&mut rng);
+        let (t_mask, t_ecc, bits) = PLBC_GUARANTEE_CONFIGS[config];
+        seen[usize::from(PlbcPolicy::new(t_mask, t_ecc, bits).guaranteed(&faults))] = true;
+    }
+    assert_eq!(seen, [true, true]);
+}
+
 /// The partially-stuck refinement is deterministic under a fixed seed:
 /// strengthening the weak write (raising `weak_success_q8`) can only turn
 /// W verdicts into R, never the reverse, and fully stuck verdicts are
@@ -311,7 +395,6 @@ fn primes_infrastructure_is_sound() {
 #[test]
 fn counting_bound_caps_every_guaranteed_population() {
     use aegis_experiments::schemes;
-    use aegis_pcm::pcm::policy::PolicyScratch;
     let mut judged = schemes::fig5_schemes(512);
     judged.extend(schemes::fig5_schemes(256));
     judged.extend(schemes::fig8_schemes());
