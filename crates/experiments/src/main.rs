@@ -997,13 +997,7 @@ fn run_merge(cli: &Cli) -> ExitCode {
             Ok(input) => inputs.push(input),
             Err(err) => {
                 eprintln!("merge: shard '{id}': {err}");
-                // A malformed shard file is bad input; a missing one is
-                // an I/O failure.
-                return if err.kind() == std::io::ErrorKind::InvalidData {
-                    ExitCode::from(USAGE_ERROR)
-                } else {
-                    ExitCode::FAILURE
-                };
+                return read_error_exit(&err);
             }
         }
     }
@@ -1125,7 +1119,7 @@ fn run_telemetry_report(cli: &Cli) -> ExitCode {
         }
         Err(err) => {
             eprintln!("telemetry-report: {err}");
-            ExitCode::FAILURE
+            read_error_exit(&err)
         }
     }
 }
@@ -1156,8 +1150,19 @@ fn run_telemetry_analyze(cli: &Cli) -> ExitCode {
         }
         Err(err) => {
             eprintln!("telemetry-analyze: {err}");
-            ExitCode::FAILURE
+            read_error_exit(&err)
         }
+    }
+}
+
+/// Exit code for a failed read of a run's files: a malformed document
+/// (`InvalidData`) is bad input and exits with the usage code (2); a
+/// missing or unreadable file is an I/O failure (1).
+fn read_error_exit(err: &std::io::Error) -> ExitCode {
+    if err.kind() == std::io::ErrorKind::InvalidData {
+        ExitCode::from(USAGE_ERROR)
+    } else {
+        ExitCode::FAILURE
     }
 }
 

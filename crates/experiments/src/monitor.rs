@@ -27,9 +27,9 @@ use std::path::{Path, PathBuf};
 pub struct MonitorSnapshot {
     /// Parsed status records, sorted by run id.
     pub runs: Vec<StatusRecord>,
-    /// Status files that exist but failed to parse (path, error). A
-    /// half-written file can only appear if a writer dies mid-rename;
-    /// the monitor reports it instead of dying.
+    /// Status files that exist but failed to parse (path, error naming
+    /// the line and byte offset). A half-written file can only appear if
+    /// a writer dies mid-rename; the monitor reports it instead of dying.
     pub malformed: Vec<(PathBuf, String)>,
 }
 
@@ -75,7 +75,7 @@ pub fn scan(dir: &Path) -> io::Result<MonitorSnapshot> {
         match fs::read_to_string(&path) {
             Ok(text) => match StatusRecord::parse(&text) {
                 Ok(record) => runs.push(record),
-                Err(err) => malformed.push((path, err.to_string())),
+                Err(err) => malformed.push((path, err.locate(&text, 0).to_string())),
             },
             Err(err) => malformed.push((path, err.to_string())),
         }
@@ -292,7 +292,11 @@ mod tests {
         let dir = temp_dir("bad");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("broken.status.json"), "{not json").unwrap();
+        fs::write(
+            dir.join("broken.status.json"),
+            "{\n  \"run_id\": \"broken\",\n  not json\n",
+        )
+        .unwrap();
         let good = StatusWriter::create("ok", &dir).unwrap();
         good.mark(RunState::Done);
 
@@ -303,6 +307,11 @@ mod tests {
         let text = render(&snapshot, 0);
         assert!(text.contains("malformed:"), "{text}");
         assert!(text.contains("1 malformed"), "{text}");
+        // The row names the file, the line and the byte offset in it.
+        assert!(
+            text.contains("broken.status.json: line 3 (byte 26): "),
+            "{text}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -169,7 +169,7 @@ impl SchemeSummary {
 /// `<label>#<block_bits>` so the same scheme at two block sizes stays
 /// two estimates.
 #[must_use]
-pub fn unit_estimates(label: &str, block_bits: usize, run: &MemoryRun) -> Vec<UnitEstimate> {
+pub(crate) fn unit_estimates(label: &str, block_bits: usize, run: &MemoryRun) -> Vec<UnitEstimate> {
     let unit = format!("{label}#{block_bits}");
     vec![
         UnitEstimate {

@@ -56,8 +56,13 @@ pub(crate) struct RunData {
 
 pub(crate) fn read_run(run_id: &str, telemetry_dir: &Path) -> io::Result<RunData> {
     let manifest_path = telemetry_dir.join(format!("{run_id}.manifest.json"));
-    let manifest = RunManifest::parse(&fs::read_to_string(&manifest_path)?)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let text = fs::read_to_string(&manifest_path)?;
+    let manifest = RunManifest::parse(&text).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {}", manifest_path.display(), e.locate(&text, 0)),
+        )
+    })?;
     let stream_path = telemetry_dir.join(format!("{run_id}.jsonl"));
     let text = fs::read_to_string(&stream_path)?;
     let mut events = Vec::new();

@@ -228,6 +228,12 @@ fn telemetry_report_for_a_missing_run_fails_cleanly() {
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(1), "I/O failures must exit 1");
     assert!(String::from_utf8_lossy(&output.stderr).contains("telemetry-report"));
+    let analyzed = experiments()
+        .args(["telemetry-analyze", "no-such-run", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(analyzed.status.code(), Some(1), "I/O failures must exit 1");
 
     let noid = experiments()
         .arg("telemetry-report")
@@ -376,11 +382,37 @@ fn telemetry_report_skips_malformed_lines_and_exits_2() {
     // The surviving lines still produce a report on stdout.
     let stdout = String::from_utf8_lossy(&report.stdout);
     assert!(stdout.contains("run 'corrupt'"), "{stdout}");
+
+    // A truncated manifest is bad input too: both readers exit 2 and
+    // name the manifest, the line and the byte where parsing stopped.
+    let manifest_path = dir.join("telemetry/corrupt.manifest.json");
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+    let truncated = &manifest[..manifest.len() / 2];
+    std::fs::write(&manifest_path, truncated).unwrap();
+    let located = format!(
+        "corrupt.manifest.json: line {} (byte {}): ",
+        1 + truncated.matches('\n').count(),
+        truncated.len()
+    );
+    for tool in ["telemetry-report", "telemetry-analyze"] {
+        let output = experiments()
+            .args([tool, "corrupt", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{tool}: a truncated manifest must exit 2: {stderr}"
+        );
+        assert!(stderr.contains(&located), "{tool}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A corrupted line in a `--trace` sidecar makes `telemetry-analyze`, the
-/// command that reads it, fail with the sidecar's path and the line.
+/// command that reads it, exit 2 with the sidecar's path and the line.
 #[test]
 fn corrupt_trace_sidecar_is_named_by_file_and_line() {
     let dir = std::env::temp_dir().join("aegis-cli-corrupt-trace");
@@ -410,8 +442,12 @@ fn corrupt_trace_sidecar_is_named_by_file_and_line() {
         .arg(&dir)
         .output()
         .expect("binary runs");
-    assert!(!analyzed.status.success());
     let stderr = String::from_utf8_lossy(&analyzed.stderr);
+    assert_eq!(
+        analyzed.status.code(),
+        Some(2),
+        "a malformed sidecar must exit 2: {stderr}"
+    );
     assert!(
         stderr.contains("badtrace.trace.jsonl: line 3 (byte "),
         "{stderr}"

@@ -1511,6 +1511,18 @@ mod tests {
         };
         let plain = run_memory(&policy, &cfg);
 
+        // The disabled tracer every untraced run carries leaves the
+        // results identical and records nothing.
+        let disabled = Tracer::disabled();
+        let hooks = PassHooks {
+            tracer: Some(&disabled),
+            ..PassHooks::default()
+        };
+        let untraced = run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks).remove(0);
+        assert_eq!(plain.page_lifetimes, untraced.page_lifetimes);
+        assert_eq!(plain.faults_recovered, untraced.faults_recovered);
+        assert!(disabled.finish("unit").is_none());
+
         let tracer = Tracer::new(1024);
         let hooks = PassHooks {
             tracer: Some(&tracer),

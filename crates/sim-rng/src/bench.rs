@@ -5,8 +5,8 @@
 //! calibrated so one *sample* lasts a few milliseconds; a configurable
 //! number of samples is collected and summarized as min/mean/median/p95
 //! per-iteration nanoseconds. Results print as a table and are written as
-//! JSON to `results/bench/<target>.json` at the workspace root, so figure
-//! scripts and regression checks can diff runs.
+//! JSON to `results/bench/<target>.json` at the workspace root, so two
+//! runs can be diffed.
 //!
 //! Environment knobs:
 //!
@@ -52,23 +52,23 @@ const WARMUP: Duration = Duration::from_millis(100);
 
 /// One benchmark's summary statistics (per-iteration nanoseconds).
 #[derive(Debug, Clone)]
-pub struct Record {
+struct Record {
     /// Group name, empty for top-level `bench_function` calls.
-    pub group: String,
+    group: String,
     /// Benchmark name within the group.
-    pub name: String,
+    name: String,
     /// Fastest sample.
-    pub min_ns: f64,
+    min_ns: f64,
     /// Arithmetic mean over samples.
-    pub mean_ns: f64,
+    mean_ns: f64,
     /// Median sample — the headline number.
-    pub median_ns: f64,
+    median_ns: f64,
     /// 95th-percentile sample.
-    pub p95_ns: f64,
+    p95_ns: f64,
     /// Number of timed samples.
-    pub samples: usize,
+    samples: usize,
     /// Iterations per sample (from calibration).
-    pub iters_per_sample: u64,
+    iters_per_sample: u64,
 }
 
 /// The top-level harness handle passed to every benchmark function.
@@ -189,12 +189,6 @@ impl Bench {
         self.records.push(record);
     }
 
-    /// All records collected so far.
-    #[must_use]
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
     /// Writes the collected records as JSON and returns the path written.
     ///
     /// The output directory is `SIM_BENCH_OUT` if set, otherwise
@@ -222,8 +216,7 @@ impl Bench {
     /// (`SIM_RUN_ID`, default `bench-<target>`), the git description of
     /// the tree, the creation time and the fast-mode flag, so a bench
     /// record is attributable to the exact run that produced it.
-    #[must_use]
-    pub fn to_json(&self, target: &str) -> String {
+    fn to_json(&self, target: &str) -> String {
         let run_id = std::env::var("SIM_RUN_ID").unwrap_or_else(|_| format!("bench-{target}"));
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"target\": {},", json_string(target));
@@ -408,7 +401,7 @@ mod tests {
         bench.bench_function("spin", |b| {
             b.iter(|| (0..100u64).sum::<u64>());
         });
-        let r = &bench.records()[0];
+        let r = &bench.records[0];
         assert_eq!(r.name, "spin");
         assert!(r.median_ns > 0.0);
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.p95_ns);
@@ -422,8 +415,8 @@ mod tests {
         group.sample_size(4);
         group.bench_function("noop", |b| b.iter(|| 1u64));
         group.finish();
-        assert_eq!(bench.records()[0].samples, 4);
-        assert_eq!(bench.records()[0].group, "g");
+        assert_eq!(bench.records[0].samples, 4);
+        assert_eq!(bench.records[0].group, "g");
     }
 
     #[test]
