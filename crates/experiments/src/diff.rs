@@ -26,11 +26,11 @@
 //!   agree exactly (e.g. one seed at two thread counts).
 //!
 //! Volatile lines ([`Event::Volatile`], [`Event::SeriesVolatile`]) are
-//! stripped before comparison: they carry scheduling-dependent values and
-//! are outside the contract.
+//! parsed but left out of the comparison: they carry scheduling-dependent
+//! values and are outside the contract.
 
 use crate::telemetry::{fmt_quantile, snapshot_from_sparse};
-use sim_telemetry::{strip_volatile, Event, HistogramSnapshot};
+use sim_telemetry::{Event, HistogramSnapshot, LocatedError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -42,14 +42,14 @@ use std::path::{Path, PathBuf};
 pub enum DiffError {
     /// A stream file could not be read.
     Io(io::Error),
-    /// A stream line failed to parse (1-based line number within the
-    /// volatile-stripped stream). Maps to the usage exit code (2): a
+    /// A stream line failed to parse. Maps to the usage exit code (2): a
     /// corrupt stream is a malformed input, not a drift verdict.
     Malformed {
         /// The offending file.
         path: PathBuf,
-        /// 1-based line number of the first unparseable line.
-        line: usize,
+        /// The first unparseable line of the file, its byte offset and the
+        /// parse error.
+        error: LocatedError,
     },
 }
 
@@ -135,23 +135,28 @@ fn kind(event: &Event) -> &'static str {
     }
 }
 
-/// Reads one stream file, strips volatile lines, and parses every
-/// remaining line strictly (unlike the lenient report/analyze readers: a
-/// diff over a silently truncated stream would vouch for garbage).
+/// Reads one stream file, parses every line strictly (unlike the lenient
+/// report/analyze readers: a diff over a silently truncated stream would
+/// vouch for garbage) and drops the volatile events. An error names the
+/// line of the file itself, volatile lines included.
 fn load_events(path: &Path) -> Result<Vec<Event>, DiffError> {
     let text = fs::read_to_string(path)?;
-    let stripped = strip_volatile(&text);
     let mut events = Vec::new();
-    for (i, line) in stripped.lines().enumerate() {
+    let mut start = 0;
+    for raw in text.split_inclusive('\n') {
+        let line_start = start;
+        start += raw.len();
+        let line = raw.trim_end_matches(['\n', '\r']);
         if line.trim().is_empty() {
             continue;
         }
         match Event::parse_line(line) {
+            Ok((_, Event::Volatile { .. } | Event::SeriesVolatile { .. })) => {}
             Ok((_, event)) => events.push(event),
-            Err(_) => {
+            Err(err) => {
                 return Err(DiffError::Malformed {
                     path: path.to_owned(),
-                    line: i + 1,
+                    error: err.locate(&text, line_start),
                 })
             }
         }
@@ -279,7 +284,7 @@ fn fmt_ratio(ratio: f64) -> String {
 /// # Errors
 ///
 /// [`DiffError::Io`] when a stream cannot be read, [`DiffError::Malformed`]
-/// when a (volatile-stripped) line fails to parse.
+/// when a line fails to parse.
 pub fn diff_runs(
     dir: &Path,
     run_a: &str,
@@ -750,12 +755,14 @@ mod tests {
         write_run("b", &dir, 3);
         let path = dir.join("b.jsonl");
         let mut stream = fs::read_to_string(&path).unwrap();
+        let bad_start = stream.len();
         stream.push_str("{\"seq\": 999, \"event\": \"cou\n");
-        fs::write(&path, stream).unwrap();
+        fs::write(&path, &stream).unwrap();
         match diff_runs(&dir, "a", "b", DiffMode::Threshold(0.0)) {
-            Err(DiffError::Malformed { path: p, line }) => {
+            Err(DiffError::Malformed { path: p, error }) => {
                 assert!(p.ends_with("b.jsonl"));
-                assert!(line > 1);
+                assert_eq!(error.line, stream.lines().count(), "{error}");
+                assert!((bad_start..stream.len()).contains(&error.pos), "{error}");
             }
             other => panic!("expected Malformed, got {other:?}"),
         }

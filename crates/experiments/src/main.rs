@@ -1224,11 +1224,8 @@ fn run_telemetry_diff(cli: &Cli) -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        Err(diff::DiffError::Malformed { path, line }) => {
-            eprintln!(
-                "telemetry-diff: malformed line {line} in {}",
-                path.display()
-            );
+        Err(diff::DiffError::Malformed { path, error }) => {
+            eprintln!("telemetry-diff: {}: {error}", path.display());
             ExitCode::from(USAGE_ERROR)
         }
         Err(diff::DiffError::Io(err)) => {

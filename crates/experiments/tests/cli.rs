@@ -1394,9 +1394,67 @@ fn series_status_monitor_and_diff_cover_the_observability_loop() {
         .expect("binary runs");
     assert_eq!(malformed.status.code(), Some(2));
     assert!(
-        String::from_utf8_lossy(&malformed.stderr).contains("malformed line 2"),
+        String::from_utf8_lossy(&malformed.stderr).contains("obsB.jsonl: line 2 (byte "),
         "{}",
         String::from_utf8_lossy(&malformed.stderr)
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `telemetry-diff` numbers a malformed line as the file does: the
+/// volatile lines before it count, and the error names the byte too.
+#[test]
+fn telemetry_diff_locates_a_malformed_line_after_volatile_lines() {
+    let dir = std::env::temp_dir().join("aegis-cli-diff-located");
+    let _ = std::fs::remove_dir_all(&dir);
+    for run_id in ["a", "b"] {
+        let output = experiments()
+            .args(["fig5", "--pages", "4", "--seed", "1"])
+            .args([
+                "--telemetry",
+                "--series",
+                "--run-id",
+                run_id,
+                "--quiet",
+                "--out",
+            ])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    let path = dir.join("telemetry/b.series.jsonl");
+    let series = std::fs::read_to_string(&path).expect("series sidecar");
+    let volatile_before = series
+        .lines()
+        .take(13)
+        .filter(|l| l.contains("\"series_volatile\""))
+        .count();
+    assert!(
+        volatile_before >= 2,
+        "lines 1-13 hold {volatile_before} volatile lines"
+    );
+    // Line 14 loses the quotes of its "event" key.
+    let line_start: usize = series.lines().take(13).map(|l| l.len() + 1).sum();
+    let line = series.lines().nth(13).expect("a fourteenth line");
+    let bad_line = line.replacen("\"event\"", "event", 1);
+    let column = bad_line.find("event").expect("key kept");
+    std::fs::write(&path, series.replacen(line, &bad_line, 1)).expect("corrupt the sidecar");
+    let output = experiments()
+        .args(["telemetry-diff", "a", "b", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    let located = format!("b.series.jsonl: line 14 (byte {}): ", line_start + column);
+    assert!(
+        stderr.contains(&located),
+        "expected '{located}' in: {stderr}"
     );
     let _ = std::fs::remove_dir_all(dir);
 }

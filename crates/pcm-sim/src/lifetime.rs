@@ -88,7 +88,14 @@ impl LifetimeModel {
     /// One lifetime draw from the uniforms of [`uniform_pair`], *before*
     /// [`sample`](Self::sample)'s rejection of non-positive draws.
     pub(crate) fn draw(&self, u1: f64, u2: f64) -> f64 {
-        self.mean + self.std_dev * box_muller(u1, u2)
+        self.at(box_muller(u1, u2))
+    }
+
+    /// The lifetime `z` standard deviations from the mean, rounded exactly
+    /// as [`draw`](Self::draw) rounds a variate `z`. Rounding is monotone,
+    /// so a variate `≥ z` draws a lifetime `≥ at(z)`.
+    pub(crate) fn at(&self, z: f64) -> f64 {
+        self.mean + self.std_dev * z
     }
 }
 
@@ -109,21 +116,8 @@ pub(crate) fn uniform_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 /// One standard-normal variate: the Box–Muller transform of `(u1, u2)`.
 /// This is the only place the formula lives, so every caller produces the
 /// identical bits.
-fn box_muller(u1: f64, u2: f64) -> f64 {
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Whether a Box–Muller variate with second uniform `u2` is certainly
-/// non-negative, decided without evaluating it.
-///
-/// Outside `[0.2499, 0.7501]` the angle `2πu2` stays at least `2π·1e-4`
-/// away from `π/2` and `3π/2`, so `cos(2πu2) > 6e-4` — a margin twelve
-/// orders of magnitude wider than the rounding error of `TAU * u2` and of
-/// `cos`. The variate is then `sqrt(..) · cos(..) ≥ 0`, so the lifetime
-/// draw is `≥ mean > 0`: it consumes no resample and, because rounding
-/// is monotone, its fault time is `≥ WearModel::fault_time(mean)`.
-pub(crate) fn variate_is_non_negative(u2: f64) -> bool {
-    !(0.2499..=0.7501).contains(&u2)
 }
 
 /// Converts a cell lifetime into a fault-arrival time in *block writes*.
@@ -239,29 +233,6 @@ mod tests {
     #[should_panic(expected = "participation")]
     fn wear_rejects_zero() {
         let _ = WearModel::new(0.0);
-    }
-
-    #[test]
-    fn non_negative_predicate_only_admits_positive_cosines() {
-        use std::f64::consts::TAU;
-        // The two edges of the excluded band, their outer f64 neighbours,
-        // the ends of [0, 1) and a fine grid over both admitted ranges.
-        let edges = [
-            0.0,
-            0.2499_f64.next_down(),
-            0.7501_f64.next_up(),
-            1.0_f64.next_down(),
-        ];
-        let grid = (0..=100_000).map(|i| f64::from(i) / 100_000.0);
-        for u2 in edges.into_iter().chain(grid) {
-            if variate_is_non_negative(u2) {
-                assert!((TAU * u2).cos() > 6e-4, "u2 = {u2}");
-            }
-        }
-        assert!(variate_is_non_negative(0.2499_f64.next_down()));
-        assert!(!variate_is_non_negative(0.2499));
-        assert!(!variate_is_non_negative(0.7501));
-        assert!(variate_is_non_negative(0.7501_f64.next_up()));
     }
 
     #[test]

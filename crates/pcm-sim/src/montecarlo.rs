@@ -16,7 +16,9 @@
 
 use crate::fault::extend_split_for;
 use crate::policy::{PolicyScratch, RecoveryPolicy};
-use crate::timeline::{BlockTimeline, FaultEvent, PageTimeline, TimelineCache, TimelineSampler};
+use crate::timeline::{
+    BlockTimeline, FaultEvent, PageTimeline, SelectScratch, TimelineCache, TimelineSampler,
+};
 use crate::Fault;
 use sim_rng::SeedableRng;
 use sim_rng::SmallRng;
@@ -915,8 +917,13 @@ pub fn run_memory_pass(
 /// classic configs keep their historical timelines bit for bit.
 #[must_use]
 pub fn chip_page(cfg: &SimConfig, page: usize) -> PageTimeline {
+    sample_chip_page(&chip_sampler(cfg), cfg, page)
+}
+
+/// [`chip_page`] with the chip's sampler built once by the caller.
+fn sample_chip_page(sampler: &TimelineSampler, cfg: &SimConfig, page: usize) -> PageTimeline {
     let mut rng = TimelineSampler::page_rng(cfg.seed, page as u64);
-    chip_sampler(cfg).sample_page(&mut rng, cfg.blocks_per_page())
+    sampler.sample_page(&mut rng, cfg.blocks_per_page())
 }
 
 /// The sampler of the chip `cfg` describes.
@@ -966,6 +973,7 @@ pub fn map_pages<S: Send, R: Send>(
     let tracer = hooks.tracer.filter(|t| t.is_enabled());
     let span = tracer.map(|t| t.span(phase));
     let parent = span.as_ref().map(sim_telemetry::TraceSpan::id);
+    let sampler = chip_sampler(cfg);
     // Status heartbeats without tracing still need the timed pool variant
     // for the busy fraction; tracing only adds spans around each page.
     // Neither changes what `visit` computes.
@@ -978,13 +986,10 @@ pub fn map_pages<S: Send, R: Send>(
             let span = trace.as_mut().map(|t| t.begin("page"));
             let p = start + idx;
             let page = match hooks.timelines {
-                Some(cache) => cache.get_or_sample(
-                    &chip_sampler(cfg),
-                    cfg.seed,
-                    p as u64,
-                    cfg.blocks_per_page(),
-                ),
-                None => Arc::new(chip_page(cfg, p)),
+                Some(cache) => {
+                    cache.get_or_sample(&sampler, cfg.seed, p as u64, cfg.blocks_per_page())
+                }
+                None => Arc::new(sample_chip_page(&sampler, cfg, p)),
             };
             let result = visit(state, trace.as_mut(), p, &page);
             if let (Some(trace), Some(span)) = (trace, span) {
@@ -1115,11 +1120,16 @@ pub fn block_trials(
     let round = (ROUND_OUTCOMES / policies.len()).max(1);
     for start in (0..trials).step_by(round) {
         let count = round.min(trials - start);
-        let (outcomes, _stats) =
-            sim_pool::run_indexed(threads, count, PageArena::new, |arena, j| {
+        let (outcomes, _stats) = sim_pool::run_indexed(
+            threads,
+            count,
+            || (PageArena::new(), SelectScratch::new(sampler.block_bits())),
+            |(arena, scratch), j| {
                 let mut rng = TimelineSampler::page_rng(seed, (start + j) as u64);
-                arena.block_outcomes(policies, &sampler.sample_block(&mut rng), criterion)
-            });
+                let block = sampler.sample_block_with(&mut rng, scratch);
+                arena.block_outcomes(policies, &block, criterion)
+            },
+        );
         for trial in &outcomes {
             visit(trial);
         }

@@ -11,8 +11,9 @@
 use crate::lifetime;
 use crate::{Fault, LifetimeModel, WearModel};
 use sim_rng::SmallRng;
-use sim_rng::{Rng, SeedableRng};
+use sim_rng::{Bernoulli, Rng, SeedableRng};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -105,6 +106,10 @@ pub struct TimelineSampler {
     /// Weak-write success probability assigned to partially stuck cells,
     /// in units of 1/256.
     weak_success_q8: u8,
+    /// The select-k kernel's rank gate, a function of the fields above;
+    /// `None` where no cell can be skipped (zero spread, or every cell
+    /// kept).
+    gate: Option<Gate>,
 }
 
 /// Default weak-write success probability for partially stuck cells
@@ -133,14 +138,16 @@ impl TimelineSampler {
     ) -> Self {
         assert!(block_bits > 0, "block must have at least one bit");
         assert!(max_events > 0, "must track at least one event");
+        let max_events = max_events.min(block_bits);
         Self {
             block_bits,
             lifetime,
             wear,
-            max_events: max_events.min(block_bits),
+            max_events,
             stuck_one_probability: 0.5,
             partial_fraction: 0.0,
             weak_success_q8: DEFAULT_WEAK_SUCCESS_Q8,
+            gate: Gate::new(block_bits, max_events, lifetime, wear),
         }
     }
 
@@ -211,21 +218,25 @@ impl TimelineSampler {
     /// Draws every cell's lifetime in offset order and keeps the
     /// `max_events` earliest failures, ordered by `(time, offset)`; then
     /// draws each kept event's stuck value, kind and split seed in that
-    /// order. The kernel selects rather than sorts, and skips the
-    /// transcendentals of cells that provably fail no earlier than the
-    /// mean (the `SelectScratch` notes say why that is exact).
-    pub fn sample_block<R: Rng + ?Sized>(&self, rng: &mut R) -> BlockTimeline {
+    /// order. The events and the RNG state afterwards are bit-identical to
+    /// sampling every lifetime and stably sorting the whole block.
+    ///
+    /// The kernel does less than that. A rank gate, built once per sampler,
+    /// fixes a fault time that at least `max_events` of a block's cells
+    /// fail before, bar a 4σ binomial tail, and skips the Box–Muller
+    /// transcendentals of every cell whose uniforms alone show that it
+    /// fails no earlier and draws no resample. The earliest candidates are
+    /// then selected, not sorted, on integer keys. A block in the tail is
+    /// replayed from a copy of `rng` with every cell evaluated, hence the
+    /// `Clone` bound.
+    pub fn sample_block<R: Rng + Clone>(&self, rng: &mut R) -> BlockTimeline {
         self.sample_block_with(rng, &mut SelectScratch::new(self.block_bits))
     }
 
     /// Samples the fault timeline of a page of `blocks_per_page` data
     /// blocks: the same stream as `blocks_per_page` successive
     /// [`sample_block`](Self::sample_block) calls.
-    pub fn sample_page<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        blocks_per_page: usize,
-    ) -> PageTimeline {
+    pub fn sample_page<R: Rng + Clone>(&self, rng: &mut R, blocks_per_page: usize) -> PageTimeline {
         let mut scratch = SelectScratch::new(self.block_bits);
         PageTimeline {
             blocks: (0..blocks_per_page)
@@ -234,67 +245,32 @@ impl TimelineSampler {
         }
     }
 
-    fn sample_block_with<R: Rng + ?Sized>(
+    /// [`sample_block`](Self::sample_block) on a caller-held scratch, so a
+    /// worker sampling many blocks allocates its candidate buffer once.
+    pub(crate) fn sample_block_with<R: Rng + Clone>(
         &self,
         rng: &mut R,
         scratch: &mut SelectScratch,
     ) -> BlockTimeline {
-        let SelectScratch {
-            evaluated,
-            deferred,
-        } = scratch;
-        evaluated.clear();
-        deferred.clear();
-        let k = self.max_events;
-        let floor = self.wear.fault_time(self.lifetime.mean());
-        let mut below_floor = 0usize;
-        for offset in 0..self.block_bits {
-            let (u1, u2) = lifetime::uniform_pair(rng);
-            if lifetime::variate_is_non_negative(u2) {
-                deferred.push((u1, u2, offset));
-                continue;
-            }
-            let draw = self.lifetime.draw(u1, u2);
-            // A non-positive draw is resampled from fresh uniforms, exactly
-            // as `LifetimeModel::sample` would have.
-            let life = if draw > 0.0 {
-                draw
-            } else {
-                self.lifetime.sample(rng)
-            };
-            let time = self.wear.fault_time(life);
-            below_floor += usize::from(time < floor);
-            evaluated.push((time, offset));
-        }
-        if below_floor < k {
-            evaluated.extend(deferred.iter().map(|&(u1, u2, offset)| {
-                (self.wear.fault_time(self.lifetime.draw(u1, u2)), offset)
-            }));
-        }
-        // Offsets are unique, so this is the order a stable sort by time
-        // of the offset-ordered cells would give.
-        let by_time_then_offset =
-            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        if evaluated.len() > k {
-            evaluated.select_nth_unstable_by(k - 1, by_time_then_offset);
-            evaluated.truncate(k);
-        }
-        evaluated.sort_unstable_by(by_time_then_offset);
-        let events = evaluated
+        self.select(rng, scratch);
+        // A cell sticks at whatever it held when it died; under random
+        // write data that is a fair coin (bias configurable via
+        // `with_stuck_bias`). The kind draw is gated on the mix being
+        // enabled so a zero-fraction sampler consumes exactly the legacy
+        // entropy (stuck value, then split seed).
+        let stuck_one = Bernoulli::new(self.stuck_one_probability);
+        let partial = (self.partial_fraction > 0.0).then(|| Bernoulli::new(self.partial_fraction));
+        let events = scratch
+            .keys
             .iter()
-            .map(|&(time, offset)| {
-                // A cell sticks at whatever it held when it died; under
-                // random write data that is a fair coin (bias configurable
-                // via `with_stuck_bias`).
-                let stuck = rng.random_bool(self.stuck_one_probability);
-                // The kind draw is gated on the mix being enabled so a
-                // zero-fraction sampler consumes exactly the legacy
-                // entropy (stuck value, then split seed).
-                let fault = if self.partial_fraction > 0.0 && rng.random_bool(self.partial_fraction)
-                {
-                    Fault::partial(offset, stuck, self.weak_success_q8)
-                } else {
-                    Fault::new(offset, stuck)
+            .map(|&key| {
+                let (time, offset) = unpack(key);
+                let stuck = stuck_one.sample(rng);
+                let fault = match partial {
+                    Some(partial) if partial.sample(rng) => {
+                        Fault::partial(offset, stuck, self.weak_success_q8)
+                    }
+                    _ => Fault::new(offset, stuck),
                 };
                 FaultEvent {
                     time,
@@ -304,6 +280,54 @@ impl TimelineSampler {
             })
             .collect();
         BlockTimeline { events }
+    }
+
+    /// Leaves the keys of the block's `max_events` earliest failures in
+    /// `scratch.keys`, ascending, with `rng` past every lifetime draw of
+    /// the block; says which path found them.
+    fn select<R: Rng + Clone>(&self, rng: &mut R, scratch: &mut SelectScratch) -> Selection {
+        let keys = &mut scratch.keys;
+        keys.clear();
+        let mut selection = Selection::Ungated;
+        if let Some(gate) = &self.gate {
+            let start = rng.clone();
+            for offset in 0..self.block_bits {
+                let (u1, u2) = lifetime::uniform_pair(rng);
+                if gate.skips(u1, u2) {
+                    continue;
+                }
+                let time = self.fault_time(rng, u1, u2);
+                if time < gate.time {
+                    keys.push(pack(time, offset));
+                }
+            }
+            if keys.len() >= self.max_events {
+                keep_first(keys, self.max_events);
+                return Selection::Gated;
+            }
+            *rng = start;
+            keys.clear();
+            selection = Selection::Fallback;
+        }
+        for offset in 0..self.block_bits {
+            let (u1, u2) = lifetime::uniform_pair(rng);
+            keys.push(pack(self.fault_time(rng, u1, u2), offset));
+        }
+        keep_first(keys, self.max_events);
+        selection
+    }
+
+    /// Fault time of the cell whose uniforms are `(u1, u2)`. A
+    /// non-positive draw is resampled from fresh uniforms, exactly as
+    /// `LifetimeModel::sample` would have.
+    fn fault_time<R: Rng + ?Sized>(&self, rng: &mut R, u1: f64, u2: f64) -> f64 {
+        let draw = self.lifetime.draw(u1, u2);
+        let life = if draw > 0.0 {
+            draw
+        } else {
+            self.lifetime.sample(rng)
+        };
+        self.wear.fault_time(life)
     }
 
     /// Deterministic per-page RNG: every policy evaluated on page `index`
@@ -320,33 +344,236 @@ impl TimelineSampler {
     }
 }
 
-/// Candidate buffers of the select-k block kernel, reused across the
-/// blocks of a page.
+/// The candidate buffer of the select-k block kernel, reused across the
+/// blocks of a page or of a worker's block trials.
 ///
 /// Every cell's uniforms are drawn in offset order, as
-/// [`LifetimeModel::sample`] would draw them. A cell whose Box–Muller
-/// cosine is provably positive has a lifetime `≥ mean`, hence a fault time
-/// `≥ floor = WearModel::fault_time(mean)`, and consumes no resample; it is
-/// parked in `deferred` unevaluated. Every other cell is evaluated into
-/// `evaluated`. If at least `max_events` evaluated cells fail *strictly*
-/// before `floor`, every deferred cell sorts after all of them under
-/// `(time, offset)` and cannot be kept, so it is never evaluated.
-/// Otherwise — zero spread, tiny blocks, or `max_events` near the width —
-/// the deferred cells are evaluated too. Either way the RNG stream and the
-/// kept events are bit-identical to sorting every cell.
-struct SelectScratch {
-    /// Evaluated cells: `(fault time, offset)`.
-    evaluated: Vec<(f64, usize)>,
-    /// Deferred cells: `(u1, u2, offset)`, all failing at or after `floor`.
-    deferred: Vec<(f64, f64, usize)>,
+/// [`LifetimeModel::sample`] would draw them, and each candidate is held
+/// as one integer key: the fault time's bits above the offset. Fault times
+/// are positive, and positive `f64`s order as their bits, so the keys
+/// order exactly as `(time, offset)` and select and sort without a
+/// comparison closure.
+///
+/// The sampler's rank gate (see `Gate`) fixes a fault time `T` that at
+/// least `max_events` of a block's cells fail before, bar a 4σ binomial
+/// tail. A cell whose uniforms the gate skips certainly draws a positive
+/// lifetime, so consumes no resample, and fails at or after `T`; it is
+/// never evaluated. Every other cell is evaluated in stream order,
+/// resample draws included, and becomes a candidate if it fails strictly
+/// before `T`. If at least `max_events` candidates do, every cell left
+/// out sorts after all of them under `(time, offset)`, so the kept events
+/// are exactly the sort-everything sampler's. Otherwise — a block in the
+/// tail — the RNG is restored to the block's start and every cell is
+/// evaluated. Either way the kept events and the RNG state afterwards are
+/// bit-identical to sorting every cell.
+pub(crate) struct SelectScratch {
+    /// Candidate keys: see [`pack`].
+    keys: Vec<u128>,
 }
 
 impl SelectScratch {
-    fn new(block_bits: usize) -> Self {
+    /// A scratch for blocks of `block_bits` cells.
+    pub(crate) fn new(block_bits: usize) -> Self {
         Self {
-            evaluated: Vec::with_capacity(block_bits),
-            deferred: Vec::with_capacity(block_bits),
+            keys: Vec::with_capacity(block_bits),
         }
+    }
+}
+
+/// Which path [`TimelineSampler::select`] took for a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Selection {
+    /// The sampler has no gate: every cell was evaluated once.
+    Ungated,
+    /// The gate held: only the cells it admitted were evaluated.
+    Gated,
+    /// Too few admitted cells failed before the gate's time: the block
+    /// was replayed and every cell evaluated.
+    Fallback,
+}
+
+/// The candidate key of a cell with positive fault time `time`.
+fn pack(time: f64, offset: usize) -> u128 {
+    debug_assert!(time > 0.0, "fault times are positive");
+    (u128::from(time.to_bits()) << 64) | offset as u128
+}
+
+/// The `(time, offset)` a [`pack`]ed key holds.
+fn unpack(key: u128) -> (f64, usize) {
+    #[allow(clippy::cast_possible_truncation)]
+    (f64::from_bits((key >> 64) as u64), key as u64 as usize)
+}
+
+/// Keeps the `k` least keys, ascending.
+fn keep_first(keys: &mut Vec<u128>, k: usize) {
+    if keys.len() > k {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+}
+
+/// Buckets of the gate table over the first uniform `u1 ∈ (0, 1]`.
+const GATE_BUCKETS: usize = 64;
+
+/// How far below its mean, in binomial standard deviations, a block's
+/// count of cells failing before the gate's time must fall before the
+/// block needs the fallback.
+const GATE_SIGMAS: f64 = 4.0;
+
+/// Absolute margin on the cosine bound, and relative margin on the radius
+/// bounds, of the gate table: about seven orders of magnitude above the
+/// rounding error of `ln`, `sqrt`, `cos`, `acos` and the products that
+/// evaluate a variate.
+const GATE_MARGIN: f64 = 1e-9;
+
+/// The rank gate of a [`TimelineSampler`]: which cells the select-k
+/// kernel may skip without evaluating their lifetimes.
+///
+/// A cell's Box–Muller variate is `z = r · cos(2π·u2)` with
+/// `r = sqrt(−2 ln u1)`. The gate picks the variate `z*` below which a
+/// block's cells fall with probability `p`, where `p` puts `max_events`
+/// [`GATE_SIGMAS`] binomial deviations below the expected count
+/// `block_bits · p`
+/// (`p` is a share of the *positive* draws: non-positive draws are
+/// resampled, so they shift the law of the kept lifetimes). Its `time` is
+/// the fault time of `z*`, rounded as a cell's draw is, so by monotone
+/// rounding every cell whose computed variate is `≥ z*` fails at or after
+/// it, and (`at(z*)` being positive) draws a positive lifetime on its
+/// first pair.
+///
+/// The table bounds `z` from below without evaluating it. Bucket `j`
+/// holds the cells with `⌊64·u1⌋ = j`, over which `r` lies between the
+/// bucket's edge radii. A cell is skipped iff `|u2 − ½| ≥ min_offset[j]`,
+/// which is `cos(2π·u2) ≥ c_j` for the cosine `c_j` that makes
+/// `r · cos ≥ z*` over the whole radius range: `z*/r_max` if `z* < 0`,
+/// `z*/r_min` if `z* > 0`, padded by [`GATE_MARGIN`] on the cosine and on
+/// both radii.
+#[derive(Clone, Copy)]
+struct Gate {
+    /// Fault time of `z*`: a skipped cell fails at or after it.
+    time: f64,
+    /// Per `u1` bucket, the least `|u2 − ½|` of a skipped cell (`∞` where
+    /// the bucket skips none).
+    min_offset: [f64; GATE_BUCKETS],
+}
+
+impl fmt::Debug for Gate {
+    /// The table is a function of the sampler's other fields, so only the
+    /// gate's time is shown.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Gate").field("time", &self.time).finish()
+    }
+}
+
+impl Gate {
+    /// The gate for blocks of `block_bits` cells keeping `max_events`, or
+    /// `None` where it could skip no cell.
+    fn new(
+        block_bits: usize,
+        max_events: usize,
+        lifetime: LifetimeModel,
+        wear: WearModel,
+    ) -> Option<Self> {
+        if lifetime.std_dev() == 0.0 || max_events >= block_bits {
+            return None;
+        }
+        let z = gate_variate(
+            block_bits as f64,
+            max_events as f64,
+            -lifetime.mean() / lifetime.std_dev(),
+        );
+        let life = lifetime.at(z);
+        if life <= 0.0 {
+            return None;
+        }
+        // `abs` turns the −0 of `u1 = 1` into +0, so `z/r_min` is +∞ there.
+        let radius = |u1: f64| (-2.0 * u1.ln()).abs().sqrt();
+        let min_offset = std::array::from_fn(|j| {
+            let r_max = radius(j as f64 / GATE_BUCKETS as f64) * (1.0 + GATE_MARGIN);
+            let r_min = radius((j + 1) as f64 / GATE_BUCKETS as f64) * (1.0 - GATE_MARGIN);
+            let cosine = if z < 0.0 {
+                z / r_max
+            } else if z > 0.0 {
+                z / r_min
+            } else {
+                0.0
+            } + GATE_MARGIN;
+            if cosine > 1.0 {
+                f64::INFINITY
+            } else if cosine <= -1.0 {
+                0.0
+            } else {
+                // cos(2π·u2) = −cos(2π·|u2 − ½|), decreasing in |u2 − ½|.
+                (-cosine).acos() / std::f64::consts::TAU + GATE_MARGIN
+            }
+        });
+        let gate = Self {
+            time: wear.fault_time(life),
+            min_offset,
+        };
+        gate.min_offset.iter().any(|&m| m <= 0.5).then_some(gate)
+    }
+
+    /// Whether the cell with uniforms `(u1, u2)` certainly fails at or
+    /// after [`time`](Self::time) on its first draw.
+    #[inline]
+    fn skips(&self, u1: f64, u2: f64) -> bool {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let bucket = ((u1 * GATE_BUCKETS as f64) as usize).min(GATE_BUCKETS - 1);
+        (u2 - 0.5).abs() >= self.min_offset[bucket]
+    }
+}
+
+/// The gate variate `z*` for `n` cells keeping `k`, when variates at or
+/// below `floor` are resampled: the least `z` whose share `p` of the
+/// positive draws has `n·p − GATE_SIGMAS·sqrt(n·p·(1 − p)) ≥ k`. That
+/// expression dips below zero and then rises to `n > k`, so bisection
+/// finds its one upward crossing.
+fn gate_variate(n: f64, k: f64, floor: f64) -> f64 {
+    let below_floor = normal_cdf(floor);
+    let enough = |z: f64| {
+        let p = ((normal_cdf(z) - below_floor) / (1.0 - below_floor)).clamp(0.0, 1.0);
+        n * p - GATE_SIGMAS * (n * p * (1.0 - p)).sqrt() >= k
+    };
+    let (mut lo, mut hi) = (floor.max(-40.0), 40.0);
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if enough(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// The standard normal CDF, to a relative error of about 1e-7 (the
+/// Chebyshev fit of `erfc` from *Numerical Recipes*). The gate's exactness
+/// does not rest on it: an error here only moves the fallback rate.
+fn normal_cdf(x: f64) -> f64 {
+    let t = 1.0 / (1.0 + 0.5 * (x / std::f64::consts::SQRT_2).abs());
+    let poly = [
+        -1.265_512_23,
+        1.000_023_68,
+        0.374_091_96,
+        0.096_784_18,
+        -0.186_288_06,
+        0.278_868_07,
+        -1.135_203_98,
+        1.488_515_87,
+        -0.822_152_23,
+        0.170_872_77,
+    ]
+    .iter()
+    .rev()
+    .fold(0.0, |acc, &c| c + t * acc);
+    let y = x / std::f64::consts::SQRT_2;
+    let erfc = t * (-y * y + poly).exp();
+    if x >= 0.0 {
+        1.0 - 0.5 * erfc
+    } else {
+        0.5 * erfc
     }
 }
 
@@ -538,9 +765,9 @@ mod tests {
 
     #[test]
     fn equal_fault_times_order_by_offset() {
-        // With zero spread every cell fails at the same instant, so no
-        // evaluated cell beats the deferral floor: the kernel must fall
-        // back to evaluating every cell and break the tie by offset.
+        // With zero spread every cell fails at the same instant, so the
+        // sampler has no gate: the kernel evaluates every cell and breaks
+        // the tie by offset.
         for (bits, k) in [(8, 3), (64, 64), (512, 96)] {
             let sampler = TimelineSampler::new(
                 bits,
@@ -711,5 +938,141 @@ mod tests {
         let overflow_again = cache.get_or_sample(&sampler, 5, 1, 2);
         assert!(!Arc::ptr_eq(&overflow, &overflow_again));
         assert_pages_equal(&overflow, &overflow_again);
+    }
+
+    /// Paper-width samplers at the three spreads the gate must survive:
+    /// the paper's, a wide one, and one whose resample bound (`z ≤ −0.1`)
+    /// lies inside the gate's admitted range.
+    fn gated_samplers() -> Vec<TimelineSampler> {
+        let mut samplers = Vec::new();
+        for bits in [256, 512] {
+            for cv in [0.25, 1.0, 10.0] {
+                samplers.push(TimelineSampler::new(
+                    bits,
+                    LifetimeModel::new(1.0e8, cv),
+                    WearModel::paper_default(),
+                    DEFAULT_MAX_EVENTS_PER_BLOCK,
+                ));
+            }
+        }
+        samplers
+    }
+
+    #[test]
+    fn gate_skips_only_cells_that_fail_at_or_after_its_time() {
+        let mut random = SmallRng::seed_from_u64(27);
+        for sampler in gated_samplers() {
+            let gate = sampler.gate.expect("paper widths are gated");
+            let z = gate_variate(
+                sampler.block_bits as f64,
+                sampler.max_events as f64,
+                -sampler.lifetime.mean() / sampler.lifetime.std_dev(),
+            );
+            let mut skipped = 0usize;
+            let mut check = |u1: f64, u2: f64| {
+                let valid = u1 > 0.0 && u1 <= 1.0 && (0.0..1.0).contains(&u2);
+                if !(valid && gate.skips(u1, u2)) {
+                    return;
+                }
+                skipped += 1;
+                let draw = sampler.lifetime.draw(u1, u2);
+                let at = format!("{sampler:?}: u1 {u1:e}, u2 {u2:e}");
+                assert!(lifetime::box_muller(u1, u2) >= z, "variate below z*, {at}");
+                assert!(draw > 0.0, "skipped cell would resample, {at}");
+                assert!(
+                    sampler.wear.fault_time(draw) >= gate.time,
+                    "early skip, {at}"
+                );
+            };
+            // Every bucket's edges and their f64 neighbours, against the
+            // bucket's u2 threshold and its neighbours on both sides of ½.
+            for (j, &offset) in gate.min_offset.iter().enumerate() {
+                let lo = j as f64 / GATE_BUCKETS as f64;
+                let hi = (j + 1) as f64 / GATE_BUCKETS as f64;
+                let u1s = [lo, lo.next_up(), hi.next_down(), hi];
+                let edges = [0.5 - offset, 0.5 + offset, 0.0, 1.0_f64.next_down()];
+                for u1 in u1s {
+                    for edge in edges {
+                        for u2 in [edge.next_down(), edge, edge.next_up()] {
+                            check(u1, u2);
+                        }
+                    }
+                }
+            }
+            for _ in 0..170_000 {
+                let (u1, u2) = lifetime::uniform_pair(&mut random);
+                check(u1, u2);
+            }
+            assert!(skipped > 30_000, "{sampler:?} skipped only {skipped}");
+        }
+    }
+
+    #[test]
+    fn gated_and_fallback_blocks_match_the_ungated_kernel() {
+        // `(block_bits, cv, trial)`: trial `trial` of seed 1 has too few
+        // admitted cells before the gate's time and falls back; the trials
+        // before it hold the gate.
+        let pins = [
+            (512, 0.25, 6_205),
+            (256, 0.25, 146_523),
+            (512, 10.0, 68_052),
+        ];
+        for (bits, cv, fallback) in pins {
+            let gated = TimelineSampler::new(
+                bits,
+                LifetimeModel::new(1.0e8, cv),
+                WearModel::paper_default(),
+                DEFAULT_MAX_EVENTS_PER_BLOCK,
+            );
+            let ungated = TimelineSampler {
+                gate: None,
+                ..gated
+            };
+            let mut scratch = SelectScratch::new(bits);
+            let mut reference = SelectScratch::new(bits);
+            let (mut held, mut fell_back) = (0, 0);
+            for trial in fallback - 16..=fallback {
+                let mut rng = TimelineSampler::page_rng(1, trial);
+                let mut want_rng = rng.clone();
+                let selection = gated.select(&mut rng, &mut scratch);
+                assert_eq!(
+                    ungated.select(&mut want_rng, &mut reference),
+                    Selection::Ungated
+                );
+                assert_eq!(scratch.keys, reference.keys, "{bits} bits, trial {trial}");
+                assert_eq!(rng, want_rng, "{bits} bits, trial {trial}");
+                match selection {
+                    Selection::Gated => held += 1,
+                    Selection::Fallback => fell_back += 1,
+                    Selection::Ungated => unreachable!("paper widths are gated"),
+                }
+                if trial == fallback {
+                    assert_eq!(selection, Selection::Fallback, "{bits} bits");
+                }
+            }
+            assert!(
+                held > 0 && fell_back > 0,
+                "{bits} bits: {held} held, {fell_back} fell back"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_samplers_are_ungated() {
+        let zero_spread = TimelineSampler::new(
+            512,
+            LifetimeModel::new(1000.0, 0.0),
+            WearModel::paper_default(),
+            96,
+        );
+        let keeps_all = TimelineSampler::new(
+            64,
+            LifetimeModel::paper_default(),
+            WearModel::paper_default(),
+            64,
+        );
+        assert!(zero_spread.gate.is_none());
+        assert!(keeps_all.gate.is_none());
+        assert!(TimelineSampler::paper_default(512).gate.is_some());
     }
 }

@@ -26,6 +26,9 @@ SIM_THREADS=2 run cargo test -q --offline --workspace
 # Style and lint gates.
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# The release profile compiles out `#[cfg(debug_assertions)]` code, so
+# code only such code calls is dead there; lint that build too.
+run cargo clippy --offline --workspace --all-targets --release -- -D warnings
 # Documentation gate: every intra-doc link must resolve, so deleting or
 # privatizing an item cannot leave a dangling reference in the docs.
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline

@@ -383,6 +383,7 @@ fn skipped_observations_and_foreign_scratch_self_heal() {
 }
 
 /// Two equal-length, disjoint populations of `config`'s block width.
+#[cfg(debug_assertions)]
 fn disjoint_populations(config: usize, len: usize) -> (Vec<Fault>, Vec<Fault>) {
     let bits = CONFIGS[config].1;
     let step = bits / (2 * len);

@@ -2,14 +2,15 @@
 //!
 //! [`TimelineSampler::sample_block`] keeps the `max_events` earliest cell
 //! failures of a block without sorting every cell, and skips the
-//! transcendentals of cells that provably fail no earlier than the mean.
+//! transcendentals of cells that provably rank after them.
 //! Every figure rests on its output, so it must be *bit-identical* to the
 //! straightforward sampler it replaced: draw every lifetime, stable-sort
 //! the whole block by time, truncate. That sampler is kept here verbatim as
 //! [`reference_block`], and the property below runs both over random
 //! widths, caps, spreads (including `cv = 10`, which exercises the
-//! non-positive resample loop, and `cv = 0`, which forces the exact
-//! fallback), wear models, stuck biases and partial-stuck mixes. It
+//! non-positive resample loop, and `cv = 0`, which turns the gate off),
+//! wear models, stuck biases and partial-stuck mixes; half the cases are
+//! the paper's 256- and 512-bit blocks keeping 96 events. It
 //! asserts equal events *and* equal RNG state afterwards, so the
 //! downstream stream (next block, next split) cannot drift either.
 //!
@@ -79,6 +80,22 @@ impl Case {
 }
 
 fn generate(rng: &mut SmallRng) -> Case {
+    // Half the cases are the shapes every figure samples: 256- or 512-bit
+    // blocks keeping 96 events at the paper's spread and wear, where the
+    // kernel's rank gate skips the most cells.
+    if rng.random_bool(0.5) {
+        return Case {
+            bits: if rng.random_bool(0.5) { 256 } else { 512 },
+            max_events: 96,
+            cv: 0.25,
+            participation: 0.5,
+            ..generate_any(rng)
+        };
+    }
+    generate_any(rng)
+}
+
+fn generate_any(rng: &mut SmallRng) -> Case {
     let bits = WIDTHS[rng.random_range(0..WIDTHS.len())];
     let max_events = match rng.random_range(0..4u32) {
         0 => 1,
