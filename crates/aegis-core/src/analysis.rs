@@ -87,7 +87,7 @@ pub fn soft_ftc_knee(rect: &Rectangle, threshold: f64) -> usize {
 
 /// Empirical counterpart of [`survival_probability`]: fraction of `trials`
 /// random `f`-fault placements that the exact predicate accepts. Used by
-/// the validation tests and exposed for notebooks/benches.
+/// the validation tests and the `formation_explorer` example.
 #[must_use]
 pub fn simulated_survival_probability(
     rect: &Rectangle,

@@ -4,8 +4,7 @@
 //! Each module maps to one artifact of the paper's §3 and exposes a
 //! `run(..)` producing structured results plus `report(..)` /
 //! `write_csv(..)` for presentation — the `experiments` binary is a thin
-//! CLI over these, and the Criterion benches in `crates/bench` reuse the
-//! same entry points at reduced scale.
+//! CLI over these.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

@@ -83,8 +83,9 @@ Options:
   --pages N       Pages per simulated chip (default 256; paper scale 2048)
   --trials N      Independent blocks for failcdf/fig10 (default 4000)
   --seed N        Master RNG seed (default 42)
-  --page-bytes N  Memory-block size in bytes (default 4096; the paper also
-                  reports 256-byte memory blocks show the same trend)
+  --page-bytes N  Memory-block size in bytes, a positive multiple of 64
+                  (default 4096; the paper also reports 256-byte memory
+                  blocks show the same trend)
   --samples N     W/R splits tested per fault event (default 1)
   --threads N     Simulation worker threads (default: SIM_THREADS env var,
                   then available parallelism; results are identical at any
@@ -176,6 +177,19 @@ struct Cli {
     target_rse: Option<f64>,
 }
 
+/// A page must hold whole blocks at every width the chip commands
+/// simulate (256 and 512 bits), so its size is a positive multiple of 64
+/// bytes.
+fn check_page_bytes(bytes: usize) -> Result<usize, String> {
+    if bytes > 0 && bytes.is_multiple_of(64) {
+        Ok(bytes)
+    } else {
+        Err(format!(
+            "invalid value '{bytes}': must be a positive multiple of 64"
+        ))
+    }
+}
+
 fn parse_args() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(|| USAGE.to_owned())?;
@@ -221,7 +235,10 @@ fn parse_args() -> Result<Cli, String> {
             "--pages" => cli.opts.pages = positive!("--pages"),
             "--trials" => cli.opts.trials = positive!("--trials"),
             "--seed" => cli.opts.seed = parsed!("--seed"),
-            "--page-bytes" => cli.opts.page_bytes = parsed!("--page-bytes"),
+            "--page-bytes" => {
+                cli.opts.page_bytes = check_page_bytes(parsed!("--page-bytes"))
+                    .map_err(|e| format!("--page-bytes: {e}\n\n{USAGE}"))?;
+            }
             "--samples" => samples = positive!("--samples"),
             "--threads" => cli.opts.threads = Some(parsed!("--threads")),
             "--guaranteed" => guaranteed = true,
@@ -767,12 +784,13 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
         cli.opts.trials,
         defaults.trials,
     )?;
-    cli.opts.page_bytes = adopt(
+    cli.opts.page_bytes = check_page_bytes(adopt(
         "page_bytes",
         stored("page_bytes")?,
         cli.opts.page_bytes,
         defaults.page_bytes,
-    )?;
+    )?)
+    .map_err(|e| format!("checkpoint fingerprint 'page_bytes' has {e}"))?;
     cli.opts.criterion = adopt(
         "criterion",
         stored("criterion")?,

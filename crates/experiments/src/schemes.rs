@@ -94,8 +94,8 @@ pub fn ecp(n: usize, block_bits: usize) -> Policy {
 
 /// SAFER with `2^m` groups, optionally cache-assisted, using the faithful
 /// incremental re-partition algorithm (what the SAFER paper builds and the
-/// Aegis paper simulates; see EXPERIMENTS.md — the idealized exhaustive
-/// search of [`safer_exhaustive`] overshoots SAFER's capability ~3×).
+/// Aegis paper simulates; see EXPERIMENTS.md — an idealized exhaustive
+/// search overshoots SAFER's capability ~3×).
 #[must_use]
 pub fn safer(m: usize, block_bits: usize, cache: bool) -> Policy {
     Box::new(SaferPolicy::with_search(
@@ -104,13 +104,6 @@ pub fn safer(m: usize, block_bits: usize, cache: bool) -> Policy {
         cache,
         aegis_baselines::PartitionSearch::Incremental,
     ))
-}
-
-/// SAFER with an idealized exhaustive partition search (upper bound on any
-/// SAFER implementation; ablation only).
-#[must_use]
-pub fn safer_exhaustive(m: usize, block_bits: usize, cache: bool) -> Policy {
-    Box::new(SaferPolicy::new(m, block_bits, cache))
 }
 
 /// RDIS-3 on the standard grid.

@@ -53,28 +53,36 @@ fn bad_samples_value_is_rejected_with_the_offending_token() {
 fn zero_counts_are_rejected_before_anything_runs() {
     let out = std::env::temp_dir().join(format!("aegis-cli-zero-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
-    for (command, flag) in [
-        ("failcdf", "--trials"),
-        ("fig10", "--trials"),
-        ("fig5", "--pages"),
-        ("fig5", "--samples"),
+    // A page size must split into whole 256- and 512-bit blocks: zero
+    // would divide by zero and the others would split a block. `--pages
+    // 2` keeps a run short should a value ever be accepted.
+    const AT_LEAST_1: &str = "must be at least 1";
+    const WHOLE_BLOCKS: &str = "must be a positive multiple of 64";
+    for (command, flag, value, rule) in [
+        ("failcdf", "--trials", "0", AT_LEAST_1),
+        ("fig10", "--trials", "0", AT_LEAST_1),
+        ("fig5", "--pages", "0", AT_LEAST_1),
+        ("fig5", "--samples", "0", AT_LEAST_1),
+        ("fig5", "--page-bytes", "0", WHOLE_BLOCKS),
+        ("fig5", "--page-bytes", "100", WHOLE_BLOCKS),
+        ("fig5", "--page-bytes", "32", WHOLE_BLOCKS),
     ] {
         let output = experiments()
-            .args([command, flag, "0", "--quiet", "--out"])
+            .args([command, "--pages", "2", flag, value, "--quiet", "--out"])
             .arg(&out)
             .output()
             .expect("binary runs");
-        assert_eq!(output.status.code(), Some(2), "{command} {flag} 0");
+        assert_eq!(output.status.code(), Some(2), "{command} {flag} {value}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains(&format!("{flag}: invalid value '0': must be at least 1")),
-            "{command} {flag} 0: {stderr}"
+            stderr.contains(&format!("{flag}: invalid value '{value}': {rule}")),
+            "{command} {flag} {value}: {stderr}"
         );
         assert!(
             output.stdout.is_empty(),
-            "{command} {flag} 0 printed a report"
+            "{command} {flag} {value} printed a report"
         );
-        assert!(!out.exists(), "{command} {flag} 0 wrote output");
+        assert!(!out.exists(), "{command} {flag} {value} wrote output");
     }
 }
 
@@ -764,6 +772,31 @@ fn resume_refuses_conflicting_options_and_malformed_snapshots() {
         .expect("binary runs");
     assert_eq!(wrong_command.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&wrong_command.stderr).contains("belongs to command 'fig5'"),);
+
+    // A tampered page size is refused like the same value on the command
+    // line, before any worker could split a block.
+    for bytes in ["0", "100", "32"] {
+        let snapshot = std::fs::read_to_string(tel.join("conflict.ckpt.json"))
+            .expect("read snapshot")
+            .replace(
+                r#""page_bytes": "4096""#,
+                &format!(r#""page_bytes": "{bytes}""#),
+            );
+        std::fs::write(tel.join("pagebytes.ckpt.json"), snapshot).expect("write snapshot");
+        let tampered = experiments()
+            .args(["fig5", "--resume", "pagebytes", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(tampered.status.code(), Some(2), "page_bytes {bytes}");
+        let stderr = String::from_utf8_lossy(&tampered.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "'page_bytes' has invalid value '{bytes}': must be a positive multiple of 64"
+            )),
+            "page_bytes {bytes}: {stderr}"
+        );
+    }
 
     std::fs::write(tel.join("broken.ckpt.json"), "not json").expect("corrupt snapshot");
     let malformed = experiments()

@@ -275,6 +275,14 @@ mod tests {
             );
             prev = mean;
         }
+        // Not merely no shorter: a 512-entry pool visibly stretches ECP1.
+        let config = cfg(2, 7);
+        let bare = pcm_sim::montecarlo::run_memory(&local, &config).mean_lifetime();
+        let pooled = run_payg_chip(&local, 512, &config).chip.mean_lifetime();
+        assert!(
+            pooled > 1.05 * bare,
+            "the GEC pool should visibly extend ECP1 page lifetimes ({pooled} vs {bare})"
+        );
     }
 
     #[test]

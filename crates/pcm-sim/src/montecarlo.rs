@@ -678,7 +678,7 @@ impl SimConfig {
         }
     }
 
-    /// A scaled-down setup for quick runs and benches.
+    /// A scaled-down setup for quick runs and tests.
     #[must_use]
     pub fn scaled(pages: usize, block_bits: usize, seed: u64) -> Self {
         Self {

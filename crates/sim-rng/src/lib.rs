@@ -1,10 +1,10 @@
-//! Zero-dependency deterministic randomness, property testing, and
-//! benchmarking for the Aegis reproduction workspace.
+//! Zero-dependency deterministic randomness and property testing for the
+//! Aegis reproduction workspace.
 //!
 //! The build environment is fully offline: nothing in this workspace may
-//! depend on crates.io. This crate supplies the three pieces of external
-//! infrastructure the simulator previously pulled from `rand`, `proptest`,
-//! and `criterion`:
+//! depend on crates.io. This crate supplies the two pieces of external
+//! infrastructure the simulator previously pulled from `rand` and
+//! `proptest`:
 //!
 //! * [`SmallRng`] — a seeded, portable PRNG (xoshiro256\*\* core, SplitMix64
 //!   seed expansion) behind a small [`Rng`]/[`SeedableRng`] trait surface
@@ -14,8 +14,6 @@
 //! * [`prop`] — a minimal property-test harness: seeded case generation,
 //!   greedy shrinking on failure, and failure-seed reporting so a red run
 //!   can be replayed exactly.
-//! * [`bench`](mod@bench) — a wall-clock bench harness: warmup, calibrated iteration
-//!   counts, median/p95 statistics, JSON output under `results/bench/`.
 //!
 //! # Example
 //!
@@ -33,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 mod core;
 mod dist;
 pub mod prop;

@@ -1,5 +1,5 @@
-//! Hand-rolled JSON, in the same style as `sim_rng::bench`: an escape
-//! helper shared by every emitter in this crate, and a minimal
+//! Hand-rolled JSON: an escape helper shared by every emitter in this
+//! crate, and a minimal
 //! recursive-descent parser so event streams and manifests can be read
 //! back without any external dependency.
 //!

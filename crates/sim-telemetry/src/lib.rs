@@ -6,9 +6,9 @@
 //! - [`Registry`] — named atomic [`Counter`]s and log₂-scale
 //!   [`Histogram`]s, ~free when disabled (handles become no-ops and no
 //!   per-metric state is ever allocated);
-//! - [`Event`] — a JSONL event stream in the same hand-rolled JSON style
-//!   as `sim_rng::bench`, deterministic by construction (no wall-clock
-//!   data), plus a parser for reports and round-trip tests;
+//! - [`Event`] — a hand-rolled JSONL event stream, deterministic by
+//!   construction (no wall-clock data), plus a parser for reports and
+//!   round-trip tests;
 //! - [`RunManifest`] — the reproducibility sidecar (seed and run options,
 //!   git describe, per-phase wall-clock durations);
 //! - [`RunTelemetry`] — the per-run front door: create, hand

@@ -3,9 +3,7 @@
 # --offline: a clean checkout must build with no network and no registry
 # cache, or the hermetic-build guarantee is broken.
 #
-# Usage: scripts/verify.sh [--fast]
-#   --fast   smoke-run the bench targets too (SIM_BENCH_FAST=1); skipped
-#            entirely by default because full benches take minutes.
+# Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -420,10 +418,5 @@ SIM_PROP_CASES=10000 run cargo test -q --offline --release --test timeline_sampl
 # per proportion and 10^4 shrinking merge-exactness cases (see
 # tests/estimates.rs).
 SIM_PROP_CASES=10000 run cargo test -q --offline --release --test estimates
-
-# Optional: compile + smoke-run every bench target.
-if [[ "${1:-}" == "--fast" ]]; then
-    SIM_BENCH_FAST=1 run cargo bench --offline --workspace
-fi
 
 echo "==> verify OK"

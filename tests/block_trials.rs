@@ -3,8 +3,10 @@
 //! every policy on it with one arena per worker. Every policy's outcomes
 //! must equal a per-scheme reference that re-samples each block from
 //! `page_rng(seed, trial)` and evaluates it on a fresh arena — the loop the
-//! figures ran before the pass existed.
+//! figures ran before the pass existed. On that pass, the idealized
+//! exhaustive SAFER search must also visibly outlive the faithful one.
 
+use aegis_baselines::SaferPolicy;
 use aegis_experiments::schemes;
 use pcm_sim::montecarlo::{
     block_failure_cdfs, block_outcomes, block_trials, evaluate_block, BlockOutcome,
@@ -132,6 +134,23 @@ fn single_policy_wrappers_agree_with_the_shared_pass() {
         assert_eq!(cdf.histogram, histogram, "{}", policy.name());
         assert_eq!(cdf.trials, trials);
     }
+}
+
+/// EXPERIMENTS.md's SAFER note rests on this margin: on the same blocks,
+/// the exhaustive partition search survives clearly more events than the
+/// incremental one SAFER builds, not merely as many.
+#[test]
+fn exhaustive_safer_outlives_incremental_by_a_clear_margin() {
+    let incremental = schemes::safer(6, 512, false);
+    let exhaustive = SaferPolicy::new(6, 512, false);
+    let policies = [incremental.as_ref(), &exhaustive as &dyn RecoveryPolicy];
+    let columns = shared(&policies, FailureCriterion::default(), 300, 5, 2);
+    let [incr, exh] = [0, 1].map(|p| columns[p].iter().map(|o| o.events_survived).sum::<usize>());
+    // More than 1.2x the events over the same 300 blocks.
+    assert!(
+        5 * exh > 6 * incr,
+        "exhaustive SAFER should clearly beat incremental ({exh} vs {incr} events)"
+    );
 }
 
 #[test]
