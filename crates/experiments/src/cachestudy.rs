@@ -35,16 +35,22 @@ pub struct CacheRow {
     pub hit_rate: f64,
 }
 
-/// Drives `blocks` independent 512-bit Aegis-rw blocks to exhaustion with
-/// the given oracle factory, and aggregates write costs.
-fn drive<O, F>(blocks: usize, seed: u64, mut make_oracle: F) -> (u64, u64, u64)
-where
-    O: FaultOracle,
-    F: FnMut() -> O,
-{
+/// Drives `blocks` independent 512-bit Aegis-rw blocks to exhaustion, each
+/// behind a fresh oracle from `make_oracle`, into the row `name`. The hit
+/// rate sums the `(hits, misses)` that `probes` reads off each block's
+/// oracle; an oracle that counts no probes (the ideal cache) never misses.
+fn drive<O: FaultOracle>(
+    name: String,
+    capacity: usize,
+    blocks: usize,
+    seed: u64,
+    make_oracle: impl Fn() -> O,
+    probes: fn(&O) -> (u64, u64),
+) -> CacheRow {
     let rect = Rectangle::new(17, 31, 512).expect("valid formation");
     let lifetimes = LifetimeModel::new(1_500.0, 0.25); // fast wear-out
     let (mut writes, mut verifies, mut extras) = (0u64, 0u64, 0u64);
+    let (mut hits, mut misses) = (0u64, 0u64);
     for b in 0..blocks {
         let mut rng = SmallRng::seed_from_u64(seed ^ (b as u64) << 17);
         let mut block = PcmBlock::with_lifetimes(512, |_| lifetimes.sample(&mut rng) as u64);
@@ -66,60 +72,48 @@ where
                 Err(_) => break,
             }
         }
+        let (block_hits, block_misses) = probes(&oracle);
+        hits += block_hits;
+        misses += block_misses;
     }
-    (writes, verifies, extras)
+    CacheRow {
+        name,
+        capacity,
+        writes,
+        verify_reads_per_write: verifies as f64 / writes as f64,
+        extra_writes_per_write: extras as f64 / writes as f64,
+        hit_rate: if hits + misses == 0 {
+            1.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        },
+    }
 }
 
 /// Runs the sweep: direct-mapped capacities vs the ideal cache.
 #[must_use]
 pub fn run(blocks: usize, seed: u64) -> Vec<CacheRow> {
-    let mut rows = Vec::new();
-    for capacity in [4usize, 16, 64, 256] {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let (writes, verifies, extras) =
-            drive(blocks, seed, || DirectMappedFailCache::new(capacity));
-        // Re-run cheaply for hit statistics (the oracle is consumed per
-        // block inside `drive`); a second pass with shared counters would
-        // complicate the closure, so sample hit rate on one block.
-        {
-            let mut cache = DirectMappedFailCache::new(capacity);
-            let rect = Rectangle::new(17, 31, 512).expect("valid formation");
-            let lifetimes = LifetimeModel::new(1_500.0, 0.25);
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xbeef);
-            let mut block = PcmBlock::with_lifetimes(512, |_| lifetimes.sample(&mut rng) as u64);
-            let mut codec = AegisRwCodec::new(rect);
-            loop {
-                let data = BitBlock::random(&mut rng, 512);
-                let known = cache.known_faults(0, &block);
-                if codec.write_with_known(&mut block, &data, &known).is_err() {
-                    break;
-                }
-                for fault in block.faults() {
-                    cache.record(0, fault);
-                }
-            }
-            hits += cache.hits();
-            misses += cache.misses();
-        }
-        rows.push(CacheRow {
-            name: format!("direct-mapped {capacity}"),
-            capacity,
-            writes,
-            verify_reads_per_write: verifies as f64 / writes as f64,
-            extra_writes_per_write: extras as f64 / writes as f64,
-            hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-        });
-    }
-    let (writes, verifies, extras) = drive(blocks, seed, IdealFailCache::new);
-    rows.push(CacheRow {
-        name: "ideal".to_owned(),
-        capacity: usize::MAX,
-        writes,
-        verify_reads_per_write: verifies as f64 / writes as f64,
-        extra_writes_per_write: extras as f64 / writes as f64,
-        hit_rate: 1.0,
-    });
+    let mut rows: Vec<CacheRow> = [4usize, 16, 64, 256]
+        .into_iter()
+        .map(|capacity| {
+            drive(
+                format!("direct-mapped {capacity}"),
+                capacity,
+                blocks,
+                seed,
+                || DirectMappedFailCache::new(capacity),
+                |cache| (cache.hits(), cache.misses()),
+            )
+        })
+        .collect();
+    rows.push(drive(
+        "ideal".to_owned(),
+        usize::MAX,
+        blocks,
+        seed,
+        IdealFailCache::new,
+        |_| (0, 0),
+    ));
     rows
 }
 

@@ -57,6 +57,17 @@ pub fn fmt_f64(value: f64) -> String {
     }
 }
 
+/// A page size for report titles: whole kibibytes as `4KB`, anything
+/// else in bytes (`1088B`).
+#[must_use]
+pub fn fmt_page_size(bytes: usize) -> String {
+    if bytes.is_multiple_of(1024) {
+        format!("{}KB", bytes / 1024)
+    } else {
+        format!("{bytes}B")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,5 +94,12 @@ mod tests {
         assert_eq!(fmt_f64(1234.6), "1235");
         assert_eq!(fmt_f64(56.78), "56.8");
         assert_eq!(fmt_f64(1.2345), "1.234");
+    }
+
+    #[test]
+    fn page_sizes_read_as_the_paper_writes_them() {
+        assert_eq!(fmt_page_size(4096), "4KB");
+        assert_eq!(fmt_page_size(256), "256B");
+        assert_eq!(fmt_page_size(1088), "1088B");
     }
 }

@@ -3,7 +3,7 @@
 //! three, for both block sizes.
 
 use crate::campaign::{self, fig567_unit_specs, UnitSpec};
-use crate::csvout::{self, fmt_f64};
+use crate::csvout::{self, fmt_f64, fmt_page_size};
 use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use pcm_sim::montecarlo::MemoryRun;
 use std::io;
@@ -49,11 +49,14 @@ fn header(bits: usize, what: &str) -> String {
     format!("\n-- {bits}-bit data blocks: {what} --\n")
 }
 
-/// Figure 5: average recoverable faults in a 4 KB page (overhead bits
-/// annotated, as above the paper's bars).
+/// Figure 5: average recoverable faults in a page of `page_bytes` (4 KB
+/// in the paper; overhead bits annotated, as above the paper's bars).
 #[must_use]
-pub fn report_fig5(results: &Fig567) -> String {
-    let mut out = String::from("Figure 5: average recoverable faults per 4KB page\n");
+pub fn report_fig5(results: &Fig567, page_bytes: usize) -> String {
+    let mut out = format!(
+        "Figure 5: average recoverable faults per {} page\n",
+        fmt_page_size(page_bytes)
+    );
     for (bits, summaries) in &results.by_block {
         out.push_str(&header(*bits, "recoverable faults"));
         for s in summaries {
@@ -69,11 +72,14 @@ pub fn report_fig5(results: &Fig567) -> String {
     out
 }
 
-/// Figure 6: page lifetime improvement (×) over the unprotected page.
+/// Figure 6: page lifetime improvement (×) over the unprotected page of
+/// `page_bytes`.
 #[must_use]
-pub fn report_fig6(results: &Fig567) -> String {
-    let mut out =
-        String::from("Figure 6: page lifetime improvement over an unprotected 4KB page\n");
+pub fn report_fig6(results: &Fig567, page_bytes: usize) -> String {
+    let mut out = format!(
+        "Figure 6: page lifetime improvement over an unprotected {} page\n",
+        fmt_page_size(page_bytes)
+    );
     for (bits, summaries) in &results.by_block {
         out.push_str(&header(*bits, "lifetime improvement"));
         for s in summaries {
@@ -185,10 +191,12 @@ mod tests {
     #[test]
     fn reports_mention_key_schemes() {
         let results = run(&tiny_opts());
-        let f5 = report_fig5(&results);
+        let f5 = report_fig5(&results, 4096);
+        assert!(f5.starts_with("Figure 5: average recoverable faults per 4KB page\n"));
+        assert!(report_fig5(&results, 256).contains("per 256B page"));
         assert!(f5.contains("Aegis 9x61"));
         assert!(f5.contains("SAFER64"));
-        let f6 = report_fig6(&results);
+        let f6 = report_fig6(&results, 4096);
         assert!(f6.contains('x'));
         let f7 = report_fig7(&results);
         assert!(f7.contains("/bit"));

@@ -8,6 +8,7 @@
 use aegis_experiments::campaign::{self, UnitSpec};
 use aegis_experiments::checkpoint::{Checkpoint, CheckpointCtl};
 use aegis_experiments::runner::RunOptions;
+use aegis_experiments::shardmerge::ShardInput;
 use aegis_experiments::{
     analyze, biasstudy, cachestudy, diff, failcdf, fig10, fig567, fig8, fig9, monitor, osassist,
     payg_check, runner, schemes, shardmerge, table1, telemetry, variants, wearlevel_check,
@@ -18,6 +19,7 @@ use pcm_sim::montecarlo::{FailureCriterion, MemoryRun};
 use sim_telemetry::{
     RunState, RunTelemetry, SeriesCursor, SeriesWriter, Span, StatusWriter, TraceSpan, Tracer,
 };
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -55,11 +57,16 @@ Commands:
                      of global page indices under the master seed (each
                      page is its own seed-disjoint substream). Writes
                      telemetry plus a <run-id>.shard.json raw-results
-                     sidecar; no CSVs
+                     sidecar; no CSVs and no codec probe. Takes the figure
+                     options except --checkpoint-every, --resume and
+                     --target-rse
   merge ID [ID...]   Merge finished shards (listed by run id, any order)
                      into the campaign's reports, CSVs and telemetry —
                      byte-identical to the unsharded run after stripping
-                     volatile lines. Refuses mismatched configs/revisions
+                     volatile lines. Adopts the shards' recorded
+                     configuration and refuses mismatched configs/revisions,
+                     as well as --checkpoint-every, --resume, --target-rse,
+                     --series and --status (a merge simulates no pages)
   monitor [DIR]      Tail every <run-id>.status.json under DIR (default
                      results/telemetry): one row per run with phase,
                      progress, ETA and worker busy fraction, plus a state
@@ -105,13 +112,11 @@ Options:
                   every fig5 scheme from the run seed, print the annotated
                   event traces, and exit (no simulation runs)
   --top N         telemetry-analyze only: hot spans listed (default 10)
-  --series        Sample every counter/histogram into a time-series sidecar
+  --series        Sample every counter/histogram at each unit barrier into
+                  a time-series sidecar
                   OUT/telemetry/<run-id>.series.jsonl, keyed by pages
                   evaluated (implies --telemetry; byte-identical per seed
                   after stripping volatile lines, at any thread count)
-  --series-every N
-                  Minimum pages between series samples (default 0 = sample
-                  at every unit barrier; implies --series)
   --status        Heartbeat run liveness (phase, progress, ETA, worker busy
                   fraction) into OUT/telemetry/<run-id>.status.json for
                   `experiments monitor` (implies --telemetry; the status
@@ -168,7 +173,6 @@ struct Cli {
     shards: Option<usize>,
     shard_id: Option<usize>,
     series: bool,
-    series_every: u64,
     status: bool,
     once: bool,
     json: bool,
@@ -270,11 +274,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.series = true;
                 cli.telemetry = true;
             }
-            "--series-every" => {
-                cli.series_every = parsed!("--series-every");
-                cli.series = true;
-                cli.telemetry = true;
-            }
             "--status" => {
                 cli.status = true;
                 cli.telemetry = true;
@@ -329,8 +328,8 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 /// Everything a command handler needs: options, output paths, verbosity,
-/// and the run's telemetry (a disabled no-op instance when `--telemetry`
-/// is off, so handlers never branch).
+/// the run's telemetry (a disabled no-op instance when `--telemetry` is
+/// off, so handlers never branch) and what a campaign does with its pages.
 struct Ctx<'a> {
     opts: &'a RunOptions,
     out: &'a Path,
@@ -341,6 +340,44 @@ struct Ctx<'a> {
     ckpt: Option<&'a CheckpointCtl<'a>>,
     series: &'a SeriesWriter,
     status_w: &'a StatusWriter,
+    mode: &'a Mode,
+}
+
+/// How a chip-figure run gets its campaign's unit runs, and where they go.
+enum Mode {
+    /// Simulate every page, then print the reports and write the CSVs.
+    Run,
+    /// `shard`: simulate one stripe and store the unit runs for `merge`.
+    /// Its unit barriers cover the stripe, so its series is keyed by the
+    /// shard's own pages and its estimates are the stripe's; merge pools
+    /// the intervals from the concatenated per-page results.
+    Shard(Stripe),
+    /// `merge`: read the unit runs back from finished shards, sorted by
+    /// shard id, instead of simulating them. The stream gets the same span
+    /// skeleton, the summed shard metrics and one codec probe, so after
+    /// stripping volatile lines it is the unsharded run's, byte for byte.
+    Merge(Vec<ShardInput>),
+}
+
+/// Shard `shard_id` of `shards`: its global pages and its results sidecar.
+struct Stripe {
+    shards: usize,
+    shard_id: usize,
+    pages: Range<usize>,
+    /// `<run-id>.shard.json`, which `merge` reads.
+    sidecar: PathBuf,
+    /// The configuration the sidecar records for `merge` to adopt.
+    fingerprint: Vec<(String, String)>,
+}
+
+impl Mode {
+    /// The global pages this run simulates of a chip of `pages` pages.
+    fn pages(&self, pages: usize) -> Range<usize> {
+        match self {
+            Mode::Shard(stripe) => stripe.pages.clone(),
+            Mode::Run | Mode::Merge(_) => 0..pages,
+        }
+    }
 }
 
 /// Guard pairing a deterministic-stream phase span with its wall-clock
@@ -368,33 +405,63 @@ impl Ctx<'_> {
         }
     }
 
-    /// Runs the chip-figure campaign `figure` over the whole chip —
-    /// straight, or in snapshotted chunks under `--checkpoint-every`/
-    /// `--resume`/`--target-rse` — then prints the reports `command` asks
-    /// for and writes the figure's CSVs. `None` when `figure` is no
-    /// campaign. A SIGINT that stops the run surfaces as
-    /// [`std::io::ErrorKind::Interrupted`].
+    /// Runs the chip-figure campaign `figure` as [`Mode`] says — over the
+    /// whole chip, straight or in snapshotted chunks under
+    /// `--checkpoint-every`/`--resume`/`--target-rse`; over a shard's
+    /// stripe; or from merged shards — then prints the reports `command`
+    /// asks for and writes the figure's CSVs (a shard stores its sidecar
+    /// instead). `None` when `figure` is no campaign. A SIGINT that stops
+    /// the run surfaces as [`std::io::ErrorKind::Interrupted`], shards
+    /// that disagree with this build's units as
+    /// [`std::io::ErrorKind::InvalidData`].
     fn campaign(&self, figure: &str, command: &str) -> Option<std::io::Result<()>> {
         let (specs, span, emit) = campaign_specs(figure, self.opts)?;
-        self.status(&format!(
-            "[{figure}] simulating {} pages for each of {} units…",
-            self.opts.pages,
-            specs.len()
-        ));
-        let runs = || -> std::io::Result<Vec<MemoryRun>> {
-            let _span = self.span(span)?;
-            let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
-            let done = campaign::execute(&units, 0..self.opts.pages, &self.observer(), self.ckpt)?;
-            let done = done.ok_or_else(|| {
-                let path = self.ckpt.map(|ctl| ctl.path.display().to_string());
-                std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    format!("checkpoint written to {}", path.unwrap_or_default()),
-                )
-            })?;
-            Ok(done.into_iter().map(|unit| unit.run).collect())
+        let pages = self.mode.pages(self.opts.pages);
+        self.status(&match self.mode {
+            Mode::Merge(shards) => format!(
+                "[merge] combining {} shards of '{figure}' (seed {})",
+                shards.len(),
+                self.opts.seed
+            ),
+            Mode::Run | Mode::Shard(_) => format!(
+                "[{figure}] simulating {} pages for each of {} units…",
+                pages.len(),
+                specs.len()
+            ),
+        });
+        let run = || -> std::io::Result<()> {
+            let runs = {
+                let _span = self.span(span)?;
+                if let Mode::Merge(shards) = self.mode {
+                    let runs = shardmerge::merge_units(shards, &specs)
+                        .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg))?;
+                    shardmerge::absorb_shard_streams(shards, self.tel.registry());
+                    runs
+                } else {
+                    let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
+                    let done = campaign::execute(&units, pages, &self.observer(), self.ckpt)?;
+                    let done = done.ok_or_else(|| {
+                        let path = self.ckpt.map(|ctl| ctl.path.display().to_string());
+                        std::io::Error::new(
+                            std::io::ErrorKind::Interrupted,
+                            format!("checkpoint written to {}", path.unwrap_or_default()),
+                        )
+                    })?;
+                    if let Mode::Shard(stripe) = self.mode {
+                        let sidecar = Checkpoint {
+                            fingerprint: stripe.fingerprint.clone(),
+                            series: self.series.cursor(),
+                            units: done,
+                            ..Checkpoint::default()
+                        };
+                        return sidecar.store(&stripe.sidecar);
+                    }
+                    done.into_iter().map(|unit| unit.run).collect()
+                }
+            };
+            emit(&specs, &runs, command, self.out)
         };
-        Some(runs().and_then(|runs| emit(&specs, &runs, command, self.out)))
+        Some(run())
     }
 
     fn span(&self, name: &str) -> std::io::Result<PhaseSpan<'_>> {
@@ -442,13 +509,13 @@ fn campaign_specs(command: &str, opts: &RunOptions) -> Option<(Vec<UnitSpec>, &'
             "fig567.montecarlo",
             |specs, runs, command, out| {
                 let results = fig567::assemble(specs, runs);
+                let page_bytes = page_bytes(specs);
                 print_reports(
                     command,
-                    &results,
                     [
-                        ("fig5", fig567::report_fig5),
-                        ("fig6", fig567::report_fig6),
-                        ("fig7", fig567::report_fig7),
+                        ("fig5", &|| fig567::report_fig5(&results, page_bytes)),
+                        ("fig6", &|| fig567::report_fig6(&results, page_bytes)),
+                        ("fig7", &|| fig567::report_fig7(&results)),
                     ],
                 );
                 fig567::write_csvs(&results, out)
@@ -477,13 +544,13 @@ fn campaign_specs(command: &str, opts: &RunOptions) -> Option<(Vec<UnitSpec>, &'
             "variants.montecarlo",
             |specs, runs, command, out| {
                 let results = variants::assemble(specs, runs);
+                let page_bytes = page_bytes(specs);
                 print_reports(
                     command,
-                    &results,
                     [
-                        ("fig11", variants::report_fig11),
-                        ("fig12", variants::report_fig12),
-                        ("fig13", variants::report_fig13),
+                        ("fig11", &|| variants::report_fig11(&results, page_bytes)),
+                        ("fig12", &|| variants::report_fig12(&results)),
+                        ("fig13", &|| variants::report_fig13(&results)),
                     ],
                 );
                 variants::write_csvs(&results, out)
@@ -493,15 +560,20 @@ fn campaign_specs(command: &str, opts: &RunOptions) -> Option<(Vec<UnitSpec>, &'
     })
 }
 
+/// The page size a campaign's chips were simulated at, for report titles.
+fn page_bytes(specs: &[UnitSpec]) -> usize {
+    specs.first().map_or(0, |spec| spec.cfg.page_bits / 8)
+}
+
 /// One figure of a multi-figure campaign and the report that renders it.
-type Report<T> = (&'static str, fn(&T) -> String);
+type Report<'a> = (&'static str, &'a dyn Fn() -> String);
 
 /// Prints each of a campaign's reports that `command` asks for (`all`
 /// asks for every one).
-fn print_reports<T>(command: &str, results: &T, reports: [Report<T>; 3]) {
+fn print_reports(command: &str, reports: [Report<'_>; 3]) {
     for (figure, report) in reports {
         if command == figure || command == "all" {
-            println!("{}", report(results));
+            println!("{}", report());
         }
     }
 }
@@ -723,11 +795,11 @@ mod sigint {
     pub fn install() {}
 }
 
-/// The configuration fingerprint stored in checkpoints and cross-checked
-/// on `--resume`.
-fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
+/// The configuration fingerprint stored in checkpoints and shard sidecars,
+/// and adopted by `--resume` and `merge`.
+fn config_fingerprint(cli: &Cli) -> Vec<(String, String)> {
     vec![
-        ("command".to_owned(), command.to_owned()),
+        ("command".to_owned(), cli.command.clone()),
         ("seed".to_owned(), cli.opts.seed.to_string()),
         ("pages".to_owned(), cli.opts.pages.to_string()),
         ("trials".to_owned(), cli.opts.trials.to_string()),
@@ -741,7 +813,8 @@ fn config_fingerprint(command: &str, cli: &Cli) -> Vec<(String, String)> {
     ]
 }
 
-/// Adopts the resume snapshot's recorded configuration into the CLI.
+/// Adopts the recorded configuration of a resume snapshot (or, for
+/// `merge`, of a shard sidecar) into the CLI.
 ///
 /// Options left at their defaults take the snapshot's values; options the
 /// user set explicitly to something else are refused — resuming under a
@@ -822,8 +895,8 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
 /// Sets the replay-metadata keys every simulation run records (shard runs
 /// add their stripe on top). The manifest stores options sorted by key,
 /// so call order never shows through.
-fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
-    tel.set_meta("command", command);
+fn set_run_meta(tel: &RunTelemetry, cli: &Cli) {
+    tel.set_meta("command", &cli.command);
     tel.set_meta("seed", &cli.opts.seed.to_string());
     tel.set_meta("pages", &cli.opts.pages.to_string());
     tel.set_meta("trials", &cli.opts.trials.to_string());
@@ -839,16 +912,14 @@ fn set_run_meta(tel: &RunTelemetry, command: &str, cli: &Cli) {
     tel.set_meta("trace", if cli.trace { "on" } else { "off" });
 }
 
-/// Opens `run_id`'s telemetry stream (only when `telemetry`) and its series
-/// and status sidecars (as `cli` asks) under the output directory, and
-/// records the run's metadata. The heartbeat counts `total_pages` when it
-/// is known, and a series resumed from a snapshot continues at
+/// Opens `run_id`'s telemetry stream (only under `--telemetry`) and its
+/// series and status sidecars (as `cli` asks) under the output directory,
+/// and records the run's metadata. The heartbeat counts `total_pages` when
+/// it is known, and a series resumed from a snapshot continues at
 /// `resume_series`. Failures are printed and returned as the exit code.
 fn open_sidecars(
     cli: &Cli,
-    command: &str,
     run_id: &str,
-    telemetry: bool,
     total_pages: Option<usize>,
     resume_series: Option<SeriesCursor>,
 ) -> Result<(RunTelemetry, SeriesWriter, StatusWriter), ExitCode> {
@@ -859,16 +930,16 @@ fn open_sidecars(
             ExitCode::FAILURE
         }
     };
-    let tel = if telemetry {
+    let tel = if cli.telemetry {
         RunTelemetry::create(run_id, &dir).map_err(fail("telemetry"))?
     } else {
         RunTelemetry::disabled()
     };
-    set_run_meta(&tel, command, cli);
+    set_run_meta(&tel, cli);
     let series = match resume_series.filter(|cursor| cursor.seq > 0) {
         _ if !cli.series => Ok(SeriesWriter::disabled()),
-        Some(cursor) => SeriesWriter::resume(run_id, &dir, cli.series_every, cursor),
-        None => SeriesWriter::create(run_id, &dir, cli.series_every),
+        Some(cursor) => SeriesWriter::resume(run_id, &dir, 0, cursor),
+        None => SeriesWriter::create(run_id, &dir, 0),
     };
     let series = series.map_err(fail("series"))?;
     let status = if cli.status {
@@ -885,22 +956,25 @@ fn open_sidecars(
     Ok((tel, series, status))
 }
 
-/// `experiments shard FIG --shards K --shard-id I`: run one stripe of a
-/// chip-figure campaign and leave its telemetry + raw-results sidecar for
-/// `merge`. No reports or CSVs — those are the merged campaign's.
-fn run_shard(cli: &Cli) -> ExitCode {
-    let usage_error = |msg: &str| {
-        eprintln!("shard: {msg}\n\n{USAGE}");
-        ExitCode::from(USAGE_ERROR)
-    };
-    let Some(figure) = cli.positionals.first() else {
+/// Prints a usage error of `shard` or `merge` and returns its exit code.
+fn mode_error(mode: &str, msg: &str) -> ExitCode {
+    eprintln!("{mode}: {msg}\n\n{USAGE}");
+    ExitCode::from(USAGE_ERROR)
+}
+
+/// `experiments shard FIG --shards K --shard-id I`: makes FIG the run's
+/// command and picks its stripe. The figure run then simulates only that
+/// stripe and leaves its telemetry plus a raw-results sidecar for `merge`.
+fn shard_mode(cli: &mut Cli) -> Result<Mode, ExitCode> {
+    let usage_error = |msg: &str| Err(mode_error("shard", msg));
+    let Some(figure) = cli.positionals.first().cloned() else {
         return usage_error("expects a chip-figure command (fig5-fig9, fig11-fig13)");
     };
-    let Some((specs, span_name, _)) = campaign_specs(figure, &cli.opts) else {
+    if campaign_specs(&figure, &cli.opts).is_none() {
         return usage_error(&format!(
             "'{figure}' cannot be sharded (only the chip figures fig5-fig9 and fig11-fig13 can)"
         ));
-    };
+    }
     let (Some(shards), Some(shard_id)) = (cli.shards, cli.shard_id) else {
         return usage_error("--shards and --shard-id are required");
     };
@@ -924,199 +998,79 @@ fn run_shard(cli: &Cli) -> ExitCode {
         );
     }
     let (lo, hi) = shardmerge::shard_range(cli.opts.pages, shards, shard_id);
-    let run_id = cli
-        .run_id
-        .clone()
-        .unwrap_or_else(|| shardmerge::shard_run_id(figure, cli.opts.seed, shards, shard_id));
-    let total_pages = specs.len() * (hi - lo);
-    let (tel, series, status) =
-        match open_sidecars(cli, figure, &run_id, true, Some(total_pages), None) {
-            Ok(sidecars) => sidecars,
-            Err(code) => return code,
-        };
-    tel.set_meta("shards", &shards.to_string());
-    tel.set_meta("shard_id", &shard_id.to_string());
-    tel.set_meta("page_lo", &lo.to_string());
-    tel.set_meta("page_hi", &hi.to_string());
-    status.set_shard(shard_id as u64, shards as u64);
+    cli.command = figure;
+    cli.telemetry = true;
+    let run_id = cli.run_id.get_or_insert_with(|| {
+        shardmerge::shard_run_id(&cli.command, cli.opts.seed, shards, shard_id)
+    });
+    let sidecar = telemetry::dir(&cli.out_dir).join(format!("{run_id}.shard.json"));
     if !cli.quiet {
         eprintln!(
-            "[shard] {figure} shard {shard_id}/{shards}: pages {lo}..{hi} of {}",
-            cli.opts.pages
+            "[shard] {} shard {shard_id}/{shards}: pages {lo}..{hi} of {}",
+            cli.command, cli.opts.pages
         );
     }
-    let observer = runner::RunObserver {
-        registry: Some(tel.registry()),
-        series: series.is_enabled().then_some(&series),
-        status: status.is_enabled().then_some(&status),
-        ..runner::RunObserver::default()
-    };
-    let units = {
-        let span = match tel.span(span_name) {
-            Ok(span) => span,
-            Err(err) => {
-                eprintln!("telemetry: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // A shard's unit barrier covers its stripe: the series sidecar is
-        // keyed by this shard's cumulative pages and the estimates are the
-        // stripe's own. Merge recomputes the pooled intervals from the
-        // concatenated per-page results.
-        let units: Vec<_> = specs.iter().map(UnitSpec::unit).collect();
-        let units = campaign::run(&units, lo..hi, &observer);
-        drop(span);
-        units
-    };
-    let sidecar = Checkpoint {
-        every: 0,
-        fingerprint: config_fingerprint(figure, cli),
-        counters: Vec::new(),
-        volatile: Vec::new(),
-        histograms: Vec::new(),
-        series: series.cursor(),
-        units,
-    };
-    let sidecar_path = telemetry::dir(&cli.out_dir).join(format!("{run_id}.shard.json"));
-    if let Err(err) = sidecar.store(&sidecar_path) {
-        eprintln!("shard: {err}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(err) = series.finish() {
-        eprintln!("series: {err}");
-        return ExitCode::FAILURE;
-    }
-    status.mark(RunState::Done);
-    match tel.finish() {
-        Ok(_) => {
-            if !cli.quiet {
-                eprintln!("shard results written to {}", sidecar_path.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("telemetry: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(Mode::Shard(Stripe {
+        shards,
+        shard_id,
+        pages: lo..hi,
+        sidecar,
+        fingerprint: config_fingerprint(cli),
+    }))
 }
 
-/// `experiments merge ID [ID...]`: cross-check and combine finished
-/// shards into the campaign's reports, CSVs and telemetry.
-fn run_merge(cli: &Cli) -> ExitCode {
+/// `experiments merge ID [ID...]`: cross-checks the finished shards and
+/// adopts their recorded configuration, so the figure run that follows
+/// reads its unit runs and telemetry from them and emits the campaign's
+/// reports, CSVs and stream under the unsharded run id.
+fn merge_mode(cli: &mut Cli) -> Result<Mode, ExitCode> {
     if cli.positionals.is_empty() {
         eprintln!("merge expects the shard RUN_IDs to combine\n\n{USAGE}");
-        return ExitCode::from(USAGE_ERROR);
+        return Err(ExitCode::from(USAGE_ERROR));
+    }
+    if cli.checkpoint_every.is_some()
+        || cli.resume.is_some()
+        || cli.target_rse.is_some()
+        || cli.series
+        || cli.status
+    {
+        return Err(mode_error(
+            "merge",
+            "--checkpoint-every/--resume/--target-rse/--series/--status do not apply to \
+             merge runs (a merge simulates no pages, so no unit barrier fires)",
+        ));
     }
     let dir = telemetry::dir(&cli.out_dir);
-    let mut inputs = Vec::with_capacity(cli.positionals.len());
-    for id in &cli.positionals {
-        match shardmerge::read_shard(&dir, id) {
-            Ok(input) => inputs.push(input),
-            Err(err) => {
-                eprintln!("merge: shard '{id}': {err}");
-                return read_error_exit(&err);
-            }
-        }
-    }
-    if let Err(msg) = shardmerge::validate_shards(&mut inputs) {
+    let read = |id: &String| {
+        shardmerge::read_shard(&dir, id).map_err(|err| {
+            eprintln!("merge: shard '{id}': {err}");
+            read_error_exit(&err)
+        })
+    };
+    let mut inputs = cli
+        .positionals
+        .iter()
+        .map(read)
+        .collect::<Result<Vec<_>, _>>()?;
+    let refuse = |msg: String| {
         eprintln!("merge: {msg}");
-        return ExitCode::from(USAGE_ERROR);
+        ExitCode::from(USAGE_ERROR)
+    };
+    shardmerge::validate_shards(&mut inputs).map_err(refuse)?;
+    let recorded = &inputs[0].sidecar;
+    cli.command = recorded
+        .fingerprint_value("command")
+        .unwrap_or("")
+        .to_owned();
+    apply_resume(cli, recorded).map_err(refuse)?;
+    if campaign_specs(&cli.command, &cli.opts).is_none() {
+        return Err(refuse(format!(
+            "shards record command '{}', which is no chip-figure campaign",
+            cli.command
+        )));
     }
-    let option = |key: &str| inputs[0].manifest.options.get(key).cloned();
-    let command = option("command").unwrap_or_default();
-    let Some(seed) = option("seed").and_then(|v| v.parse::<u64>().ok()) else {
-        eprintln!("merge: shard manifests carry a non-numeric 'seed' option");
-        return ExitCode::from(USAGE_ERROR);
-    };
-    // The unit specs are rebuilt from the campaign options: their labels
-    // and block sizes validate the sidecars, their policies name the rows.
-    let merge_opts = RunOptions {
-        seed,
-        pages: option("pages")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(RunOptions::default().pages),
-        ..RunOptions::default()
-    };
-    let Some((specs, span_name, emit)) = campaign_specs(&command, &merge_opts) else {
-        eprintln!("merge: shards record command '{command}', which is no chip-figure campaign");
-        return ExitCode::from(USAGE_ERROR);
-    };
-    let runs = match shardmerge::merge_units(&inputs, &specs) {
-        Ok(runs) => runs,
-        Err(msg) => {
-            eprintln!("merge: {msg}");
-            return ExitCode::from(USAGE_ERROR);
-        }
-    };
-    if !cli.quiet {
-        eprintln!(
-            "[merge] combining {} shards of '{command}' (seed {seed})",
-            inputs.len()
-        );
-    }
-
-    // Rebuild the campaign's telemetry under its unsharded run id: the
-    // same span skeleton, the summed shard metrics, and one codec probe —
-    // after stripping volatile lines the stream is byte-identical to the
-    // run that was never sharded.
-    let run_id = cli
-        .run_id
-        .clone()
-        .unwrap_or_else(|| telemetry::default_run_id(&command, seed));
-    let tel = match RunTelemetry::create(&run_id, &dir) {
-        Ok(tel) => tel,
-        Err(err) => {
-            eprintln!("telemetry: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for key in [
-        "command",
-        "seed",
-        "pages",
-        "trials",
-        "page_bytes",
-        "criterion",
-    ] {
-        if let Some(value) = option(key) {
-            tel.set_meta(key, &value);
-        }
-    }
-    tel.set_meta(
-        "threads_effective",
-        &sim_pool::resolve_threads(cli.opts.threads).to_string(),
-    );
-    tel.set_meta("out_dir", &cli.out_dir.display().to_string());
-    tel.set_meta("trace", "off");
-    let emit = || -> std::io::Result<()> {
-        {
-            let _span = tel.span(span_name)?;
-            shardmerge::absorb_shard_streams(&inputs, tel.registry());
-        }
-        {
-            let _span = tel.span("codec-probe")?;
-            telemetry::codec_probe(tel.registry(), seed);
-        }
-        emit(&specs, &runs, &command, &cli.out_dir)?;
-        tel.finish().map(drop)
-    };
-    match emit() {
-        Ok(()) => {
-            if !cli.quiet {
-                eprintln!(
-                    "merged telemetry written to {}; CSV written to {}",
-                    dir.join(format!("{run_id}.jsonl")).display(),
-                    cli.out_dir.display()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("merge: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    cli.telemetry = true;
+    Ok(Mode::Merge(inputs))
 }
 
 fn run_telemetry_report(cli: &Cli) -> ExitCode {
@@ -1303,8 +1257,6 @@ fn main() -> ExitCode {
     let tool: Option<fn(&Cli) -> ExitCode> = match cli.command.as_str() {
         "telemetry-report" => Some(run_telemetry_report),
         "telemetry-analyze" => Some(run_telemetry_analyze),
-        "shard" => Some(run_shard),
-        "merge" => Some(run_merge),
         "monitor" => Some(run_monitor),
         "telemetry-diff" => Some(run_telemetry_diff),
         _ => None,
@@ -1312,6 +1264,17 @@ fn main() -> ExitCode {
     if let Some(tool) = tool {
         return tool(&cli);
     }
+    // `shard` and `merge` are modes of the figure run: their setup names
+    // the figure as the command, and the one lifecycle below runs it.
+    let mode = match cli.command.as_str() {
+        "shard" => shard_mode(&mut cli),
+        "merge" => merge_mode(&mut cli),
+        _ => Ok(Mode::Run),
+    };
+    let mode = match mode {
+        Ok(mode) => mode,
+        Err(code) => return code,
+    };
     if cli.command != "all" && !COMMANDS.iter().any(|&(name, _)| name == cli.command) {
         // Reject before any telemetry files are created for a bogus run.
         eprintln!("unknown command '{}'\n\n{USAGE}", cli.command);
@@ -1320,7 +1283,7 @@ fn main() -> ExitCode {
     if let Some((page, block)) = cli.trace_block {
         return run_trace_block(&cli, page, block);
     }
-    if cli.shards.is_some() || cli.shard_id.is_some() {
+    if !matches!(mode, Mode::Shard(_)) && (cli.shards.is_some() || cli.shard_id.is_some()) {
         eprintln!("--shards/--shard-id only apply to the shard command\n\n{USAGE}");
         return ExitCode::from(USAGE_ERROR);
     }
@@ -1380,18 +1343,22 @@ fn main() -> ExitCode {
         .run_id
         .clone()
         .unwrap_or_else(|| telemetry::default_run_id(&cli.command, cli.opts.seed));
-    let total_pages = campaign_units.map(|units| units * cli.opts.pages);
-    let (tel, series, status_w) = match open_sidecars(
-        &cli,
-        &cli.command,
-        &run_id,
-        cli.telemetry,
-        total_pages,
-        resume_series,
-    ) {
+    let total_pages = campaign_units.map(|units| units * mode.pages(cli.opts.pages).len());
+    let (tel, series, status_w) = match open_sidecars(&cli, &run_id, total_pages, resume_series) {
         Ok(sidecars) => sidecars,
         Err(code) => return code,
     };
+    if let Mode::Shard(stripe) = &mode {
+        for (key, value) in [
+            ("shards", stripe.shards),
+            ("shard_id", stripe.shard_id),
+            ("page_lo", stripe.pages.start),
+            ("page_hi", stripe.pages.end),
+        ] {
+            tel.set_meta(key, &value.to_string());
+        }
+        status_w.set_shard(stripe.shard_id as u64, stripe.shards as u64);
+    }
 
     let ckpt_ctl = if checkpointing {
         sigint::install();
@@ -1413,7 +1380,7 @@ fn main() -> ExitCode {
             every,
             interrupted: &sigint::INTERRUPTED,
             resume: resume_ckpt,
-            fingerprint: config_fingerprint(&cli.command, &cli),
+            fingerprint: config_fingerprint(&cli),
             target_rse: cli.target_rse,
         })
     } else {
@@ -1442,12 +1409,15 @@ fn main() -> ExitCode {
         ckpt: ckpt_ctl.as_ref(),
         series: &series,
         status_w: &status_w,
+        mode: &mode,
     };
 
     let outcome = {
         let _run_span = tracer.span("run");
         let outcome = dispatch(&cli.command, &cli.command, &ctx);
-        if matches!(outcome, Some(Ok(()))) && tel.is_enabled() {
+        // A shard skips the probe: its merge runs it once, and probing in
+        // every shard would count the merged codec.* counters twice.
+        if matches!(outcome, Some(Ok(()))) && tel.is_enabled() && !matches!(mode, Mode::Shard(_)) {
             // The figure paths exercise analytic policies; the codec probe
             // feeds the codec.<scheme>.* counters through the shared
             // WriteTelemetry path so every run's report covers both layers.
@@ -1508,13 +1478,24 @@ fn main() -> ExitCode {
     match outcome {
         Some(Ok(())) => {
             if !cli.quiet {
-                eprintln!("CSV written to {}", cli.out_dir.display());
+                match &mode {
+                    Mode::Shard(stripe) => {
+                        eprintln!("shard results written to {}", stripe.sidecar.display());
+                    }
+                    Mode::Run | Mode::Merge(_) => {
+                        eprintln!("CSV written to {}", cli.out_dir.display());
+                    }
+                }
             }
             ExitCode::SUCCESS
         }
         Some(Err(err)) if err.kind() == std::io::ErrorKind::Interrupted => {
             eprintln!("interrupted: {err}; rerun with --resume {run_id} to continue",);
             ExitCode::from(INTERRUPTED_EXIT)
+        }
+        Some(Err(err)) if err.kind() == std::io::ErrorKind::InvalidData => {
+            eprintln!("invalid input: {err}");
+            ExitCode::from(USAGE_ERROR)
         }
         Some(Err(err)) => {
             eprintln!("I/O error: {err}");

@@ -3,7 +3,7 @@
 //! figures.
 
 use crate::campaign::{self, specs_for, UnitSpec};
-use crate::csvout::{self, fmt_f64};
+use crate::csvout::{self, fmt_f64, fmt_page_size};
 use crate::runner::{RunObserver, RunOptions, SchemeSummary};
 use crate::schemes;
 use pcm_sim::montecarlo::MemoryRun;
@@ -44,11 +44,13 @@ pub fn run(opts: &RunOptions) -> Variants {
     )
 }
 
-/// Figure 11: recoverable faults per 4 KB page.
+/// Figure 11: recoverable faults per page of `page_bytes` (4 KB in the
+/// paper).
 #[must_use]
-pub fn report_fig11(results: &Variants) -> String {
-    let mut out = String::from(
-        "Figure 11: recoverable faults per 4KB page (Aegis vs variants, 512-bit blocks)\n\n",
+pub fn report_fig11(results: &Variants, page_bytes: usize) -> String {
+    let mut out = format!(
+        "Figure 11: recoverable faults per {} page (Aegis vs variants, 512-bit blocks)\n\n",
+        fmt_page_size(page_bytes)
     );
     for s in &results.summaries {
         out.push_str(&format!(
@@ -178,7 +180,7 @@ mod tests {
             page_bytes: 4096,
             threads: None,
         });
-        let f11 = report_fig11(&results);
+        let f11 = report_fig11(&results, 4096);
         for (a, b) in schemes::variant_formations() {
             assert!(f11.contains(&format!("Aegis {a}x{b}")), "{f11}");
             assert!(f11.contains(&format!("Aegis-rw {a}x{b}")), "{f11}");

@@ -88,12 +88,18 @@ fn zero_counts_are_rejected_before_anything_runs() {
 
 #[test]
 fn unknown_option_is_rejected() {
-    let output = experiments()
-        .args(["fig5", "--verbose"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown option '--verbose'"));
+    for (option, value) in [("--verbose", None), ("--series-every", Some("4"))] {
+        let output = experiments()
+            .arg("fig5")
+            .arg(option)
+            .args(value)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{option}");
+        assert!(
+            String::from_utf8_lossy(&output.stderr).contains(&format!("unknown option '{option}'"))
+        );
+    }
 }
 
 #[test]
@@ -833,104 +839,103 @@ fn checkpoint_flags_only_apply_to_the_checkpointable_figures() {
 
 #[test]
 fn sharded_campaign_merges_byte_identically_in_any_order() {
-    let dir_ref = std::env::temp_dir().join("aegis-cli-shard-ref");
-    let dir_sh = std::env::temp_dir().join("aegis-cli-shard-sh");
-    let _ = std::fs::remove_dir_all(&dir_ref);
-    let _ = std::fs::remove_dir_all(&dir_sh);
+    // The default configuration, and one whose page size and criterion
+    // the merge must adopt from the shards (report titles name the size).
+    for config in [&[][..], &["--page-bytes", "256", "--samples", "3"]] {
+        let dir_ref = std::env::temp_dir().join("aegis-cli-shard-ref");
+        let dir_sh = std::env::temp_dir().join("aegis-cli-shard-sh");
+        let _ = std::fs::remove_dir_all(&dir_ref);
+        let _ = std::fs::remove_dir_all(&dir_sh);
+        let common = [&["--pages", "4", "--seed", "9"], config].concat();
 
-    let reference = experiments()
-        .args([
-            "fig5",
-            "--pages",
-            "4",
-            "--seed",
-            "9",
-            "--telemetry",
-            "--quiet",
-            "--out",
-        ])
-        .arg(&dir_ref)
-        .output()
-        .expect("binary runs");
-    assert!(
-        reference.status.success(),
-        "{}",
-        String::from_utf8_lossy(&reference.stderr)
-    );
-
-    for shard_id in ["0", "1"] {
-        let shard = experiments()
-            .args([
-                "shard",
-                "fig5",
-                "--pages",
-                "4",
-                "--seed",
-                "9",
-                "--shards",
-                "2",
-                "--shard-id",
-                shard_id,
-                "--quiet",
-                "--out",
-            ])
-            .arg(&dir_sh)
+        let reference = experiments()
+            .arg("fig5")
+            .args(&common)
+            .args(["--telemetry", "--quiet", "--out"])
+            .arg(&dir_ref)
             .output()
             .expect("binary runs");
         assert!(
-            shard.status.success(),
+            reference.status.success(),
             "{}",
-            String::from_utf8_lossy(&shard.stderr)
+            String::from_utf8_lossy(&reference.stderr)
         );
-        assert!(dir_sh
-            .join(format!("telemetry/fig5-s9-shard{shard_id}of2.shard.json"))
-            .exists());
-    }
 
-    // Merge twice with the shard ids in both orders: the outputs must be
-    // identical to each other and to the unsharded run.
-    let mut merged_stdout = Vec::new();
-    for order in [
-        ["fig5-s9-shard0of2", "fig5-s9-shard1of2"],
-        ["fig5-s9-shard1of2", "fig5-s9-shard0of2"],
-    ] {
-        let merge = experiments()
-            .args(["merge", order[0], order[1], "--quiet", "--out"])
-            .arg(&dir_sh)
-            .output()
-            .expect("binary runs");
-        assert!(
-            merge.status.success(),
-            "{}",
-            String::from_utf8_lossy(&merge.stderr)
-        );
-        merged_stdout.push(merge.stdout);
-    }
-    assert_eq!(
-        merged_stdout[0], merged_stdout[1],
-        "merge must not depend on input order"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&reference.stdout),
-        String::from_utf8_lossy(&merged_stdout[0]),
-        "merged report must match the unsharded run"
-    );
-    for csv in ["fig5.csv", "fig6.csv", "fig7.csv"] {
+        // Shard 0 also records a trace: the shard runs the figure
+        // lifecycle, so --trace writes its sidecar and the manifest says
+        // so; shard 1 records neither.
+        for (shard_id, trace) in [("0", true), ("1", false)] {
+            let shard = experiments()
+                .args(["shard", "fig5", "--shards", "2", "--shard-id", shard_id])
+                .args(&common)
+                .args(trace.then_some("--trace"))
+                .args(["--quiet", "--out"])
+                .arg(&dir_sh)
+                .output()
+                .expect("binary runs");
+            assert!(
+                shard.status.success(),
+                "{}",
+                String::from_utf8_lossy(&shard.stderr)
+            );
+            let tel = dir_sh.join("telemetry");
+            let id = format!("fig5-s9-shard{shard_id}of2");
+            assert!(tel.join(format!("{id}.shard.json")).exists());
+            assert_eq!(tel.join(format!("{id}.trace.jsonl")).exists(), trace);
+            let manifest = std::fs::read_to_string(tel.join(format!("{id}.manifest.json")))
+                .expect("shard manifest");
+            let recorded = if trace { "on" } else { "off" };
+            assert!(
+                manifest.contains(&format!("\"trace\": \"{recorded}\"")),
+                "{manifest}"
+            );
+        }
+
+        // Merge twice with the shard ids in both orders: the outputs must
+        // be identical to each other and to the unsharded run.
+        let mut merged_stdout = Vec::new();
+        for order in [
+            ["fig5-s9-shard0of2", "fig5-s9-shard1of2"],
+            ["fig5-s9-shard1of2", "fig5-s9-shard0of2"],
+        ] {
+            let merge = experiments()
+                .args(["merge", order[0], order[1], "--quiet", "--out"])
+                .arg(&dir_sh)
+                .output()
+                .expect("binary runs");
+            assert!(
+                merge.status.success(),
+                "{}",
+                String::from_utf8_lossy(&merge.stderr)
+            );
+            merged_stdout.push(merge.stdout);
+        }
         assert_eq!(
-            std::fs::read(dir_ref.join(csv)).unwrap(),
-            std::fs::read(dir_sh.join(csv)).unwrap(),
-            "{csv} must match the unsharded run"
+            merged_stdout[0], merged_stdout[1],
+            "merge must not depend on input order"
         );
+        assert_eq!(
+            String::from_utf8_lossy(&reference.stdout),
+            String::from_utf8_lossy(&merged_stdout[0]),
+            "{config:?}: merged report must match the unsharded run"
+        );
+        for csv in ["fig5.csv", "fig6.csv", "fig7.csv"] {
+            assert_eq!(
+                std::fs::read(dir_ref.join(csv)).unwrap(),
+                std::fs::read(dir_sh.join(csv)).unwrap(),
+                "{config:?}: {csv} must match the unsharded run"
+            );
+        }
+        let a = std::fs::read_to_string(dir_ref.join("telemetry/fig5-s9.jsonl")).unwrap();
+        let b = std::fs::read_to_string(dir_sh.join("telemetry/fig5-s9.jsonl")).unwrap();
+        assert_eq!(
+            sim_telemetry::strip_volatile(&a),
+            sim_telemetry::strip_volatile(&b),
+            "{config:?}: merged stream must be byte-identical after stripping volatile lines"
+        );
+        let _ = std::fs::remove_dir_all(dir_ref);
+        let _ = std::fs::remove_dir_all(dir_sh);
     }
-    let a = std::fs::read_to_string(dir_ref.join("telemetry/fig5-s9.jsonl")).unwrap();
-    let b = std::fs::read_to_string(dir_sh.join("telemetry/fig5-s9.jsonl")).unwrap();
-    assert_eq!(
-        sim_telemetry::strip_volatile(&a),
-        sim_telemetry::strip_volatile(&b),
-        "merged stream must be byte-identical after stripping volatile lines"
-    );
-    let _ = std::fs::remove_dir_all(dir_ref);
-    let _ = std::fs::remove_dir_all(dir_sh);
 }
 
 #[test]
@@ -1004,6 +1009,30 @@ fn merge_refuses_mismatched_or_missing_shards() {
         Some(2),
         "a shard set that does not cover 0..K must be refused"
     );
+
+    // A merge simulates no pages, so the options of a simulating run
+    // are refused, not ignored.
+    for flags in [
+        &["--series"][..],
+        &["--status"],
+        &["--checkpoint-every", "2"],
+        &["--resume", "mix-0"],
+        &["--target-rse", "0.5"],
+    ] {
+        let refused = experiments()
+            .args(["merge", "mix-0", "mix-1"])
+            .args(flags)
+            .args(["--quiet", "--out"])
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(refused.status.code(), Some(2), "{flags:?}");
+        assert!(
+            String::from_utf8_lossy(&refused.stderr).contains("do not apply to merge runs"),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&refused.stderr)
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

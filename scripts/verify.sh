@@ -89,7 +89,8 @@ rm -rf "$smoke_out"
 
 # Shard/merge smoke: a fig5 campaign split into two seed-disjoint shards
 # and merged back must reproduce the unsharded run byte-for-byte — same
-# report, same CSVs, same telemetry stream modulo volatile lines.
+# report, same CSVs, same telemetry stream modulo volatile lines. Shard 0
+# runs traced and must leave its trace sidecar.
 shard_out="${TMPDIR:-/tmp}/aegis-verify-shard"
 rm -rf "$shard_out"
 mkdir -p "$shard_out/ref" "$shard_out/sh"
@@ -98,10 +99,15 @@ cargo run --release --offline -p aegis-experiments -- \
     fig5 --pages 8 --seed 7 --telemetry --quiet --out "$shard_out/ref" \
     >"$shard_out/ref-report.txt"
 for i in 0 1; do
+    trace=""
+    [ "$i" = 0 ] && trace="--trace"
+    # shellcheck disable=SC2086  # $trace is zero or one word
     cargo run --release --offline -p aegis-experiments -- \
-        shard fig5 --pages 8 --seed 7 --shards 2 --shard-id "$i" \
+        shard fig5 --pages 8 --seed 7 --shards 2 --shard-id "$i" $trace \
         --quiet --out "$shard_out/sh" >/dev/null
 done
+test -s "$shard_out/sh/telemetry/fig5-s7-shard0of2.trace.jsonl" \
+    || { echo "traced shard wrote no trace sidecar" >&2; exit 1; }
 cargo run --release --offline -p aegis-experiments -- \
     merge fig5-s7-shard1of2 fig5-s7-shard0of2 --quiet --out "$shard_out/sh" \
     >"$shard_out/sh-report.txt"
