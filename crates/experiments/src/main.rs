@@ -818,17 +818,24 @@ fn config_fingerprint(cli: &Cli) -> Vec<(String, String)> {
 ///
 /// Options left at their defaults take the snapshot's values; options the
 /// user set explicitly to something else are refused — resuming under a
-/// different configuration could never reproduce the original run.
-fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
+/// different configuration could never reproduce the original run. A
+/// refusal names what it read as `source`: "checkpoint" for a resume
+/// snapshot, the file's path for a shard sidecar.
+fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint, source: &str) -> Result<(), String> {
+    adopt_recorded(cli, ckpt).map_err(|refusal| format!("{source} {refusal}"))
+}
+
+/// [`apply_resume`]'s adoption, its refusals worded without their subject.
+fn adopt_recorded(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
     let defaults = RunOptions::default();
     let stored = |key: &str| -> Result<&str, String> {
         ckpt.fingerprint_value(key)
-            .ok_or_else(|| format!("checkpoint lacks fingerprint key '{key}'"))
+            .ok_or_else(|| format!("lacks fingerprint key '{key}'"))
     };
     let command = stored("command")?;
     if command != cli.command {
         return Err(format!(
-            "checkpoint belongs to command '{command}', not '{}'",
+            "belongs to command '{command}', not '{}'",
             cli.command
         ));
     }
@@ -840,10 +847,10 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
     ) -> Result<T, String> {
         let recorded: T = stored
             .parse()
-            .map_err(|_| format!("checkpoint fingerprint '{key}' value '{stored}' is malformed"))?;
+            .map_err(|_| format!("fingerprint '{key}' value '{stored}' is malformed"))?;
         if current != recorded && current != default {
             return Err(format!(
-                "checkpoint was taken with {key}={recorded} but the command line says \
+                "was taken with {key}={recorded} but the command line says \
                  {key}={current}; drop the conflicting option or start a fresh run"
             ));
         }
@@ -863,7 +870,7 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
         cli.opts.page_bytes,
         defaults.page_bytes,
     )?)
-    .map_err(|e| format!("checkpoint fingerprint 'page_bytes' has {e}"))?;
+    .map_err(|e| format!("fingerprint 'page_bytes' has {e}"))?;
     cli.opts.criterion = adopt(
         "criterion",
         stored("criterion")?,
@@ -877,13 +884,14 @@ fn apply_resume(cli: &mut Cli, ckpt: &Checkpoint) -> Result<(), String> {
     let stored_target = ckpt.fingerprint_value("target_rse").unwrap_or("none");
     let recorded: Option<f64> = match stored_target {
         "none" => None,
-        raw => Some(raw.parse().map_err(|_| {
-            format!("checkpoint fingerprint 'target_rse' value '{raw}' is malformed")
-        })?),
+        raw => Some(
+            raw.parse()
+                .map_err(|_| format!("fingerprint 'target_rse' value '{raw}' is malformed"))?,
+        ),
     };
     if cli.target_rse.is_some() && cli.target_rse != recorded {
         return Err(format!(
-            "checkpoint was taken with target_rse={stored_target} but the command line says \
+            "was taken with target_rse={stored_target} but the command line says \
              target_rse={}; drop the conflicting option or start a fresh run",
             cli.target_rse.unwrap_or(f64::NAN)
         ));
@@ -1003,7 +1011,7 @@ fn shard_mode(cli: &mut Cli) -> Result<Mode, ExitCode> {
     let run_id = cli.run_id.get_or_insert_with(|| {
         shardmerge::shard_run_id(&cli.command, cli.opts.seed, shards, shard_id)
     });
-    let sidecar = telemetry::dir(&cli.out_dir).join(format!("{run_id}.shard.json"));
+    let sidecar = shardmerge::sidecar_path(&telemetry::dir(&cli.out_dir), run_id);
     if !cli.quiet {
         eprintln!(
             "[shard] {} shard {shard_id}/{shards}: pages {lo}..{hi} of {}",
@@ -1062,7 +1070,8 @@ fn merge_mode(cli: &mut Cli) -> Result<Mode, ExitCode> {
         .fingerprint_value("command")
         .unwrap_or("")
         .to_owned();
-    apply_resume(cli, recorded).map_err(refuse)?;
+    let source = shardmerge::sidecar_path(&dir, &inputs[0].run_id);
+    apply_resume(cli, recorded, &source.display().to_string()).map_err(refuse)?;
     if campaign_specs(&cli.command, &cli.opts).is_none() {
         return Err(refuse(format!(
             "shards record command '{}', which is no chip-figure campaign",
@@ -1319,7 +1328,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(msg) = apply_resume(&mut cli, &ckpt) {
+        if let Err(msg) = apply_resume(&mut cli, &ckpt, "checkpoint") {
             eprintln!("--resume: {msg}");
             return ExitCode::from(USAGE_ERROR);
         }

@@ -53,6 +53,12 @@ pub struct ShardInput {
     pub sidecar: Checkpoint,
 }
 
+/// Path of the result sidecar of shard `run_id` under `telemetry_dir`.
+#[must_use]
+pub fn sidecar_path(telemetry_dir: &Path, run_id: &str) -> std::path::PathBuf {
+    telemetry_dir.join(format!("{run_id}.shard.json"))
+}
+
 /// Reads a shard's manifest, stream, and result sidecar from
 /// `telemetry_dir`.
 ///
@@ -74,7 +80,7 @@ pub fn read_shard(telemetry_dir: &Path, run_id: &str) -> io::Result<ShardInput> 
     let stream_path = telemetry_dir.join(format!("{run_id}.jsonl"));
     let events = Event::parse_stream(&std::fs::read_to_string(&stream_path)?)
         .map_err(|e| invalid(&stream_path, e.to_string()))?;
-    let sidecar = Checkpoint::load(&telemetry_dir.join(format!("{run_id}.shard.json")))?;
+    let sidecar = Checkpoint::load(&sidecar_path(telemetry_dir, run_id))?;
     Ok(ShardInput {
         run_id: run_id.to_owned(),
         manifest,

@@ -624,10 +624,11 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir_ref);
     let _ = std::fs::remove_dir_all(&dir_int);
 
-    // Uninterrupted reference with the same run id.
+    // Uninterrupted reference with the same run id. Sixteen pages keep
+    // the interrupted leg running well past its first snapshot.
     let reference = experiments()
         .args([
-            "fig5", "--pages", "4", "--seed", "9", "--run-id", "ck", "--quiet", "--out",
+            "fig5", "--pages", "16", "--seed", "9", "--run-id", "ck", "--quiet", "--out",
         ])
         .arg(&dir_ref)
         .output()
@@ -644,7 +645,7 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
         .args([
             "fig5",
             "--pages",
-            "4",
+            "16",
             "--seed",
             "9",
             "--run-id",
@@ -658,11 +659,11 @@ fn sigint_checkpoints_and_resume_replays_the_uninterrupted_run() {
         .spawn()
         .expect("binary starts");
     let ckpt_path = dir_int.join("telemetry/ck.ckpt.json");
-    for _ in 0..600 {
+    for _ in 0..6000 {
         if ckpt_path.exists() {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
     assert!(ckpt_path.exists(), "first snapshot never appeared");
     let kill = std::process::Command::new("kill")
@@ -1008,6 +1009,34 @@ fn merge_refuses_mismatched_or_missing_shards() {
         incomplete.status.code(),
         Some(2),
         "a shard set that does not cover 0..K must be refused"
+    );
+
+    // A complete one-shard set adopts its recorded seed; an explicit other
+    // seed is refused, naming the sidecar the seed was read from.
+    let whole = experiments()
+        .args(["shard", "fig5", "--pages", "2", "--seed", "9"])
+        .args(["--shards", "1", "--shard-id", "0", "--run-id", "whole"])
+        .args(["--quiet", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        whole.status.success(),
+        "{}",
+        String::from_utf8_lossy(&whole.stderr)
+    );
+    let reseeded = experiments()
+        .args(["merge", "whole", "--seed", "5", "--quiet", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(reseeded.status.code(), Some(2), "a conflicting seed");
+    let stderr = String::from_utf8_lossy(&reseeded.stderr);
+    assert!(
+        stderr.contains("whole.shard.json was taken with seed=9")
+            && stderr.contains("command line says seed=5")
+            && !stderr.contains("checkpoint"),
+        "{stderr}"
     );
 
     // A merge simulates no pages, so the options of a simulating run
@@ -1491,18 +1520,17 @@ fn telemetry_diff_locates_a_malformed_line_after_volatile_lines() {
     }
     let path = dir.join("telemetry/b.series.jsonl");
     let series = std::fs::read_to_string(&path).expect("series sidecar");
-    let volatile_before = series
+    // The line after the sidecar's second volatile line.
+    let target = series
         .lines()
-        .take(13)
-        .filter(|l| l.contains("\"series_volatile\""))
-        .count();
-    assert!(
-        volatile_before >= 2,
-        "lines 1-13 hold {volatile_before} volatile lines"
-    );
-    // Line 14 loses the quotes of its "event" key.
-    let line_start: usize = series.lines().take(13).map(|l| l.len() + 1).sum();
-    let line = series.lines().nth(13).expect("a fourteenth line");
+        .enumerate()
+        .filter(|(_, l)| l.contains("\"series_volatile\""))
+        .nth(1)
+        .map(|(i, _)| i + 1)
+        .expect("two volatile lines");
+    // That line loses the quotes of its "event" key.
+    let line_start: usize = series.lines().take(target).map(|l| l.len() + 1).sum();
+    let line = series.lines().nth(target).expect("a line after them");
     let bad_line = line.replacen("\"event\"", "event", 1);
     let column = bad_line.find("event").expect("key kept");
     std::fs::write(&path, series.replacen(line, &bad_line, 1)).expect("corrupt the sidecar");
@@ -1513,7 +1541,11 @@ fn telemetry_diff_locates_a_malformed_line_after_volatile_lines() {
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{stderr}");
-    let located = format!("b.series.jsonl: line 14 (byte {}): ", line_start + column);
+    let located = format!(
+        "b.series.jsonl: line {} (byte {}): ",
+        target + 1,
+        line_start + column
+    );
     assert!(
         stderr.contains(&located),
         "expected '{located}' in: {stderr}"
@@ -1878,7 +1910,7 @@ fn fig9_and_fig11_sigint_and_resume_replay_the_straight_run() {
         let root = std::env::temp_dir().join(format!("aegis-cli-sigint-{figure}"));
         let _ = std::fs::remove_dir_all(&root);
         let base = [
-            figure, "--pages", "8", "--seed", "9", "--series", "--run-id", "ck",
+            figure, "--pages", "16", "--seed", "9", "--series", "--run-id", "ck",
         ];
         let reference = run_ok(&base, &root.join("ref"));
         let dir_int = root.join("int");
@@ -1889,11 +1921,11 @@ fn fig9_and_fig11_sigint_and_resume_replay_the_straight_run() {
             .spawn()
             .expect("binary starts");
         let ckpt_path = dir_int.join("telemetry/ck.ckpt.json");
-        for _ in 0..600 {
+        for _ in 0..6000 {
             if ckpt_path.exists() {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(
             ckpt_path.exists(),

@@ -18,6 +18,7 @@ use crate::fault::extend_split_for;
 use crate::policy::{PolicyScratch, RecoveryPolicy};
 use crate::timeline::{
     BlockTimeline, FaultEvent, PageTimeline, SelectScratch, TimelineCache, TimelineSampler,
+    PREFIX_EVENTS,
 };
 use crate::Fault;
 use sim_rng::SeedableRng;
@@ -25,8 +26,8 @@ use sim_rng::SmallRng;
 use sim_telemetry::{
     metric_name, Counter, Histogram, PoolWorkerUtil, Registry, StatusWriter, Tracer, WorkerTracer,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// When is a block considered dead? (See DESIGN.md §3.)
@@ -98,6 +99,7 @@ pub struct McTelemetry {
     block_deaths_split: Counter,
     block_deaths_guarantee: Counter,
     blocks_outlived: Counter,
+    blocks_past_horizon: Counter,
     page_fault_arrivals: Histogram,
     page_lifetime_writes: Histogram,
     /// Pages executed beyond a worker's fair static share
@@ -125,6 +127,7 @@ impl McTelemetry {
             block_deaths_split: counter("block_deaths_split"),
             block_deaths_guarantee: counter("block_deaths_guarantee"),
             blocks_outlived: counter("blocks_outlived"),
+            blocks_past_horizon: counter("blocks_past_horizon"),
             page_fault_arrivals: histogram("page_fault_arrivals"),
             page_lifetime_writes: histogram("page_lifetime_writes"),
             pool_pages_stolen: volatile("pages_stolen"),
@@ -137,6 +140,23 @@ impl McTelemetry {
     fn record_pool(&self, stats: &sim_pool::PoolStats) {
         self.pool_pages_stolen.add(stats.stolen);
         self.pool_worker_batches.add(stats.batches);
+    }
+
+    /// Counts one block's walk: the events it judged, its predicate calls
+    /// and how it ended.
+    fn record_block(&self, walk: Walk, judged: usize, decisions: u64, criterion: FailureCriterion) {
+        self.fault_events.add(judged as u64);
+        self.policy_decisions.add(decisions);
+        match (walk, criterion) {
+            (Walk::RanOut, _) => self.blocks_outlived.incr(),
+            (Walk::PastHorizon, _) => self.blocks_past_horizon.incr(),
+            (Walk::Died(_), FailureCriterion::PerEventSplit { .. }) => {
+                self.block_deaths_split.incr();
+            }
+            (Walk::Died(_), FailureCriterion::GuaranteedAllData) => {
+                self.block_deaths_guarantee.incr();
+            }
+        }
     }
 }
 
@@ -248,10 +268,22 @@ pub struct PageOutcome {
     pub capped: bool,
 }
 
-/// A page's block outcomes folded so far.
+/// How one policy's walk through a block ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Walk {
+    /// The block died at the event at this time.
+    Died(f64),
+    /// The walk reached an event at or after its horizon: the block is
+    /// neither dead nor outlived as far as its page can tell.
+    PastHorizon,
+    /// The walk survived every event of the block's timeline.
+    RanOut,
+}
+
+/// A page's block walks folded so far, for one policy.
 #[derive(Debug, Clone, Copy)]
 struct PageFold {
-    /// Earliest block death.
+    /// Earliest block death so far: the horizon of the next block's walk.
     death_time: f64,
     /// Whether some block outlived its truncated timeline.
     outlived: bool,
@@ -264,16 +296,23 @@ impl PageFold {
         outlived: false,
     };
 
-    fn add(&mut self, outcome: BlockOutcome) {
-        match outcome.death_time {
-            Some(t) => self.death_time = self.death_time.min(t),
-            None => self.outlived = true,
+    fn add(&mut self, walk: Walk) {
+        match walk {
+            Walk::Died(t) => self.death_time = self.death_time.min(t),
+            Walk::RanOut => self.outlived = true,
+            Walk::PastHorizon => {}
         }
     }
 
     /// The page's outcome once every block is folded in; records the
-    /// page-level telemetry.
-    fn close(self, page: &PageTimeline, telemetry: Option<&McTelemetry>) -> PageOutcome {
+    /// page-level telemetry, `arrivals` being the fault events of the
+    /// page's full timelines.
+    fn close(
+        self,
+        page: &PageTimeline,
+        arrivals: usize,
+        telemetry: Option<&McTelemetry>,
+    ) -> PageOutcome {
         let death_time = self.death_time;
         // A block that outlived its truncated timeline only matters if it
         // could have died before the earliest real death; its last tracked
@@ -292,7 +331,6 @@ impl PageFold {
             .sum();
         if let Some(t) = telemetry {
             t.pages.incr();
-            let arrivals = page.blocks.iter().map(|b| b.events.len()).sum::<usize>();
             t.page_fault_arrivals.record(arrivals as u64);
             if death_time.is_finite() && death_time >= 0.0 {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -454,6 +492,38 @@ pub(crate) fn judge_event(
     verdict
 }
 
+/// Starts one policy's walk through a new block on its arena.
+fn begin_block(policy: &dyn RecoveryPolicy, scratch: &mut PolicyScratch) {
+    scratch.faults.clear();
+    // A new block begins: any incremental pair state in the arena is stale.
+    policy.forget_block(scratch);
+}
+
+/// Steps one policy on through `events`, from the first event its arena
+/// has not judged, until the block dies, an event arrives at or after
+/// `horizon`, or the events run out. Reads splits from `tape` and counts
+/// predicate calls into `decisions`; the arena's fault population ends
+/// as the events judged.
+fn walk(
+    policy: &dyn RecoveryPolicy,
+    events: &[FaultEvent],
+    horizon: f64,
+    criterion: FailureCriterion,
+    scratch: &mut PolicyScratch,
+    tape: &mut SplitTape,
+    decisions: &mut u64,
+) -> Walk {
+    for event in &events[scratch.faults.len()..] {
+        if event.time >= horizon {
+            return Walk::PastHorizon;
+        }
+        if !step_lane(policy, event, criterion, scratch, tape, decisions) {
+            return Walk::Died(event.time);
+        }
+    }
+    Walk::RanOut
+}
+
 /// Steps one policy through a block's events, from a clean arena, until it
 /// dies or runs out of events, reading splits from `tape` (which holds
 /// this block's splits so far, or none). Feeds the block's telemetry: fault
@@ -466,33 +536,31 @@ fn finish_block(
     scratch: &mut PolicyScratch,
     tape: &mut SplitTape,
 ) -> BlockOutcome {
-    scratch.faults.clear();
-    // A new block begins: any incremental pair state in the arena is stale.
-    policy.forget_block(scratch);
+    begin_block(policy, scratch);
     let mut decisions = 0u64;
-    let mut outcome = BlockOutcome {
-        events_survived: events.len(),
-        death_time: None,
-    };
-    for (i, event) in events.iter().enumerate() {
-        if !step_lane(policy, event, criterion, scratch, tape, &mut decisions) {
-            outcome = BlockOutcome {
-                events_survived: i,
-                death_time: Some(event.time),
-            };
-            break;
-        }
-    }
+    let walk = walk(
+        policy,
+        events,
+        f64::INFINITY,
+        criterion,
+        scratch,
+        tape,
+        &mut decisions,
+    );
+    let judged = scratch.faults.len();
     if let Some(t) = telemetry {
-        t.fault_events.add(scratch.faults.len() as u64);
-        t.policy_decisions.add(decisions);
-        match (outcome.death_time, criterion) {
-            (None, _) => t.blocks_outlived.incr(),
-            (Some(_), FailureCriterion::PerEventSplit { .. }) => t.block_deaths_split.incr(),
-            (Some(_), FailureCriterion::GuaranteedAllData) => t.block_deaths_guarantee.incr(),
-        }
+        t.record_block(walk, judged, decisions, criterion);
     }
-    outcome
+    match walk {
+        Walk::Died(time) => BlockOutcome {
+            events_survived: judged - 1,
+            death_time: Some(time),
+        },
+        Walk::PastHorizon | Walk::RanOut => BlockOutcome {
+            events_survived: events.len(),
+            death_time: None,
+        },
+    }
 }
 
 /// Per-worker arena of a page-major pass: one [`PolicyScratch`] per
@@ -504,9 +572,12 @@ pub struct PageArena {
     tape: SplitTape,
     folds: Vec<PageFold>,
     outcomes: Vec<PageOutcome>,
-    /// Nanoseconds each policy spent on the current page (traced passes
-    /// only).
+    /// Nanoseconds each policy spent on the current page, its blocks'
+    /// extensions excluded (traced passes only).
     policy_ns: Vec<u64>,
+    /// Nanoseconds of each block extension on the current page (traced
+    /// passes only).
+    extend_ns: Vec<u64>,
 }
 
 impl PageArena {
@@ -557,10 +628,13 @@ impl PageArena {
 /// split tape — each event's splits drawn once, by the first policy to
 /// reach the event — then every policy runs over it in slice order through
 /// the engine's per-event body, on its own [`PolicyScratch`] and reading
-/// the block's splits off the tape. Outcome `i`, and the `telemetry[i]`
-/// counters when given, are exactly what [`evaluate_block_with_scratch`]
-/// yields for `policies[i]` alone on each block, folded into the page's
-/// earliest block death.
+/// the block's splits off the tape. A policy judges a block only on the
+/// events before its *horizon*, the earliest death among the page's blocks
+/// it has judged so far (DESIGN §3): nothing at or after that time can
+/// move the page's death. Outcome `i`, and the `telemetry[i]` counters
+/// when given, are exactly what a one-policy pass yields for
+/// `policies[i]`, and the outcome is what walking every block to its own
+/// death yields.
 ///
 /// # Panics
 ///
@@ -572,14 +646,105 @@ pub fn evaluate_page_pass<'a>(
     telemetry: &[McTelemetry],
     arena: &'a mut PageArena,
 ) -> &'a [PageOutcome] {
-    page_pass(policies, page, criterion, telemetry, arena, false)
+    page_pass(
+        policies,
+        &mut PassPage::full(page),
+        criterion,
+        telemetry,
+        arena,
+        false,
+    )
 }
 
-/// [`evaluate_page_pass`], optionally timing each policy's share of the
-/// page into `arena.policy_ns`.
+/// A page as a chip pass walks it.
+///
+/// A page sampled in full (a cached page, or one handed to
+/// [`evaluate_page_pass`]) is walked as it is. A page sampled as block
+/// prefixes keeps, per block, the page RNG at the block's start: when a
+/// walk outruns a block's prefix before its horizon, the pass samples that
+/// block again in full from it, in place, and the walk goes on.
+pub(crate) struct PassPage<'a> {
+    timeline: Cow<'a, PageTimeline>,
+    /// The sampler and each block's starting RNG, for a page of prefixes.
+    prefix: Option<(&'a TimelineSampler, Vec<SmallRng>)>,
+}
+
+impl<'a> PassPage<'a> {
+    /// A page sampled in full.
+    fn full(timeline: &'a PageTimeline) -> Self {
+        Self {
+            timeline: Cow::Borrowed(timeline),
+            prefix: None,
+        }
+    }
+
+    /// Page `page` of the chip `cfg` describes, each block holding its
+    /// first `prefix` events ([`TimelineSampler::sample_block_prefix`]):
+    /// the page RNG ends where [`chip_page`] leaves it, and a `prefix` of
+    /// `max_events` or more samples the page in full.
+    fn sample(
+        sampler: &'a TimelineSampler,
+        cfg: &SimConfig,
+        page: usize,
+        prefix: usize,
+        select: &mut SelectScratch,
+    ) -> Self {
+        let mut rng = TimelineSampler::page_rng(cfg.seed, page as u64);
+        let extendable = prefix < sampler.max_events();
+        let mut starts = Vec::new();
+        let blocks = (0..cfg.blocks_per_page())
+            .map(|_| {
+                if extendable {
+                    starts.push(rng.clone());
+                }
+                sampler.sample_prefix_with(&mut rng, select, prefix)
+            })
+            .collect();
+        Self {
+            timeline: Cow::Owned(PageTimeline { blocks }),
+            prefix: extendable.then_some((sampler, starts)),
+        }
+    }
+
+    /// The page's blocks as sampled so far.
+    fn timeline(&self) -> &PageTimeline {
+        &self.timeline
+    }
+
+    /// Samples block `b` in full if it holds only a prefix; says whether
+    /// it grew.
+    fn extend(&mut self, b: usize) -> bool {
+        let Some((sampler, starts)) = &self.prefix else {
+            return false;
+        };
+        let block = &mut self.timeline.to_mut().blocks[b];
+        if block.events.len() >= sampler.max_events() {
+            return false;
+        }
+        *block = sampler.sample_block(&mut starts[b].clone());
+        true
+    }
+
+    /// Fault events of the page's blocks in full.
+    fn full_events(&self) -> usize {
+        match &self.prefix {
+            Some((sampler, _)) => self.timeline.blocks.len() * sampler.max_events(),
+            None => self.timeline.total_events(),
+        }
+    }
+}
+
+#[allow(clippy::cast_possible_truncation)]
+fn nanos_since(started: Instant) -> u64 {
+    started.elapsed().as_nanos() as u64
+}
+
+/// [`evaluate_page_pass`] on a [`PassPage`], optionally timing each
+/// policy's share of the page into `arena.policy_ns` and each block
+/// extension into `arena.extend_ns`.
 fn page_pass<'a>(
     policies: &[&dyn RecoveryPolicy],
-    page: &PageTimeline,
+    page: &mut PassPage<'_>,
     criterion: FailureCriterion,
     telemetry: &[McTelemetry],
     arena: &'a mut PageArena,
@@ -598,40 +763,64 @@ fn page_pass<'a>(
         folds,
         outcomes,
         policy_ns,
+        extend_ns,
     } = arena;
     folds.clear();
     folds.resize(policies.len(), PageFold::OPEN);
     policy_ns.clear();
+    extend_ns.clear();
     if timed {
         policy_ns.resize(policies.len(), 0);
     }
-    for block in &page.blocks {
+    for b in 0..page.timeline().blocks.len() {
         tape.reset();
         for (i, (&policy, scratch)) in policies.iter().zip(scratches.iter_mut()).enumerate() {
             let started = timed.then(Instant::now);
-            let outcome = finish_block(
-                policy,
-                &block.events,
-                criterion,
-                telemetry.get(i),
-                scratch,
-                tape,
-            );
-            if let Some(started) = started {
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    policy_ns[i] += started.elapsed().as_nanos() as u64;
+            let mut extending_ns = 0;
+            begin_block(policy, scratch);
+            let mut decisions = 0u64;
+            let horizon = folds[i].death_time;
+            let walked = loop {
+                let events = &page.timeline().blocks[b].events;
+                match walk(
+                    policy,
+                    events,
+                    horizon,
+                    criterion,
+                    scratch,
+                    tape,
+                    &mut decisions,
+                ) {
+                    Walk::RanOut => {
+                        let extending = timed.then(Instant::now);
+                        if !page.extend(b) {
+                            break Walk::RanOut;
+                        }
+                        if let Some(extending) = extending {
+                            let ns = nanos_since(extending);
+                            extend_ns.push(ns);
+                            extending_ns += ns;
+                        }
+                    }
+                    walked => break walked,
                 }
+            };
+            if let Some(t) = telemetry.get(i) {
+                t.record_block(walked, scratch.faults.len(), decisions, criterion);
             }
-            folds[i].add(outcome);
+            if let Some(started) = started {
+                policy_ns[i] += nanos_since(started).saturating_sub(extending_ns);
+            }
+            folds[i].add(walked);
         }
     }
+    let arrivals = page.full_events();
     outcomes.clear();
     outcomes.extend(
         folds
             .iter()
             .enumerate()
-            .map(|(i, fold)| fold.close(page, telemetry.get(i))),
+            .map(|(i, fold)| fold.close(page.timeline(), arrivals, telemetry.get(i))),
     );
     outcomes
 }
@@ -794,13 +983,19 @@ pub fn run_memory(policy: &dyn RecoveryPolicy, cfg: &SimConfig) -> MemoryRun {
 /// one simulated chip in a single page-major pass, returning one
 /// [`MemoryRun`] per policy in slice order.
 ///
-/// [`map_pages`] hands each page to a worker once, and the worker judges
-/// every policy on it with [`evaluate_page_pass`], so the policies share
-/// the page's timeline and each block's W/R splits, and nothing outlives
-/// the page. Every run is folded in page order, so the thread count, the
-/// stealing order and the other policies of the pass never change a run:
-/// run `i` is what a one-policy pass over `start..end` returns for
-/// `policies[i]`, and so are its `hooks.telemetry[i]` counters.
+/// Pages are scheduled as [`map_pages`] schedules them: each goes to a
+/// worker once, and the worker judges every policy on it with
+/// [`evaluate_page_pass`], so the policies share the page's timeline and
+/// each block's W/R splits, and nothing outlives the page. Every run is folded in page order, so the thread
+/// count, the stealing order and the other policies of the pass never
+/// change a run: run `i` is what a one-policy pass over `start..end`
+/// returns for `policies[i]`, and so are its `hooks.telemetry[i]` counters.
+///
+/// The worker samples each block's first 32 events only, and samples a
+/// block again in full when a walk outlasts them before its horizon
+/// (DESIGN §3); so the events judged, and every result and counter, are
+/// those of the page sampled in full. A traced pass records each such
+/// extension as a `timeline.extend` span in the page.
 ///
 /// Because every page's randomness is the `substream_seed(cfg.seed,
 /// page_idx)` substream (see [`TimelineSampler::page_rng`]), a sub-range
@@ -823,6 +1018,19 @@ pub fn run_memory_pass(
     start: usize,
     end: usize,
     hooks: &PassHooks<'_>,
+) -> Vec<MemoryRun> {
+    memory_pass(policies, cfg, start, end, hooks, PREFIX_EVENTS)
+}
+
+/// [`run_memory_pass`] sampling each block's first `prefix` events up
+/// front.
+fn memory_pass(
+    policies: &[&dyn RecoveryPolicy],
+    cfg: &SimConfig,
+    start: usize,
+    end: usize,
+    hooks: &PassHooks<'_>,
+    prefix: usize,
 ) -> Vec<MemoryRun> {
     assert!(!policies.is_empty(), "a pass needs at least one policy");
     for policy in policies {
@@ -850,24 +1058,38 @@ pub fn run_memory_pass(
         status.begin_phase(&phase_name, policies.len() as u64);
     }
 
-    let pass = map_pages(
+    let pass = map_pass_pages(
         cfg,
         start,
         end,
         &phase_name,
         hooks,
+        prefix,
         PageArena::new,
         |arena, trace, _, page| {
-            // One policy's share is the whole page span already; several
-            // get a child span each, laid end to end from here.
-            let timed = trace.is_some() && policies.len() > 1;
             let evaluating = trace.as_ref().map_or(0, |t| t.now_ns());
-            let outcomes: Box<[PageOutcome]> =
-                page_pass(policies, page, cfg.criterion, hooks.telemetry, arena, timed).into();
+            let outcomes: Box<[PageOutcome]> = page_pass(
+                policies,
+                page,
+                cfg.criterion,
+                hooks.telemetry,
+                arena,
+                trace.is_some(),
+            )
+            .into();
             if let Some(trace) = trace {
+                // One policy's share is the whole page span already;
+                // several get a child span each. The shares and then the
+                // page's block extensions are laid end to end from here.
                 let mut at = evaluating;
                 for (name, &ns) in spans.iter().zip(&arena.policy_ns) {
-                    trace.record(name, at, ns);
+                    if policies.len() > 1 {
+                        trace.record(name, at, ns);
+                    }
+                    at += ns;
+                }
+                for &ns in &arena.extend_ns {
+                    trace.record("timeline.extend", at, ns);
                     at += ns;
                 }
             }
@@ -882,7 +1104,7 @@ pub fn run_memory_pass(
             if let Some(status) = status {
                 status.phase_progress((finished * policies.len()) as u64);
             }
-            (page.first_cell_death(), outcomes)
+            (page.timeline().first_cell_death(), outcomes)
         },
     );
     debug_assert_eq!(done.load(Ordering::Relaxed), end - start);
@@ -917,13 +1139,8 @@ pub fn run_memory_pass(
 /// classic configs keep their historical timelines bit for bit.
 #[must_use]
 pub fn chip_page(cfg: &SimConfig, page: usize) -> PageTimeline {
-    sample_chip_page(&chip_sampler(cfg), cfg, page)
-}
-
-/// [`chip_page`] with the chip's sampler built once by the caller.
-fn sample_chip_page(sampler: &TimelineSampler, cfg: &SimConfig, page: usize) -> PageTimeline {
     let mut rng = TimelineSampler::page_rng(cfg.seed, page as u64);
-    sampler.sample_page(&mut rng, cfg.blocks_per_page())
+    chip_sampler(cfg).sample_page(&mut rng, cfg.blocks_per_page())
 }
 
 /// The sampler of the chip `cfg` describes.
@@ -939,7 +1156,8 @@ fn chip_sampler(cfg: &SimConfig) -> TimelineSampler {
 /// and OS-assist extensions).
 ///
 /// Page `p` is the [`chip_page`] of `p` (or comes from `hooks.timelines`),
-/// sampled once on the worker that runs it. Pages are scheduled over
+/// sampled once on the worker that runs it. ([`run_memory_pass`] samples
+/// its pages as block prefixes through the same scheduler.) Pages are scheduled over
 /// `cfg.threads` workers by [`sim_pool::run_indexed_scratch`], since page
 /// costs vary ~10×. Each worker builds one state with `init` for all its
 /// pages, and `visit(state, trace, p, page)` yields page `p`'s result. The
@@ -964,6 +1182,32 @@ pub fn map_pages<S: Send, R: Send>(
     init: impl Fn() -> S + Sync,
     visit: impl Fn(&mut S, Option<&mut WorkerTracer>, usize, &PageTimeline) -> R + Sync,
 ) -> sim_pool::PoolRun<R, S> {
+    map_pass_pages(
+        cfg,
+        start,
+        end,
+        phase,
+        hooks,
+        usize::MAX,
+        init,
+        |state, trace, p, page| visit(state, trace, p, page.timeline()),
+    )
+}
+
+/// [`map_pages`] handing `visit` each page as a [`PassPage`] of
+/// `prefix`-event block prefixes (in full if `prefix` reaches the
+/// sampler's `max_events`, or if the page comes from `hooks.timelines`).
+#[allow(clippy::too_many_arguments)]
+fn map_pass_pages<S: Send, R: Send>(
+    cfg: &SimConfig,
+    start: usize,
+    end: usize,
+    phase: &str,
+    hooks: &PassHooks<'_>,
+    prefix: usize,
+    init: impl Fn() -> S + Sync,
+    visit: impl Fn(&mut S, Option<&mut WorkerTracer>, usize, &mut PassPage<'_>) -> R + Sync,
+) -> sim_pool::PoolRun<R, S> {
     assert!(
         start <= end && end <= cfg.pages,
         "page range {start}..{end} out of bounds for {} pages",
@@ -981,23 +1225,29 @@ pub fn map_pages<S: Send, R: Send>(
         sim_pool::resolve_threads(cfg.threads),
         end - start,
         tracer.is_some() || status.is_some(),
-        || (init(), tracer.map(|t| t.worker(parent))),
-        |(state, trace), idx| {
+        || {
+            let select = SelectScratch::new(cfg.block_bits);
+            (init(), tracer.map(|t| t.worker(parent)), select)
+        },
+        |(state, trace, select), idx| {
             let span = trace.as_mut().map(|t| t.begin("page"));
             let p = start + idx;
-            let page = match hooks.timelines {
+            let cached;
+            let mut page = match hooks.timelines {
                 Some(cache) => {
-                    cache.get_or_sample(&sampler, cfg.seed, p as u64, cfg.blocks_per_page())
+                    cached =
+                        cache.get_or_sample(&sampler, cfg.seed, p as u64, cfg.blocks_per_page());
+                    PassPage::full(&cached)
                 }
-                None => Arc::new(sample_chip_page(&sampler, cfg, p)),
+                None => PassPage::sample(&sampler, cfg, p, prefix, select),
             };
-            let result = visit(state, trace.as_mut(), p, &page);
+            let result = visit(state, trace.as_mut(), p, &mut page);
             if let (Some(trace), Some(span)) = (trace, span) {
                 trace.end(span);
             }
             result
         },
-        |(state, _)| state,
+        |(state, _, _)| state,
     );
     drop(span);
     if let Some(status) = status {
@@ -1667,27 +1917,137 @@ mod tests {
             let got = evaluate_page_pass(&refs, &page, criterion, &telemetry, &mut arena).to_vec();
             let alone = Registry::new();
             for (&policy, outcome) in refs.iter().zip(&got) {
-                let t = McTelemetry::for_scheme(&alone, &policy.name());
-                let mut scratch = PolicyScratch::new();
-                let mut fold = PageFold::OPEN;
-                for block in &page.blocks {
-                    fold.add(evaluate_block_with_scratch(
-                        policy,
-                        block,
-                        criterion,
-                        Some(&t),
-                        &mut scratch,
-                    ));
-                }
-                assert_eq!(
-                    *outcome,
-                    fold.close(&page, Some(&t)),
-                    "{} {criterion:?}",
-                    policy.name()
-                );
+                let t = [McTelemetry::for_scheme(&alone, &policy.name())];
+                let mut own = PageArena::new();
+                let want = evaluate_page_pass(&[policy], &page, criterion, &t, &mut own)[0];
+                assert_eq!(*outcome, want, "{} {criterion:?}", policy.name());
             }
             assert_eq!(registry.counters(), alone.counters(), "{criterion:?}");
+            assert_eq!(registry.histograms(), alone.histograms(), "{criterion:?}");
         }
+    }
+
+    #[test]
+    fn walks_stop_at_the_earliest_death_of_the_page_so_far() {
+        let policy = CapPolicy { cap: 1, bits: 512 };
+        // Block 0 dies at 9; block 1's event at exactly 9 is past the
+        // horizon; block 2 dies at 4 < 9; block 3 judges one event before
+        // the new horizon 4; block 4 outlives its two events, both before
+        // 4; block 5 is empty.
+        let page = PageTimeline {
+            blocks: vec![
+                timeline(&[5.0, 9.0, 10.0]),
+                timeline(&[9.0, 9.5]),
+                timeline(&[2.0, 4.0]),
+                timeline(&[3.0, 8.0, 8.5]),
+                timeline(&[1.0]),
+                timeline(&[]),
+            ],
+        };
+        let registry = Registry::new();
+        let telemetry = [McTelemetry::for_scheme(&registry, "cap1")];
+        let criterion = FailureCriterion::default();
+        let outcome = evaluate_page_pass(
+            &[&policy],
+            &page,
+            criterion,
+            &telemetry,
+            &mut PageArena::new(),
+        )[0];
+        // The deaths every block reaches on its own: 9, 9.5, 4, 8, none.
+        assert_eq!(outcome.death_time, 4.0);
+        // 2, 3 and 1 arrive before 4.
+        assert_eq!(outcome.faults_recovered, 3);
+        // Block 4 outlived its timeline, and its last event (1) precedes
+        // the page's death.
+        assert!(outcome.capped);
+        let counters: std::collections::BTreeMap<String, u64> =
+            registry.counters().into_iter().collect();
+        // Blocks 0 and 2 judge two events each, blocks 3 and 4 one.
+        assert_eq!(counters["mc.cap1.fault_events"], 6);
+        assert_eq!(counters["mc.cap1.policy_decisions"], 6);
+        assert_eq!(counters["mc.cap1.block_deaths_split"], 2);
+        assert_eq!(counters["mc.cap1.blocks_past_horizon"], 2);
+        assert_eq!(counters["mc.cap1.blocks_outlived"], 2);
+        let arrivals = registry.histograms();
+        let (_, arrivals) = arrivals
+            .iter()
+            .find(|(name, _)| name == "mc.cap1.page_fault_arrivals")
+            .expect("recorded");
+        assert_eq!(
+            (arrivals.count, arrivals.sum),
+            (1, 11),
+            "every event of the page arrives"
+        );
+    }
+
+    /// A chip pass sampling `prefix`-event block prefixes gives the runs,
+    /// counters and histograms of the pass over pages sampled in full;
+    /// returns how many block extensions the traced pass recorded.
+    fn prefix_pass_matches_full_pages(cfg: &SimConfig, prefix: usize) -> usize {
+        let policies = [
+            CapPolicy {
+                cap: 2,
+                bits: cfg.block_bits,
+            },
+            CapPolicy {
+                cap: 9,
+                bits: cfg.block_bits,
+            },
+            CapPolicy {
+                cap: 40,
+                bits: cfg.block_bits,
+            },
+        ];
+        let refs: Vec<&dyn RecoveryPolicy> =
+            policies.iter().map(|p| p as &dyn RecoveryPolicy).collect();
+        let pass = |prefix: usize, tracer: &Tracer| {
+            let registry = Registry::new();
+            let telemetry: Vec<McTelemetry> = policies
+                .iter()
+                .map(|p| McTelemetry::for_scheme(&registry, &p.name()))
+                .collect();
+            let hooks = PassHooks {
+                telemetry: &telemetry,
+                tracer: Some(tracer),
+                ..PassHooks::default()
+            };
+            let runs = memory_pass(&refs, cfg, 0, cfg.pages, &hooks, prefix);
+            (runs, registry.counters(), registry.histograms())
+        };
+        let full = pass(usize::MAX, &Tracer::disabled());
+        let tracer = Tracer::new(1 << 16);
+        assert_eq!(pass(prefix, &tracer), full, "prefix {prefix}");
+        let log = tracer.finish("unit").expect("tracer is enabled");
+        assert_eq!(log.total_dropped(), 0);
+        log.spans
+            .iter()
+            .filter(|s| s.name == "timeline.extend")
+            .count()
+    }
+
+    #[test]
+    fn prefix_pages_extend_to_the_full_timelines() {
+        let blocks = |cfg: &SimConfig| cfg.pages * cfg.blocks_per_page();
+        // The 40-fault cap judges more than 4 events of almost every block
+        // before its page dies, so most blocks are sampled again in full.
+        for prefix in [1, 4] {
+            let cfg = SimConfig {
+                page_bits: 4096,
+                threads: Some(2),
+                partial_fraction: 0.25,
+                ..SimConfig::scaled(3, 256, 17)
+            };
+            let extended = prefix_pass_matches_full_pages(&cfg, prefix);
+            assert!(2 * extended > blocks(&cfg), "prefix {prefix}: {extended}");
+        }
+        // At the engine's own prefix the 40-fault cap outlasts it too.
+        let cfg = SimConfig {
+            page_bits: 4096,
+            criterion: FailureCriterion::PerEventSplit { samples: 2 },
+            ..SimConfig::scaled(2, 512, 5)
+        };
+        assert!(prefix_pass_matches_full_pages(&cfg, PREFIX_EVENTS) > 0);
     }
 
     #[test]
@@ -1773,29 +2133,43 @@ mod tests {
 
     #[test]
     fn timeline_cache_leaves_chip_results_byte_identical() {
-        let policy = CapPolicy { cap: 4, bits: 512 };
+        // Cap 40 outlasts the sampler's prefix, so the uncached pass
+        // extends blocks the cache serves in full.
+        let policies = [
+            CapPolicy { cap: 4, bits: 512 },
+            CapPolicy { cap: 40, bits: 512 },
+        ];
+        let refs: Vec<&dyn RecoveryPolicy> =
+            policies.iter().map(|p| p as &dyn RecoveryPolicy).collect();
         let mut cfg = SimConfig::scaled(6, 512, 123);
         cfg.partial_fraction = 0.25;
-        let plain = run_memory(&policy, &cfg);
         let cache = TimelineCache::with_capacity(64);
-        let hooks = PassHooks {
-            timelines: Some(&cache),
-            ..PassHooks::default()
+        let pass = |timelines: Option<&TimelineCache>| {
+            let registry = Registry::new();
+            let telemetry: Vec<McTelemetry> = policies
+                .iter()
+                .map(|p| McTelemetry::for_scheme(&registry, &p.name()))
+                .collect();
+            let hooks = PassHooks {
+                telemetry: &telemetry,
+                timelines,
+                ..PassHooks::default()
+            };
+            let runs = run_memory_pass(&refs, &cfg, 0, cfg.pages, &hooks);
+            (runs, registry.counters(), registry.histograms())
         };
-        let cached = || {
-            run_memory_pass(&[&policy], &cfg, 0, cfg.pages, &hooks)
-                .pop()
-                .expect("one run per policy")
-        };
-        let cached_cold = cached();
+        let plain = pass(None);
+        let cached_cold = pass(Some(&cache));
         assert_eq!(cache.len(), 6, "every page was retained");
         assert_eq!(cache.hits(), 0);
-        let cached_warm = cached();
+        let cached_warm = pass(Some(&cache));
         assert_eq!(cache.hits(), 6, "second run served entirely from cache");
+        assert!(plain
+            .1
+            .iter()
+            .any(|(name, n)| name.ends_with("fault_events") && *n > 0));
         for run in [&cached_cold, &cached_warm] {
-            assert_eq!(plain.page_lifetimes, run.page_lifetimes);
-            assert_eq!(plain.unprotected_lifetimes, run.unprotected_lifetimes);
-            assert_eq!(plain.faults_recovered, run.faults_recovered);
+            assert_eq!(&plain, run);
         }
     }
 

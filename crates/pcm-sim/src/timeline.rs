@@ -110,6 +110,12 @@ pub struct TimelineSampler {
     /// `None` where no cell can be skipped (zero spread, or every cell
     /// kept).
     gate: Option<Gate>,
+    /// The rank gate for a block's first [`PREFIX_EVENTS`] events, which
+    /// admits fewer cells: the gate of [`sample_block_prefix`] calls that
+    /// keep no more than that.
+    ///
+    /// [`sample_block_prefix`]: Self::sample_block_prefix
+    prefix_gate: Option<Gate>,
 }
 
 /// Default weak-write success probability for partially stuck cells
@@ -122,6 +128,13 @@ pub const DEFAULT_WEAK_SUCCESS_Q8: u8 = 128;
 /// engine still counts any block that outlives its timeline as `capped` so
 /// a mis-set cap is loud, not silent.
 pub const DEFAULT_MAX_EVENTS_PER_BLOCK: usize = 96;
+
+/// Events a chip pass samples of each block up front. Under the page
+/// horizon (DESIGN §3) the deepest walk of any fig5 scheme through a block
+/// averages 11.0 events at 256 bits and 17.8 at 512, and needs more than
+/// 32 for 0.02% and 1.19% of blocks (fig5, 256 pages, seed 1); the pass
+/// samples those few blocks again in full.
+pub(crate) const PREFIX_EVENTS: usize = 32;
 
 impl TimelineSampler {
     /// Creates a sampler with explicit models.
@@ -148,6 +161,7 @@ impl TimelineSampler {
             partial_fraction: 0.0,
             weak_success_q8: DEFAULT_WEAK_SUCCESS_Q8,
             gate: Gate::new(block_bits, max_events, lifetime, wear),
+            prefix_gate: Gate::new(block_bits, PREFIX_EVENTS.min(max_events), lifetime, wear),
         }
     }
 
@@ -233,6 +247,29 @@ impl TimelineSampler {
         self.sample_block_with(rng, &mut SelectScratch::new(self.block_bits))
     }
 
+    /// The first `prefix` events of the block [`sample_block`] samples
+    /// from the same `rng`, leaving `rng` exactly where
+    /// [`sample_block`] leaves it.
+    ///
+    /// It is the same kernel keeping fewer events: it selects the
+    /// `prefix` earliest failures (through a tighter rank gate when
+    /// `prefix` is at most the chip pass's prefix), and still draws the
+    /// stuck value, kind and split seed of every event up to `max_events`,
+    /// discarding those past the prefix, so the stream goes on unchanged.
+    /// Sampling again from a copy of `rng` taken before the call gives the
+    /// whole block, whose first `prefix` events are these. A `prefix` of
+    /// `max_events` or more is [`sample_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` is zero.
+    ///
+    /// [`sample_block`]: Self::sample_block
+    pub fn sample_block_prefix<R: Rng + Clone>(&self, rng: &mut R, prefix: usize) -> BlockTimeline {
+        assert!(prefix > 0, "a prefix keeps at least one event");
+        self.sample_prefix_with(rng, &mut SelectScratch::new(self.block_bits), prefix)
+    }
+
     /// Samples the fault timeline of a page of `blocks_per_page` data
     /// blocks: the same stream as `blocks_per_page` successive
     /// [`sample_block`](Self::sample_block) calls.
@@ -252,7 +289,19 @@ impl TimelineSampler {
         rng: &mut R,
         scratch: &mut SelectScratch,
     ) -> BlockTimeline {
-        self.select(rng, scratch);
+        self.sample_prefix_with(rng, scratch, self.max_events)
+    }
+
+    /// [`sample_block_prefix`](Self::sample_block_prefix) on a caller-held
+    /// scratch: the one block kernel.
+    pub(crate) fn sample_prefix_with<R: Rng + Clone>(
+        &self,
+        rng: &mut R,
+        scratch: &mut SelectScratch,
+        prefix: usize,
+    ) -> BlockTimeline {
+        debug_assert!(prefix > 0, "a prefix keeps at least one event");
+        self.select(rng, scratch, prefix.min(self.max_events));
         // A cell sticks at whatever it held when it died; under random
         // write data that is a fair coin (bias configurable via
         // `with_stuck_bias`). The kind draw is gated on the mix being
@@ -260,36 +309,57 @@ impl TimelineSampler {
         // entropy (stuck value, then split seed).
         let stuck_one = Bernoulli::new(self.stuck_one_probability);
         let partial = (self.partial_fraction > 0.0).then(|| Bernoulli::new(self.partial_fraction));
+        let draw = |rng: &mut R| {
+            let stuck = stuck_one.sample(rng);
+            let weak = partial.is_some_and(|partial| partial.sample(rng));
+            (stuck, weak, rng.random::<u64>())
+        };
         let events = scratch
             .keys
             .iter()
             .map(|&key| {
                 let (time, offset) = unpack(key);
-                let stuck = stuck_one.sample(rng);
-                let fault = match partial {
-                    Some(partial) if partial.sample(rng) => {
-                        Fault::partial(offset, stuck, self.weak_success_q8)
-                    }
-                    _ => Fault::new(offset, stuck),
+                let (stuck, weak, split_seed) = draw(rng);
+                let fault = if weak {
+                    Fault::partial(offset, stuck, self.weak_success_q8)
+                } else {
+                    Fault::new(offset, stuck)
                 };
                 FaultEvent {
                     time,
                     fault,
-                    split_seed: rng.random(),
+                    split_seed,
                 }
             })
             .collect();
+        // The events past the prefix draw what they would have drawn.
+        for _ in scratch.keys.len()..self.max_events {
+            draw(rng);
+        }
         BlockTimeline { events }
     }
 
-    /// Leaves the keys of the block's `max_events` earliest failures in
+    /// Leaves the keys of the block's `keep` earliest failures in
     /// `scratch.keys`, ascending, with `rng` past every lifetime draw of
-    /// the block; says which path found them.
-    fn select<R: Rng + Clone>(&self, rng: &mut R, scratch: &mut SelectScratch) -> Selection {
+    /// the block; says which path found them. `keep` is at most
+    /// `max_events`.
+    fn select<R: Rng + Clone>(
+        &self,
+        rng: &mut R,
+        scratch: &mut SelectScratch,
+        keep: usize,
+    ) -> Selection {
         let keys = &mut scratch.keys;
         keys.clear();
         let mut selection = Selection::Ungated;
-        if let Some(gate) = &self.gate {
+        // A gate built for `k` events serves any `keep ≤ k`: it only fixes
+        // a time that enough cells fail before.
+        let gate = if keep <= PREFIX_EVENTS {
+            &self.prefix_gate
+        } else {
+            &self.gate
+        };
+        if let Some(gate) = gate {
             let start = rng.clone();
             for offset in 0..self.block_bits {
                 let (u1, u2) = lifetime::uniform_pair(rng);
@@ -301,8 +371,8 @@ impl TimelineSampler {
                     keys.push(pack(time, offset));
                 }
             }
-            if keys.len() >= self.max_events {
-                keep_first(keys, self.max_events);
+            if keys.len() >= keep {
+                keep_first(keys, keep);
                 return Selection::Gated;
             }
             *rng = start;
@@ -313,7 +383,7 @@ impl TimelineSampler {
             let (u1, u2) = lifetime::uniform_pair(rng);
             keys.push(pack(self.fault_time(rng, u1, u2), offset));
         }
-        keep_first(keys, self.max_events);
+        keep_first(keys, keep);
         selection
     }
 
@@ -961,11 +1031,17 @@ mod tests {
     #[test]
     fn gate_skips_only_cells_that_fail_at_or_after_its_time() {
         let mut random = SmallRng::seed_from_u64(27);
-        for sampler in gated_samplers() {
-            let gate = sampler.gate.expect("paper widths are gated");
+        let gates = gated_samplers().into_iter().flat_map(|sampler| {
+            [
+                (sampler, sampler.gate, sampler.max_events),
+                (sampler, sampler.prefix_gate, PREFIX_EVENTS),
+            ]
+        });
+        for (sampler, gate, keep) in gates {
+            let gate = gate.expect("paper widths are gated");
             let z = gate_variate(
                 sampler.block_bits as f64,
-                sampler.max_events as f64,
+                keep as f64,
                 -sampler.lifetime.mean() / sampler.lifetime.std_dev(),
             );
             let mut skipped = 0usize;
@@ -1003,21 +1079,28 @@ mod tests {
                 let (u1, u2) = lifetime::uniform_pair(&mut random);
                 check(u1, u2);
             }
-            assert!(skipped > 30_000, "{sampler:?} skipped only {skipped}");
+            assert!(
+                skipped > 30_000,
+                "{sampler:?}, {keep} kept: skipped only {skipped}"
+            );
         }
     }
 
     #[test]
     fn gated_and_fallback_blocks_match_the_ungated_kernel() {
-        // `(block_bits, cv, trial)`: trial `trial` of seed 1 has too few
-        // admitted cells before the gate's time and falls back; the trials
-        // before it hold the gate.
+        // `(block_bits, cv, keep, trial)`: keeping `keep` events, trial
+        // `trial` of seed 1 has too few admitted cells before the gate's
+        // time and falls back; the trials before it hold the gate. The
+        // last three pins are the prefix gate's.
         let pins = [
-            (512, 0.25, 6_205),
-            (256, 0.25, 146_523),
-            (512, 10.0, 68_052),
+            (512, 0.25, DEFAULT_MAX_EVENTS_PER_BLOCK, 6_205),
+            (256, 0.25, DEFAULT_MAX_EVENTS_PER_BLOCK, 146_523),
+            (512, 10.0, DEFAULT_MAX_EVENTS_PER_BLOCK, 68_052),
+            (512, 0.25, PREFIX_EVENTS, 239_976),
+            (256, 0.25, PREFIX_EVENTS, 428_741),
+            (512, 10.0, PREFIX_EVENTS, 192_079),
         ];
-        for (bits, cv, fallback) in pins {
+        for (bits, cv, keep, fallback) in pins {
             let gated = TimelineSampler::new(
                 bits,
                 LifetimeModel::new(1.0e8, cv),
@@ -1026,33 +1109,35 @@ mod tests {
             );
             let ungated = TimelineSampler {
                 gate: None,
+                prefix_gate: None,
                 ..gated
             };
             let mut scratch = SelectScratch::new(bits);
             let mut reference = SelectScratch::new(bits);
             let (mut held, mut fell_back) = (0, 0);
             for trial in fallback - 16..=fallback {
+                let at = format!("{bits} bits, {keep} kept, trial {trial}");
                 let mut rng = TimelineSampler::page_rng(1, trial);
                 let mut want_rng = rng.clone();
-                let selection = gated.select(&mut rng, &mut scratch);
+                let selection = gated.select(&mut rng, &mut scratch, keep);
                 assert_eq!(
-                    ungated.select(&mut want_rng, &mut reference),
+                    ungated.select(&mut want_rng, &mut reference, keep),
                     Selection::Ungated
                 );
-                assert_eq!(scratch.keys, reference.keys, "{bits} bits, trial {trial}");
-                assert_eq!(rng, want_rng, "{bits} bits, trial {trial}");
+                assert_eq!(scratch.keys, reference.keys, "{at}");
+                assert_eq!(rng, want_rng, "{at}");
                 match selection {
                     Selection::Gated => held += 1,
                     Selection::Fallback => fell_back += 1,
                     Selection::Ungated => unreachable!("paper widths are gated"),
                 }
                 if trial == fallback {
-                    assert_eq!(selection, Selection::Fallback, "{bits} bits");
+                    assert_eq!(selection, Selection::Fallback, "{at}");
                 }
             }
             assert!(
                 held > 0 && fell_back > 0,
-                "{bits} bits: {held} held, {fell_back} fell back"
+                "{bits} bits, {keep} kept: {held} held, {fell_back} fell back"
             );
         }
     }

@@ -87,6 +87,24 @@ cmp "$smoke_out/trace-block.a" "$smoke_out/trace-block.b" \
     || { echo "--trace-block output is not deterministic" >&2; exit 1; }
 rm -rf "$smoke_out"
 
+# Committed example: re-running results/telemetry/example-fig5's manifest
+# command must reproduce its deterministic stream byte for byte (volatile
+# lines stripped), so the example can never describe code that no longer
+# runs.
+example_out="${TMPDIR:-/tmp}/aegis-verify-example"
+rm -rf "$example_out"
+echo "==> experiments fig5 example-fig5 (committed stream)"
+cargo run --release --offline -p aegis-experiments -- \
+    fig5 --pages 2 --seed 42 --threads 1 --trace --telemetry \
+    --run-id example-fig5 --quiet --out "$example_out" >/dev/null
+grep -v '"event": "volatile"' results/telemetry/example-fig5.jsonl \
+    >"$example_out/committed.jsonl"
+grep -v '"event": "volatile"' "$example_out/telemetry/example-fig5.jsonl" \
+    >"$example_out/rerun.jsonl"
+cmp "$example_out/committed.jsonl" "$example_out/rerun.jsonl" \
+    || { echo "results/telemetry/example-fig5.jsonl is stale" >&2; exit 1; }
+rm -rf "$example_out"
+
 # Shard/merge smoke: a fig5 campaign split into two seed-disjoint shards
 # and merged back must reproduce the unsharded run byte-for-byte — same
 # report, same CSVs, same telemetry stream modulo volatile lines. Shard 0

@@ -3,10 +3,14 @@
 //! page once, walks it block by block, and judges every policy on each
 //! block with its own arena while all of them read the block's W/R splits
 //! off one shared tape. Every policy's [`MemoryRun`] and `mc.<scheme>.*`
-//! telemetry must equal a per-policy reference that re-samples each page,
-//! evaluates each block on a fresh arena, and draws every split itself
-//! from the event's seed — the loop the figures ran before the pass and
-//! the tape existed, written out here independently of the engine.
+//! telemetry must equal a per-policy reference that re-samples each page
+//! in full, evaluates each block on a fresh arena, and draws every split
+//! itself from the event's seed — the loop the figures ran before the pass
+//! and the tape existed, written out here independently of the engine.
+//! The reference stops each block's walk at the page's horizon, the
+//! earliest block death so far (DESIGN §3), as the engine does, and the
+//! pin also checks that its `MemoryRun`s are those of walking every block
+//! to its own death.
 
 use aegis_experiments::schemes;
 use pcm_sim::montecarlo::{
@@ -32,17 +36,33 @@ const CRITERIA: [(FailureCriterion, usize); 3] = [
 /// several blocks at either width.
 const PAGE_BITS: usize = 4096;
 
+/// How the reference's walk through one block ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    /// Died at the event at this time.
+    Died(f64),
+    /// Stopped at an event at or after the horizon.
+    Horizon,
+    /// Survived every event.
+    Outlived,
+}
+
 /// One block judged alone on a fresh arena, every split drawn from the
-/// event's own seed: `(death time, faults seen, predicate calls)`.
+/// event's own seed, on the events strictly before `horizon`:
+/// `(fate, faults seen, predicate calls)`.
 fn reference_block(
     policy: &dyn RecoveryPolicy,
     events: &[pcm_sim::timeline::FaultEvent],
     criterion: FailureCriterion,
-) -> (Option<f64>, usize, u64) {
+    horizon: f64,
+) -> (Fate, usize, u64) {
     let mut scratch = PolicyScratch::new();
     let mut faults: Vec<Fault> = Vec::new();
     let mut decisions = 0u64;
     for event in events {
+        if event.time >= horizon {
+            return (Fate::Horizon, faults.len(), decisions);
+        }
         faults.push(event.fault);
         policy.observe_fault(&faults, &mut scratch);
         let survived = match criterion {
@@ -60,20 +80,22 @@ fn reference_block(
             }
         };
         if !survived {
-            return (Some(event.time), faults.len(), decisions);
+            return (Fate::Died(event.time), faults.len(), decisions);
         }
     }
-    (None, faults.len(), decisions)
+    (Fate::Outlived, faults.len(), decisions)
 }
 
 /// One page judged by one policy alone, recording the engine's
-/// `mc.<label>.*` counters and histograms into `registry` by name.
+/// `mc.<label>.*` counters and histograms into `registry` by name. With
+/// `horizon` off, every block is walked to its own death.
 fn reference_page(
     policy: &dyn RecoveryPolicy,
     label: &str,
     page: &PageTimeline,
     criterion: FailureCriterion,
     registry: &Registry,
+    horizon: bool,
 ) -> PageOutcome {
     // Every handle up front, as the engine's telemetry registers them.
     let counter = |metric: &str| registry.counter(&metric_name("mc", label, metric));
@@ -83,10 +105,11 @@ fn reference_page(
         counter("fault_events"),
         counter("policy_decisions"),
     );
-    let (deaths_split, deaths_guarantee, outlived_blocks) = (
+    let (deaths_split, deaths_guarantee, outlived_blocks, past_horizon) = (
         counter("block_deaths_split"),
         counter("block_deaths_guarantee"),
         counter("blocks_outlived"),
+        counter("blocks_past_horizon"),
     );
     let (arrivals, lifetimes) = (
         histogram("page_fault_arrivals"),
@@ -95,19 +118,21 @@ fn reference_page(
     let mut death_time = f64::INFINITY;
     let mut outlived = false;
     for block in &page.blocks {
-        let (death, seen, decisions) = reference_block(policy, &block.events, criterion);
+        let until = if horizon { death_time } else { f64::INFINITY };
+        let (fate, seen, decisions) = reference_block(policy, &block.events, criterion, until);
         fault_events.add(seen as u64);
         decisions_seen.add(decisions);
-        match (death, criterion) {
-            (None, _) => {
+        match (fate, criterion) {
+            (Fate::Outlived, _) => {
                 outlived = true;
                 outlived_blocks.incr();
             }
-            (Some(t), FailureCriterion::PerEventSplit { .. }) => {
+            (Fate::Horizon, _) => past_horizon.incr(),
+            (Fate::Died(t), FailureCriterion::PerEventSplit { .. }) => {
                 death_time = death_time.min(t);
                 deaths_split.incr();
             }
-            (Some(t), FailureCriterion::GuaranteedAllData) => {
+            (Fate::Died(t), FailureCriterion::GuaranteedAllData) => {
                 death_time = death_time.min(t);
                 deaths_guarantee.incr();
             }
@@ -131,8 +156,13 @@ fn reference_page(
     }
 }
 
-/// One policy's chip run, every page re-sampled for it alone.
-fn reference_run(policy: &dyn RecoveryPolicy, cfg: &SimConfig, registry: &Registry) -> MemoryRun {
+/// One policy's chip run, every page re-sampled in full for it alone.
+fn reference_run(
+    policy: &dyn RecoveryPolicy,
+    cfg: &SimConfig,
+    registry: &Registry,
+    horizon: bool,
+) -> MemoryRun {
     let sampler = TimelineSampler::paper_default(cfg.block_bits)
         .with_partial_mix(cfg.partial_fraction, DEFAULT_WEAK_SUCCESS_Q8);
     let mut run = MemoryRun::default();
@@ -141,7 +171,14 @@ fn reference_run(policy: &dyn RecoveryPolicy, cfg: &SimConfig, registry: &Regist
             &mut TimelineSampler::page_rng(cfg.seed, p as u64),
             cfg.blocks_per_page(),
         );
-        let outcome = reference_page(policy, &policy.name(), &page, cfg.criterion, registry);
+        let outcome = reference_page(
+            policy,
+            &policy.name(),
+            &page,
+            cfg.criterion,
+            registry,
+            horizon,
+        );
         run.page_lifetimes.push(outcome.death_time);
         run.unprotected_lifetimes.push(page.first_cell_death());
         run.faults_recovered.push(outcome.faults_recovered);
@@ -187,8 +224,18 @@ fn assert_matches_reference(
             let expected_registry = Registry::new();
             let expected: Vec<MemoryRun> = twins
                 .iter()
-                .map(|policy| reference_run(policy.as_ref(), &cfg, &expected_registry))
+                .map(|policy| reference_run(policy.as_ref(), &cfg, &expected_registry, true))
                 .collect();
+            // Every block walked to its own death gives the same runs.
+            for (policy, want) in twins.iter().zip(&expected) {
+                let own_deaths = reference_run(policy.as_ref(), &cfg, &Registry::disabled(), false);
+                assert_eq!(
+                    bits(&own_deaths),
+                    bits(want),
+                    "{label}: {} seed {seed} {criterion:?} without the horizon",
+                    policy.name()
+                );
+            }
             // Some page must die early enough to separate the schemes, or
             // the pin would compare identical verdicts.
             assert!(
@@ -226,6 +273,21 @@ fn assert_matches_reference(
                     expected_registry.counters(),
                     "{label}: counters, seed {seed} threads {threads} {criterion:?}"
                 );
+                // Every block's walk ends one of three ways.
+                let counters: std::collections::BTreeMap<String, u64> =
+                    registry.counters().into_iter().collect();
+                for policy in &policies {
+                    let count = |metric: &str| counters[&metric_name("mc", &policy.name(), metric)];
+                    assert_eq!(
+                        count("block_deaths_split")
+                            + count("block_deaths_guarantee")
+                            + count("blocks_outlived")
+                            + count("blocks_past_horizon"),
+                        (cfg.pages * cfg.blocks_per_page()) as u64,
+                        "{label}: {} block fates",
+                        policy.name()
+                    );
+                }
                 assert_eq!(
                     registry.histograms(),
                     expected_registry.histograms(),
@@ -361,7 +423,7 @@ fn page_pass_matches_the_reference_on_random_pages() {
                 let got = evaluate_page_pass(&policies, &page, case.criterion, &[], &mut arena);
                 let scratch = Registry::disabled();
                 for (i, (&policy, outcome)) in policies.iter().zip(got).enumerate() {
-                    let want = reference_page(policy, "ref", &page, case.criterion, &scratch);
+                    let want = reference_page(policy, "ref", &page, case.criterion, &scratch, true);
                     prop_assert_eq!(
                         outcome.death_time.to_bits(),
                         want.death_time.to_bits(),
@@ -397,7 +459,7 @@ fn empty_truncated_and_early_dying_blocks_match_the_reference() {
     ] {
         let got = evaluate_page_pass(&policies, &page, criterion, &[], &mut arena).to_vec();
         for (&policy, outcome) in policies.iter().zip(&got) {
-            let want = reference_page(policy, "ref", &page, criterion, &Registry::disabled());
+            let want = reference_page(policy, "ref", &page, criterion, &Registry::disabled(), true);
             assert_eq!(*outcome, want, "{} {criterion:?}", policy.name());
         }
     }

@@ -12,7 +12,9 @@
 //! wear models, stuck biases and partial-stuck mixes; half the cases are
 //! the paper's 256- and 512-bit blocks keeping 96 events. It
 //! asserts equal events *and* equal RNG state afterwards, so the
-//! downstream stream (next block, next split) cannot drift either.
+//! downstream stream (next block, next split) cannot drift either. A second
+//! property holds the prefix kernel the chip pass samples with to the full
+//! block over the same shapes.
 //!
 //! CI runs it at `SIM_PROP_CASES=10000`.
 
@@ -182,6 +184,44 @@ fn select_k_sampler_matches_the_sort_everything_reference() {
             let block = sampler.sample_block(&mut fast);
             prop_assert_eq!(bits_of(&block), bits_of(&reference_block(case, &mut slow)));
             prop_assert_eq!(fast, slow, "RNG state diverged after the block");
+            Ok(())
+        },
+    );
+}
+
+/// The prefix kernel over the same shapes: for `k` in {1, 4, 32} and a
+/// `k` at or past `max_events`, a block's `k`-event prefix is the first
+/// `k` events of the block sampled in full, leaves the RNG where the full
+/// block does, and sampling again from the block's starting RNG (the chip
+/// pass's extension) reproduces the full block.
+#[test]
+fn prefix_sampler_is_an_exact_extendable_prefix() {
+    Runner::new("prefix_sampler_is_an_exact_extendable_prefix").run(
+        generate,
+        Case::shrink,
+        |case| {
+            let sampler = case.sampler();
+            let kept = case.max_events.min(case.bits);
+            for k in [1, 4, 32, kept, kept + 3] {
+                let mut full_rng = SmallRng::seed_from_u64(case.seed);
+                let mut prefix_rng = full_rng.clone();
+                for block in 0..case.blocks_per_page {
+                    let start = prefix_rng.clone();
+                    let full = sampler.sample_block(&mut full_rng);
+                    let prefix = sampler.sample_block_prefix(&mut prefix_rng, k);
+                    let want = &bits_of(&full)[..k.min(kept)];
+                    prop_assert_eq!(&bits_of(&prefix)[..], want, "k {} block {}", k, block);
+                    prop_assert_eq!(&prefix_rng, &full_rng, "k {} block {}: RNG state", k, block);
+                    let extended = sampler.sample_block(&mut start.clone());
+                    prop_assert_eq!(
+                        bits_of(&extended),
+                        bits_of(&full),
+                        "k {} block {}",
+                        k,
+                        block
+                    );
+                }
+            }
             Ok(())
         },
     );
